@@ -1006,15 +1006,15 @@ impl<'a> ClosedLoop<'a> {
     /// controllers in lockstep on one global clock.
     pub fn step(&mut self, window: f64) -> Result<StepReport, ControllerError> {
         {
-            let report = self.sim.advance(window, 0.0);
+            let mut report = self.sim.advance(window, 0.0);
             self.time += window;
             let summary = StepReport {
                 time: self.time,
                 avg_throughput: report.avg_throughput,
                 avg_target: report.avg_target,
                 avg_backpressure: report.avg_backpressure,
-                worker_cpu_util: report.worker_cpu_util.clone(),
-                worker_alive: report.worker_alive.clone(),
+                worker_cpu_util: std::mem::take(&mut report.worker_cpu_util),
+                worker_alive: std::mem::take(&mut report.worker_alive),
             };
 
             // Injected wall-clock controller kill: the process dies at
@@ -1031,13 +1031,13 @@ impl<'a> ClosedLoop<'a> {
                 }
             }
 
-            for mut p in report.points.clone() {
+            for mut p in std::mem::take(&mut report.points) {
                 p.time = self.time;
                 self.points.push(p);
             }
             // Ingestion sanitizer: clamp poisoned samples before the
             // rates can reach DS2 or the online profiler.
-            let mut task_rates = report.task_rates.clone();
+            let mut task_rates = std::mem::take(&mut report.task_rates);
             self.sanitized += sanitize_rates(&mut task_rates) as u64;
             self.recent.push_back((window, task_rates));
             while self.recent.len() > METRICS_WINDOWS {
@@ -1063,7 +1063,7 @@ impl<'a> ClosedLoop<'a> {
             // tasks would double-place them.
             if let Some(rec) = &mut self.recovery {
                 let det = rec.detector.observe_with_evidence(
-                    &report.worker_alive,
+                    &summary.worker_alive,
                     &report.worker_activity,
                     report.metrics_ok,
                     self.time,

@@ -796,8 +796,8 @@ impl<'a> FleetController<'a> {
         };
         let end = drive(lp, &sh.history, sh.stepped, sh.history.len(), self.config.window)?;
         sh.stepped = end.stepped;
-        if let Some(report) = &end.last {
-            sh.last_contrib = report.worker_cpu_util.clone();
+        if let Some(report) = end.last {
+            sh.last_contrib = report.worker_cpu_util;
         }
         if end.killed {
             sh.live = None;
@@ -893,8 +893,8 @@ impl<'a> FleetController<'a> {
                 drive(lp, &sh.history, from, from + 1, window)?
             };
             sh.stepped = end.stepped;
-            if let Some(report) = &end.last {
-                sh.last_contrib = report.worker_cpu_util.clone();
+            if let Some(report) = end.last {
+                sh.last_contrib = report.worker_cpu_util;
                 sh.goodput += report.avg_throughput * window;
                 sh.target += report.avg_target * window;
             }

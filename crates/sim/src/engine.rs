@@ -109,6 +109,10 @@ struct WorkerCaps {
 }
 
 /// Accumulators for one reporting window.
+///
+/// Per-source figures are dense arrays indexed by operator id, with a
+/// seen flag per operator: resetting zero-fills in place and every sum
+/// over sources runs in operator-id order.
 #[derive(Debug, Clone, Default)]
 struct WindowAcc {
     time: f64,
@@ -118,23 +122,30 @@ struct WindowAcc {
     cpu_use: Vec<f64>,
     io_use: Vec<f64>,
     net_use: Vec<f64>,
-    src_admitted: HashMap<usize, f64>,
-    src_target: HashMap<usize, f64>,
+    /// Whether any task of this operator reported as a source.
+    src_seen: Vec<bool>,
+    src_admitted: Vec<f64>,
+    src_target: Vec<f64>,
     /// Source-task-seconds spent backpressured, per source operator.
-    src_bp_time: HashMap<usize, f64>,
+    src_bp_time: Vec<f64>,
     /// Total source-task-seconds observed, per source operator.
-    src_time: HashMap<usize, f64>,
+    src_time: Vec<f64>,
     task_processed: Vec<f64>,
     task_busy: Vec<f64>,
     task_capacity_time: Vec<f64>,
 }
 
 impl WindowAcc {
-    fn new(workers: usize, tasks: usize) -> WindowAcc {
+    fn new(workers: usize, tasks: usize, operators: usize) -> WindowAcc {
         WindowAcc {
             cpu_use: vec![0.0; workers],
             io_use: vec![0.0; workers],
             net_use: vec![0.0; workers],
+            src_seen: vec![false; operators],
+            src_admitted: vec![0.0; operators],
+            src_target: vec![0.0; operators],
+            src_bp_time: vec![0.0; operators],
+            src_time: vec![0.0; operators],
             task_processed: vec![0.0; tasks],
             task_busy: vec![0.0; tasks],
             task_capacity_time: vec![0.0; tasks],
@@ -142,11 +153,76 @@ impl WindowAcc {
         }
     }
 
+    /// Zeroes every accumulator in place, keeping the buffers.
     fn reset(&mut self) {
-        let workers = self.cpu_use.len();
-        let tasks = self.task_processed.len();
-        *self = WindowAcc::new(workers, tasks);
+        self.time = 0.0;
+        self.admitted = 0.0;
+        self.target = 0.0;
+        self.in_flight_time = 0.0;
+        self.src_seen.fill(false);
+        for v in [
+            &mut self.cpu_use,
+            &mut self.io_use,
+            &mut self.net_use,
+            &mut self.src_admitted,
+            &mut self.src_target,
+            &mut self.src_bp_time,
+            &mut self.src_time,
+            &mut self.task_processed,
+            &mut self.task_busy,
+            &mut self.task_capacity_time,
+        ] {
+            v.fill(0.0);
+        }
     }
+
+    /// Records one source task's tick: `admitted` records against
+    /// `target` offered, backpressured when it admitted less than
+    /// [`BACKPRESSURE_SLACK`] of `admit_target`.
+    fn add_source(&mut self, op: usize, admitted: f64, target: f64, admit_target: f64, tick: f64) {
+        self.admitted += admitted;
+        self.target += target;
+        self.src_seen[op] = true;
+        self.src_admitted[op] += admitted;
+        self.src_target[op] += target;
+        self.src_time[op] += tick;
+        if admit_target > 0.0 && admitted < BACKPRESSURE_SLACK * admit_target {
+            self.src_bp_time[op] += tick;
+        }
+    }
+
+    /// Aggregate backpressured-time fraction over all source operators.
+    fn backpressure_fraction(&self) -> f64 {
+        let seen = |v: &[f64]| -> f64 {
+            v.iter()
+                .zip(&self.src_seen)
+                .filter(|(_, &s)| s)
+                .map(|(&x, _)| x)
+                .sum()
+        };
+        let total = seen(&self.src_time);
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let bp = seen(&self.src_bp_time);
+        // `+ 0.0` normalizes a negative zero produced by the division.
+        (bp / total).clamp(0.0, 1.0) + 0.0
+    }
+}
+
+/// Max-min allocation buffers for one worker, reused across workers and
+/// ticks.
+#[derive(Debug, Default)]
+struct AllocScratch {
+    /// Records each task may process this tick.
+    allowed: Vec<f64>,
+    /// Records each task could process given its contention.
+    potential: Vec<f64>,
+    /// Per-record unit cost of the resource being allocated.
+    units: Vec<f64>,
+    demands: Vec<f64>,
+    alloc: Vec<f64>,
+    order: Vec<usize>,
 }
 
 /// A contention-aware stream-processing simulation bound to one
@@ -225,6 +301,20 @@ pub struct Simulation {
     drain_io: Vec<f64>,
     /// Per-worker NIC bytes charged to state draining this tick.
     drain_net: Vec<f64>,
+    /// Per-task scheduled generation rate (records/s, scaled by the
+    /// task's share) at the start of the last tick; 0 for non-sources.
+    src_gen: Vec<f64>,
+    /// Simulated time `src_gen` was evaluated at.
+    src_gen_time: f64,
+    /// Records buffered in channel queues at the end of the last tick.
+    tick_in_flight: f64,
+    /// Per-worker disk/NIC budgets left for state draining this tick.
+    budget_io: Vec<f64>,
+    budget_net: Vec<f64>,
+    alloc_scratch: AllocScratch,
+    /// Interval and report accumulators, reused across `advance` calls.
+    interval_acc: WindowAcc,
+    report_acc: WindowAcc,
 }
 
 impl Simulation {
@@ -257,6 +347,29 @@ impl Simulation {
             sched_list.push((op.0, sched.clone()));
         }
 
+        // Bucket channels by producer and by consumer in one pass, in
+        // channel-index order.
+        let n_tasks = physical.num_tasks();
+        let mut out_chans: Vec<Vec<usize>> = vec![Vec::new(); n_tasks];
+        let mut in_chans: Vec<Vec<usize>> = vec![Vec::new(); n_tasks];
+        for (ci, ch) in physical.channels().iter().enumerate() {
+            out_chans[ch.from.0].push(ci);
+            in_chans[ch.to.0].push(ci);
+        }
+        // Group each producer's channels by downstream operator (one
+        // group per logical out-edge), in ascending operator id; a
+        // stable sort keeps channel-index order within a group.
+        let d_op = |ci: usize| physical.task_operator(physical.channels()[ci].to);
+        let mut group_len = vec![0usize; physical.channels().len()];
+        for chans in &mut out_chans {
+            chans.sort_by_key(|&ci| d_op(ci).0);
+            for group in chans.chunk_by(|&a, &b| d_op(a) == d_op(b)) {
+                for &ci in group {
+                    group_len[ci] = group.len();
+                }
+            }
+        }
+
         // Size each channel queue by the time it should buffer (the
         // buffer-debloating analogue): capacity = peak channel rate x
         // buffer_secs, floored at `queue_capacity` records.
@@ -266,17 +379,12 @@ impl Simulation {
             .collect();
         let peak_loads = LoadModel::derive(logical, physical, &peak_rates)?;
         let mut channels: Vec<ChannelState> = Vec::with_capacity(physical.channels().len());
-        for ch in physical.channels() {
+        for (ci, ch) in physical.channels().iter().enumerate() {
             let out_rate = peak_loads.task_output_rate(ch.from);
             // Share of the producer's output carried by this channel.
-            let n_channels = physical
-                .downstream(ch.from)
-                .filter(|c| physical.task_operator(c.to) == physical.task_operator(ch.to))
-                .count()
-                .max(1) as f64;
             let share = match ch.pattern {
                 ConnectionPattern::Broadcast => 1.0,
-                _ => 1.0 / n_channels,
+                _ => 1.0 / group_len[ci] as f64,
             };
             let cap = (out_rate * share * config.buffer_secs).max(config.queue_capacity);
             channels.push(ChannelState { q: 0.0, cap });
@@ -288,51 +396,32 @@ impl Simulation {
             .map(|w| w.spec.link_latency.max(0.0))
             .collect();
 
-        let mut tasks = Vec::with_capacity(physical.num_tasks());
-        let mut task_schedule = Vec::with_capacity(physical.num_tasks());
-        for t in physical.tasks() {
+        let mut tasks = Vec::with_capacity(n_tasks);
+        let mut task_schedule = Vec::with_capacity(n_tasks);
+        for (t, in_channels) in physical.tasks().iter().zip(in_chans) {
             let op = logical.operator(t.operator);
             let w = placement.worker_of(t.id);
 
-            // Group this task's outgoing channels by downstream operator
-            // (one group per logical out-edge) to compute per-channel
-            // record shares.
-            let mut per_edge: HashMap<usize, Vec<usize>> = HashMap::new();
-            for (ci, ch) in physical.channels().iter().enumerate() {
-                if ch.from == t.id {
-                    let d_op = physical.task_operator(ch.to).0;
-                    per_edge.entry(d_op).or_default().push(ci);
-                }
-            }
-            let mut out_pushes = Vec::new();
+            // Per-channel record shares, summed group by group.
+            let chans = &out_chans[t.id.0];
+            let mut out_pushes = Vec::with_capacity(chans.len());
             let mut net_unit = 0.0;
             let mut lat_unit = 0.0;
-            for (_d_op, chans) in per_edge {
-                let k = chans.len() as f64;
-                for ci in chans {
-                    let ch = physical.channels()[ci];
-                    let share = match ch.pattern {
-                        // Broadcast replicates the full output stream to
-                        // every downstream task.
-                        ConnectionPattern::Broadcast => op.profile.selectivity,
-                        _ => op.profile.selectivity / k,
-                    };
-                    out_pushes.push((ci, share));
-                    let dest = placement.worker_of(ch.to);
-                    if dest != w {
-                        net_unit += share * op.profile.out_bytes_per_record;
-                        lat_unit += share * (link_lats[w.0] + link_lats[dest.0]);
-                    }
+            for &ci in chans {
+                let ch = physical.channels()[ci];
+                let share = match ch.pattern {
+                    // Broadcast replicates the full output stream to
+                    // every downstream task.
+                    ConnectionPattern::Broadcast => op.profile.selectivity,
+                    _ => op.profile.selectivity / group_len[ci] as f64,
+                };
+                out_pushes.push((ci, share));
+                let dest = placement.worker_of(ch.to);
+                if dest != w {
+                    net_unit += share * op.profile.out_bytes_per_record;
+                    lat_unit += share * (link_lats[w.0] + link_lats[dest.0]);
                 }
             }
-
-            let in_channels: Vec<usize> = physical
-                .channels()
-                .iter()
-                .enumerate()
-                .filter(|(_, ch)| ch.to == t.id)
-                .map(|(ci, _)| ci)
-                .collect();
 
             let is_source = op.kind.is_source();
             task_schedule.push(if is_source {
@@ -383,6 +472,8 @@ impl Simulation {
             .collect();
 
         let n = tasks.len();
+        let n_workers = workers.len();
+        let n_ops = logical.num_operators();
         Ok(Simulation {
             rng: SmallRng::seed_from_u64(config.seed),
             config,
@@ -418,8 +509,16 @@ impl Simulation {
             transfer: None,
             paused: vec![false; n],
             paused_secs: 0.0,
-            drain_io: vec![0.0; cluster.workers().len()],
-            drain_net: vec![0.0; cluster.workers().len()],
+            drain_io: vec![0.0; n_workers],
+            drain_net: vec![0.0; n_workers],
+            src_gen: vec![0.0; n],
+            src_gen_time: 0.0,
+            tick_in_flight: 0.0,
+            budget_io: vec![0.0; n_workers],
+            budget_net: vec![0.0; n_workers],
+            alloc_scratch: AllocScratch::default(),
+            interval_acc: WindowAcc::new(n_workers, n, n_ops),
+            report_acc: WindowAcc::new(n_workers, n, n_ops),
         })
     }
 
@@ -700,13 +799,12 @@ impl Simulation {
         let Some(flows) = &mut self.transfer else {
             return;
         };
-        let mut budget_io: Vec<f64> = self.workers.iter().map(|w| w.io * tick).collect();
-        let mut budget_net: Vec<f64> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(w, c)| c.net * self.net_degrade[w] * tick)
-            .collect();
+        let budget_io = &mut self.budget_io;
+        let budget_net = &mut self.budget_net;
+        for (w, c) in self.workers.iter().enumerate() {
+            budget_io[w] = c.io * tick;
+            budget_net[w] = c.net * self.net_degrade[w] * tick;
+        }
         let mut all_done = true;
         for flow in flows.iter_mut() {
             if flow.remaining <= 0.0 {
@@ -805,9 +903,10 @@ impl Simulation {
 
     /// Re-derives each task's `net_unit` from its outgoing channel
     /// shares, charging bytes only on channels that now cross workers.
-    /// Summation follows `out_pushes` order — the same order the
-    /// constructor accumulated in — so an unmoved task's unit is
-    /// bit-identical to its original.
+    /// Summation follows `out_pushes` order — grouped by ascending
+    /// downstream operator id, channel index within a group, the order
+    /// the constructor accumulated in — so an unmoved task's unit is
+    /// bit-identical to its original, in every instance.
     fn recompute_net_units(&mut self) {
         for i in 0..self.tasks.len() {
             let w = self.tasks[i].worker;
@@ -918,24 +1017,28 @@ impl Simulation {
         let interval_steps = (self.config.metrics_interval / tick).round().max(1.0) as usize;
         let warmup_steps = (warmup / tick).round() as usize;
 
-        let n_workers = self.workers.len();
-        let n_tasks = self.tasks.len();
-        let mut interval = WindowAcc::new(n_workers, n_tasks);
-        let mut report = WindowAcc::new(n_workers, n_tasks);
-        let mut points = Vec::new();
+        // The accumulators live in `self` so their buffers outlive the
+        // call; the loop borrows them out.
+        let mut interval = std::mem::take(&mut self.interval_acc);
+        let mut report = std::mem::take(&mut self.report_acc);
+        interval.reset();
+        report.reset();
+        let mut points = Vec::with_capacity(steps.div_ceil(interval_steps));
 
         for step in 0..steps {
             self.step_into(&mut interval);
             if step >= warmup_steps {
                 // Merge the tick we just recorded into the report window.
-                merge_last_tick(&mut report, &interval, self);
+                self.merge_last_tick(&mut report);
             }
             if (step + 1) % interval_steps == 0 || step + 1 == steps {
                 points.push(self.flush_point(&mut interval));
             }
         }
 
-        let mut out = self.build_report(points, report);
+        let mut out = self.build_report(points, &report);
+        self.interval_acc = interval;
+        self.report_acc = report;
         self.apply_metric_noise(&mut out);
         out
     }
@@ -1007,6 +1110,17 @@ impl Simulation {
             self.cpu_eff[i] = u;
         }
 
+        // Each source's scheduled generation rate, evaluated once per
+        // tick and shared by admission and the metrics below.
+        for (i, task) in self.tasks.iter().enumerate() {
+            self.src_gen[i] = if task.is_source {
+                task.schedule_rate(&self.schedules, &self.task_schedule, i, t) * task.gen_share
+            } else {
+                0.0
+            };
+        }
+        self.src_gen_time = t;
+
         // Desired volume per task (records this tick).
         for i in 0..self.tasks.len() {
             if self.paused[i] {
@@ -1019,10 +1133,9 @@ impl Simulation {
             }
             let task = &self.tasks[i];
             let supply = if task.is_source {
-                let sched = task.schedule_rate(&self.schedules, &self.task_schedule, i, t);
                 // Overload shedding drops a fraction of the offered
                 // load at admission, before it ever enters a queue.
-                sched * task.gen_share * tick * (1.0 - self.shed_fraction)
+                self.src_gen[i] * tick * (1.0 - self.shed_fraction)
             } else {
                 // Fold from +0.0: `Iterator::sum` on an empty input
                 // yields -0.0, and frozen inputs must look empty.
@@ -1106,16 +1219,9 @@ impl Simulation {
                 // The reported target stays the *offered* rate; only
                 // the backpressure check compares against the admitted
                 // share — shed records are intentional drops.
-                let target = self.desired_target(i, t) * tick;
+                let target = self.src_gen[i] * tick;
                 let admit_target = target * (1.0 - self.shed_fraction);
-                acc.admitted += x;
-                acc.target += target;
-                *acc.src_admitted.entry(task.op).or_default() += x;
-                *acc.src_target.entry(task.op).or_default() += target;
-                *acc.src_time.entry(task.op).or_default() += tick;
-                if admit_target > 0.0 && x < BACKPRESSURE_SLACK * admit_target {
-                    *acc.src_bp_time.entry(task.op).or_default() += tick;
-                }
+                acc.add_source(task.op, x, target, admit_target, tick);
             }
             acc.task_processed[i] += x;
             if self.capacity_rate[i] > 0.0 {
@@ -1136,7 +1242,8 @@ impl Simulation {
             acc.io_use[w] += self.drain_io[w] / self.workers[w].io;
             acc.net_use[w] += self.drain_net[w] / (self.workers[w].net * self.net_degrade[w]);
         }
-        acc.in_flight_time += self.in_flight() * tick;
+        self.tick_in_flight = self.in_flight();
+        acc.in_flight_time += self.tick_in_flight * tick;
 
         self.time += tick;
     }
@@ -1146,6 +1253,50 @@ impl Simulation {
     fn desired_target(&self, i: usize, t: f64) -> f64 {
         let task = &self.tasks[i];
         task.schedule_rate(&self.schedules, &self.task_schedule, i, t) * task.gen_share
+    }
+
+    /// Merges the tick [`Simulation::step_into`] just ran into `report`.
+    ///
+    /// `step_into` writes into the interval accumulator only; to avoid
+    /// double bookkeeping the engine re-derives the per-tick deltas from
+    /// the last tick's rates, which are still in the scratch buffers.
+    fn merge_last_tick(&self, report: &mut WindowAcc) {
+        let tick = self.config.tick;
+        // The report reads source schedules at `time - tick`, which can
+        // sit an ulp off the tick's start once the clock has advanced;
+        // the tick's cached rates stand in only where the two agree.
+        let t = self.time - tick;
+        let cached = t == self.src_gen_time;
+        report.time += tick;
+        for i in 0..self.tasks.len() {
+            let x = self.rate[i];
+            let task = &self.tasks[i];
+            if task.is_source {
+                let gen = if cached {
+                    self.src_gen[i]
+                } else {
+                    self.desired_target(i, t)
+                };
+                let target = gen * tick;
+                let admit_target = target * (1.0 - self.shed_fraction);
+                report.add_source(task.op, x, target, admit_target, tick);
+            }
+            report.task_processed[i] += x;
+            if self.capacity_rate[i] > 0.0 {
+                report.task_busy[i] += (x / self.capacity_rate[i]).min(tick);
+            }
+            report.task_capacity_time[i] += self.capacity_rate[i] * tick;
+            let w = task.worker;
+            report.cpu_use[w] += x * self.cpu_eff[i] / self.workers[w].cpu;
+            report.io_use[w] += x * task.io_unit / self.workers[w].io;
+            report.net_use[w] += x * task.net_unit / (self.workers[w].net * self.net_degrade[w]);
+            report.in_flight_time += x * task.lat_unit;
+        }
+        for w in 0..self.workers.len() {
+            report.io_use[w] += self.drain_io[w] / self.workers[w].io;
+            report.net_use[w] += self.drain_net[w] / (self.workers[w].net * self.net_degrade[w]);
+        }
+        report.in_flight_time += self.tick_in_flight * tick;
     }
 
     /// Max-min fair allocation of worker `w`'s resources for this tick.
@@ -1173,48 +1324,51 @@ impl Simulation {
             ),
         ];
 
-        // allowed[i] / potential[i] in records for this tick.
-        let mut allowed = vec![f64::INFINITY; ids.len()];
-        let mut potential = vec![f64::INFINITY; ids.len()];
+        // allowed[k] / potential[k] in records for this tick.
+        let s = &mut self.alloc_scratch;
+        s.allowed.clear();
+        s.allowed.resize(ids.len(), f64::INFINITY);
+        s.potential.clear();
+        s.potential.resize(ids.len(), f64::INFINITY);
         for (cap, unit_of) in resources {
-            let units: Vec<f64> = ids
-                .iter()
-                .map(|&i| unit_of(&self.tasks[i], self.cpu_eff[i]))
-                .collect();
-            let demands: Vec<f64> = ids
-                .iter()
-                .zip(&units)
-                .map(|(&i, &u)| self.desired[i] * u)
-                .collect();
-            let n_active = units.iter().filter(|&&u| u > 0.0).count().max(1) as f64;
-            let (alloc, level, residual) = waterfill(&demands, cap);
-            for (k, &u) in units.iter().enumerate() {
+            s.units.clear();
+            s.units.extend(
+                ids.iter()
+                    .map(|&i| unit_of(&self.tasks[i], self.cpu_eff[i])),
+            );
+            s.demands.clear();
+            s.demands
+                .extend(ids.iter().zip(&s.units).map(|(&i, &u)| self.desired[i] * u));
+            let n_active = s.units.iter().filter(|&&u| u > 0.0).count().max(1) as f64;
+            let (level, residual) = waterfill_into(&s.demands, cap, &mut s.alloc, &mut s.order);
+            for (k, &u) in s.units.iter().enumerate() {
                 if u <= 0.0 {
                     continue;
                 }
-                allowed[k] = allowed[k].min(alloc[k] / u);
+                s.allowed[k] = s.allowed[k].min(s.alloc[k] / u);
                 let pot = if level.is_finite() {
-                    alloc[k].max(level)
+                    s.alloc[k].max(level)
                 } else {
-                    alloc[k] + residual / n_active
+                    s.alloc[k] + residual / n_active
                 };
-                potential[k] = potential[k].min(pot / u);
+                s.potential[k] = s.potential[k].min(pot / u);
             }
         }
         for (k, &i) in ids.iter().enumerate() {
+            let (mut allowed, mut potential) = (s.allowed[k], s.potential[k]);
             // A task is one thread (one slot = one processing thread,
             // §2.1), so it can use at most one core regardless of how
             // idle the rest of the worker is.
             if self.cpu_eff[i] > 0.0 {
                 let core_cap = tick / self.cpu_eff[i];
-                allowed[k] = allowed[k].min(core_cap);
-                potential[k] = potential[k].min(core_cap);
+                allowed = allowed.min(core_cap);
+                potential = potential.min(core_cap);
             }
-            self.rate[i] = self.desired[i].min(allowed[k]).max(0.0);
+            self.rate[i] = self.desired[i].min(allowed).max(0.0);
             // `potential` is records per tick; expose capacity in
             // records per second.
-            self.capacity_rate[i] = if potential[k].is_finite() {
-                potential[k] / tick
+            self.capacity_rate[i] = if potential.is_finite() {
+                potential / tick
             } else {
                 // No resource consumption at all: capacity is unbounded;
                 // expose the desired volume to keep busy-time meaningful.
@@ -1232,7 +1386,7 @@ impl Simulation {
             time: self.time,
             source_throughput: throughput,
             target_rate: target,
-            backpressure: backpressure_fraction(&acc.src_bp_time, &acc.src_time),
+            backpressure: acc.backpressure_fraction(),
             latency: if throughput > 0.0 {
                 acc.in_flight_time / dt / throughput
             } else {
@@ -1247,14 +1401,15 @@ impl Simulation {
     }
 
     /// Builds the final report from the post-warmup accumulator.
-    fn build_report(&self, points: Vec<MetricPoint>, acc: WindowAcc) -> SimulationReport {
+    fn build_report(&self, points: Vec<MetricPoint>, acc: &WindowAcc) -> SimulationReport {
         let dt = acc.time.max(self.config.tick);
         let throughput = acc.admitted / dt;
         let mut per_source = HashMap::new();
-        for (&op, &admitted) in &acc.src_admitted {
-            let target = acc.src_target.get(&op).copied().unwrap_or(0.0);
-            let bp = acc.src_bp_time.get(&op).copied().unwrap_or(0.0);
-            let total = acc.src_time.get(&op).copied().unwrap_or(0.0).max(1e-9);
+        for op in (0..acc.src_seen.len()).filter(|&op| acc.src_seen[op]) {
+            let admitted = acc.src_admitted[op];
+            let target = acc.src_target[op];
+            let bp = acc.src_bp_time[op];
+            let total = acc.src_time[op].max(1e-9);
             per_source.insert(
                 OperatorId(op),
                 SourceStats {
@@ -1288,7 +1443,7 @@ impl Simulation {
             points,
             avg_throughput: throughput,
             avg_target: acc.target / dt,
-            avg_backpressure: backpressure_fraction(&acc.src_bp_time, &acc.src_time),
+            avg_backpressure: acc.backpressure_fraction(),
             avg_latency: if throughput > 0.0 {
                 acc.in_flight_time / dt / throughput
             } else {
@@ -1351,64 +1506,52 @@ impl TaskState {
     }
 }
 
-/// Merges the newest tick of `interval` into `report`.
+/// Max-min fair (water-filling) allocation of `cap` among `demands`,
+/// written into `alloc`; `order` is sort scratch.
 ///
-/// `step_into` writes into the interval accumulator only; to avoid double
-/// bookkeeping the engine re-derives the per-tick deltas from the last
-/// tick's rates, which are still in the scratch buffers.
-fn merge_last_tick(report: &mut WindowAcc, _interval: &WindowAcc, sim: &Simulation) {
-    let tick = sim.config.tick;
-    let t = sim.time - tick;
-    report.time += tick;
-    for i in 0..sim.tasks.len() {
-        let x = sim.rate[i];
-        let task = &sim.tasks[i];
-        if task.is_source {
-            let target = sim.desired_target(i, t) * tick;
-            let admit_target = target * (1.0 - sim.shed_fraction);
-            report.admitted += x;
-            report.target += target;
-            *report.src_admitted.entry(task.op).or_default() += x;
-            *report.src_target.entry(task.op).or_default() += target;
-            *report.src_time.entry(task.op).or_default() += tick;
-            if admit_target > 0.0 && x < BACKPRESSURE_SLACK * admit_target {
-                *report.src_bp_time.entry(task.op).or_default() += tick;
+/// Returns `(level, residual)`: `level` is the fair-share water level
+/// when the capacity binds (`∞` otherwise) and `residual` is the
+/// unallocated capacity.
+fn waterfill_into(
+    demands: &[f64],
+    cap: f64,
+    alloc: &mut Vec<f64>,
+    order: &mut Vec<usize>,
+) -> (f64, f64) {
+    alloc.clear();
+    let total: f64 = demands.iter().sum();
+    if total <= cap {
+        alloc.extend_from_slice(demands);
+        return (f64::INFINITY, cap - total);
+    }
+    // Ascending demand, ties by index: the order a stable sort gives,
+    // from an in-place sort that never allocates.
+    order.clear();
+    order.extend(0..demands.len());
+    order.sort_unstable_by(|&a, &b| demands[a].total_cmp(&demands[b]).then(a.cmp(&b)));
+    alloc.resize(demands.len(), 0.0);
+    let mut remaining = cap;
+    for (pos, &idx) in order.iter().enumerate() {
+        let left = (demands.len() - pos) as f64;
+        if demands[idx] * left <= remaining {
+            alloc[idx] = demands[idx];
+            remaining -= demands[idx];
+        } else {
+            // All remaining tasks (including this one) get the level.
+            let level = remaining / left;
+            for &rest in &order[pos..] {
+                alloc[rest] = level;
             }
+            return (level, 0.0);
         }
-        report.task_processed[i] += x;
-        if sim.capacity_rate[i] > 0.0 {
-            report.task_busy[i] += (x / sim.capacity_rate[i]).min(tick);
-        }
-        report.task_capacity_time[i] += sim.capacity_rate[i] * tick;
-        let w = task.worker;
-        report.cpu_use[w] += x * sim.cpu_eff[i] / sim.workers[w].cpu;
-        report.io_use[w] += x * task.io_unit / sim.workers[w].io;
-        report.net_use[w] += x * task.net_unit / (sim.workers[w].net * sim.net_degrade[w]);
-        report.in_flight_time += x * task.lat_unit;
     }
-    for w in 0..sim.workers.len() {
-        report.io_use[w] += sim.drain_io[w] / sim.workers[w].io;
-        report.net_use[w] += sim.drain_net[w] / (sim.workers[w].net * sim.net_degrade[w]);
-    }
-    report.in_flight_time += sim.in_flight() * tick;
+    // Numerically possible only when total ≈ cap: everything allocated.
+    (f64::INFINITY, remaining.max(0.0))
 }
 
-/// Aggregate backpressured-time fraction over all source operators.
-fn backpressure_fraction(bp_time: &HashMap<usize, f64>, time: &HashMap<usize, f64>) -> f64 {
-    let total: f64 = time.values().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let bp: f64 = bp_time.values().sum();
-    // `+ 0.0` normalizes a negative zero produced by the division.
-    (bp / total).clamp(0.0, 1.0) + 0.0
-}
-
-/// Max-min fair (water-filling) allocation of `cap` among `demands`.
-///
-/// Returns `(allocations, level, residual)`: `level` is the fair-share
-/// water level when the capacity binds (`∞` otherwise) and `residual` is
-/// the unallocated capacity.
+/// The allocating water-fill `waterfill_into` replaced, kept as the
+/// reference its differential test compares against.
+#[cfg(test)]
 fn waterfill(demands: &[f64], cap: f64) -> (Vec<f64>, f64, f64) {
     let total: f64 = demands.iter().sum();
     if total <= cap {
@@ -2615,5 +2758,98 @@ mod tests {
         // Activity evidence separates them: the partitioned worker is
         // still running, the crashed one is not.
         assert_eq!(r.worker_activity, vec![false, true, true]);
+    }
+
+    #[test]
+    fn waterfill_into_matches_the_allocating_reference() {
+        // Values from a small pool make ties and zero demands common;
+        // capacities cycle through binding, non-binding, exactly-equal
+        // and arbitrary.
+        let pool = [0.0, 0.5, 1.0, 2.5, 3.0];
+        let mut rng = SmallRng::seed_from_u64(0x0057_a7e5);
+        let (mut alloc, mut order) = (Vec::new(), Vec::new());
+        for case in 0..4000 {
+            let n = rng.gen_range(0..12usize);
+            let demands: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.6) {
+                        pool[rng.gen_range(0..pool.len())]
+                    } else {
+                        rng.gen_range(0.0..10.0)
+                    }
+                })
+                .collect();
+            let total: f64 = demands.iter().sum();
+            let cap = match case % 4 {
+                0 => total * rng.gen_range(0.0..1.0),
+                1 => total + rng.gen_range(0.0..5.0),
+                2 => total,
+                _ => rng.gen_range(0.0..20.0),
+            };
+            let (want, want_level, want_residual) = waterfill(&demands, cap);
+            let (level, residual) = waterfill_into(&demands, cap, &mut alloc, &mut order);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let case = format!("demands {demands:?} cap {cap}");
+            assert_eq!(bits(&alloc), bits(&want), "alloc, {case}");
+            assert_eq!(level.to_bits(), want_level.to_bits(), "level, {case}");
+            assert_eq!(residual.to_bits(), want_residual.to_bits(), "{case}");
+        }
+    }
+
+    #[test]
+    fn fan_out_net_units_are_deterministic_across_instances() {
+        // One source fans out to three operators of parallelism 3, 7
+        // and 11 on another worker: its net unit sums three unequal
+        // groups of channel shares, so the sum order shows in the bits.
+        let mut b: LogicalGraphBuilder = LogicalGraph::builder("fan-out");
+        let src = b.operator(
+            "src",
+            OperatorKind::Source,
+            1,
+            ResourceProfile::new(1e-5, 0.0, 123.0, 0.7),
+        );
+        let sink = b.operator(
+            "sink",
+            OperatorKind::Sink,
+            1,
+            ResourceProfile::new(1e-5, 0.0, 0.0, 1.0),
+        );
+        for (i, par) in [3usize, 7, 11].into_iter().enumerate() {
+            let op = b.operator(
+                format!("map{i}"),
+                OperatorKind::Stateless,
+                par,
+                ResourceProfile::new(1e-5, 0.0, 50.0, 1.0),
+            );
+            b.edge(src, op, ConnectionPattern::Rebalance);
+            b.edge(op, sink, ConnectionPattern::Rebalance);
+        }
+        let g = b.build().unwrap();
+        let p = PhysicalGraph::expand(&g);
+        let c = Cluster::homogeneous(2, WorkerSpec::new(32, 4.0, 100e6, 1e9)).unwrap();
+        let plan = Placement::new(
+            (0..p.num_tasks())
+                .map(|t| WorkerId(usize::from(t != 0)))
+                .collect(),
+        );
+        let mut sch = HashMap::new();
+        sch.insert(src, RateSchedule::Constant(1000.0));
+        let units = || {
+            let sim = Simulation::new(&g, &p, &c, &plan, &sch, SimConfig::short()).unwrap();
+            let units = sim.net_units();
+            units.iter().map(|u| u.to_bits()).collect::<Vec<_>>()
+        };
+        let first = units();
+        for _ in 0..8 {
+            assert_eq!(units(), first, "net units differ between instances");
+        }
+        // Groups are summed in ascending downstream-operator id.
+        let mut want = 0.0;
+        for k in [3.0, 7.0, 11.0] {
+            for _ in 0..k as usize {
+                want += 0.7 / k * 123.0;
+            }
+        }
+        assert_eq!(first[0], f64::to_bits(want));
     }
 }

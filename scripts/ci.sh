@@ -71,7 +71,11 @@
 #      shard's trace and journal replay byte-identically from journal
 #      + recorded history, aggregate goodput stays within 10% of the
 #      no-kill baseline, an over-subscribed tenant is rejected at
-#      admission, and a same-seed re-run is byte-identical.
+#      admission, and a same-seed re-run is byte-identical;
+#  16. perfbench gate — the benchmark package's own tests, then each
+#      workload (place / fleet / recover) for one second at seeds 1 and
+#      2: every run must end with `"correct":true` and `"failed":0`, and
+#      both seeds must print the same decision digest.
 #
 # Each step prints its own wall-clock time on completion.
 #
@@ -90,7 +94,7 @@ step_done() {
     echo "    [done in $(($(date +%s) - STEP_T0))s]"
 }
 
-step "1/15" "tree guard: no tracked build artifacts"
+step "1/16" "tree guard: no tracked build artifacts"
 if git ls-files | grep -q '^target/'; then
     echo "FORBIDDEN: build artifacts under target/ are tracked" >&2
     echo "(run: git rm -r --cached target)" >&2
@@ -99,7 +103,7 @@ fi
 echo "    ok: target/ is untracked"
 step_done
 
-step "2/15" "dependency guard: workspace-internal crates only"
+step "2/16" "dependency guard: workspace-internal crates only"
 # Collect every dependency key from every manifest. Dependency lines are
 # `name = ...` or `name.workspace = true` inside a [*dependencies*]
 # section; only capsys-* names are allowed.
@@ -129,7 +133,7 @@ fi
 echo "    ok: all dependencies are capsys-* path crates"
 step_done
 
-step "3/15" "panic lint: no unwrap/expect/panic! in non-test code"
+step "3/16" "panic lint: no unwrap/expect/panic! in non-test code"
 # Library code must surface failures as Results — a panicking controller
 # is the exact failure mode the robustness work guards against. Unit-test
 # modules (everything from the first #[cfg(test)] down) and the justified
@@ -164,15 +168,15 @@ fi
 echo "    ok: non-test library code is panic-free"
 step_done
 
-step "4/15" "cargo build --release (all targets)"
+step "4/16" "cargo build --release (all targets)"
 cargo build --release --workspace --all-targets
 step_done
 
-step "5/15" "cargo test (debug, full workspace)"
+step "5/16" "cargo test (debug, full workspace)"
 cargo test -q --workspace
 step_done
 
-step "5b/15" "fixed-point overflow checks (capsys-util, release + overflow-checks)"
+step "5b/16" "fixed-point overflow checks (capsys-util, release + overflow-checks)"
 # The Fixed64 core promises saturating/checked arithmetic, never a
 # silent two's-complement wrap. Release builds normally disable
 # overflow checks, so any unchecked `+`/`-`/`*` on a raw mantissa would
@@ -182,28 +186,28 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "6/15" "determinism golden test (release)"
+step "6/16" "determinism golden test (release)"
 cargo test -q --release --test golden_determinism
 step_done
 
-step "7/15" "smoke bench (quick mode, end-to-end)"
+step "7/16" "smoke bench (quick mode, end-to-end)"
 CAPSYS_BENCH_QUICK=1 cargo bench -p capsys-bench --bench caps_search
 step_done
 
-step "8/15" "chaos smoke (fault injection + recovery, seeds 7/11/23)"
+step "8/16" "chaos smoke (fault injection + recovery, seeds 7/11/23)"
 for seed in 7 11 23; do
     cargo run --release -p capsys-bench --bin exp_chaos -- --seed "$seed" --quick
 done
 step_done
 
-step "9/15" "search perf smoke (thread scaling + warm-start, BENCH_search.json)"
+step "9/16" "search perf smoke (thread scaling + warm-start, BENCH_search.json)"
 # exp_perf asserts its own invariants (determinism across thread counts,
 # warm-start probe economy, hardware-gated speedup floor) and validates
 # the JSON it wrote; a malformed record fails this step.
 cargo run --release -p capsys-bench --bin exp_perf -- --smoke
 step_done
 
-step "10/15" "guard smoke (safety governor vs model skew, seed 7)"
+step "10/16" "guard smoke (safety governor vs model skew, seed 7)"
 # exp_guard self-asserts: without the governor the stale-model regression
 # persists; with it, the regression is detected within one probation
 # window, rolled back to last-known-good, throughput recovers, churn
@@ -211,7 +215,7 @@ step "10/15" "guard smoke (safety governor vs model skew, seed 7)"
 cargo run --release -p capsys-bench --bin exp_guard -- --seed 7 --quick
 step_done
 
-step "11/15" "recovery sweep (kill-at-every-decision crash recovery, seeds 7/11/23)"
+step "11/16" "recovery sweep (kill-at-every-decision crash recovery, seeds 7/11/23)"
 # exp_recovery self-asserts: every kill point recovers to a
 # byte-identical trace AND journal, the mid-reconfiguration kill rolls
 # forward (for scaling Prepares, governor Rollbacks, and mid-wave
@@ -222,7 +226,7 @@ for seed in 7 11 23; do
 done
 step_done
 
-step "12/15" "migration smoke (incremental vs whole-plan A/B, seeds 7/11/23)"
+step "12/16" "migration smoke (incremental vs whole-plan A/B, seeds 7/11/23)"
 # exp_migrate self-asserts: the incremental arm moves strictly fewer
 # bytes, pauses strictly fewer task-seconds, and loses strictly less
 # throughput area than the whole-plan arm on the same crash; the
@@ -234,7 +238,7 @@ for seed in 7 11 23; do
 done
 step_done
 
-step "13/15" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/23)"
+step "13/16" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/23)"
 # exp_search self-asserts: MCTS == DFS optimum at 16 tasks (Fixed64 bit
 # equality, every seed), MCTS feasible within the budget at 256/1024
 # tasks where the DFS reports budget exhaustion with zero plans,
@@ -243,7 +247,7 @@ step "13/15" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/
 cargo run --release -p capsys-bench --bin exp_search -- --smoke
 step_done
 
-step "14/15" "hostile-workload smoke (governor drift A/B + overload shedding, seeds 7/11/23)"
+step "14/16" "hostile-workload smoke (governor drift A/B + overload shedding, seeds 7/11/23)"
 # exp_hostile self-asserts: zero drift-aware rollbacks under pure
 # growth and flash crowds (absolute baseline false-rollbacks on every
 # flash seed), a true regression still caught within one probation
@@ -254,7 +258,7 @@ step "14/15" "hostile-workload smoke (governor drift A/B + overload shedding, se
 cargo run --release -p capsys-bench --bin exp_hostile -- --smoke
 step_done
 
-step "15/15" "fleet smoke (sharded control plane + lease-fenced failover, seeds 7/11/23)"
+step "15/16" "fleet smoke (sharded control plane + lease-fenced failover, seeds 7/11/23)"
 # exp_fleet self-asserts: a shard controller killed mid-reconfiguration
 # fails over to a standby within the lease MTTR bound, a partitioned
 # controller is fenced as a zombie (zero split-brain stamps), the
@@ -266,6 +270,41 @@ step "15/15" "fleet smoke (sharded control plane + lease-fenced failover, seeds 
 # wrote.
 for seed in 7 11 23; do
     cargo run --release -p capsys-bench --bin exp_fleet -- --seed "$seed" --smoke
+done
+step_done
+
+step "16/16" "perfbench gate (self-tests + 1 s of each workload, seeds 1/2)"
+# Each run checks its own outputs and prints a digest of every decision
+# of a pass; the seed only reorders order-independent work, so both
+# seeds must agree on the digest.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in place fleet recover; do
+    digests=""
+    for seed in 1 2; do
+        out=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0)
+        last=$(printf '%s\n' "$out" | tail -n 1)
+        case "$last" in
+            *'"correct":true,'*'"failed":0,'*) ;;
+            *)
+                echo "perfbench $workload seed $seed failed its own checks:" >&2
+                echo "$last" >&2
+                exit 1
+                ;;
+        esac
+        digest=$(printf '%s\n' "$out" | awk '/^digest / { print $2 }')
+        if [ -z "$digest" ]; then
+            echo "perfbench $workload seed $seed printed no digest" >&2
+            exit 1
+        fi
+        digests="$digests $digest"
+    done
+    set -- $digests
+    if [ "$1" != "$2" ]; then
+        echo "perfbench $workload digest differs between seeds: $1 vs $2" >&2
+        exit 1
+    fi
+    echo "    ok: $workload correct at seeds 1 and 2, digest $1"
 done
 step_done
 
