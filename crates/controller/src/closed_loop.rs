@@ -9,19 +9,19 @@
 //!
 //! # Durability
 //!
-//! The loop is a *durable* controller: every decision it takes can be
-//! journaled to a write-ahead [`DecisionJournal`], reconfigurations run
-//! a two-phase protocol (`Prepare` journaled before the cluster is
-//! touched, `Commit` after), and deployments are fenced by a
-//! monotonically increasing epoch ([`capsys_sim::EpochFence`]). A
-//! controller killed at any decision point — including *between*
-//! `Prepare` and `Commit` — is rebuilt by
-//! [`ClosedLoop::recover_from_journal`], which re-simulates from t=0,
-//! re-applying journaled decisions instead of re-running placement
-//! searches, and goes live past the journal tail. The recovered run's
-//! trace is byte-identical to the uninterrupted run's. A pre-crash
-//! zombie controller that tries to reconfigure after being superseded
-//! fails deterministically with [`ControllerError::FencedEpoch`],
+//! Every decision runs one protocol: *decide → journal → apply*. A
+//! policy — DS2 with the placement search, the failure detector, the
+//! safety governor, the shedder, the migration planner — decides a
+//! [`DecisionRecord`]; the loop journals it to a write-ahead
+//! [`DecisionJournal`] and applies it, the one step that deploys, sheds,
+//! migrates and advances the fencing epoch ([`capsys_sim::EpochFence`]).
+//! Reconfigurations are two-phase: `Prepare` is journaled before the
+//! cluster is touched, `Commit` after. Replay is just apply:
+//! [`ClosedLoop::recover_from_journal`] re-simulates from t=0 and, at each
+//! decision point, applies the journal's due record instead of deciding,
+//! so a controller killed anywhere — even between `Prepare` and `Commit` —
+//! resumes with a byte-identical trace and goes live past the journal
+//! tail. A superseded zombie fails with [`ControllerError::FencedEpoch`],
 //! leaving the cluster untouched.
 
 use std::collections::{HashMap, VecDeque};
@@ -185,19 +185,16 @@ impl ClosedLoopTrace {
 
     /// Average throughput over samples in `[from, to)` seconds.
     pub fn avg_throughput(&self, from: f64, to: f64) -> f64 {
-        let pts: Vec<&MetricPoint> = self
-            .points
-            .iter()
-            .filter(|p| p.time >= from && p.time < to)
-            .collect();
-        if pts.is_empty() {
-            return 0.0;
-        }
-        pts.iter().map(|p| p.source_throughput).sum::<f64>() / pts.len() as f64
+        self.avg_over(from, to, |p| p.source_throughput)
     }
 
     /// Average target rate over samples in `[from, to)` seconds.
     pub fn avg_target(&self, from: f64, to: f64) -> f64 {
+        self.avg_over(from, to, |p| p.target_rate)
+    }
+
+    /// Average of `f` over samples in `[from, to)` seconds (0 if none).
+    fn avg_over(&self, from: f64, to: f64, f: impl Fn(&MetricPoint) -> f64) -> f64 {
         let pts: Vec<&MetricPoint> = self
             .points
             .iter()
@@ -206,7 +203,7 @@ impl ClosedLoopTrace {
         if pts.is_empty() {
             return 0.0;
         }
-        pts.iter().map(|p| p.target_rate).sum::<f64>() / pts.len() as f64
+        pts.iter().map(|p| f(p)).sum::<f64>() / pts.len() as f64
     }
 
     /// Mean time to recover across completed recoveries: detector
@@ -427,19 +424,15 @@ struct MigrationState {
     epoch: u64,
     /// The rung reported in the recovery event at commit.
     rung: LadderRung,
-    /// Target task-to-worker assignment; becomes `self.placement` at
-    /// commit.
-    assignment: Vec<usize>,
+    /// Target plan; becomes `self.placement` at commit.
+    target: Placement,
     /// Every task relocation, in ascending task order; waves are
     /// contiguous `wave_len`-sized chunks of this list.
     moves: Vec<TaskMove>,
     /// Tasks per wave (at least 1).
     wave_len: usize,
-    /// Next wave to start — or, while `in_flight`, the wave draining
-    /// now.
-    next_wave: usize,
-    /// Whether a wave is currently draining in the simulator.
-    in_flight: bool,
+    /// Waves landed so far. Until all have, wave `landed` is draining.
+    landed: usize,
     /// Workers already down when the migration was planned. A *new*
     /// death invalidates the target plan and abandons the migration.
     known_down_at_start: Vec<WorkerId>,
@@ -478,6 +471,75 @@ const REPLAY_TIME_EPS: f64 = 1e-6;
 
 fn replay_due(record_time: f64, now: f64) -> bool {
     (record_time - now).abs() <= REPLAY_TIME_EPS
+}
+
+/// Where a decision being applied comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// Taken now by this controller's policies.
+    Live,
+    /// Re-applied from the journal of a crashed run.
+    Journal,
+}
+
+/// What the journal says became of a replayed two-phase decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Its `Commit` follows.
+    Committed,
+    /// A `Retry` follows: the crashed run failed to deploy it.
+    Abandoned,
+    /// Live, or in doubt at the journal tail: it commits itself.
+    Open,
+}
+
+/// The policy request a `Rollback` or `Shed` record answers.
+enum Verdict<'r> {
+    Rollback(&'r RollbackRequest),
+    Shed(&'r ShedRequest),
+}
+
+fn unrequested(kind: &str) -> ControllerError {
+    ControllerError::JournalReplay(format!("a {kind} record can only answer a {kind} request"))
+}
+
+fn worker_ids(placement: &Placement) -> Vec<usize> {
+    placement.assignment().iter().map(|w| w.0).collect()
+}
+
+fn placement_of(assignment: &[usize]) -> Placement {
+    Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect())
+}
+
+fn restore_rng(state: [u64; 4]) -> Result<SmallRng, ControllerError> {
+    SmallRng::try_from_state(state).ok_or_else(|| {
+        ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
+    })
+}
+
+/// Moves `sim` to `epoch`. A live decision must win the shared fence —
+/// a stale epoch means this controller was superseded and surfaces as
+/// [`ControllerError::FencedEpoch`]. A replayed one stamps the epoch
+/// unfenced: the journal, not the fence, is the authority on what was
+/// deployed.
+fn fence_epoch(
+    fence: &EpochFence,
+    sim: &mut Simulation,
+    epoch: u64,
+    origin: Origin,
+) -> Result<(), ControllerError> {
+    match origin {
+        Origin::Live => sim.bind_epoch(fence, epoch).map_err(|e| match e {
+            SimError::StaleEpoch { attempted, current } => {
+                ControllerError::FencedEpoch { attempted, current }
+            }
+            other => ControllerError::Sim(other),
+        }),
+        Origin::Journal => {
+            sim.stamp_epoch(epoch);
+            Ok(())
+        }
+    }
 }
 
 /// Whether a failed re-placement should be retried with backoff rather
@@ -543,15 +605,6 @@ impl<'a> ClosedLoop<'a> {
         let placement = strategy
             .place(&ctx, &mut rng)
             .map_err(ControllerError::Placement)?;
-        let sim = Simulation::new(
-            query.logical(),
-            &physical,
-            cluster,
-            &placement,
-            &query.schedules_from(&schedule),
-            sim_config.clone(),
-        )
-        .map_err(ControllerError::Sim)?;
         // Decision zero: the initial deployment, with the RNG state
         // after the initial search — recovery rebuilds the loop from
         // this record without re-running the search.
@@ -560,57 +613,33 @@ impl<'a> ClosedLoop<'a> {
             query: query.name().to_string(),
             workers: cluster.num_workers(),
             parallelism: query.logical().parallelism_vector(),
-            assignment: placement.assignment().iter().map(|w| w.0).collect(),
+            assignment: worker_ids(&placement),
             rng: rng.state(),
         };
-        Ok(ClosedLoop {
-            query: query.clone(),
+        Self::from_init(
+            query,
             cluster,
             strategy,
-            ds2: Ds2Controller::new(ds2_config),
+            ds2_config,
             sim_config,
             schedule,
-            rng,
-            time: 0.0,
             physical,
-            placement,
-            sim,
-            last_action: f64::NEG_INFINITY,
-            events: Vec::new(),
-            points: Vec::new(),
-            recent: VecDeque::new(),
-            fault_plan: None,
-            recovery: None,
-            guard: None,
-            rollback_events: Vec::new(),
-            shedder: None,
-            shed_events: Vec::new(),
-            skew: None,
-            sanitized: 0,
-            state_transfer: None,
-            migration_cfg: None,
-            migration: None,
-            open_wave: None,
-            migration_waves: Vec::new(),
-            epoch: 0,
-            fence: EpochFence::new(),
-            log: vec![init],
-            sink: None,
-            replay: VecDeque::new(),
-            resume_time: f64::NEG_INFINITY,
-            kill: None,
-        })
+            init,
+            VecDeque::new(),
+            f64::NEG_INFINITY,
+        )
     }
 
     /// Rebuilds a controller from a crashed run's journal.
     ///
     /// The caller supplies the same inputs the crashed run was
     /// constructed with — the journal records decisions, not the whole
-    /// world. The recovered loop re-simulates from t=0, re-applying
-    /// journaled decisions (restoring the journaled RNG state) instead
-    /// of re-running placement searches, and goes live past the journal
-    /// tail; with the same seeds and fault plan, its full trace is
-    /// byte-identical to the uninterrupted run's. An in-doubt
+    /// world. The recovered loop re-simulates from t=0 and feeds each
+    /// journaled decision, when its time comes, through the same apply
+    /// step a live decision takes (restoring the journaled RNG state
+    /// instead of re-running placement searches); past the journal tail
+    /// it goes live. With the same seeds and fault plan, its full trace
+    /// is byte-identical to the uninterrupted run's. An in-doubt
     /// reconfiguration (a `Prepare` at the tail — the crash hit between
     /// `Prepare` and `Commit`) is rolled forward; one the crashed run
     /// abandoned (a `Retry` follows it) is not deployed. Re-attach the
@@ -629,19 +658,50 @@ impl<'a> ClosedLoop<'a> {
     ) -> Result<ClosedLoop<'a>, ControllerError> {
         let parsed = crate::journal::parse_journal(journal_text)?;
         let resume_time = parsed.records.last().map(|r| r.time()).unwrap_or(0.0);
-        let mut replay: VecDeque<DecisionRecord> = parsed.records.into_iter().collect();
+        let mut replay: VecDeque<DecisionRecord> = parsed.records.into();
         let Some(init) = replay.pop_front() else {
             return Err(ControllerError::JournalReplay(
                 "journal is empty — nothing to recover".into(),
             ));
         };
+        Self::from_init(
+            query,
+            cluster,
+            strategy,
+            ds2_config,
+            sim_config,
+            schedule,
+            query.physical(),
+            init,
+            replay,
+            resume_time,
+        )
+    }
+
+    /// The one construction path: checks the `Init` record against the
+    /// caller's inputs and deploys its plan in a fresh simulation.
+    /// `physical` is the query's physical graph; `replay` holds the
+    /// journaled decisions still to re-apply (empty for a fresh loop).
+    #[allow(clippy::too_many_arguments)]
+    fn from_init(
+        query: &Query,
+        cluster: &'a Cluster,
+        strategy: &'a dyn PlacementStrategy,
+        ds2_config: Ds2Config,
+        sim_config: SimConfig,
+        schedule: RateSchedule,
+        physical: PhysicalGraph,
+        init: DecisionRecord,
+        replay: VecDeque<DecisionRecord>,
+        resume_time: f64,
+    ) -> Result<ClosedLoop<'a>, ControllerError> {
         let DecisionRecord::Init {
-            seed: _,
             query: ref journal_query,
             workers,
             ref parallelism,
             ref assignment,
-            rng: rng_state,
+            rng,
+            ..
         } = init
         else {
             return Err(ControllerError::JournalReplay(
@@ -666,11 +726,8 @@ impl<'a> ClosedLoop<'a> {
                 query.logical().parallelism_vector()
             )));
         }
-        let rng = SmallRng::try_from_state(rng_state).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        let physical = query.physical();
-        let placement = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
+        let rng = restore_rng(rng)?;
+        let placement = placement_of(assignment);
         placement.validate(&physical, cluster).map_err(|e| {
             ControllerError::JournalReplay(format!("journaled initial placement is invalid: {e}"))
         })?;
@@ -936,28 +993,29 @@ impl<'a> ClosedLoop<'a> {
         free
     }
 
-    /// Journals a live decision, enforcing any armed controller-kill
-    /// point. The record reaches the sink (and is flushed) *before* the
-    /// kill fires: a killed controller's last decision is exactly the
-    /// last line of its journal.
-    fn record(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
+    /// Journals a decision. A live decision enforces any armed
+    /// controller-kill point: the record reaches the sink (and is
+    /// flushed) *before* the kill fires, so a killed controller's last
+    /// decision is exactly the last line of its journal. A replayed
+    /// decision is re-journaled verbatim and never trips a kill point —
+    /// the controller that wrote it already survived past it.
+    fn journal(&mut self, rec: DecisionRecord, origin: Origin) -> Result<(), ControllerError> {
         let seq = self.log.len() as u64;
         if let Some(sink) = &mut self.sink {
             sink.append(&rec)?;
         }
-        let killed = match self.kill {
-            Some(KillPoint::AfterRecord(k)) => seq == k,
-            Some(KillPoint::MidReconfig(e)) => {
-                matches!(
+        let killed = origin == Origin::Live
+            && match self.kill {
+                Some(KillPoint::AfterRecord(k)) => seq == k,
+                Some(KillPoint::MidReconfig(e)) => matches!(
                     &rec,
                     DecisionRecord::Prepare { epoch, .. }
                     | DecisionRecord::Rollback { epoch, .. }
                     | DecisionRecord::Shed { epoch, .. }
                     | DecisionRecord::MigratePrepare { epoch, .. } if *epoch == e
-                )
-            }
-            _ => false,
-        };
+                ),
+                _ => false,
+            };
         self.log.push(rec);
         if killed {
             return Err(ControllerError::ControllerKilled {
@@ -965,17 +1023,6 @@ impl<'a> ClosedLoop<'a> {
                 time: self.time,
             });
         }
-        Ok(())
-    }
-
-    /// Re-journals a decision consumed from the replay cursor. Replayed
-    /// records never trip kill points — the controller that wrote them
-    /// already survived past them.
-    fn record_replayed(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
-        if let Some(sink) = &mut self.sink {
-            sink.append(&rec)?;
-        }
-        self.log.push(rec);
         Ok(())
     }
 
@@ -1005,222 +1052,224 @@ impl<'a> ClosedLoop<'a> {
     /// loop, exposed so a fleet-level driver can interleave many shard
     /// controllers in lockstep on one global clock.
     pub fn step(&mut self, window: f64) -> Result<StepReport, ControllerError> {
-        {
-            let mut report = self.sim.advance(window, 0.0);
-            self.time += window;
-            let summary = StepReport {
-                time: self.time,
-                avg_throughput: report.avg_throughput,
-                avg_target: report.avg_target,
-                avg_backpressure: report.avg_backpressure,
-                worker_cpu_util: std::mem::take(&mut report.worker_cpu_util),
-                worker_alive: std::mem::take(&mut report.worker_alive),
-            };
+        let mut report = self.sim.advance(window, 0.0);
+        self.time += window;
+        let summary = StepReport {
+            time: self.time,
+            avg_throughput: report.avg_throughput,
+            avg_target: report.avg_target,
+            avg_backpressure: report.avg_backpressure,
+            worker_cpu_util: std::mem::take(&mut report.worker_cpu_util),
+            worker_alive: std::mem::take(&mut report.worker_alive),
+        };
 
-            // Injected wall-clock controller kill: the process dies at
-            // the next window boundary. Replayed spans are immune (the
-            // crashed controller survived them up to its journal tail),
-            // as is anything at or before a recovered loop's resume
-            // point.
-            if let Some(KillPoint::AtTime(t)) = self.kill {
-                if self.replay.is_empty() && self.time + 1e-9 >= t && t > self.resume_time {
-                    return Err(ControllerError::ControllerKilled {
-                        seq: self.log.len() as u64,
-                        time: self.time,
-                    });
-                }
+        // Injected wall-clock controller kill: the process dies at the
+        // next window boundary. Replayed spans are immune (the crashed
+        // controller survived them up to its journal tail), as is
+        // anything at or before a recovered loop's resume point.
+        if let Some(KillPoint::AtTime(t)) = self.kill {
+            if self.replay.is_empty() && self.time + 1e-9 >= t && t > self.resume_time {
+                return Err(ControllerError::ControllerKilled {
+                    seq: self.log.len() as u64,
+                    time: self.time,
+                });
             }
+        }
 
-            for mut p in std::mem::take(&mut report.points) {
-                p.time = self.time;
-                self.points.push(p);
-            }
-            // Ingestion sanitizer: clamp poisoned samples before the
-            // rates can reach DS2 or the online profiler.
-            let mut task_rates = std::mem::take(&mut report.task_rates);
-            self.sanitized += sanitize_rates(&mut task_rates) as u64;
-            self.recent.push_back((window, task_rates));
-            while self.recent.len() > METRICS_WINDOWS {
-                self.recent.pop_front();
-            }
+        for mut p in std::mem::take(&mut report.points) {
+            p.time = self.time;
+            self.points.push(p);
+        }
+        // Ingestion sanitizer: clamp poisoned samples before the rates
+        // can reach DS2 or the online profiler.
+        let mut task_rates = std::mem::take(&mut report.task_rates);
+        self.sanitized += sanitize_rates(&mut task_rates) as u64;
+        self.recent.push_back((window, task_rates));
+        while self.recent.len() > METRICS_WINDOWS {
+            self.recent.pop_front();
+        }
 
-            // A model-skew fault makes the *plan model* stale, not the
-            // cluster: the plan live at the onset keeps its measured
-            // behavior, so remember it as the trusted rollback target.
-            if let Some(skew) = &mut self.skew {
-                if skew.trusted.is_none() && self.time + 1e-9 >= skew.fault.time {
-                    skew.trusted = Some((
-                        self.query.logical().parallelism_vector(),
-                        self.placement.assignment().iter().map(|w| w.0).collect(),
-                    ));
-                }
+        // A model-skew fault makes the *plan model* stale, not the
+        // cluster: the plan live at the onset keeps its measured
+        // behavior, so remember it as the trusted rollback target.
+        if let Some(skew) = &mut self.skew {
+            if skew.trusted.is_none() && self.time + 1e-9 >= skew.fault.time {
+                skew.trusted = Some((
+                    self.query.logical().parallelism_vector(),
+                    worker_ids(&self.placement),
+                ));
             }
+        }
 
-            // Failure detection: heartbeats ride the metrics report,
-            // with out-of-band activity evidence so a partitioned
-            // worker (still running, fenced writes landing) is
-            // classified isolated rather than crashed — re-placing its
-            // tasks would double-place them.
-            if let Some(rec) = &mut self.recovery {
-                let det = rec.detector.observe_with_evidence(
-                    &summary.worker_alive,
-                    &report.worker_activity,
-                    report.metrics_ok,
-                    self.time,
-                );
-                for w in det.newly_down {
-                    let since = rec.detector.stale_since(w).unwrap_or(self.time);
-                    match &mut rec.pending {
-                        Some(p) => {
-                            if !p.workers.iter().any(|(pw, _)| *pw == w) {
-                                p.workers.push((w, since));
-                            }
+        // Failure detection: heartbeats ride the metrics report, with
+        // out-of-band activity evidence so a partitioned worker (still
+        // running, fenced writes landing) is classified isolated rather
+        // than crashed — re-placing its tasks would double-place them.
+        if let Some(rec) = &mut self.recovery {
+            let det = rec.detector.observe_with_evidence(
+                &summary.worker_alive,
+                &report.worker_activity,
+                report.metrics_ok,
+                self.time,
+            );
+            for w in det.newly_down {
+                let since = rec.detector.stale_since(w).unwrap_or(self.time);
+                match &mut rec.pending {
+                    Some(p) => {
+                        if !p.workers.iter().any(|(pw, _)| *pw == w) {
+                            p.workers.push((w, since));
                         }
-                        None => {
-                            rec.pending = Some(PendingRecovery {
-                                workers: vec![(w, since)],
-                                detected_at: self.time,
-                                attempts: 0,
-                                next_attempt_at: self.time,
-                            });
-                        }
+                    }
+                    None => {
+                        rec.pending = Some(PendingRecovery {
+                            workers: vec![(w, since)],
+                            detected_at: self.time,
+                            attempts: 0,
+                            next_attempt_at: self.time,
+                        });
                     }
                 }
             }
-
-            // Whole-plan restores: close the trace's open wave once the
-            // restore finishes draining.
-            if self.migration.is_none()
-                && self.open_wave.is_some()
-                && !self.sim.state_transfer_active()
-            {
-                self.close_open_wave();
-            }
-
-            // An in-flight incremental migration owns the control loop:
-            // one wave at a time, journaled as it lands. Scaling, the
-            // governor, and new recovery attempts wait for its commit
-            // (or abandonment); failure detection above keeps running.
-            if self.migration.is_some() {
-                self.advance_migration()?;
-                return Ok(summary);
-            }
-
-            // Recovery re-placement, with bounded exponential backoff.
-            let attempt_due = self
-                .recovery
-                .as_ref()
-                .and_then(|r| r.pending.as_ref())
-                .is_some_and(|p| self.time + 1e-9 >= p.next_attempt_at);
-            if attempt_due {
-                if self.replay.is_empty() {
-                    self.attempt_recovery()?;
-                } else {
-                    self.replay_recovery_step()?;
-                }
-            }
-
-            // Overload protection: the admission controller sizes the
-            // shed fraction from this window's metrics. It runs even
-            // while a recovery is pending and is exempt from governor
-            // cooldown and the activation period — shedding is load
-            // control, not a plan change, and an overloaded job cannot
-            // wait for either clock. It does not touch `last_action`:
-            // scaling out is the real fix and must not be delayed by a
-            // shed. Offered load is measured at the sources, pre-shed.
-            let offered = self.schedule.rate_at(self.time).max(0.0);
-            let shed_req = match &mut self.shedder {
-                Some(shed) => shed.observe_window(
-                    self.time,
-                    report.avg_throughput,
-                    offered,
-                    report.avg_backpressure,
-                ),
-                None => None,
-            };
-            if let Some(req) = shed_req {
-                if self.replay.is_empty() {
-                    self.shed_redeploy(&req)?;
-                } else {
-                    self.replay_shed_step(&req)?;
-                }
-            }
-
-            // DS2 policy evaluation. A pending recovery takes priority:
-            // scaling decisions wait until the job is re-placed.
-            if self.recovery.as_ref().is_some_and(|r| r.pending.is_some()) {
-                return Ok(summary);
-            }
-
-            // Safety governor: judge the current probation window before
-            // the policy decides anything. A rollback verdict preempts
-            // DS2 and is exempt from the activation period — a regressed
-            // canary must not linger because the loop just acted.
-            let verdict = match &mut self.guard {
-                Some(gov) => gov.observe_window(
-                    self.time,
-                    report.avg_throughput,
-                    report.avg_target,
-                    report.avg_backpressure,
-                ),
-                None => None,
-            };
-            if let Some(req) = verdict {
-                if self.replay.is_empty() {
-                    self.rollback_redeploy(&req)?;
-                } else {
-                    self.replay_rollback_step(&req)?;
-                }
-                return Ok(summary);
-            }
-            // Hysteresis: no reconfiguration of any kind inside the
-            // post-rollback cooldown.
-            if self.guard.as_ref().is_some_and(|g| g.in_cooldown(self.time)) {
-                return Ok(summary);
-            }
-
-            if self.time - self.last_action < self.ds2.config.activation_period {
-                return Ok(summary);
-            }
-            if !self.replay.is_empty() {
-                // Replay stands in for the DS2 evaluation: the journal
-                // already says whether (and how) this step scaled.
-                self.replay_scaling_step()?;
-                return Ok(summary);
-            }
-            let rates = average_rates(&self.recent);
-            let rate_now = self.schedule.rate_at(self.time).max(1.0);
-            let targets: HashMap<OperatorId, f64> = self.query.source_rates(rate_now);
-            let decision = self
-                .ds2
-                .decide(self.query.logical(), &self.physical, &rates, &targets)
-                .map_err(ControllerError::Ds2)?;
-            if !decision.changed {
-                return Ok(summary);
-            }
-            let down = self.known_down();
-            let capacity_ok = if down.is_empty() {
-                self.cluster.check_capacity(decision.total_tasks()).is_ok()
-            } else {
-                decision.total_tasks() <= self.free_slots(&down).iter().sum::<usize>()
-            };
-            if !capacity_ok {
-                // Cannot deploy the recommendation; skip this action.
-                return Ok(summary);
-            }
-            // Quarantine veto *before* the placement search: vetoing
-            // after it would consume RNG with no journal record and fork
-            // any replay of this run.
-            if self
-                .guard
-                .as_ref()
-                .is_some_and(|g| g.is_quarantined(&decision.parallelism, self.time))
-            {
-                return Ok(summary);
-            }
-            self.redeploy(decision.parallelism, rate_now, true)?;
-            Ok(summary)
         }
+
+        // Whole-plan restores: close the trace's open wave once the
+        // restore finishes draining.
+        if self.migration.is_none() && self.open_wave.is_some() && !self.sim.state_transfer_active()
+        {
+            self.close_open_wave();
+        }
+
+        // An in-flight incremental migration owns the control loop: one
+        // wave at a time, journaled as it lands. Scaling, the governor,
+        // and new recovery attempts wait for its commit (or
+        // abandonment); failure detection above keeps running.
+        if self.migration.is_some() {
+            self.advance_migration()?;
+            return Ok(summary);
+        }
+
+        // Recovery re-placement, with bounded exponential backoff.
+        let attempt_due = self
+            .recovery
+            .as_ref()
+            .and_then(|r| r.pending.as_ref())
+            .is_some_and(|p| self.time + 1e-9 >= p.next_attempt_at);
+        if attempt_due {
+            self.attempt_recovery()?;
+        }
+
+        // Overload protection: the admission controller sizes the shed
+        // fraction from this window's metrics. It runs even while a
+        // recovery is pending and is exempt from governor cooldown and
+        // the activation period — shedding is load control, not a plan
+        // change, and an overloaded job cannot wait for either clock. It
+        // does not touch `last_action`: scaling out is the real fix and
+        // must not be delayed by a shed. Offered load is measured at the
+        // sources, pre-shed.
+        let offered = self.schedule.rate_at(self.time).max(0.0);
+        let shed_req = match &mut self.shedder {
+            Some(shed) => shed.observe_window(
+                self.time,
+                report.avg_throughput,
+                offered,
+                report.avg_backpressure,
+            ),
+            None => None,
+        };
+        if let Some(req) = shed_req {
+            let live = DecisionRecord::Shed {
+                epoch: self.epoch + 1,
+                time: self.time,
+                fraction: req.fraction,
+                rng: self.rng.state(),
+            };
+            if let Some((rec, origin)) = self.decide(
+                "shed change",
+                true,
+                |r| {
+                    matches!(r, DecisionRecord::Shed { fraction, .. }
+                        if (fraction - req.fraction).abs() <= 1e-12)
+                },
+                |_| Ok(Some(live)),
+            )? {
+                self.apply(rec, origin, Some(Verdict::Shed(&req)))?;
+            }
+        }
+
+        // DS2 policy evaluation. A pending recovery takes priority:
+        // scaling decisions wait until the job is re-placed.
+        if self.recovery.as_ref().is_some_and(|r| r.pending.is_some()) {
+            return Ok(summary);
+        }
+
+        // Safety governor: judge the current probation window before the
+        // policy decides anything. A rollback verdict preempts DS2 and is
+        // exempt from the activation period — a regressed canary must not
+        // linger because the loop just acted.
+        let verdict = match &mut self.guard {
+            Some(gov) => gov.observe_window(
+                self.time,
+                report.avg_throughput,
+                report.avg_target,
+                report.avg_backpressure,
+            ),
+            None => None,
+        };
+        if let Some(req) = verdict {
+            let live = DecisionRecord::Rollback {
+                epoch: self.epoch + 1,
+                time: self.time,
+                from_epoch: req.regressed.epoch,
+                parallelism: req.to.parallelism.clone(),
+                assignment: req.to.assignment.clone(),
+                rng: self.rng.state(),
+            };
+            if let Some((rec, origin)) = self.decide(
+                "governor rollback",
+                true,
+                |r| {
+                    matches!(r, DecisionRecord::Rollback { from_epoch, parallelism, assignment, .. }
+                        if *from_epoch == req.regressed.epoch
+                            && *parallelism == req.to.parallelism
+                            && *assignment == req.to.assignment)
+                },
+                |_| Ok(Some(live)),
+            )? {
+                self.apply(rec, origin, Some(Verdict::Rollback(&req)))?;
+            }
+            return Ok(summary);
+        }
+        // Hysteresis: no reconfiguration of any kind inside the
+        // post-rollback cooldown.
+        if self
+            .guard
+            .as_ref()
+            .is_some_and(|g| g.in_cooldown(self.time))
+        {
+            return Ok(summary);
+        }
+        if self.time - self.last_action < self.ds2.config.activation_period {
+            return Ok(summary);
+        }
+        // On replay the journaled Prepare stands in for both the DS2
+        // evaluation and the placement search.
+        if let Some((rec, origin)) = self.decide(
+            "scaling decision",
+            false,
+            |r| {
+                matches!(
+                    r,
+                    DecisionRecord::Prepare {
+                        reason: RedeployReason::Scaling,
+                        ..
+                    }
+                )
+            },
+            Self::decide_scaling,
+        )? {
+            self.apply(rec, origin, None)?;
+        }
+        Ok(summary)
     }
 
     /// Finishes the run: checks every journaled decision was consumed
@@ -1248,63 +1297,579 @@ impl<'a> ClosedLoop<'a> {
         })
     }
 
-    /// Runs one re-placement attempt for the pending recovery. Success
-    /// records a [`RecoveryEvent`] per covered worker; a retryable
-    /// failure backs off exponentially (journaled as a `Retry`) and,
-    /// once `max_retries` attempts are spent, gives up and lets the job
-    /// continue degraded — the loop never crashes on an unplaceable
-    /// cluster. Fencing and injected kills propagate.
-    fn attempt_recovery(&mut self) -> Result<(), ControllerError> {
-        let parallelism = self.query.logical().parallelism_vector();
-        let rate_now = self.schedule.rate_at(self.time).max(1.0);
-        if self.migration_cfg.is_some() {
-            match self.migrate_redeploy(rate_now) {
-                // Migration started; it commits (and resolves the
-                // pending recovery) once every wave has drained.
-                Ok(true) => return Ok(()),
-                // No tolerance band on the survivors: fall through to a
-                // whole-plan redeploy.
-                Ok(false) => {}
-                Err(e) if retryable(&e) => return self.note_failed_attempt(),
-                Err(e) => return Err(e),
-            }
+    /// The decision to apply now. While replaying it is the journal's
+    /// next record, which must be due now and pass `journaled` — the
+    /// check against the request this loop re-derived. Past the journal
+    /// tail it is whatever `live` decides. With `required` unset the
+    /// journaled run may have decided nothing here, so a record due
+    /// later stays on the cursor; any other mismatch is a divergence.
+    fn decide(
+        &mut self,
+        what: &str,
+        required: bool,
+        journaled: impl Fn(&DecisionRecord) -> bool,
+        live: impl FnOnce(&mut Self) -> Result<Option<DecisionRecord>, ControllerError>,
+    ) -> Result<Option<(DecisionRecord, Origin)>, ControllerError> {
+        let Some(front) = self.replay.front() else {
+            return Ok(live(self)?.map(|rec| (rec, Origin::Live)));
+        };
+        let due = replay_due(front.time(), self.time);
+        if due && journaled(front) {
+            return Ok(self.replay.pop_front().map(|rec| (rec, Origin::Journal)));
         }
-        match self.redeploy(parallelism, rate_now, false) {
-            Ok(rung) => {
-                self.finish_recovery(rung);
-                Ok(())
-            }
-            Err(e) if retryable(&e) => self.note_failed_attempt(),
-            Err(e) => Err(e),
+        if due || required || front.time() < self.time {
+            return Err(ControllerError::JournalReplay(format!(
+                "{what} at t={:.3}, but the journal's next decision is a different one from \
+                 t={:.3}: the replay diverged from the run that wrote the journal",
+                self.time,
+                front.time()
+            )));
         }
+        Ok(None)
     }
 
-    /// Books one failed re-placement attempt: exponential backoff (or
-    /// give-up past `max_retries`) plus a journaled `Retry`.
-    fn note_failed_attempt(&mut self) -> Result<(), ControllerError> {
-        let mut bookkeeping = None;
-        if let Some(rec) = &mut self.recovery {
-            if let Some(p) = &mut rec.pending {
-                p.attempts += 1;
-                if p.attempts > rec.config.max_retries {
-                    bookkeeping = Some((p.attempts, true, None));
-                    rec.pending = None;
-                } else {
-                    p.next_attempt_at = self.time + rec.config.backoff(p.attempts);
-                    bookkeeping = Some((p.attempts, false, Some(p.next_attempt_at)));
+    /// The DS2 policy step: a scaling `Prepare` when DS2 recommends a
+    /// new parallelism that fits the free slots and is not quarantined.
+    fn decide_scaling(&mut self) -> Result<Option<DecisionRecord>, ControllerError> {
+        let rates = average_rates(&self.recent);
+        let rate_now = self.schedule.rate_at(self.time).max(1.0);
+        let targets: HashMap<OperatorId, f64> = self.query.source_rates(rate_now);
+        let decision = self
+            .ds2
+            .decide(self.query.logical(), &self.physical, &rates, &targets)
+            .map_err(ControllerError::Ds2)?;
+        if !decision.changed {
+            return Ok(None);
+        }
+        let down = self.known_down();
+        let capacity_ok = if down.is_empty() {
+            self.cluster.check_capacity(decision.total_tasks()).is_ok()
+        } else {
+            decision.total_tasks() <= self.free_slots(&down).iter().sum::<usize>()
+        };
+        // Quarantine veto *before* the placement search: vetoing after
+        // it would consume RNG with no journal record and fork any
+        // replay of this run.
+        if !capacity_ok
+            || self
+                .guard
+                .as_ref()
+                .is_some_and(|g| g.is_quarantined(&decision.parallelism, self.time))
+        {
+            return Ok(None);
+        }
+        self.decide_prepare(decision.parallelism, rate_now, RedeployReason::Scaling)
+            .map(Some)
+    }
+
+    /// Runs the placement search for `parallelism` — the degradation
+    /// ladder on the survivors when workers are down, otherwise the
+    /// configured strategy — into the `Prepare` that would deploy it. A
+    /// failed search leaves the running deployment untouched.
+    fn decide_prepare(
+        &mut self,
+        parallelism: Vec<usize>,
+        rate_now: f64,
+        reason: RedeployReason,
+    ) -> Result<DecisionRecord, ControllerError> {
+        let query = self
+            .query
+            .with_parallelism(&parallelism)
+            .map_err(ControllerError::Model)?;
+        let physical = query.physical();
+        let loads = query
+            .load_model_at(&physical, rate_now)
+            .map_err(ControllerError::Model)?;
+        let ctx = PlacementContext {
+            logical: query.logical(),
+            physical: &physical,
+            cluster: self.cluster,
+            loads: &loads,
+        };
+        let down = self.known_down();
+        let (placement, rung, search) = match (&self.recovery, down.is_empty()) {
+            (Some(rec), false) => {
+                let mut search = rec.config.search.clone();
+                search.free_slots = Some(self.free_slots(&down));
+                let (p, r) = place_with_ladder(&ctx, &search, &mut self.rng)
+                    .map_err(ControllerError::Placement)?;
+                (p, r, Some(SearchDescriptor::of(&search)))
+            }
+            _ => (
+                self.strategy
+                    .place(&ctx, &mut self.rng)
+                    .map_err(ControllerError::Placement)?,
+                LadderRung::Caps,
+                self.strategy.search_descriptor(),
+            ),
+        };
+        Ok(DecisionRecord::Prepare {
+            epoch: self.epoch + 1,
+            time: self.time,
+            reason,
+            parallelism,
+            assignment: worker_ids(&placement),
+            rung,
+            rate: rate_now,
+            rng: self.rng.state(),
+            search,
+        })
+    }
+
+    /// Plans an incremental migration for the pending recovery: a
+    /// minimum-movement target within the configured tolerance of the
+    /// best survivable plan. `Ok(None)` when migration is off or the
+    /// search cannot produce a tolerance band (infeasible or budget
+    /// exhausted): the caller falls back to a whole-plan redeploy.
+    fn decide_migration(&self, rate_now: f64) -> Result<Option<DecisionRecord>, ControllerError> {
+        let (Some(cfg), Some(retained), Some(rec)) =
+            (&self.migration_cfg, self.state_transfer, &self.recovery)
+        else {
+            return Ok(None);
+        };
+        let mut search = rec.config.search.clone();
+        search.free_slots = Some(self.free_slots(&self.known_down()));
+        let state = StateModel::derive(self.query.logical(), &self.physical, retained)
+            .map_err(ControllerError::Model)?;
+        let loads = self
+            .query
+            .load_model_at(&self.physical, rate_now)
+            .map_err(ControllerError::Model)?;
+        let ctx = PlacementContext {
+            logical: self.query.logical(),
+            physical: &self.physical,
+            cluster: self.cluster,
+            loads: &loads,
+        };
+        let (target, diff) =
+            match place_with_movemin(&ctx, &search, cfg.epsilon, &self.placement, &state) {
+                Ok(found) => found,
+                Err(e) if descends(&e) => return Ok(None),
+                Err(e) => return Err(ControllerError::Placement(e)),
+            };
+        Ok(Some(DecisionRecord::MigratePrepare {
+            epoch: self.epoch + 1,
+            time: self.time,
+            reason: RedeployReason::Recovery,
+            parallelism: self.query.logical().parallelism_vector(),
+            assignment: worker_ids(&target),
+            rung: LadderRung::Caps,
+            moved: diff.moves().iter().map(|m| m.task.0).collect(),
+            wave_len: cfg.wave_size,
+            rate: rate_now,
+            rng: self.rng.state(),
+            search: Some(SearchDescriptor::of(&search)),
+        }))
+    }
+
+    /// A failed re-placement attempt as a `Retry`: exponential backoff,
+    /// or give-up once `max_retries` attempts are spent. `None` without
+    /// a pending recovery.
+    fn decide_retry(&self) -> Option<DecisionRecord> {
+        let rec = self.recovery.as_ref()?;
+        let attempts = rec.pending.as_ref()?.attempts + 1;
+        let gave_up = attempts > rec.config.max_retries;
+        Some(DecisionRecord::Retry {
+            time: self.time,
+            attempts,
+            gave_up,
+            next_attempt_at: (!gave_up).then(|| self.time + rec.config.backoff(attempts)),
+            rng: self.rng.state(),
+        })
+    }
+
+    /// Runs one re-placement attempt for the pending recovery: an
+    /// incremental migration when enabled, otherwise a whole-plan
+    /// redeploy. A retryable failure — of the search or of the deploy
+    /// after its `Prepare` — backs off exponentially (a journaled
+    /// `Retry`) and, once `max_retries` attempts are spent, gives up and
+    /// lets the job continue degraded: the loop never crashes on an
+    /// unplaceable cluster. Fencing and injected kills propagate.
+    fn attempt_recovery(&mut self) -> Result<(), ControllerError> {
+        let decided = self.decide(
+            "recovery attempt",
+            true,
+            |r| {
+                matches!(
+                    r,
+                    DecisionRecord::Retry { .. }
+                        | DecisionRecord::MigratePrepare { .. }
+                        | DecisionRecord::Prepare {
+                            reason: RedeployReason::Recovery,
+                            ..
+                        }
+                )
+            },
+            |me| {
+                let rate_now = me.schedule.rate_at(me.time).max(1.0);
+                let planned = match me.decide_migration(rate_now) {
+                    Ok(Some(migration)) => Ok(migration),
+                    Ok(None) => me.decide_prepare(
+                        me.query.logical().parallelism_vector(),
+                        rate_now,
+                        RedeployReason::Recovery,
+                    ),
+                    Err(e) => Err(e),
+                };
+                match planned {
+                    Err(e) if retryable(&e) => Ok(me.decide_retry()),
+                    other => other.map(Some),
+                }
+            },
+        )?;
+        let Some((rec, origin)) = decided else {
+            return Ok(());
+        };
+        match self.apply(rec, origin, None) {
+            Err(e) if origin == Origin::Live && retryable(&e) => {
+                if let Some(retry) = self.decide_retry() {
+                    self.apply(retry, Origin::Live, None)?;
                 }
             }
+            other => other?,
         }
-        if let Some((attempts, gave_up, next_attempt_at)) = bookkeeping {
-            self.record(DecisionRecord::Retry {
-                time: self.time,
+        // A migration with nothing to move commits right away.
+        self.advance_migration()
+    }
+
+    /// Drives the in-flight migration forward: abandons it if a fresh
+    /// worker death invalidated the target plan, waits while the current
+    /// wave drains, then journals the landed wave's `MigrateStep` (which
+    /// starts the next wave) and, once every wave has landed, the
+    /// `MigrateCommit`.
+    fn advance_migration(&mut self) -> Result<(), ControllerError> {
+        while let Some(mig) = &self.migration {
+            let (epoch, landed) = (mig.epoch, mig.landed);
+            let waves = mig.moves.len().div_ceil(mig.wave_len);
+            // A worker dying *mid-migration* invalidates the target plan
+            // (it may assign tasks to the new corpse): abandon it as a
+            // failed attempt. The detector has already folded the new
+            // death into the pending recovery, so the next attempt
+            // re-plans against the updated survivor set.
+            let down = self.known_down();
+            let invalidated = down.iter().any(|w| !mig.known_down_at_start.contains(w));
+            if !invalidated && self.sim.state_transfer_active() {
+                return Ok(()); // the current wave is still draining
+            }
+            let time = self.time;
+            let decided = if invalidated {
+                self.decide(
+                    "migration abandonment",
+                    true,
+                    |r| matches!(r, DecisionRecord::Retry { .. }),
+                    |me| Ok(me.decide_retry()),
+                )?
+            } else if landed < waves {
+                self.decide(
+                    "migration wave",
+                    true,
+                    |r| {
+                        matches!(r, DecisionRecord::MigrateStep { epoch: e, wave, .. }
+                            if *e == epoch && *wave == landed)
+                    },
+                    |_| {
+                        Ok(Some(DecisionRecord::MigrateStep {
+                            epoch,
+                            wave: landed,
+                            time,
+                        }))
+                    },
+                )?
+            } else {
+                self.decide(
+                    "migration commit",
+                    true,
+                    |r| matches!(r, DecisionRecord::MigrateCommit { epoch: e, .. } if *e == epoch),
+                    |_| Ok(Some(DecisionRecord::MigrateCommit { epoch, time })),
+                )?
+            };
+            let Some((rec, origin)) = decided else {
+                return Ok(());
+            };
+            self.apply(rec, origin, None)?;
+        }
+        Ok(())
+    }
+
+    /// Applies one decision, live or replayed. This is the only code
+    /// that changes the simulation, the placement or the epoch in
+    /// response to a decision:
+    ///
+    /// 1. restore the RNG state and epoch the record carries — live the
+    ///    loop's own post-search state and freshly burned epoch;
+    /// 2. journal the record (see [`ClosedLoop::journal`]);
+    /// 3. on replay, peek at a two-phase record's fate: its `Commit`
+    ///    follows (committed); a `Retry` follows (abandoned — the
+    ///    crashed run failed to deploy it, so it is not deployed and the
+    ///    `Retry` is applied instead); or it is the journal tail (in
+    ///    doubt — roll it forward);
+    /// 4. deploy, set the shed fraction, or begin the migration — live
+    ///    under the epoch fence, replayed by stamping the journaled
+    ///    epoch;
+    /// 5. consume the journal's `Commit`, or write one live;
+    /// 6. settle the trace and policy bookkeeping.
+    ///
+    /// `verdict` is the governor or admission-controller request that a
+    /// `Rollback` or `Shed` answers.
+    fn apply(
+        &mut self,
+        rec: DecisionRecord,
+        origin: Origin,
+        verdict: Option<Verdict<'_>>,
+    ) -> Result<(), ControllerError> {
+        match &rec {
+            DecisionRecord::Prepare {
+                epoch,
+                parallelism,
+                assignment,
+                rng,
+                ..
+            }
+            | DecisionRecord::Rollback {
+                epoch,
+                parallelism,
+                assignment,
+                rng,
+                ..
+            } => {
+                // Only a recovery `Prepare` may be abandoned by a `Retry`.
+                let (rollback, recovery) = match (&rec, verdict) {
+                    (DecisionRecord::Prepare { reason, .. }, _) => {
+                        (None, *reason == RedeployReason::Recovery)
+                    }
+                    (_, Some(Verdict::Rollback(req))) => (Some(req), false),
+                    _ => return Err(unrequested("rollback")),
+                };
+                let epoch = *epoch;
+                let plan = self.plan(parallelism, assignment, origin)?;
+                self.rng = restore_rng(*rng)?;
+                self.epoch = epoch;
+                self.journal(rec.clone(), origin)?;
+                let fate = self.fate(epoch, origin, recovery)?;
+                if fate == Fate::Abandoned {
+                    return match self.replay.pop_front() {
+                        Some(retry) => self.apply(retry, Origin::Journal, None),
+                        None => Ok(()),
+                    };
+                }
+                self.deploy(plan, epoch, origin)?;
+                self.commit(epoch, fate)?;
+                match (rec, rollback) {
+                    (_, Some(req)) => self.finish_rollback(req, epoch),
+                    (DecisionRecord::Prepare { rung, .. }, _) if recovery => {
+                        self.finish_recovery(rung)
+                    }
+                    (DecisionRecord::Prepare { parallelism, .. }, _) => {
+                        self.events.push(ScalingEvent {
+                            time: self.time,
+                            parallelism,
+                            slots: self.physical.num_tasks(),
+                        });
+                        let snap = self.snapshot();
+                        if let Some(gov) = &mut self.guard {
+                            gov.on_scaling_deploy(self.time, snap);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            DecisionRecord::Shed {
+                epoch,
+                fraction,
+                rng,
+                ..
+            } => {
+                let Some(Verdict::Shed(req)) = verdict else {
+                    return Err(unrequested("shed"));
+                };
+                let (epoch, fraction) = (*epoch, *fraction);
+                self.rng = restore_rng(*rng)?;
+                self.epoch = epoch;
+                self.journal(rec, origin)?;
+                let fate = self.fate(epoch, origin, false)?;
+                // No plan change and no sim swap: the fence binds on the
+                // running simulation, exactly like a migration.
+                fence_epoch(&self.fence, &mut self.sim, epoch, origin)?;
+                let from_fraction = self.sim.shed_fraction();
+                self.sim.set_shed_fraction(fraction);
+                self.commit(epoch, fate)?;
+                self.finish_shed(req, epoch, from_fraction);
+            }
+            DecisionRecord::MigratePrepare {
+                epoch,
+                parallelism,
+                assignment,
+                rung,
+                moved,
+                wave_len,
+                rng,
+                ..
+            } => {
+                let (epoch, rung, wave_len) = (*epoch, *rung, (*wave_len).max(1));
+                if *parallelism != self.query.logical().parallelism_vector() {
+                    return Err(ControllerError::JournalReplay(
+                        "journaled migration changes parallelism — migrations move tasks, \
+                         they do not scale"
+                            .into(),
+                    ));
+                }
+                let target = placement_of(assignment);
+                target.validate(&self.physical, self.cluster).map_err(|e| {
+                    ControllerError::JournalReplay(format!("migration target is invalid: {e}"))
+                })?;
+                let retained = self.state_transfer.ok_or_else(|| {
+                    ControllerError::JournalReplay(
+                        "journal contains a migration but state-transfer charging is not \
+                         configured"
+                            .into(),
+                    )
+                })?;
+                let state = StateModel::derive(self.query.logical(), &self.physical, retained)
+                    .map_err(ControllerError::Model)?;
+                let diff = PlanDiff::between(&self.placement, &target, &state)
+                    .map_err(ControllerError::Model)?;
+                if !diff
+                    .moves()
+                    .iter()
+                    .map(|m| m.task.0)
+                    .eq(moved.iter().copied())
+                {
+                    return Err(ControllerError::JournalReplay(
+                        "journaled move set does not match the difference between the \
+                         incumbent and target plans"
+                            .into(),
+                    ));
+                }
+                self.rng = restore_rng(*rng)?;
+                self.epoch = epoch;
+                self.journal(rec, origin)?;
+                // The live simulation keeps running across the migration,
+                // but the migration itself must win the fence: a
+                // superseded zombie must not move tasks around.
+                fence_epoch(&self.fence, &mut self.sim, epoch, origin)?;
+                self.migration = Some(MigrationState {
+                    epoch,
+                    rung,
+                    target,
+                    moves: diff.moves().to_vec(),
+                    wave_len,
+                    landed: 0,
+                    known_down_at_start: self.known_down(),
+                });
+                self.start_wave()?;
+            }
+            DecisionRecord::MigrateStep { .. } => {
+                self.journal(rec, origin)?;
+                // The draining wave has landed: trace it, start the next.
+                self.close_open_wave();
+                if let Some(m) = &mut self.migration {
+                    m.landed += 1;
+                }
+                self.start_wave()?;
+            }
+            DecisionRecord::MigrateCommit { .. } => {
+                let mig = self.migration.take();
+                self.journal(rec, origin)?;
+                if let Some(mig) = mig {
+                    self.placement = mig.target;
+                    self.last_action = self.time;
+                    self.finish_recovery(mig.rung);
+                }
+            }
+            DecisionRecord::Retry {
                 attempts,
                 gave_up,
                 next_attempt_at,
-                rng: self.rng.state(),
-            })?;
+                rng,
+                ..
+            } => {
+                let (attempts, gave_up, next_attempt_at) = (*attempts, *gave_up, *next_attempt_at);
+                self.rng = restore_rng(*rng)?;
+                self.journal(rec, origin)?;
+                // A failed attempt abandons any in-flight migration: its
+                // tasks unpause in place.
+                if self.migration.take().is_some() {
+                    self.sim.cancel_state_transfer();
+                    self.open_wave = None;
+                }
+                if let Some(state) = &mut self.recovery {
+                    if gave_up {
+                        state.pending = None;
+                    } else if let Some(p) = &mut state.pending {
+                        p.attempts = attempts;
+                        if let Some(t) = next_attempt_at {
+                            p.next_attempt_at = t;
+                        }
+                    }
+                }
+            }
+            DecisionRecord::Init { .. } | DecisionRecord::Commit { .. } => {
+                return Err(ControllerError::JournalReplay(
+                    "init and commit records are not decisions of their own".into(),
+                ));
+            }
         }
         Ok(())
+    }
+
+    /// What became of the just-journaled two-phase decision of `epoch`.
+    /// A live decision, or a replayed one at the journal tail, is
+    /// `Open`: it writes its own `Commit`. `may_abandon` says whether a
+    /// following `Retry` may mark it abandoned — only a recovery
+    /// re-placement fails softly.
+    fn fate(&self, epoch: u64, origin: Origin, may_abandon: bool) -> Result<Fate, ControllerError> {
+        if origin == Origin::Live {
+            return Ok(Fate::Open);
+        }
+        match self.replay.front() {
+            None => Ok(Fate::Open),
+            Some(DecisionRecord::Commit { epoch: e, .. }) if *e == epoch => Ok(Fate::Committed),
+            Some(DecisionRecord::Retry { .. }) if may_abandon => Ok(Fate::Abandoned),
+            Some(other) => Err(ControllerError::JournalReplay(format!(
+                "the decision of epoch {epoch} is followed by a decision from t={:.3} that does \
+                 not settle it",
+                other.time()
+            ))),
+        }
+    }
+
+    /// Phase two: re-journals the replayed `Commit` of a committed
+    /// decision; otherwise — live, or rolling an in-doubt decision
+    /// forward as the surviving controller — journals the `Commit` live.
+    fn commit(&mut self, epoch: u64, fate: Fate) -> Result<(), ControllerError> {
+        if fate == Fate::Committed {
+            if let Some(commit) = self.replay.pop_front() {
+                return self.journal(commit, Origin::Journal);
+            }
+        }
+        let commit = DecisionRecord::Commit {
+            epoch,
+            time: self.time,
+        };
+        self.journal(commit, Origin::Live)
+    }
+
+    /// Resolves a decision's plan into a deployable query, physical
+    /// graph and placement, checked against the cluster.
+    fn plan(
+        &self,
+        parallelism: &[usize],
+        assignment: &[usize],
+        origin: Origin,
+    ) -> Result<(Query, PhysicalGraph, Placement), ControllerError> {
+        let invalid = |e: capsys_model::ModelError| match origin {
+            Origin::Live => ControllerError::Model(e),
+            Origin::Journal => {
+                ControllerError::JournalReplay(format!("journaled plan is invalid: {e}"))
+            }
+        };
+        let query = self.query.with_parallelism(parallelism).map_err(invalid)?;
+        let physical = query.physical();
+        let placement = placement_of(assignment);
+        placement
+            .validate(&physical, self.cluster)
+            .map_err(invalid)?;
+        Ok((query, physical, placement))
     }
 
     /// Resolves the pending recovery into trace events.
@@ -1333,271 +1898,38 @@ impl<'a> ClosedLoop<'a> {
         }
     }
 
-    /// Plans and starts an incremental migration for the pending
-    /// recovery: picks a minimum-movement target within the configured
-    /// tolerance of the best survivable plan, journals a
-    /// `MigratePrepare` (phase one), binds the epoch fence, and begins
-    /// the first wave inside the *live* simulation — nothing restarts;
-    /// only the moving wave's tasks pause. Returns `Ok(false)` when the
-    /// search cannot produce a tolerance band (infeasible or budget
-    /// exhausted): the caller falls back to a whole-plan redeploy.
-    fn migrate_redeploy(&mut self, rate_now: f64) -> Result<bool, ControllerError> {
-        let Some(cfg) = self.migration_cfg.clone() else {
-            return Ok(false);
+    /// Starts the in-flight migration's next wave inside the running
+    /// simulation — nothing restarts; only the wave's tasks pause while
+    /// their state drains. Does nothing once every wave has landed.
+    fn start_wave(&mut self) -> Result<(), ControllerError> {
+        let Some(m) = &self.migration else {
+            return Ok(());
         };
-        let Some(retained) = self.state_transfer else {
-            return Ok(false);
+        let start = m.landed * m.wave_len;
+        if start >= m.moves.len() {
+            return Ok(());
+        }
+        let chunk = &m.moves[start..(start + m.wave_len).min(m.moves.len())];
+        let transfers: Vec<TaskTransfer> = chunk
+            .iter()
+            .map(|m| TaskTransfer {
+                task: m.task.0,
+                to: m.to.0,
+                bytes: m.bytes as f64,
+            })
+            .collect();
+        let wave = OpenWave {
+            epoch: m.epoch,
+            wave: m.landed,
+            tasks: chunk.len(),
+            bytes: chunk.iter().map(|m| m.bytes).sum(),
+            paused_base: self.sim.paused_task_seconds(),
         };
-        let Some(mut search) = self.recovery.as_ref().map(|r| r.config.search.clone()) else {
-            return Ok(false);
-        };
-        let down = self.known_down();
-        search.free_slots = Some(self.free_slots(&down));
-        let state = StateModel::derive(self.query.logical(), &self.physical, retained)
-            .map_err(ControllerError::Model)?;
-        let loads = self
-            .query
-            .load_model_at(&self.physical, rate_now)
-            .map_err(ControllerError::Model)?;
-        let ctx = PlacementContext {
-            logical: self.query.logical(),
-            physical: &self.physical,
-            cluster: self.cluster,
-            loads: &loads,
-        };
-        let (target, diff) =
-            match place_with_movemin(&ctx, &search, cfg.epsilon, &self.placement, &state) {
-                Ok(found) => found,
-                Err(e) if descends(&e) => return Ok(false),
-                Err(e) => return Err(ControllerError::Placement(e)),
-            };
-
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        self.record(DecisionRecord::MigratePrepare {
-            epoch,
-            time: self.time,
-            reason: RedeployReason::Recovery,
-            parallelism: self.query.logical().parallelism_vector(),
-            assignment: target.assignment().iter().map(|w| w.0).collect(),
-            rung: LadderRung::Caps,
-            moved: diff.moves().iter().map(|m| m.task.0).collect(),
-            wave_len: cfg.wave_size,
-            rate: rate_now,
-            rng: self.rng.state(),
-            search: Some(SearchDescriptor::of(&search)),
-        })?;
-        // The live simulation keeps running across the migration, but
-        // the migration itself must win the fence: a superseded zombie
-        // must not move tasks around.
-        self.sim.bind_epoch(&self.fence, epoch).map_err(|e| match e {
-            SimError::StaleEpoch { attempted, current } => {
-                ControllerError::FencedEpoch { attempted, current }
-            }
-            other => ControllerError::Sim(other),
-        })?;
-        self.begin_migration(
-            epoch,
-            LadderRung::Caps,
-            target.assignment().iter().map(|w| w.0).collect(),
-            diff.moves().to_vec(),
-            cfg.wave_size,
-            down,
-        )?;
-        Ok(true)
-    }
-
-    /// Installs the migration state and starts its first wave (shared
-    /// by the live and replay paths; the caller has already journaled
-    /// or consumed the `MigratePrepare` and fenced/stamped the epoch).
-    fn begin_migration(
-        &mut self,
-        epoch: u64,
-        rung: LadderRung,
-        assignment: Vec<usize>,
-        moves: Vec<TaskMove>,
-        wave_len: usize,
-        known_down_at_start: Vec<WorkerId>,
-    ) -> Result<(), ControllerError> {
-        self.migration = Some(MigrationState {
-            epoch,
-            rung,
-            assignment,
-            moves,
-            wave_len: wave_len.max(1),
-            next_wave: 0,
-            in_flight: false,
-            known_down_at_start,
-        });
-        // Start the first wave now; an empty diff commits immediately.
-        self.advance_migration()
-    }
-
-    /// Drives the in-flight migration one window forward: abandons it
-    /// if a fresh worker death invalidated the target plan, waits while
-    /// the current wave drains, journals a `MigrateStep` when a wave
-    /// lands, starts the next wave, and commits — `MigrateCommit`,
-    /// target placement installed, pending recovery resolved — once
-    /// every wave is done.
-    fn advance_migration(&mut self) -> Result<(), ControllerError> {
-        // A worker dying *mid-migration* invalidates the target plan
-        // (it may assign tasks to the new corpse). Abandon: unpause in
-        // place, book a failed attempt. The detector has already folded
-        // the new death into the pending recovery, so the next attempt
-        // re-plans against the updated survivor set.
-        let invalidated = match &self.migration {
-            Some(mig) => {
-                let down_now = self.known_down();
-                down_now
-                    .iter()
-                    .any(|w| !mig.known_down_at_start.contains(w))
-            }
-            None => return Ok(()),
-        };
-        if invalidated {
-            self.sim.cancel_state_transfer();
-            self.migration = None;
-            self.open_wave = None;
-            return self.journal_abandoned_migration();
-        }
-        if self.sim.state_transfer_active() {
-            return Ok(()); // the current wave is still draining
-        }
-
-        // The wave that was in flight has landed: trace it, journal it.
-        if self.migration.as_ref().is_some_and(|m| m.in_flight) {
-            self.close_open_wave();
-            let mut landed = None;
-            if let Some(m) = &mut self.migration {
-                m.in_flight = false;
-                landed = Some((m.epoch, m.next_wave));
-                m.next_wave += 1;
-            }
-            if let Some((epoch, wave)) = landed {
-                self.migrate_record(DecisionRecord::MigrateStep {
-                    epoch,
-                    wave,
-                    time: self.time,
-                })?;
-            }
-        }
-
-        // Start the next wave, or commit.
-        let next = match &self.migration {
-            Some(m) if m.next_wave * m.wave_len < m.moves.len() => {
-                let start = m.next_wave * m.wave_len;
-                let end = (start + m.wave_len).min(m.moves.len());
-                Some((m.epoch, m.next_wave, m.moves[start..end].to_vec()))
-            }
-            Some(_) => None,
-            None => return Ok(()),
-        };
-        match next {
-            Some((epoch, wave, chunk)) => {
-                let transfers: Vec<TaskTransfer> = chunk
-                    .iter()
-                    .map(|m| TaskTransfer {
-                        task: m.task.0,
-                        to: m.to.0,
-                        bytes: m.bytes as f64,
-                    })
-                    .collect();
-                let paused_base = self.sim.paused_task_seconds();
-                self.sim
-                    .begin_state_transfer(&transfers, false)
-                    .map_err(ControllerError::Sim)?;
-                self.open_wave = Some(OpenWave {
-                    epoch,
-                    wave,
-                    tasks: chunk.len(),
-                    bytes: chunk.iter().map(|m| m.bytes).sum(),
-                    paused_base,
-                });
-                if let Some(m) = &mut self.migration {
-                    m.in_flight = true;
-                }
-                Ok(())
-            }
-            None => {
-                let Some(mig) = self.migration.take() else {
-                    return Ok(());
-                };
-                self.migrate_record(DecisionRecord::MigrateCommit {
-                    epoch: mig.epoch,
-                    time: self.time,
-                })?;
-                self.placement =
-                    Placement::new(mig.assignment.iter().map(|&w| WorkerId(w)).collect());
-                self.last_action = self.time;
-                self.finish_recovery(mig.rung);
-                Ok(())
-            }
-        }
-    }
-
-    /// Journals the abandonment of a migration as a failed attempt: a
-    /// live run books backoff and writes a `Retry` (which, following
-    /// the `MigratePrepare`/`MigrateStep`s, marks the migration
-    /// abandoned for any future replay); a replaying run consumes the
-    /// journaled `Retry` instead.
-    fn journal_abandoned_migration(&mut self) -> Result<(), ControllerError> {
-        let due_retry = matches!(
-            self.replay.front(),
-            Some(DecisionRecord::Retry { time, .. }) if replay_due(*time, self.time)
-        );
-        if due_retry {
-            if let Some(r) = self.replay.pop_front() {
-                return self.apply_replayed_retry(r);
-            }
-        }
-        if let Some(other) = self.replay.front() {
-            return Err(ControllerError::JournalReplay(format!(
-                "migration abandoned at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                other.time()
-            )));
-        }
-        self.note_failed_attempt()
-    }
-
-    /// Journals a migration step or commit, consuming the journal's
-    /// matching front record when replaying. A journal that ends
-    /// mid-migration (the crash hit between records) rolls forward:
-    /// past the tail the records are written live.
-    fn migrate_record(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
-        let matches_front = match (self.replay.front(), &rec) {
-            (
-                Some(DecisionRecord::MigrateStep {
-                    epoch: je,
-                    wave: jw,
-                    time: jt,
-                }),
-                DecisionRecord::MigrateStep { epoch, wave, .. },
-            ) => je == epoch && jw == wave && replay_due(*jt, self.time),
-            (
-                Some(DecisionRecord::MigrateCommit {
-                    epoch: je,
-                    time: jt,
-                }),
-                DecisionRecord::MigrateCommit { epoch, .. },
-            ) => je == epoch && replay_due(*jt, self.time),
-            _ => false,
-        };
-        if matches_front {
-            if let Some(front) = self.replay.pop_front() {
-                return self.record_replayed(front);
-            }
-        }
-        if let Some(other) = self.replay.front() {
-            return Err(ControllerError::JournalReplay(format!(
-                "migration record due at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                other.time()
-            )));
-        }
-        self.record(rec)
+        self.sim
+            .begin_state_transfer(&transfers, false)
+            .map_err(ControllerError::Sim)?;
+        self.open_wave = Some(wave);
+        Ok(())
     }
 
     /// Closes the trace's open state-transfer wave against the current
@@ -1615,183 +1947,17 @@ impl<'a> ClosedLoop<'a> {
         }
     }
 
-    /// Consumes the journal's front `MigratePrepare` and restarts its
-    /// migration: RNG and epoch restored from the record, the move list
-    /// re-derived from the deterministic state model, the first wave
-    /// begun. Subsequent `MigrateStep`s and the `MigrateCommit` (or the
-    /// `Retry` of an abandoned migration) are consumed as the replaying
-    /// loop reaches them.
-    fn apply_replayed_migrate(&mut self) -> Result<(), ControllerError> {
-        let Some(rec) = self.replay.pop_front() else {
-            return Err(ControllerError::JournalReplay(
-                "no migrate-prepare to replay".into(),
-            ));
-        };
-        let DecisionRecord::MigratePrepare {
-            epoch,
-            parallelism,
-            assignment,
-            rung,
-            moved,
-            wave_len,
-            rng,
-            ..
-        } = rec.clone()
-        else {
-            return Err(ControllerError::JournalReplay(
-                "expected a migrate-prepare record".into(),
-            ));
-        };
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(rec)?;
-        if parallelism != self.query.logical().parallelism_vector() {
-            return Err(ControllerError::JournalReplay(
-                "journaled migration changes parallelism — migrations move tasks, they do \
-                 not scale"
-                    .into(),
-            ));
-        }
-        let target = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
-        target.validate(&self.physical, self.cluster).map_err(|e| {
-            ControllerError::JournalReplay(format!("journaled migration target is invalid: {e}"))
-        })?;
-        let Some(retained) = self.state_transfer else {
-            return Err(ControllerError::JournalReplay(
-                "journal contains a migration but state-transfer charging is not configured"
-                    .into(),
-            ));
-        };
-        let state = StateModel::derive(self.query.logical(), &self.physical, retained)
-            .map_err(ControllerError::Model)?;
-        let diff = PlanDiff::between(&self.placement, &target, &state)
-            .map_err(ControllerError::Model)?;
-        let expected: Vec<usize> = diff.moves().iter().map(|m| m.task.0).collect();
-        if moved != expected {
-            return Err(ControllerError::JournalReplay(
-                "journaled move set does not match the difference between the incumbent and \
-                 target plans"
-                    .into(),
-            ));
-        }
-        self.sim.stamp_epoch(epoch);
-        let down = self.known_down();
-        self.begin_migration(epoch, rung, assignment, diff.moves().to_vec(), wave_len, down)
-    }
-
-    /// Applies a parallelism vector through the two-phase protocol.
-    ///
-    /// Phase 0 computes the whole plan (new physical graph, placement
-    /// from the degradation ladder when workers are down, otherwise the
-    /// configured strategy) into locals, so a failed search leaves the
-    /// running deployment intact. Phase 1 journals a `Prepare` with the
-    /// plan and post-search RNG state *before* anything is touched.
-    /// Phase 2 deploys under the epoch fence and journals the `Commit`.
-    /// A crash between the phases leaves the `Prepare` at the journal
-    /// tail; recovery rolls it forward. A deployment failure after the
-    /// `Prepare` is followed (on the recovery path) by a journaled
-    /// `Retry`, which marks the `Prepare` abandoned.
-    fn redeploy(
-        &mut self,
-        parallelism: Vec<usize>,
-        rate_now: f64,
-        record_scaling: bool,
-    ) -> Result<LadderRung, ControllerError> {
-        let query = self
-            .query
-            .with_parallelism(&parallelism)
-            .map_err(ControllerError::Model)?;
-        let physical = query.physical();
-        let loads = query
-            .load_model_at(&physical, rate_now)
-            .map_err(ControllerError::Model)?;
-        let ctx = PlacementContext {
-            logical: query.logical(),
-            physical: &physical,
-            cluster: self.cluster,
-            loads: &loads,
-        };
-        let down = self.known_down();
-        let (placement, rung, search_desc) = match (&self.recovery, down.is_empty()) {
-            (Some(rec), false) => {
-                let mut search = rec.config.search.clone();
-                search.free_slots = Some(self.free_slots(&down));
-                let (p, r) = place_with_ladder(&ctx, &search, &mut self.rng)
-                    .map_err(ControllerError::Placement)?;
-                (p, r, Some(SearchDescriptor::of(&search)))
-            }
-            _ => (
-                self.strategy
-                    .place(&ctx, &mut self.rng)
-                    .map_err(ControllerError::Placement)?,
-                LadderRung::Caps,
-                self.strategy.search_descriptor(),
-            ),
-        };
-
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        let reason = if record_scaling {
-            RedeployReason::Scaling
-        } else {
-            RedeployReason::Recovery
-        };
-        self.record(DecisionRecord::Prepare {
-            epoch,
-            time: self.time,
-            reason,
-            parallelism: parallelism.clone(),
-            assignment: placement.assignment().iter().map(|w| w.0).collect(),
-            rung,
-            rate: rate_now,
-            rng: self.rng.state(),
-            search: search_desc,
-        })?;
-
-        self.deploy(query, physical, placement, epoch, true)?;
-        self.record(DecisionRecord::Commit {
-            epoch,
-            time: self.time,
-        })?;
-        if record_scaling {
-            self.events.push(ScalingEvent {
-                time: self.time,
-                parallelism,
-                slots: self.physical.num_tasks(),
-            });
-            let snap = self.snapshot();
-            if let Some(gov) = &mut self.guard {
-                gov.on_scaling_deploy(self.time, snap);
-            }
-        }
-        Ok(rung)
-    }
-
     /// Swaps in a new deployment: a fresh simulation (the
     /// restart-from-savepoint analogue) with the chaos state accumulated
-    /// so far and the unfired fault-schedule suffix carried over. With
-    /// `fenced`, the new simulation must win the epoch fence first — a
-    /// stale epoch leaves the current deployment untouched and surfaces
-    /// as [`ControllerError::FencedEpoch`]. Replay deploys unfenced: the
-    /// journal, not the fence, is the authority on what was deployed.
+    /// so far and the unfired fault-schedule suffix carried over. The new
+    /// simulation takes `epoch` through [`fence_epoch`]: a live deploy
+    /// that loses the fence leaves the current deployment untouched.
     fn deploy(
         &mut self,
-        query: Query,
-        physical: PhysicalGraph,
-        placement: Placement,
+        (query, physical, placement): (Query, PhysicalGraph, Placement),
         epoch: u64,
-        fenced: bool,
+        origin: Origin,
     ) -> Result<(), ControllerError> {
-        // Chaos state accumulated before the restart must survive it.
-        let failed: Vec<bool> = self.sim.failed_workers().to_vec();
-        let slowdowns: Vec<f64> = self.sim.slowdowns().to_vec();
-        let blackout = self.sim.in_blackout();
-        let shed_fraction = self.sim.shed_fraction();
-        let partitioned: Vec<bool> = self.sim.partitioned_workers().to_vec();
-        let net_degrades: Vec<f64> = self.sim.net_degrades().to_vec();
-        let contentions: Vec<f64> = self.sim.contentions().to_vec();
         // Shift the schedule so the new simulation continues at the
         // current wall-clock position.
         let offset = self.time;
@@ -1805,29 +1971,31 @@ impl<'a> ClosedLoop<'a> {
             self.sim_config.clone(),
         )
         .map_err(ControllerError::Sim)?;
-        for (w, f) in failed.iter().enumerate() {
+        // Chaos state accumulated before the restart must survive it.
+        let old = &self.sim;
+        for (w, f) in old.failed_workers().iter().enumerate() {
             if *f {
                 sim.fail_worker(WorkerId(w));
             }
         }
-        for (w, s) in slowdowns.iter().enumerate() {
+        for (w, s) in old.slowdowns().iter().enumerate() {
             if *s > 1.0 {
                 sim.set_slowdown(WorkerId(w), *s);
             }
         }
-        sim.set_blackout(blackout);
-        sim.set_shed_fraction(shed_fraction);
-        for (w, on) in partitioned.iter().enumerate() {
+        sim.set_blackout(old.in_blackout());
+        sim.set_shed_fraction(old.shed_fraction());
+        for (w, on) in old.partitioned_workers().iter().enumerate() {
             if *on {
                 sim.set_partitioned(WorkerId(w), true);
             }
         }
-        for (w, f) in net_degrades.iter().enumerate() {
+        for (w, f) in old.net_degrades().iter().enumerate() {
             if *f < 1.0 {
                 sim.set_net_degrade(WorkerId(w), *f);
             }
         }
-        for (w, c) in contentions.iter().enumerate() {
+        for (w, c) in old.contentions().iter().enumerate() {
             if *c > 1.0 {
                 sim.set_contention(WorkerId(w), *c);
             }
@@ -1840,10 +2008,7 @@ impl<'a> ClosedLoop<'a> {
         // unless they restore the trusted (measured) plan.
         if let Some(skew) = &self.skew {
             if self.time + 1e-9 >= skew.fault.time {
-                let key = (
-                    query.logical().parallelism_vector(),
-                    placement.assignment().iter().map(|w| w.0).collect::<Vec<_>>(),
-                );
+                let key = (query.logical().parallelism_vector(), worker_ids(&placement));
                 if skew.trusted.as_ref() != Some(&key) {
                     sim.set_model_skew(skew.fault.factor);
                 }
@@ -1879,16 +2044,7 @@ impl<'a> ClosedLoop<'a> {
                 });
             }
         }
-        if fenced {
-            sim.bind_epoch(&self.fence, epoch).map_err(|e| match e {
-                SimError::StaleEpoch { attempted, current } => {
-                    ControllerError::FencedEpoch { attempted, current }
-                }
-                other => ControllerError::Sim(other),
-            })?;
-        } else {
-            sim.stamp_epoch(epoch);
-        }
+        fence_epoch(&self.fence, &mut sim, epoch, origin)?;
         // A still-draining wave of the outgoing deployment ends here:
         // close it against the old simulation before it is dropped.
         self.close_open_wave();
@@ -1899,263 +2055,6 @@ impl<'a> ClosedLoop<'a> {
         self.open_wave = restore_wave;
         self.last_action = self.time;
         self.recent.clear();
-        Ok(())
-    }
-
-    /// Replay counterpart of [`ClosedLoop::attempt_recovery`]: consumes
-    /// the journal's record of what this attempt did — a `Retry`
-    /// (failed attempt: restore backoff bookkeeping) or a recovery
-    /// `Prepare` (apply its fate). An exhausted cursor means the crashed
-    /// run died before this attempt: take it live.
-    fn replay_recovery_step(&mut self) -> Result<(), ControllerError> {
-        let front = match self.replay.front().cloned() {
-            None => return self.attempt_recovery(),
-            Some(r) => r,
-        };
-        match front {
-            DecisionRecord::Retry { time, .. } if replay_due(time, self.time) => {
-                self.replay.pop_front();
-                self.apply_replayed_retry(front)
-            }
-            DecisionRecord::MigratePrepare { time, .. } if replay_due(time, self.time) => {
-                self.apply_replayed_migrate()
-            }
-            DecisionRecord::Prepare {
-                reason: RedeployReason::Recovery,
-                time,
-                ..
-            } if replay_due(time, self.time) => {
-                match self.apply_replayed_redeploy()? {
-                    Some(rung) => {
-                        self.finish_recovery(rung);
-                        Ok(())
-                    }
-                    // Abandoned prepare: the crashed run failed to
-                    // deploy it; the following Retry carries the
-                    // backoff bookkeeping.
-                    None => match self.replay.front().cloned() {
-                        Some(r @ DecisionRecord::Retry { .. }) => {
-                            self.replay.pop_front();
-                            self.apply_replayed_retry(r)
-                        }
-                        _ => Err(ControllerError::JournalReplay(
-                            "abandoned prepare not followed by a retry".into(),
-                        )),
-                    },
-                }
-            }
-            other => Err(ControllerError::JournalReplay(format!(
-                "recovery attempt due at t={:.3}, but the journal's next decision is from t={:.3}: \
-                 the replay diverged from the run that wrote the journal",
-                self.time,
-                other.time()
-            ))),
-        }
-    }
-
-    /// Replay counterpart of a DS2 evaluation step: applies the
-    /// journal's scaling `Prepare` when one is due now; otherwise (the
-    /// live run decided nothing here) does nothing. A journaled decision
-    /// strictly in the past means the replay diverged.
-    fn replay_scaling_step(&mut self) -> Result<(), ControllerError> {
-        let Some(front) = self.replay.front() else {
-            return Ok(());
-        };
-        if front.time() < self.time - REPLAY_TIME_EPS {
-            return Err(ControllerError::JournalReplay(format!(
-                "journaled decision at t={:.3} was never replayed (clock is at t={:.3}): \
-                 the replay diverged from the run that wrote the journal",
-                front.time(),
-                self.time
-            )));
-        }
-        let due_scaling = matches!(
-            front,
-            DecisionRecord::Prepare {
-                reason: RedeployReason::Scaling,
-                time,
-                ..
-            } if replay_due(*time, self.time)
-        );
-        if due_scaling && self.apply_replayed_redeploy()?.is_none() {
-            // A scaling redeploy that fails to deploy aborts the live
-            // run — it can never leave an abandoned Prepare behind.
-            return Err(ControllerError::JournalReplay(
-                "a journaled scaling reconfiguration was abandoned mid-flight".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Restores one journaled `Retry`: the crashed run's failed
-    /// re-placement attempt, with its post-search RNG state and backoff
-    /// bookkeeping.
-    fn apply_replayed_retry(&mut self, rec: DecisionRecord) -> Result<(), ControllerError> {
-        let DecisionRecord::Retry {
-            attempts,
-            gave_up,
-            next_attempt_at,
-            rng,
-            ..
-        } = rec
-        else {
-            return Err(ControllerError::JournalReplay(
-                "expected a retry record".into(),
-            ));
-        };
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        if let Some(state) = &mut self.recovery {
-            if gave_up {
-                state.pending = None;
-            } else if let Some(p) = &mut state.pending {
-                p.attempts = attempts;
-                if let Some(t) = next_attempt_at {
-                    p.next_attempt_at = t;
-                }
-            }
-        }
-        self.record_replayed(DecisionRecord::Retry {
-            time: self.time,
-            attempts,
-            gave_up,
-            next_attempt_at,
-            rng,
-        })
-    }
-
-    /// Consumes the journal's front `Prepare` and settles its fate:
-    ///
-    /// * followed by its `Commit` — the reconfiguration was applied;
-    ///   deploy the journaled plan (no search, RNG restored from the
-    ///   record) and consume the `Commit`;
-    /// * followed by a `Retry` — the crashed run failed to deploy it;
-    ///   do **not** deploy (returns `None`, the `Retry` stays for the
-    ///   caller);
-    /// * at the journal tail — in doubt: the crash hit between the
-    ///   phases. Roll forward: deploy and journal the `Commit` live,
-    ///   finishing the protocol the dead controller started.
-    ///
-    /// Replayed deploys stamp their epoch without consulting the fence —
-    /// the journal is the authority on what was deployed.
-    fn apply_replayed_redeploy(&mut self) -> Result<Option<LadderRung>, ControllerError> {
-        let Some(rec) = self.replay.pop_front() else {
-            return Err(ControllerError::JournalReplay("no prepare to replay".into()));
-        };
-        let DecisionRecord::Prepare {
-            epoch,
-            reason,
-            parallelism,
-            assignment,
-            rung,
-            rng,
-            ..
-        } = rec.clone()
-        else {
-            return Err(ControllerError::JournalReplay(
-                "expected a prepare record".into(),
-            ));
-        };
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(rec)?;
-
-        let committed = match self.replay.front() {
-            Some(DecisionRecord::Commit { epoch: e, .. }) if *e == epoch => true,
-            Some(DecisionRecord::Commit { epoch: e, .. }) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "commit epoch {e} does not match prepare epoch {epoch}"
-                )));
-            }
-            Some(DecisionRecord::Retry { .. }) => return Ok(None),
-            Some(other) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "prepare (epoch {epoch}) followed by a decision from t={:.3} \
-                     that is neither its commit nor a retry",
-                    other.time()
-                )));
-            }
-            None => false,
-        };
-
-        let query = self.query.with_parallelism(&parallelism).map_err(|e| {
-            ControllerError::JournalReplay(format!(
-                "journaled parallelism does not fit the query: {e}"
-            ))
-        })?;
-        let physical = query.physical();
-        let placement = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
-        placement.validate(&physical, self.cluster).map_err(|e| {
-            ControllerError::JournalReplay(format!("journaled placement is invalid: {e}"))
-        })?;
-        self.deploy(query, physical, placement, epoch, false)?;
-        if committed {
-            if let Some(c) = self.replay.pop_front() {
-                self.record_replayed(c)?;
-            }
-        } else {
-            // In doubt, rolled forward: we are the surviving controller
-            // now — journal the commit live.
-            self.record(DecisionRecord::Commit {
-                epoch,
-                time: self.time,
-            })?;
-        }
-        if matches!(reason, RedeployReason::Scaling) {
-            self.events.push(ScalingEvent {
-                time: self.time,
-                parallelism,
-                slots: self.physical.num_tasks(),
-            });
-            let snap = self.snapshot();
-            if let Some(gov) = &mut self.guard {
-                gov.on_scaling_deploy(self.time, snap);
-            }
-        }
-        Ok(Some(rung))
-    }
-
-    /// Rolls the deployment back to the governor's last-known-good plan
-    /// through the two-phase protocol: journal the `Rollback` (restored
-    /// plan plus pre-deploy RNG state), deploy under the epoch fence,
-    /// journal the `Commit`. A crash between the phases leaves the
-    /// `Rollback` at the journal tail; recovery rolls it forward exactly
-    /// like an in-doubt `Prepare`.
-    fn rollback_redeploy(&mut self, req: &RollbackRequest) -> Result<(), ControllerError> {
-        let query = self
-            .query
-            .with_parallelism(&req.to.parallelism)
-            .map_err(|e| {
-                ControllerError::InvalidConfig(format!(
-                    "rollback target plan is no longer deployable: {e}"
-                ))
-            })?;
-        let physical = query.physical();
-        let placement = Placement::new(req.to.assignment.iter().map(|&w| WorkerId(w)).collect());
-        placement.validate(&physical, self.cluster).map_err(|e| {
-            ControllerError::InvalidConfig(format!(
-                "rollback target plan is no longer deployable: {e}"
-            ))
-        })?;
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        self.record(DecisionRecord::Rollback {
-            epoch,
-            time: self.time,
-            from_epoch: req.regressed.epoch,
-            parallelism: req.to.parallelism.clone(),
-            assignment: req.to.assignment.clone(),
-            rng: self.rng.state(),
-        })?;
-        self.deploy(query, physical, placement, epoch, true)?;
-        self.record(DecisionRecord::Commit {
-            epoch,
-            time: self.time,
-        })?;
-        self.finish_rollback(req, epoch);
         Ok(())
     }
 
@@ -2178,130 +2077,6 @@ impl<'a> ClosedLoop<'a> {
         });
     }
 
-    /// Replay counterpart of [`ClosedLoop::rollback_redeploy`]: the
-    /// governor re-derived the same verdict the crashed run journaled, so
-    /// the cursor's front must be the matching `Rollback`. Deploys
-    /// unfenced from the record; a `Rollback` at the journal tail is
-    /// rolled forward — its `Commit` is journaled live. An exhausted
-    /// cursor means the crashed run died before this verdict: take it
-    /// live.
-    fn replay_rollback_step(&mut self, req: &RollbackRequest) -> Result<(), ControllerError> {
-        let Some(front) = self.replay.front().cloned() else {
-            return self.rollback_redeploy(req);
-        };
-        let DecisionRecord::Rollback {
-            epoch,
-            time,
-            from_epoch,
-            parallelism,
-            assignment,
-            rng,
-        } = front.clone()
-        else {
-            return Err(ControllerError::JournalReplay(format!(
-                "governor rollback due at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                front.time()
-            )));
-        };
-        if !replay_due(time, self.time) {
-            return Err(ControllerError::JournalReplay(format!(
-                "governor rollback due at t={:.3}, but the journaled rollback is from t={time:.3}: \
-                 the replay diverged from the run that wrote the journal",
-                self.time
-            )));
-        }
-        if parallelism != req.to.parallelism
-            || assignment != req.to.assignment
-            || from_epoch != req.regressed.epoch
-        {
-            return Err(ControllerError::JournalReplay(
-                "journaled rollback does not match the re-derived governor verdict".into(),
-            ));
-        }
-        self.replay.pop_front();
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(front)?;
-
-        let committed = match self.replay.front() {
-            Some(DecisionRecord::Commit { epoch: e, .. }) if *e == epoch => true,
-            Some(DecisionRecord::Commit { epoch: e, .. }) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "commit epoch {e} does not match rollback epoch {epoch}"
-                )));
-            }
-            Some(other) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "rollback (epoch {epoch}) followed by a decision from t={:.3} \
-                     that is not its commit",
-                    other.time()
-                )));
-            }
-            None => false,
-        };
-        let query = self.query.with_parallelism(&parallelism).map_err(|e| {
-            ControllerError::JournalReplay(format!(
-                "journaled parallelism does not fit the query: {e}"
-            ))
-        })?;
-        let physical = query.physical();
-        let placement = Placement::new(assignment.iter().map(|&w| WorkerId(w)).collect());
-        placement.validate(&physical, self.cluster).map_err(|e| {
-            ControllerError::JournalReplay(format!("journaled placement is invalid: {e}"))
-        })?;
-        self.deploy(query, physical, placement, epoch, false)?;
-        if committed {
-            if let Some(c) = self.replay.pop_front() {
-                self.record_replayed(c)?;
-            }
-        } else {
-            // In doubt, rolled forward: we are the surviving controller
-            // now — journal the commit live.
-            self.record(DecisionRecord::Commit {
-                epoch,
-                time: self.time,
-            })?;
-        }
-        self.finish_rollback(req, epoch);
-        Ok(())
-    }
-
-    /// Applies an admission-controller verdict through the two-phase
-    /// protocol: journal the `Shed` (new fraction plus RNG state), fence
-    /// the running simulation to the new epoch, set the source-side shed
-    /// fraction, journal the `Commit`. No plan changes and no sim swap —
-    /// the fence binds on the existing simulation, exactly like a
-    /// migration wave. A crash between the phases leaves the `Shed` at
-    /// the journal tail; recovery rolls it forward.
-    fn shed_redeploy(&mut self, req: &ShedRequest) -> Result<(), ControllerError> {
-        let epoch = self.epoch + 1;
-        self.epoch = epoch;
-        self.record(DecisionRecord::Shed {
-            epoch,
-            time: self.time,
-            fraction: req.fraction,
-            rng: self.rng.state(),
-        })?;
-        self.sim.bind_epoch(&self.fence, epoch).map_err(|e| match e {
-            SimError::StaleEpoch { attempted, current } => {
-                ControllerError::FencedEpoch { attempted, current }
-            }
-            other => ControllerError::Sim(other),
-        })?;
-        let from_fraction = self.sim.shed_fraction();
-        self.sim.set_shed_fraction(req.fraction);
-        self.record(DecisionRecord::Commit {
-            epoch,
-            time: self.time,
-        })?;
-        self.finish_shed(req, epoch, from_fraction);
-        Ok(())
-    }
-
     /// Settles an applied shed change: admission-controller bookkeeping
     /// plus a [`ShedEvent`] on the trace. `from_fraction` is the
     /// fraction in force before this change.
@@ -2317,86 +2092,6 @@ impl<'a> ClosedLoop<'a> {
             offered: req.offered,
             capacity: req.capacity,
         });
-    }
-
-    /// Replay counterpart of [`ClosedLoop::shed_redeploy`]: the admission
-    /// controller re-derived the same verdict from the identical metric
-    /// stream, so the cursor's front must be the matching `Shed`. A
-    /// `Shed` at the journal tail is rolled forward — its `Commit` is
-    /// journaled live. An exhausted cursor means the crashed run died
-    /// before this verdict: take it live.
-    fn replay_shed_step(&mut self, req: &ShedRequest) -> Result<(), ControllerError> {
-        let Some(front) = self.replay.front().cloned() else {
-            return self.shed_redeploy(req);
-        };
-        let DecisionRecord::Shed {
-            epoch,
-            time,
-            fraction,
-            rng,
-        } = front.clone()
-        else {
-            return Err(ControllerError::JournalReplay(format!(
-                "shed change due at t={:.3}, but the journal's next decision is from \
-                 t={:.3}: the replay diverged from the run that wrote the journal",
-                self.time,
-                front.time()
-            )));
-        };
-        if !replay_due(time, self.time) {
-            return Err(ControllerError::JournalReplay(format!(
-                "shed change due at t={:.3}, but the journaled shed is from t={time:.3}: \
-                 the replay diverged from the run that wrote the journal",
-                self.time
-            )));
-        }
-        if (fraction - req.fraction).abs() > 1e-12 {
-            return Err(ControllerError::JournalReplay(format!(
-                "journaled shed fraction {fraction} does not match the re-derived \
-                 verdict {}",
-                req.fraction
-            )));
-        }
-        self.replay.pop_front();
-        self.rng = SmallRng::try_from_state(rng).ok_or_else(|| {
-            ControllerError::JournalReplay("journaled RNG state is invalid (all zero)".into())
-        })?;
-        self.epoch = epoch;
-        self.record_replayed(front)?;
-
-        let committed = match self.replay.front() {
-            Some(DecisionRecord::Commit { epoch: e, .. }) if *e == epoch => true,
-            Some(DecisionRecord::Commit { epoch: e, .. }) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "commit epoch {e} does not match shed epoch {epoch}"
-                )));
-            }
-            Some(other) => {
-                return Err(ControllerError::JournalReplay(format!(
-                    "shed (epoch {epoch}) followed by a decision from t={:.3} \
-                     that is not its commit",
-                    other.time()
-                )));
-            }
-            None => false,
-        };
-        self.sim.stamp_epoch(epoch);
-        let from_fraction = self.sim.shed_fraction();
-        self.sim.set_shed_fraction(fraction);
-        if committed {
-            if let Some(c) = self.replay.pop_front() {
-                self.record_replayed(c)?;
-            }
-        } else {
-            // In doubt, rolled forward: we are the surviving controller
-            // now — journal the commit live.
-            self.record(DecisionRecord::Commit {
-                epoch,
-                time: self.time,
-            })?;
-        }
-        self.finish_shed(req, epoch, from_fraction);
-        Ok(())
     }
 }
 

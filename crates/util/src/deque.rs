@@ -7,7 +7,7 @@
 //! steal from the front through a [`Stealer`] handle (FIFO — the oldest
 //! unit is the coarsest remaining subtree, so one steal transfers the
 //! most work). This mirrors the `crossbeam-deque` `Worker`/`Stealer`
-//! split the way [`crate::queue`] mirrors its `Injector`.
+//! split.
 //!
 //! The implementation sits behind the workspace's poison-free
 //! [`crate::sync::Mutex`] rather than a lock-free Chase-Lev buffer:
@@ -19,8 +19,18 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-pub use crate::queue::Steal;
 use crate::sync::Mutex;
+
+/// Outcome of a [`Stealer::steal`] attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Steal<T> {
+    /// A work unit was taken.
+    Success(T),
+    /// The deque is empty.
+    Empty,
+    /// The deque was locked by its owner or another thief; retry.
+    Retry,
+}
 
 /// The owner's handle to a work-stealing deque.
 ///

@@ -13,8 +13,6 @@
 //! * [`fixed`] — exact Q31.32 fixed-point arithmetic for the search
 //!   cost core (replaces ad-hoc `f64` accumulation and the fixed-point
 //!   crates the ecosystem would normally supply).
-//! * [`queue`] — an `Injector`-style MPMC work queue (replaces
-//!   `crossbeam::deque`'s global injector).
 //! * [`deque`] — per-thread LIFO worker deques with FIFO stealers for
 //!   the work-stealing parallel search (replaces `crossbeam-deque`'s
 //!   `Worker`/`Stealer`).
@@ -41,6 +39,5 @@ pub mod fixed;
 pub mod journal;
 pub mod json;
 pub mod prop;
-pub mod queue;
 pub mod rng;
 pub mod sync;
