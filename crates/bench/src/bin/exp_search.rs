@@ -1,6 +1,6 @@
 //! Anytime search quality: DFS vs MCTS best-cost-versus-budget curves.
 //!
-//! Runs the sequential DFS backend and the MCTS backend side by side on
+//! Runs the DFS backend (one thread) and the MCTS backend side by side on
 //! a family of pipelines at 16, 64, 256, and 1024 tasks under a shared
 //! node budget, and records each backend's *anytime curve* — the best
 //! feasible `max_component` cost as a function of nodes spent — to

@@ -50,7 +50,6 @@ mod memo;
 pub mod movemin;
 pub mod parallel;
 pub mod pareto;
-pub mod partitioned;
 pub mod search;
 pub mod strategy;
 
@@ -60,8 +59,5 @@ pub use error::CapsError;
 pub use mcts::{MctsConfig, MctsReport, MctsStrategy};
 pub use movemin::{min_movement_plan, MoveMinOutcome};
 pub use pareto::pareto_front;
-pub use partitioned::PartitionedOutcome;
 pub use search::{AnytimePoint, CapsSearch, RunStats, ScoredPlan, SearchConfig, SearchOutcome};
-pub use strategy::{
-    BackendResult, ParallelDfs, SearchBackend, SearchStrategy, SequentialDfs, StrategyContext,
-};
+pub use strategy::{BackendResult, DfsStrategy, SearchBackend, SearchStrategy, StrategyContext};

@@ -1,4 +1,5 @@
-//! Parallel CAPS search (§5.1): a work-stealing runtime.
+//! The CAPS DFS runner (§5.1): one work-stealing kernel for every
+//! thread count.
 //!
 //! The paper parallelizes the search with a thread pool: "Each thread is
 //! initially assigned to a random partition of the search space and can
@@ -7,23 +8,24 @@
 //! When the search space has been fully explored, threads merge their
 //! results and return the pareto-optimal solution."
 //!
-//! Earlier versions split the space into a fixed number of prefixes up
-//! front and served them from one global queue, which serializes every
-//! hand-off on a single lock and strands threads idle behind long
-//! branches. This implementation instead gives each thread its own
-//! [`capsys_util::deque::Worker`] deque (LIFO for the owner, FIFO for
-//! thieves) and re-splits adaptively:
+//! The unit of work is a prefix: the rows of the first few outer layers,
+//! fixed, explored with [`PlanEnumerator::explore_with_prefix`].
 //!
-//! * the space is seeded as depth-1 prefix units, dealt round-robin;
-//! * when a thread picks up a unit while the global unit supply is low —
-//!   or while a sibling has signalled starvation — it expands the unit
-//!   into its children (one more fixed layer) instead of exploring it,
-//!   pushing them onto its own deque where thieves can take the oldest,
-//!   coarsest ones;
-//! * splitting is capped at [`MAX_SPLIT_DEPTH`] layers, so the total
-//!   prefix-replay overhead never exceeds what the old static split paid
-//!   up front, but units finer than depth 1 are only materialized when
-//!   someone actually needs the parallelism.
+//! * With one thread, the whole tree is one unit, the root (the empty
+//!   prefix), explored on the caller's thread. There is no sibling to
+//!   steal, so it is never split; there is one plan cache, so nothing is
+//!   merged. The store keeps discovery order and the anytime curve is
+//!   reported, both deterministic.
+//! * With more threads, each owns a [`capsys_util::deque::Worker`] deque
+//!   (LIFO for the owner, FIFO for thieves), seeded round-robin with the
+//!   depth-1 prefixes. A thread that picks up a unit while the global
+//!   unit supply is low — or while a sibling has signalled starvation —
+//!   expands it into its children (one more fixed layer) instead of
+//!   exploring it, pushing them onto its own deque where thieves can
+//!   take the oldest, coarsest ones. Splitting is capped at
+//!   [`MAX_SPLIT_DEPTH`] layers, so prefix-replay overhead stays bounded
+//!   and units finer than depth 1 are only made when someone needs the
+//!   parallelism.
 //!
 //! Because the children of a prefix partition exactly its subtree (see
 //! `expand_prefix`), the set of feasible plans found — and the
@@ -31,28 +33,27 @@
 //!
 //! Threads additionally share:
 //!
-//! * a stop flag (first-feasible and abort propagation);
-//! * a deadline flag raised by one watchdog thread, so workers never
-//!   call `Instant::now` on the hot path;
+//! * a stop flag (first-feasible and abort propagation). Every visitor
+//!   polls its own deadline once per `TIME_CHECK_MASK + 1` nodes; the
+//!   thread that sees it pass raises the stop flag for the rest;
 //! * when [`SearchConfig::incumbent_prune`] is set, the best-so-far
 //!   `max_component` cost in an atomic cell, letting every thread prune
 //!   against the global incumbent rather than only its local one.
 //!
-//! A worker that panics is caught, the remaining workers are stopped and
-//! joined cleanly, and the run returns [`CapsError::SearchPanicked`]
-//! instead of poisoning the whole process.
+//! With more than one thread, a worker that panics is caught, the
+//! remaining workers are stopped and joined cleanly, and the run returns
+//! [`CapsError::SearchPanicked`] instead of poisoning the whole process.
+//! With one thread the panic unwinds to the caller.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use capsys_model::{PhysicalGraph, PlanEnumerator};
+use capsys_model::PlanEnumerator;
 use capsys_util::deque::{Steal, Stealer, Worker};
-use capsys_util::fixed::Fixed64;
 
-use crate::cost::CostModel;
 use crate::error::CapsError;
-use crate::memo::MemoSetup;
-use crate::search::{cmp_scored, CapsVisitor, OpTopology, RunStats, ScoredPlan, SearchConfig};
+use crate::search::{cmp_scored, CapsVisitor, RunStats, ScoredPlan, SearchConfig};
+use crate::strategy::{BackendResult, StrategyContext};
 
 /// Maximum prefix depth for adaptive re-splitting. Deeper splits would
 /// pay more prefix-replay overhead than the parallelism they buy.
@@ -73,7 +74,7 @@ const SPIN_SWEEPS: usize = 64;
 /// A work unit: the rows of the first `len` outer layers, fixed.
 type Unit = Vec<Vec<usize>>;
 
-/// State shared by all workers of one parallel run.
+/// State shared by all workers of one run.
 struct Shared {
     stealers: Vec<Stealer<Unit>>,
     /// Units created but not yet fully explored. Splitting a unit into
@@ -82,60 +83,46 @@ struct Shared {
     in_flight: AtomicUsize,
     /// Number of threads currently failing to find work.
     starving: AtomicUsize,
-    /// Cooperative stop: first-feasible hit, abort, or worker panic.
+    /// Cooperative stop: first-feasible hit, budget abort, or worker
+    /// panic.
     stop: AtomicBool,
-    /// Raised by the watchdog thread when the deadline passes.
-    deadline_hit: AtomicBool,
     /// Best `max_component` cost so far, as f64 bits (incumbent pruning).
     incumbent: AtomicU64,
-    /// Workers still running; the watchdog exits when this hits zero.
-    active: AtomicUsize,
 }
 
-/// Runs the search across `config.threads` threads and merges the
-/// per-thread plan caches.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel(
-    physical: &PhysicalGraph,
-    model: &CostModel,
-    topo: &OpTopology,
-    enumerator: &PlanEnumerator,
-    bound: [Fixed64; 3],
-    memo: Option<&MemoSetup>,
-    config: &SearchConfig,
-    deadline: Option<Instant>,
-    start: Instant,
-) -> Result<(Vec<ScoredPlan>, RunStats), CapsError> {
-    let threads = config.threads;
-    let split_cap = MAX_SPLIT_DEPTH.min(enumerator.order().len());
+impl Shared {
+    fn new(stealers: Vec<Stealer<Unit>>, units: usize) -> Shared {
+        Shared {
+            stealers,
+            in_flight: AtomicUsize::new(units),
+            starving: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
+        }
+    }
+}
 
-    let mut stats = RunStats {
-        threads,
-        ..RunStats::default()
-    };
-
-    // Seed: depth-1 prefixes dealt round-robin across the thread deques.
-    let units = enumerator.prefixes(1);
-    if units.is_empty() {
-        stats.elapsed = start.elapsed();
-        return Ok((Vec::new(), stats));
+/// Runs the DFS on `config.threads` threads: one explores on the
+/// caller's thread; more form a work-stealing pool whose per-thread plan
+/// caches are merged.
+pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
+    let threads = ctx.config.threads;
+    if threads == 1 {
+        return Ok(run_on_caller(ctx));
     }
 
+    let units = ctx.enumerator.prefixes(1);
     let deques: Vec<Worker<Unit>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let shared = Shared {
-        stealers: deques.iter().map(|d| d.stealer()).collect(),
-        in_flight: AtomicUsize::new(units.len()),
-        starving: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        deadline_hit: AtomicBool::new(false),
-        incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
-        active: AtomicUsize::new(threads),
-    };
+    let shared = Shared::new(deques.iter().map(|d| d.stealer()).collect(), units.len());
     for (i, u) in units.into_iter().enumerate() {
         deques[i % threads].push(u);
     }
 
     let mut merged: Vec<ScoredPlan> = Vec::new();
+    let mut stats = RunStats {
+        threads,
+        ..RunStats::default()
+    };
     let mut panicked = false;
 
     std::thread::scope(|scope| {
@@ -144,57 +131,19 @@ pub(crate) fn run_parallel(
             let shared = &shared;
             handles.push(scope.spawn(move || {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut visitor = CapsVisitor::new(
-                        physical,
-                        model,
-                        topo,
-                        bound,
-                        config,
-                        None,
-                        Some(&shared.stop),
-                    );
-                    if deadline.is_some() {
-                        visitor.set_deadline_flag(&shared.deadline_hit);
-                    }
-                    if config.incumbent_prune {
-                        visitor.set_incumbent(&shared.incumbent);
-                    }
-                    if let Some(setup) = memo {
-                        // The table is shared: one thread proving a state
-                        // dead spares every sibling that reaches it.
-                        visitor.set_memo(setup);
-                    }
+                    let mut visitor = new_visitor(ctx, shared);
                     let mut local = RunStats::default();
-                    worker_loop(idx, &my, enumerator, split_cap, threads, shared, &mut visitor, &mut local);
-                    local.aborted |= visitor.was_aborted();
-                    local.memo_hits = visitor.memo_hits();
-                    (visitor.into_found(), local)
+                    worker_loop(idx, &my, ctx.enumerator, shared, &mut visitor, &mut local);
+                    let found = harvest(visitor, &mut local);
+                    (found, local)
                 }));
-                shared.active.fetch_sub(1, Ordering::Release);
-                match result {
-                    Ok(r) => Some(r),
-                    Err(_) => {
-                        // Stop the siblings; the panicking thread's
-                        // subtree is incomplete, so the run must fail.
-                        shared.stop.store(true, Ordering::Relaxed);
-                        None
-                    }
+                // A panicking thread's subtree is incomplete, so the run
+                // must fail; stop the siblings.
+                if result.is_err() {
+                    shared.stop.store(true, Ordering::Relaxed);
                 }
+                result.ok()
             }));
-        }
-
-        // One watchdog owns the clock: workers only read an atomic.
-        if let Some(d) = deadline {
-            let shared = &shared;
-            scope.spawn(move || {
-                while shared.active.load(Ordering::Acquire) > 0 {
-                    if Instant::now() >= d {
-                        shared.deadline_hit.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-            });
         }
 
         for h in handles {
@@ -219,20 +168,88 @@ pub(crate) fn run_parallel(
         return Err(CapsError::SearchPanicked);
     }
 
-    let merged = finalize_merge(merged, config);
-    stats.elapsed = start.elapsed();
-    Ok((merged, stats))
+    stats.elapsed = ctx.start.elapsed();
+    Ok(BackendResult {
+        plans: finalize_merge(merged, ctx.config),
+        stats,
+        // Improvement times depend on the steal schedule; reporting them
+        // would leak nondeterminism into the outcome.
+        anytime: Vec::new(),
+        mcts: None,
+    })
+}
+
+/// The one-thread run: the root unit on the caller's thread, with no
+/// deque, no spawned thread and no merge. The store keeps discovery
+/// order, which `best_scored` relies on to break exact cost ties.
+fn run_on_caller(ctx: &StrategyContext<'_>) -> BackendResult {
+    let shared = Shared::new(Vec::new(), 1);
+    let mut visitor = new_visitor(ctx, &shared);
+    let mut stats = RunStats {
+        threads: 1,
+        ..RunStats::default()
+    };
+    explore_unit(ctx.enumerator, &[], &mut visitor, &mut stats);
+    let anytime = visitor.take_anytime();
+    let plans = harvest(visitor, &mut stats);
+    stats.elapsed = ctx.start.elapsed();
+    BackendResult {
+        plans,
+        stats,
+        anytime,
+        mcts: None,
+    }
+}
+
+/// A visitor wired to the run's problem, deadline and shared cells.
+fn new_visitor<'a>(ctx: &StrategyContext<'a>, shared: &'a Shared) -> CapsVisitor<'a> {
+    let mut visitor = CapsVisitor::new(
+        ctx.physical,
+        ctx.model,
+        ctx.topo,
+        ctx.bound,
+        ctx.config,
+        ctx.deadline,
+        &shared.stop,
+    );
+    if ctx.config.incumbent_prune {
+        visitor.set_incumbent(&shared.incumbent);
+    }
+    if let Some(setup) = ctx.memo {
+        // The table is shared: one thread proving a state dead spares
+        // every sibling that reaches it.
+        visitor.set_memo(setup);
+    }
+    visitor
+}
+
+/// Explores one unit's subtree and adds its counts to `local`.
+fn explore_unit(
+    enumerator: &PlanEnumerator,
+    unit: &[Vec<usize>],
+    visitor: &mut CapsVisitor<'_>,
+    local: &mut RunStats,
+) {
+    let s = enumerator.explore_with_prefix(unit, visitor);
+    local.nodes += s.nodes;
+    local.pruned += s.pruned;
+    local.plans_found += s.plans;
+}
+
+/// Folds the visitor's abort and memo counters into `local` and returns
+/// its plan cache in discovery order.
+fn harvest(visitor: CapsVisitor<'_>, local: &mut RunStats) -> Vec<ScoredPlan> {
+    local.aborted |= visitor.was_aborted();
+    local.memo_hits = visitor.memo_hits();
+    visitor.into_found()
 }
 
 /// The per-thread scheduling loop: pop own work, steal when empty, split
 /// units while siblings starve, explore otherwise.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     idx: usize,
     my: &Worker<Unit>,
     enumerator: &PlanEnumerator,
-    split_cap: usize,
-    threads: usize,
     shared: &Shared,
     visitor: &mut CapsVisitor<'_>,
     local: &mut RunStats,
@@ -245,16 +262,11 @@ fn worker_loop(
         panic!("induced worker panic (CAPSYS_TEST_PANIC_SEARCH)");
     }
 
+    let threads = shared.stealers.len();
+    let split_cap = MAX_SPLIT_DEPTH.min(enumerator.order().len());
     let mut starving = false;
     let mut idle_sweeps = 0usize;
-    loop {
-        if shared.stop.load(Ordering::Relaxed) || shared.deadline_hit.load(Ordering::Relaxed) {
-            if shared.deadline_hit.load(Ordering::Relaxed) {
-                local.aborted = true;
-            }
-            break;
-        }
-
+    while !shared.stop.load(Ordering::Relaxed) {
         // Acquire: own deque first (LIFO), then sweep the siblings'
         // stealers starting after our own slot (FIFO — coarsest unit).
         let mut saw_retry = false;
@@ -311,12 +323,11 @@ fn worker_loop(
             }
         }
 
-        let s = enumerator.explore_with_prefix(&unit, visitor);
-        local.nodes += s.nodes;
-        local.pruned += s.pruned;
-        local.plans_found += s.plans;
+        explore_unit(enumerator, &unit, visitor, local);
         shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         if visitor.was_aborted() {
+            // A budget ran out (or a sibling's stop landed): make sure
+            // every sibling stops too.
             shared.stop.store(true, Ordering::Relaxed);
             break;
         }
@@ -357,8 +368,8 @@ mod tests {
     use crate::cost::{CostVector, Thresholds};
     use crate::search::CapsSearch;
     use capsys_model::{
-        Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind, Placement,
-        ResourceProfile, WorkerSpec,
+        Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind,
+        PhysicalGraph, Placement, ResourceProfile, WorkerSpec,
     };
     use std::collections::HashMap;
 

@@ -45,7 +45,9 @@ pub struct SearchConfig {
     pub thresholds: Option<Thresholds>,
     /// Explore resource-intensive operators first (§4.4.2).
     pub reorder: bool,
-    /// Worker threads for the parallel search (§5.1). `1` is sequential.
+    /// Threads of the work-stealing DFS (§5.1). `1` explores on the
+    /// caller's thread and spawns none; its stored plans keep discovery
+    /// order and its anytime curve is reported.
     pub threads: usize,
     /// Stop at the first feasible plan instead of exploring exhaustively.
     pub first_feasible: bool,
@@ -232,10 +234,9 @@ pub struct SearchOutcome {
     /// Per-dimension pressure weights used for plan selection.
     pub pressure: [f64; 3],
     /// Best-cost-vs-nodes improvement points, monotonically decreasing in
-    /// cost. Populated by the single-threaded backends (sequential DFS
-    /// and MCTS), whose exploration order is deterministic; the parallel
-    /// DFS leaves it empty because improvement times are schedule-
-    /// dependent.
+    /// cost. Populated where exploration order is deterministic — the
+    /// DFS at `threads == 1`, and MCTS; the DFS on more threads leaves it
+    /// empty because improvement times are schedule-dependent.
     pub anytime: Vec<AnytimePoint>,
     /// MCTS tree diagnostics, when the MCTS backend ran.
     pub mcts: Option<MctsReport>,
@@ -413,20 +414,14 @@ pub(crate) struct CapsVisitor<'a> {
     worst_idx: Option<usize>,
     max_plans: usize,
     first_feasible: bool,
-    /// When set, leaves are recorded as raw count matrices (partial
-    /// plans) instead of materialized placements; used by the
-    /// partitioned search, whose leaves cover only one operator chunk.
-    capture_raw: bool,
-    best_raw: Option<(Vec<Vec<usize>>, CostVector)>,
     // Budgets / cooperative stop.
     nodes: usize,
     node_budget: usize,
+    /// Polled once every `TIME_CHECK_MASK + 1` nodes.
     deadline: Option<Instant>,
-    /// Shared deadline flag for the parallel search: one watchdog thread
-    /// polls the clock and raises this, so workers never call
-    /// `Instant::now` themselves.
-    deadline_flag: Option<&'a std::sync::atomic::AtomicBool>,
-    stop_flag: Option<&'a std::sync::atomic::AtomicBool>,
+    /// Shared cooperative stop, polled with the deadline and raised by a
+    /// first-feasible leaf.
+    stop_flag: &'a std::sync::atomic::AtomicBool,
     /// Shared best-so-far `max_component` cost (f64 bits), for
     /// incumbent-bound pruning across threads.
     incumbent: Option<&'a std::sync::atomic::AtomicU64>,
@@ -457,7 +452,7 @@ impl<'a> CapsVisitor<'a> {
         bound: [Fixed64; 3],
         config: &SearchConfig,
         deadline: Option<Instant>,
-        stop_flag: Option<&'a std::sync::atomic::AtomicBool>,
+        stop_flag: &'a std::sync::atomic::AtomicBool,
     ) -> CapsVisitor<'a> {
         let n_ops = physical.num_operators();
         let num_workers = model.num_workers();
@@ -478,12 +473,9 @@ impl<'a> CapsVisitor<'a> {
             worst_idx: None,
             max_plans: config.max_plans,
             first_feasible: config.first_feasible,
-            capture_raw: false,
-            best_raw: None,
             nodes: 0,
             node_budget: config.node_budget.unwrap_or(usize::MAX),
             deadline,
-            deadline_flag: None,
             stop_flag,
             incumbent: None,
             incumbent_bits: f64::INFINITY.to_bits(),
@@ -564,13 +556,6 @@ impl<'a> CapsVisitor<'a> {
         key
     }
 
-    /// Installs a shared deadline flag (set by a watchdog thread) in
-    /// place of per-thread `Instant::now` polling.
-    pub(crate) fn set_deadline_flag(&mut self, flag: &'a std::sync::atomic::AtomicBool) {
-        self.deadline_flag = Some(flag);
-        self.deadline = None;
-    }
-
     /// Installs a shared incumbent cell (best `max_component` cost so
     /// far, stored as f64 bits) and enables pruning against it.
     pub(crate) fn set_incumbent(&mut self, cell: &'a std::sync::atomic::AtomicU64) {
@@ -610,47 +595,6 @@ impl<'a> CapsVisitor<'a> {
         self.aborted
     }
 
-    /// Switches the visitor to raw (partial-plan) capture.
-    pub(crate) fn set_capture_raw(&mut self) {
-        self.capture_raw = true;
-    }
-
-    /// The best partial plan captured in raw mode, if any.
-    pub(crate) fn take_best_raw(&mut self) -> Option<(Vec<Vec<usize>>, CostVector)> {
-        self.best_raw.take()
-    }
-
-    /// Pre-places `row[w]` tasks of `op` on each worker `w`, bypassing
-    /// the pruning bound: earlier partitions are fixed decisions.
-    ///
-    /// Tasks are seeded in ascending worker order, matching the
-    /// materialization of [`Placement::from_op_counts`], so the network
-    /// accounting stays exact.
-    pub(crate) fn seed_counts(&mut self, op: OperatorId, row: &[usize]) {
-        for (w, &c) in row.iter().enumerate() {
-            let start = self.append_deltas(w, op.0, c);
-            for i in start..self.delta_arena.len() {
-                let (dw, d) = self.delta_arena[i];
-                for (load, add) in self.load[dw].iter_mut().zip(&d) {
-                    *load += *add;
-                }
-            }
-            self.cnt[op.0][w] += c;
-            self.subtask_worker[op.0].extend(std::iter::repeat_n(w, c));
-            self.undo_marks.push(start);
-        }
-    }
-
-    /// Pressure-weighted selection key (same rule as
-    /// [`SearchOutcome::best_scored`]).
-    fn weighted_key(&self, cost: &CostVector) -> f64 {
-        let p = self.model.pressure();
-        let max_p = p.iter().cloned().fold(0.0f64, f64::max).max(1e-9);
-        (cost.cpu * p[0] / max_p)
-            .max(cost.io * p[1] / max_p)
-            .max(cost.net * p[2] / max_p)
-    }
-
     /// The exact bottleneck loads of the current (complete) assignment.
     fn bottleneck_loads(&self) -> [Fixed64; 3] {
         let mut worst = [Fixed64::ZERO; 3];
@@ -684,17 +628,9 @@ impl<'a> CapsVisitor<'a> {
                     return true;
                 }
             }
-            if let Some(f) = self.deadline_flag {
-                if f.load(std::sync::atomic::Ordering::Relaxed) {
-                    self.aborted = true;
-                    return true;
-                }
-            }
-            if let Some(f) = self.stop_flag {
-                if f.load(std::sync::atomic::Ordering::Relaxed) {
-                    self.aborted = true;
-                    return true;
-                }
+            if self.stop_flag.load(std::sync::atomic::Ordering::Relaxed) {
+                self.aborted = true;
+                return true;
             }
         }
         false
@@ -811,16 +747,6 @@ impl<'a> CapsVisitor<'a> {
                     Err(seen) => cur = seen,
                 }
             }
-        }
-        if self.capture_raw {
-            let better = match &self.best_raw {
-                Some((_, best)) => self.weighted_key(&cost) < self.weighted_key(best),
-                None => true,
-            };
-            if better {
-                self.best_raw = Some((counts.to_vec(), cost));
-            }
-            return;
         }
         if self.max_plans == 0 {
             return;
@@ -941,9 +867,7 @@ impl PlanVisitor for CapsVisitor<'_> {
         self.plans_seen += 1;
         self.record(counts);
         if self.first_feasible {
-            if let Some(f) = self.stop_flag {
-                f.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
+            self.stop_flag.store(true, std::sync::atomic::Ordering::Relaxed);
             return false;
         }
         true
@@ -1162,8 +1086,7 @@ impl<'a> CapsSearch<'a> {
             anytime,
             mcts,
         } = match &config.backend {
-            SearchBackend::Dfs if config.threads <= 1 => crate::strategy::SequentialDfs.search(&ctx)?,
-            SearchBackend::Dfs => crate::strategy::ParallelDfs.search(&ctx)?,
+            SearchBackend::Dfs => crate::strategy::DfsStrategy.search(&ctx)?,
             SearchBackend::Mcts(mcfg) => crate::mcts::MctsStrategy::new(mcfg.clone()).search(&ctx)?,
         };
 
@@ -1250,10 +1173,6 @@ impl<'a> CapsSearch<'a> {
     /// The worker cluster this search places onto.
     pub fn cluster(&self) -> &Cluster {
         self.cluster
-    }
-
-    pub(crate) fn topology(&self) -> &OpTopology {
-        &self.topo
     }
 }
 

@@ -3,14 +3,14 @@
 //! [`CapsSearch::run_with_thresholds`](crate::CapsSearch::run_with_thresholds)
 //! prepares one problem instance — the exploration order, the exact
 //! per-dimension load bound, the symmetry-deduplicated
-//! [`PlanEnumerator`], and (for the DFS backends) the dead-state memo —
-//! and then hands it to a [`SearchStrategy`]. Three backends implement
-//! the trait:
+//! [`PlanEnumerator`], and (for the DFS) the dead-state memo — and then
+//! hands it to a [`SearchStrategy`]. Two backends implement the trait:
 //!
-//! * [`SequentialDfs`] — the threshold-pruned exhaustive DFS of §4.3-4.4,
-//!   single-threaded;
-//! * [`ParallelDfs`] — the same search under the work-stealing thread
-//!   pool of §5.1 (`crate::parallel`);
+//! * [`DfsStrategy`] — the threshold-pruned exhaustive DFS of §4.3-4.4
+//!   under the work-stealing runner of §5.1 (`crate::parallel`). One
+//!   kernel serves every thread count: one thread explores the whole
+//!   tree as a single unit on the caller's thread, more threads split
+//!   it and steal;
 //! * [`MctsStrategy`](crate::mcts::MctsStrategy) — a seeded,
 //!   deterministic Monte Carlo Tree Search for plan spaces too large to
 //!   exhaust.
@@ -29,14 +29,14 @@ use crate::cost::CostModel;
 use crate::error::CapsError;
 use crate::mcts::{MctsConfig, MctsReport};
 use crate::memo::MemoSetup;
-use crate::search::{AnytimePoint, CapsVisitor, OpTopology, RunStats, ScoredPlan, SearchConfig};
+use crate::search::{AnytimePoint, OpTopology, RunStats, ScoredPlan, SearchConfig};
 
 /// Which search algorithm a [`SearchConfig`] selects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchBackend {
-    /// Threshold-pruned exhaustive DFS — sequential for `threads == 1`,
-    /// the work-stealing parallel search otherwise. Exhaustive within
-    /// its budget: an un-aborted run proves (in)feasibility.
+    /// Threshold-pruned exhaustive DFS under the work-stealing runner,
+    /// on `threads` threads (one runs on the caller's thread). Exhaustive
+    /// within its budget: an un-aborted run proves (in)feasibility.
     Dfs,
     /// Seeded Monte Carlo Tree Search (UCT) over placement prefixes. An
     /// anytime search: it returns its best feasible plans within the
@@ -123,7 +123,7 @@ pub struct BackendResult {
     pub stats: RunStats,
     /// Best-cost improvement points (empty when schedule-dependent).
     pub anytime: Vec<AnytimePoint>,
-    /// MCTS diagnostics, `None` for the DFS backends.
+    /// MCTS diagnostics, `None` for the DFS.
     pub mcts: Option<MctsReport>,
 }
 
@@ -140,80 +140,16 @@ pub trait SearchStrategy {
     fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>;
 }
 
-/// The single-threaded threshold-pruned DFS (§4.3-4.4).
-pub struct SequentialDfs;
+/// The threshold-pruned DFS (§4.3-4.4) under the work-stealing runner
+/// (§5.1), for every thread count.
+pub struct DfsStrategy;
 
-impl SearchStrategy for SequentialDfs {
+impl SearchStrategy for DfsStrategy {
     fn name(&self) -> &'static str {
         "dfs"
     }
 
     fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let incumbent = std::sync::atomic::AtomicU64::new(f64::INFINITY.to_bits());
-        let mut visitor = CapsVisitor::new(
-            ctx.physical,
-            ctx.model,
-            ctx.topo,
-            ctx.bound,
-            ctx.config,
-            ctx.deadline,
-            Some(&stop),
-        );
-        if ctx.config.incumbent_prune {
-            visitor.set_incumbent(&incumbent);
-        }
-        if let Some(setup) = ctx.memo {
-            visitor.set_memo(setup);
-        }
-        let s = ctx.enumerator.explore(&mut visitor);
-        let aborted = visitor.was_aborted();
-        let memo_hits = visitor.memo_hits();
-        let anytime = visitor.take_anytime();
-        Ok(BackendResult {
-            plans: visitor.into_found(),
-            stats: RunStats {
-                nodes: s.nodes,
-                pruned: s.pruned,
-                plans_found: s.plans,
-                memo_hits,
-                elapsed: ctx.start.elapsed(),
-                threads: 1,
-                aborted,
-            },
-            anytime,
-            mcts: None,
-        })
-    }
-}
-
-/// The work-stealing parallel DFS (§5.1).
-pub struct ParallelDfs;
-
-impl SearchStrategy for ParallelDfs {
-    fn name(&self) -> &'static str {
-        "parallel-dfs"
-    }
-
-    fn search(&self, ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError> {
-        let (plans, stats) = crate::parallel::run_parallel(
-            ctx.physical,
-            ctx.model,
-            ctx.topo,
-            ctx.enumerator,
-            ctx.bound,
-            ctx.memo,
-            ctx.config,
-            ctx.deadline,
-            ctx.start,
-        )?;
-        Ok(BackendResult {
-            plans,
-            stats,
-            // Improvement times depend on the steal schedule; reporting
-            // them would leak nondeterminism into the outcome.
-            anytime: Vec::new(),
-            mcts: None,
-        })
+        crate::parallel::run(ctx)
     }
 }

@@ -181,48 +181,6 @@ impl PlanEnumerator {
         }
     }
 
-    /// Restricts the outer search to a subset of operators.
-    ///
-    /// Operators not in `order` are left unplaced; leaves then cover only
-    /// the listed operators (their counts for other operators are zero).
-    /// Used by partitioned placement, which fixes earlier partitions and
-    /// searches one chunk at a time.
-    pub fn with_partial_order(
-        mut self,
-        order: Vec<OperatorId>,
-    ) -> Result<PlanEnumerator, ModelError> {
-        let mut seen = vec![false; self.parallelism.len()];
-        for id in &order {
-            if id.0 >= seen.len() || seen[id.0] {
-                return Err(ModelError::InvalidParameter(format!(
-                    "partial order has duplicate or unknown id {}",
-                    id.0
-                )));
-            }
-            seen[id.0] = true;
-        }
-        let needed: usize = order.iter().map(|id| self.parallelism[id.0]).sum();
-        let available: usize = self.free_slots.iter().sum();
-        if needed > available {
-            return Err(ModelError::InsufficientSlots {
-                tasks: needed,
-                slots: available,
-            });
-        }
-        self.op_order = order;
-        Ok(self)
-    }
-
-    /// Limits the outer search to the first `depth` operators.
-    ///
-    /// Leaves then correspond to *partial* placement plans covering only
-    /// the first `depth` operators of the exploration order. Used to
-    /// generate work units for the parallel CAPS search.
-    pub fn with_depth_limit(mut self, depth: usize) -> PlanEnumerator {
-        self.depth_limit = Some(depth.min(self.op_order.len()));
-        self
-    }
-
     /// Enumerates all partial assignments of the first `depth` operators.
     ///
     /// Each returned prefix is a list of per-layer rows: `prefix[k][w]` is
@@ -965,15 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_limit_zero_reports_single_empty_leaf() {
-        let p = chain(&[2, 2]);
-        let c = cluster(2, 2);
-        let e = PlanEnumerator::new(&p, &c).unwrap().with_depth_limit(0);
-        let stats = e.explore(&mut CountOnly);
-        assert_eq!(stats.plans, 1);
-    }
-
-    #[test]
     fn free_slots_constrain_placement() {
         // 2 tasks, 2 workers, worker 0 has no free slots: everything on
         // worker 1.
@@ -1030,36 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_order_places_subset() {
-        let p = chain(&[2, 3, 1]);
-        let c = cluster(3, 3);
-        let e = PlanEnumerator::new(&p, &c)
-            .unwrap()
-            .with_partial_order(vec![OperatorId(1)])
-            .unwrap();
-        struct Check(usize);
-        impl PlanVisitor for Check {
-            fn place(&mut self, _: usize, _: OperatorId, _: usize) -> bool {
-                true
-            }
-            fn unplace(&mut self, _: usize, _: OperatorId, _: usize) {}
-            fn leaf(&mut self, counts: &[Vec<usize>]) -> bool {
-                // Only operator 1's tasks placed.
-                let placed0: usize = counts.iter().map(|r| r[0]).sum();
-                let placed1: usize = counts.iter().map(|r| r[1]).sum();
-                let placed2: usize = counts.iter().map(|r| r[2]).sum();
-                assert_eq!((placed0, placed1, placed2), (0, 3, 0));
-                self.0 += 1;
-                true
-            }
-        }
-        let mut v = Check(0);
-        let stats = e.explore(&mut v);
-        assert!(stats.plans > 0);
-        assert_eq!(stats.plans, v.0);
-    }
-
-    #[test]
     fn invalid_free_slots_and_groups_rejected() {
         let p = chain(&[2, 2]);
         let c = cluster(2, 2);
@@ -1079,12 +998,6 @@ mod tests {
             .unwrap()
             .with_worker_groups(vec![0, 1, 0])
             .is_err());
-        // Partial order over more tasks than free capacity.
-        let e = PlanEnumerator::new(&p, &c)
-            .unwrap()
-            .with_free_slots(vec![1, 0])
-            .unwrap();
-        assert!(e.with_partial_order(vec![OperatorId(0)]).is_err());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 #   6. full test suite (debug), including the determinism golden test;
 #      then the capsys-util suite again in release with
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
-#   7. determinism golden test again in release (debug/release parity);
+#   7. determinism and search-outcome golden tests again in release
+#      (debug/release parity);
 #   8. one smoke bench end-to-end, emitting a timing result;
 #   9. chaos smoke — seeded fault injection + self-healing recovery
 #      under three distinct seeds, each with a same-seed replay check;
@@ -193,8 +194,8 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/17" "determinism golden test (release)"
-cargo test -q --release --test golden_determinism
+step "7/17" "determinism + search golden tests (release)"
+cargo test -q --release --test golden_determinism --test search_golden
 step_done
 
 step "8/17" "smoke bench (quick mode, end-to-end)"

@@ -135,3 +135,38 @@ fn parallel_search_is_deterministic_in_results() {
     let best_par = par.best_scored().unwrap().cost;
     assert!((best_seq.max_component() - best_par.max_component()).abs() < 1e-9);
 }
+
+#[test]
+fn time_budget_fires_inside_the_kernel() {
+    // A zero budget returns before the DFS starts; a small non-zero one
+    // must be caught by the deadline poll inside the traversal. The
+    // exhaustive Q3-inf x2 space on 8 workers takes far longer than the
+    // budget at any thread count, so every run must stop itself.
+    let query = q3_inf().scaled(2).unwrap();
+    let cluster = Cluster::homogeneous(8, WorkerSpec::r5d_xlarge(4)).unwrap();
+    let physical = query.physical();
+    let loads = query.load_model(&physical).unwrap();
+    let search = CapsSearch::new(query.logical(), &physical, &cluster, &loads).unwrap();
+    for threads in [1usize, 2] {
+        let config = SearchConfig {
+            threads,
+            time_budget: Some(std::time::Duration::from_millis(20)),
+            ..SearchConfig::exhaustive()
+        };
+        let t0 = std::time::Instant::now();
+        let out = search.run(&config).unwrap();
+        let wall = t0.elapsed();
+        assert!(
+            out.stats.aborted,
+            "20 ms budget did not abort at {threads} threads"
+        );
+        assert!(
+            out.stats.nodes > 0,
+            "the kernel ran before the deadline fired"
+        );
+        assert!(
+            wall < std::time::Duration::from_millis(500),
+            "deadline overshot at {threads} threads: {wall:?}"
+        );
+    }
+}
