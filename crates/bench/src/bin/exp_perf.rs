@@ -1,10 +1,10 @@
 //! Search-performance trajectory: nodes/sec, wall time, thread scaling,
-//! and auto-tune warm-start gains, recorded PR-over-PR.
+//! and auto-tune probe counts, recorded so successive versions compare.
 //!
 //! Runs the CAPS search on a Table-2-scale topology (Q3-inf ×2 on an
 //! 8-worker cluster; `--smoke` shrinks to Q3-inf on 5 workers) across
-//! `threads ∈ {1, 2, 4, 8}`, then times threshold auto-tuning with the
-//! warm-start probe cache on and off. Results are written to
+//! `threads ∈ {1, 2, 4, 8}`, then times threshold auto-tuning and
+//! records how many of its grid steps needed a search. Results are written to
 //! `BENCH_search.json` at the repository root so successive PRs leave a
 //! comparable perf record.
 //!
@@ -19,14 +19,13 @@
 //! runners.
 //!
 //! The smoke mode sanity-checks the run: the feasible plan count must be
-//! identical across thread counts and the warm-started tuner must not
-//! launch more probe searches than the cold one.
+//! identical across thread counts.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use capsys_bench::banner;
-use capsys_core::{AutoTuneConfig, AutoTuner, CapsSearch, SearchConfig, Thresholds};
+use capsys_core::{AutoTuner, CapsSearch, SearchConfig, Thresholds};
 use capsys_model::{
     Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind, PhysicalGraph,
     ResourceProfile, WorkerSpec,
@@ -95,7 +94,7 @@ fn main() {
     let smoke = parse_args();
     banner(
         "Search perf",
-        "nodes/sec, thread scaling, auto-tune warm-start",
+        "nodes/sec, thread scaling, auto-tune probes",
         "§5.1-5.2",
     );
 
@@ -226,35 +225,16 @@ fn main() {
         println!("\nspeedup columns suppressed: 1 hardware thread");
     }
 
-    // --- Auto-tune warm-start -------------------------------------------
+    // --- Auto-tune -------------------------------------------------------
     let tune_base = SearchConfig::auto_tuned();
-    let cold_cfg = AutoTuneConfig {
-        warm_start: false,
-        ..AutoTuneConfig::default()
-    };
     let t0 = Instant::now();
-    let warm = AutoTuner::new(&tune_base.auto_tune)
+    let tuned = AutoTuner::new(&tune_base.auto_tune)
         .tune(&search, &tune_base)
-        .expect("warm tune");
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let cold = AutoTuner::new(&cold_cfg)
-        .tune(&search, &tune_base)
-        .expect("cold tune");
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        warm.thresholds, cold.thresholds,
-        "warm-start must not change the tuned thresholds"
-    );
-    assert!(
-        warm.probe_searches <= cold.probe_searches,
-        "warm-start launched more searches ({}) than cold ({})",
-        warm.probe_searches,
-        cold.probe_searches
-    );
+        .expect("auto-tune");
+    let tune_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(
-        "auto-tune: warm {:.1} ms ({} searches + {} cache hits), cold {:.1} ms ({} searches)",
-        warm_ms, warm.probe_searches, warm.cache_hits, cold_ms, cold.probe_searches
+        "auto-tune: {:.1} ms, {} grid steps ({} searches + {} cache hits)",
+        tune_ms, tuned.iterations, tuned.probe_searches, tuned.cache_hits
     );
 
     // --- Speedup gate ----------------------------------------------------
@@ -372,7 +352,7 @@ fn main() {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let record = obj(vec![
-        ("schema", Json::Str("capsys/bench-search/v2".into())),
+        ("schema", Json::Str("capsys/bench-search/v3".into())),
         (
             "mode",
             Json::Str(if smoke { "smoke" } else { "full" }.into()),
@@ -427,24 +407,16 @@ fn main() {
         (
             "autotune",
             obj(vec![
-                ("warm_ms", Json::Num(warm_ms)),
-                ("cold_ms", Json::Num(cold_ms)),
-                ("speedup", Json::Num(cold_ms / warm_ms)),
-                (
-                    "warm_probe_searches",
-                    Json::Num(warm.probe_searches as f64),
-                ),
-                ("warm_cache_hits", Json::Num(warm.cache_hits as f64)),
-                (
-                    "cold_probe_searches",
-                    Json::Num(cold.probe_searches as f64),
-                ),
+                ("ms", Json::Num(tune_ms)),
+                ("iterations", Json::Num(tuned.iterations as f64)),
+                ("probe_searches", Json::Num(tuned.probe_searches as f64)),
+                ("cache_hits", Json::Num(tuned.cache_hits as f64)),
                 (
                     "thresholds",
                     obj(vec![
-                        ("cpu", Json::Num(warm.thresholds.cpu)),
-                        ("io", Json::Num(warm.thresholds.io)),
-                        ("net", Json::Num(warm.thresholds.net)),
+                        ("cpu", Json::Num(tuned.thresholds.cpu)),
+                        ("io", Json::Num(tuned.thresholds.io)),
+                        ("net", Json::Num(tuned.thresholds.net)),
                     ]),
                 ),
             ]),
@@ -483,7 +455,7 @@ fn main() {
     }
     assert_eq!(
         parsed.get("schema").and_then(Json::as_str),
-        Some("capsys/bench-search/v2")
+        Some("capsys/bench-search/v3")
     );
     // The skip marker (or enforcement record) must have landed on disk.
     assert!(

@@ -17,20 +17,30 @@
 //! A configurable timeout bounds the total tuning time; hitting it
 //! returns [`CapsError::AutoTuneTimeout`].
 //!
-//! Both phases are **warm-started** (on by default): every feasibility
-//! probe that finds a witness plan caches the witness's cost vector, and
-//! every probe that comes up empty caches the threshold vector it failed
-//! under. Feasibility is monotone in `α⃗`, so a later probe whose
-//! thresholds admit a cached witness is feasible without searching, and
-//! one whose thresholds are component-wise tighter than a cached failure
-//! is infeasible without searching. Each cache hit replaces an entire
-//! first-feasible search with an O(1) check.
+//! Both phases walk their grid with one routine, `scan`, which answers
+//! most grid steps without a search. Feasibility is monotone in `α⃗`:
+//!
+//! * every probe that finds a witness plan caches its cost vector, and a
+//!   later step whose thresholds admit a cached witness is feasible;
+//! * a probe that exhausts its tree without a plan also reports, per
+//!   dimension, the smallest load that crossed the bound on a pruned
+//!   branch (the IDA* next-bound rule, Korf 1985). A later step whose
+//!   exact load bound stays below that overflow in every dimension that
+//!   recorded one prunes every branch the failed search pruned, so it
+//!   fails too and is skipped.
+//!
+//! Both rules are exact, so the tuner stops at the same grid point, with
+//! the same iteration count, as one search per step would; only the
+//! number of searches drops. A probe that aborts on its node budget
+//! reports no overflow and relaxes exactly one step.
 
 use std::time::{Duration, Instant};
 
+use capsys_util::fixed::Fixed64;
+
 use crate::cost::{CostVector, Thresholds};
 use crate::error::CapsError;
-use crate::search::{CapsSearch, SearchConfig};
+use crate::search::{CapsSearch, Probe, SearchConfig};
 
 /// Configuration of the threshold auto-tuner.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,11 +66,6 @@ pub struct AutoTuneConfig {
     /// threshold is relaxed further — a conservative early exit that
     /// keeps tuning fast on very large plan spaces.
     pub probe_node_budget: usize,
-    /// Re-validate cached witness plans (and cached infeasible threshold
-    /// vectors) before launching a probe search. Monotonicity of
-    /// feasibility in `α⃗` makes both reuses exact, so this changes the
-    /// probe *cost*, never the tuned thresholds.
-    pub warm_start: bool,
 }
 
 impl Default for AutoTuneConfig {
@@ -72,7 +77,6 @@ impl Default for AutoTuneConfig {
             timeout: Duration::from_secs(5),
             min_pressure: 0.05,
             probe_node_budget: 2_000_000,
-            warm_start: true,
         }
     }
 }
@@ -84,67 +88,41 @@ pub struct AutoTuneReport {
     pub thresholds: Thresholds,
     /// Phase-1 per-dimension minima `[α_cpu, α_io, α_net]`.
     pub per_dimension: [f64; 3],
-    /// Total feasibility probes performed (searches plus cache hits).
+    /// Total grid steps probed (searches plus cache hits).
     pub iterations: usize,
-    /// Probes answered by an actual first-feasible search.
+    /// Steps answered by an actual first-feasible search.
     pub probe_searches: usize,
-    /// Probes answered from the warm-start caches without searching.
+    /// Steps answered without searching: a cached witness fits, or the
+    /// last failed search's overflow proves the step fails.
     pub cache_hits: usize,
     /// Total tuning time.
     pub elapsed: Duration,
 }
 
-/// Warm-start state shared by all probes of one tuning run.
+/// What one tuning run has learned so far, shared by both phases.
 #[derive(Default)]
-struct ProbeCache {
+struct Probes {
     /// Cost vectors of witness plans found by earlier probes. Any
     /// thresholds a cached witness satisfies are feasible.
     witnesses: Vec<CostVector>,
-    /// Threshold vectors earlier probes failed under. Any thresholds
-    /// component-wise tighter than a cached failure are infeasible.
-    infeasible: Vec<[f64; 3]>,
+    iterations: usize,
     searches: usize,
     hits: usize,
 }
 
-impl ProbeCache {
-    /// Answers a feasibility probe, from cache when possible.
-    fn probe(
-        &mut self,
-        search: &CapsSearch<'_>,
-        th: &Thresholds,
-        base: &SearchConfig,
-        deadline: Instant,
-        warm: bool,
-    ) -> Result<bool, CapsError> {
-        if warm {
-            if self.witnesses.iter().any(|w| w.within(th)) {
-                self.hits += 1;
-                return Ok(true);
-            }
-            let tightens = |u: &[f64; 3]| {
-                [th.cpu, th.io, th.net]
-                    .iter()
-                    .zip(u)
-                    .all(|(a, b)| *a <= b + 1e-12)
-            };
-            if self.infeasible.iter().any(|u| tightens(u)) {
-                self.hits += 1;
-                return Ok(false);
-            }
-        }
-        self.searches += 1;
-        match search.find_witness(th, base, Some(deadline))? {
-            Some(w) => {
-                self.witnesses.push(w.cost);
-                Ok(true)
-            }
-            None => {
-                self.infeasible.push([th.cpu, th.io, th.net]);
-                Ok(false)
-            }
-        }
-    }
+/// Whether a grid step provably fails: its exact load `bound` stays
+/// below the failed search's `overflow` in every dimension that recorded
+/// one (`Fixed64::MAX` marks a dimension no pruned branch crossed).
+///
+/// The caller only asks about steps at least as loose as the failed one,
+/// so every branch that search kept is kept again, and every branch it
+/// cut crossed some dimension at a load of at least `overflow` — still
+/// above `bound`. The tree, and its lack of a plan, is unchanged.
+fn still_fails(bound: [Fixed64; 3], overflow: [Fixed64; 3]) -> bool {
+    bound
+        .iter()
+        .zip(&overflow)
+        .all(|(b, o)| *o == Fixed64::MAX || b < o)
 }
 
 /// The threshold auto-tuner.
@@ -177,9 +155,7 @@ impl<'a> AutoTuner<'a> {
         }
         let start = Instant::now();
         let deadline = start + self.config.timeout;
-        let mut iterations = 0usize;
-        let mut cache = ProbeCache::default();
-        let warm = self.config.warm_start;
+        let mut probes = Probes::default();
         let probe_base = SearchConfig {
             node_budget: Some(
                 base.node_budget
@@ -197,72 +173,95 @@ impl<'a> AutoTuner<'a> {
             if pressure[dim] < self.config.min_pressure {
                 continue;
             }
-            let mut alpha = search.cost_model().tightest_cost(dim);
-            loop {
-                let th = Thresholds::unbounded().with(crate::cost::Dimension::ALL[dim], alpha);
-                iterations += 1;
-                if cache.probe(search, &th, base, deadline, warm)? {
-                    per_dimension[dim] = alpha;
-                    break;
-                }
-                if alpha >= 1.0 {
-                    // C_i <= 1 holds for every plan, so an infeasible
-                    // alpha of 1 means no plan exists at all.
-                    return Err(CapsError::NoFeasiblePlan);
-                }
-                alpha = self.relax(alpha, self.config.phase1_factor).min(1.0);
-                if Instant::now() >= deadline {
-                    return Err(CapsError::AutoTuneTimeout {
-                        last_tried: {
-                            let mut t = per_dimension;
-                            t[dim] = alpha;
-                            t
-                        },
-                    });
-                }
-            }
+            let mut alpha = [f64::INFINITY; 3];
+            alpha[dim] = search.cost_model().tightest_cost(dim);
+            let found = self.scan(
+                search,
+                base,
+                deadline,
+                &mut probes,
+                alpha,
+                self.config.phase1_factor,
+            )?;
+            per_dimension[dim] = found[dim];
         }
 
         // Phase 2: joint relaxation of the active thresholds.
-        let mut th = Thresholds::new(per_dimension[0], per_dimension[1], per_dimension[2]);
-        let relax_active = |tuner: &AutoTuner<'_>, v: f64| {
-            if v.is_finite() {
-                tuner.relax(v, tuner.config.phase2_factor).min(1.0)
-            } else {
-                v
-            }
-        };
-        loop {
-            iterations += 1;
-            if cache.probe(search, &th, base, deadline, warm)? {
-                break;
-            }
-            let active_maxed = [th.cpu, th.io, th.net]
-                .iter()
-                .all(|v| !v.is_finite() || *v >= 1.0);
-            if active_maxed {
-                return Err(CapsError::NoFeasiblePlan);
-            }
-            th = Thresholds::new(
-                relax_active(self, th.cpu),
-                relax_active(self, th.io),
-                relax_active(self, th.net),
-            );
-            if Instant::now() >= deadline {
-                return Err(CapsError::AutoTuneTimeout {
-                    last_tried: [th.cpu, th.io, th.net],
-                });
-            }
-        }
+        let joint = self.scan(
+            search,
+            base,
+            deadline,
+            &mut probes,
+            per_dimension,
+            self.config.phase2_factor,
+        )?;
 
         Ok(AutoTuneReport {
-            thresholds: th,
+            thresholds: Thresholds::new(joint[0], joint[1], joint[2]),
             per_dimension,
-            iterations,
-            probe_searches: cache.searches,
-            cache_hits: cache.hits,
+            iterations: probes.iterations,
+            probe_searches: probes.searches,
+            cache_hits: probes.hits,
             elapsed: start.elapsed(),
         })
+    }
+
+    /// Walks one relaxation grid from `alpha` to its first feasible
+    /// point. Each step relaxes every finite component by `factor`
+    /// (clamped at 1); infinite components stay disabled.
+    ///
+    /// A step costs one first-feasible search unless a cached witness
+    /// fits it or the last failed search's overflow proves it fails
+    /// (see the module docs). Every step counts as one iteration either
+    /// way, so the walk is the one-search-per-step scan of §5.2.
+    fn scan(
+        &self,
+        search: &CapsSearch<'_>,
+        base: &SearchConfig,
+        deadline: Instant,
+        probes: &mut Probes,
+        mut alpha: [f64; 3],
+        factor: f64,
+    ) -> Result<[f64; 3], CapsError> {
+        let model = search.cost_model();
+        // The overflow of the last failed search; it covers the steps
+        // after it until one's bound reaches it in some dimension.
+        let mut overflow = None;
+        loop {
+            probes.iterations += 1;
+            let th = Thresholds::new(alpha[0], alpha[1], alpha[2]);
+            if probes.witnesses.iter().any(|w| w.within(&th)) {
+                probes.hits += 1;
+                return Ok(alpha);
+            }
+            if overflow.is_some_and(|o| still_fails(model.load_bound(&th), o)) {
+                probes.hits += 1;
+            } else {
+                probes.searches += 1;
+                match search.find_witness(&th, base, Some(deadline))? {
+                    Probe::Feasible(w) => {
+                        probes.witnesses.push(w.cost);
+                        return Ok(alpha);
+                    }
+                    Probe::Infeasible { overflow: o } => overflow = o,
+                }
+            }
+            if alpha.iter().all(|a| !a.is_finite() || *a >= 1.0) {
+                // C_i <= 1 holds for every plan, so failing with every
+                // active threshold at 1 means no plan exists at all.
+                return Err(CapsError::NoFeasiblePlan);
+            }
+            alpha = alpha.map(|a| {
+                if a.is_finite() {
+                    self.relax(a, factor).min(1.0)
+                } else {
+                    a
+                }
+            });
+            if Instant::now() >= deadline {
+                return Err(CapsError::AutoTuneTimeout { last_tried: alpha });
+            }
+        }
     }
 
     /// One relaxation step: geometric growth, bootstrapped by the seed
@@ -382,56 +381,30 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_thresholds_with_fewer_searches() {
-        // Warm-starting reuses exact monotonicity facts, so it must land
-        // on the same thresholds as a cold run while launching no more
-        // probe searches.
-        let (g, p, c, lm) = fixture();
-        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let warm_base = SearchConfig::auto_tuned();
-        let cold_base = SearchConfig {
-            auto_tune: AutoTuneConfig {
-                warm_start: false,
-                ..AutoTuneConfig::default()
-            },
-            ..SearchConfig::auto_tuned()
-        };
-        let warm = AutoTuner::new(&warm_base.auto_tune)
-            .tune(&search, &warm_base)
-            .unwrap();
-        let cold = AutoTuner::new(&cold_base.auto_tune)
-            .tune(&search, &cold_base)
-            .unwrap();
-        assert_eq!(warm.thresholds, cold.thresholds);
-        assert_eq!(warm.per_dimension, cold.per_dimension);
-        assert_eq!(warm.iterations, cold.iterations);
-        assert_eq!(cold.cache_hits, 0);
-        assert_eq!(cold.probe_searches, cold.iterations);
-        assert!(warm.probe_searches <= cold.probe_searches);
-        assert_eq!(warm.probe_searches + warm.cache_hits, warm.iterations);
-    }
-
-    #[test]
-    fn probe_cache_reuses_witnesses_and_failures() {
+    fn every_grid_step_is_a_search_or_a_hit() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
         let base = SearchConfig::auto_tuned();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut cache = ProbeCache::default();
-        let feasible = Thresholds::new(1.0, 1.0, 1.0);
-        let infeasible = Thresholds::new(0.0, 0.0, 0.0);
-        assert!(cache.probe(&search, &feasible, &base, deadline, true).unwrap());
-        assert!(!cache.probe(&search, &infeasible, &base, deadline, true).unwrap());
-        assert_eq!(cache.searches, 2);
-        // A looser vector than a known witness: answered from cache.
-        assert!(cache.probe(&search, &feasible, &base, deadline, true).unwrap());
-        // A tighter vector than a known failure: answered from cache.
-        assert!(!cache.probe(&search, &infeasible, &base, deadline, true).unwrap());
-        assert_eq!(cache.searches, 2);
-        assert_eq!(cache.hits, 2);
-        // Warm-start off: both go back to the search.
-        assert!(cache.probe(&search, &feasible, &base, deadline, false).unwrap());
-        assert_eq!(cache.searches, 3);
+        let report = AutoTuner::new(&base.auto_tune)
+            .tune(&search, &base)
+            .unwrap();
+        assert_eq!(report.probe_searches + report.cache_hits, report.iterations);
+        assert!(report.probe_searches >= 1);
+    }
+
+    #[test]
+    fn still_fails_needs_every_recorded_dimension_below_its_overflow() {
+        let fx = Fixed64::from_bits;
+        let none = Fixed64::MAX;
+        let overflow = [fx(10), none, fx(20)];
+        assert!(still_fails([fx(9), fx(1_000), fx(19)], overflow));
+        // An unrecorded dimension never blocks the skip, even unbounded.
+        assert!(still_fails([fx(9), none, fx(19)], overflow));
+        // Reaching the overflow in one recorded dimension may admit the
+        // branch that crossed it.
+        assert!(!still_fails([fx(10), fx(0), fx(19)], overflow));
+        assert!(!still_fails([fx(0), fx(0), fx(20)], overflow));
+        assert!(!still_fails([fx(0), fx(0), none], overflow));
     }
 
     #[test]

@@ -59,5 +59,7 @@ pub use error::CapsError;
 pub use mcts::{MctsConfig, MctsReport, MctsStrategy};
 pub use movemin::{min_movement_plan, MoveMinOutcome};
 pub use pareto::pareto_front;
-pub use search::{AnytimePoint, CapsSearch, RunStats, ScoredPlan, SearchConfig, SearchOutcome};
+pub use search::{
+    AnytimePoint, CapsSearch, Probe, RunStats, ScoredPlan, SearchConfig, SearchOutcome,
+};
 pub use strategy::{BackendResult, DfsStrategy, SearchBackend, SearchStrategy, StrategyContext};

@@ -714,6 +714,8 @@ impl SearchStrategy for MctsStrategy {
             },
             anytime: run.anytime,
             mcts: Some(report),
+            // Sampling never proves that a plan is absent.
+            overflow: None,
         })
     }
 }

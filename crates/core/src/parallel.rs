@@ -27,9 +27,15 @@
 //!   and units finer than depth 1 are only made when someone needs the
 //!   parallelism.
 //!
-//! Because the children of a prefix partition exactly its subtree (see
-//! `expand_prefix`), the set of feasible plans found — and the
-//! `plans_found` statistic — are independent of the steal schedule.
+//! Every split, the root's included, runs through a visitor
+//! ([`PlanEnumerator::expand_prefix`]): the split layer's
+//! placements are offered to it exactly as an unsplit traversal offers
+//! them, and only the children it admits become units. Those children
+//! cover every leaf of the parent's subtree, so the set of feasible
+//! plans found — and the `plans_found` statistic — are independent of
+//! the steal schedule. Without the dead-state memo, so is the set of
+//! branches the threshold bound cuts, and with it the run's overflow
+//! (`BackendResult::overflow`), which equals the one-thread value.
 //!
 //! Threads additionally share:
 //!
@@ -91,10 +97,10 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(stealers: Vec<Stealer<Unit>>, units: usize) -> Shared {
+    fn new(stealers: Vec<Stealer<Unit>>) -> Shared {
         Shared {
             stealers,
-            in_flight: AtomicUsize::new(units),
+            in_flight: AtomicUsize::new(0),
             starving: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
@@ -111,18 +117,28 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
         return Ok(run_on_caller(ctx));
     }
 
-    let units = ctx.enumerator.prefixes(1);
     let deques: Vec<Worker<Unit>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let shared = Shared::new(deques.iter().map(|d| d.stealer()).collect(), units.len());
+    let shared = Shared::new(deques.iter().map(|d| d.stealer()).collect());
+    // The seed units are the root's children that the bound admits,
+    // offered to a visitor exactly as the one-thread traversal offers
+    // them, so its cut branches count toward the overflow.
+    let mut root = new_visitor(ctx, &shared);
+    let units = ctx.enumerator.expand_prefix(&[], &mut root);
+    let mut overflow = root.overflow();
+    let mut stats = RunStats {
+        threads,
+        aborted: root.was_aborted(),
+        ..RunStats::default()
+    };
+    if stats.aborted {
+        shared.stop.store(true, Ordering::Relaxed);
+    }
+    shared.in_flight.store(units.len(), Ordering::Release);
     for (i, u) in units.into_iter().enumerate() {
         deques[i % threads].push(u);
     }
 
     let mut merged: Vec<ScoredPlan> = Vec::new();
-    let mut stats = RunStats {
-        threads,
-        ..RunStats::default()
-    };
     let mut panicked = false;
 
     std::thread::scope(|scope| {
@@ -134,8 +150,9 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
                     let mut visitor = new_visitor(ctx, shared);
                     let mut local = RunStats::default();
                     worker_loop(idx, &my, ctx.enumerator, shared, &mut visitor, &mut local);
+                    let overflow = visitor.overflow();
                     let found = harvest(visitor, &mut local);
-                    (found, local)
+                    (found, local, overflow)
                 }));
                 // A panicking thread's subtree is incomplete, so the run
                 // must fail; stop the siblings.
@@ -148,8 +165,11 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
 
         for h in handles {
             match h.join() {
-                Ok(Some((found, local))) => {
+                Ok(Some((found, local, theirs))) => {
                     merged.extend(found);
+                    for (mine, theirs) in overflow.iter_mut().zip(theirs) {
+                        *mine = (*mine).min(theirs);
+                    }
                     stats.nodes += local.nodes;
                     stats.pruned += local.pruned;
                     stats.plans_found += local.plans_found;
@@ -176,6 +196,7 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
         // would leak nondeterminism into the outcome.
         anytime: Vec::new(),
         mcts: None,
+        overflow: complete(&shared, &stats).then_some(overflow),
     })
 }
 
@@ -183,7 +204,7 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
 /// deque, no spawned thread and no merge. The store keeps discovery
 /// order, which `best_scored` relies on to break exact cost ties.
 fn run_on_caller(ctx: &StrategyContext<'_>) -> BackendResult {
-    let shared = Shared::new(Vec::new(), 1);
+    let shared = Shared::new(Vec::new());
     let mut visitor = new_visitor(ctx, &shared);
     let mut stats = RunStats {
         threads: 1,
@@ -191,6 +212,7 @@ fn run_on_caller(ctx: &StrategyContext<'_>) -> BackendResult {
     };
     explore_unit(ctx.enumerator, &[], &mut visitor, &mut stats);
     let anytime = visitor.take_anytime();
+    let overflow = visitor.overflow();
     let plans = harvest(visitor, &mut stats);
     stats.elapsed = ctx.start.elapsed();
     BackendResult {
@@ -198,7 +220,15 @@ fn run_on_caller(ctx: &StrategyContext<'_>) -> BackendResult {
         stats,
         anytime,
         mcts: None,
+        overflow: complete(&shared, &stats).then_some(overflow),
     }
+}
+
+/// Whether the run explored its whole tree: no budget abort and no stop
+/// (first-feasible hit, abort or panic) raised. Only then is the minimum
+/// overflow over the pruned branches a bound on every plan.
+fn complete(shared: &Shared, stats: &RunStats) -> bool {
+    !stats.aborted && !shared.stop.load(Ordering::Relaxed)
 }
 
 /// A visitor wired to the run's problem, deadline and shared cells.
@@ -305,26 +335,31 @@ fn worker_loop(
 
         // Adaptive re-split: while units are scarce (or a sibling is
         // starving), publish this unit's children instead of exploring
-        // it, so thieves can lift whole subtrees off our deque.
+        // it, so thieves can lift whole subtrees off our deque. The
+        // visitor sees the split layer's placements as the one-thread
+        // traversal would, and children it cuts are dropped; a unit
+        // with no admitted child is finished.
         let supply = shared.in_flight.load(Ordering::Relaxed);
         let hungry = shared.starving.load(Ordering::Relaxed) > 0;
         if unit.len() < split_cap
             && (supply < threads * LOW_WATER || (hungry && supply < threads * HIGH_WATER))
         {
-            let children = enumerator.expand_prefix(&unit);
-            if children.len() > 1 {
-                shared
-                    .in_flight
-                    .fetch_add(children.len() - 1, Ordering::AcqRel);
-                for child in children {
-                    my.push(child);
+            let children = enumerator.expand_prefix(&unit, visitor);
+            match children.len() {
+                0 => {
+                    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
                 }
-                continue;
+                n => {
+                    shared.in_flight.fetch_add(n - 1, Ordering::AcqRel);
+                    for child in children {
+                        my.push(child);
+                    }
+                }
             }
+        } else {
+            explore_unit(enumerator, &unit, visitor, local);
+            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         }
-
-        explore_unit(enumerator, &unit, visitor, local);
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         if visitor.was_aborted() {
             // A budget ran out (or a sibling's stop landed): make sure
             // every sibling stops too.

@@ -240,6 +240,30 @@ pub struct SearchOutcome {
     pub anytime: Vec<AnytimePoint>,
     /// MCTS tree diagnostics, when the MCTS backend ran.
     pub mcts: Option<MctsReport>,
+    /// Per dimension, the smallest exact load that crossed the threshold
+    /// bound on any pruned branch (`Fixed64::MAX` where none crossed).
+    /// `None` unless the DFS explored its whole tree: an aborted run, a
+    /// first-feasible stop and the MCTS backend all leave it unset.
+    ///
+    /// Every plan this run's bound cut carries a load at or above the
+    /// overflow in some dimension that recorded one, so a bound at least
+    /// this run's and below `overflow` in each such dimension admits
+    /// exactly this run's plans.
+    pub overflow: Option<[Fixed64; 3]>,
+}
+
+/// The answer of a first-feasible probe ([`CapsSearch::find_witness`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Probe {
+    /// A plan within the thresholds.
+    Feasible(ScoredPlan),
+    /// No plan was found. `overflow` is the exhausted run's
+    /// [`SearchOutcome::overflow`]; `None` means the probe aborted on its
+    /// node budget or deadline, or the backend cannot prove absence.
+    Infeasible {
+        /// Per-dimension minimum overflow load of the failed run.
+        overflow: Option<[Fixed64; 3]>,
+    },
 }
 
 impl SearchOutcome {
@@ -430,6 +454,9 @@ pub(crate) struct CapsVisitor<'a> {
     incumbent_bits: u64,
     /// Per-dimension exact load limits implied by the incumbent cost.
     incumbent_limit: [Fixed64; 3],
+    /// Per dimension, the smallest load that crossed `bound` on a pruned
+    /// branch (`Fixed64::MAX` while none has).
+    overflow: [Fixed64; 3],
     aborted: bool,
     // Dead-state memoization.
     memo: Option<&'a MemoSetup>,
@@ -480,6 +507,7 @@ impl<'a> CapsVisitor<'a> {
             incumbent: None,
             incumbent_bits: f64::INFINITY.to_bits(),
             incumbent_limit: [Fixed64::MAX; 3],
+            overflow: [Fixed64::MAX; 3],
             aborted: false,
             memo: None,
             memo_stack: Vec::new(),
@@ -593,6 +621,12 @@ impl<'a> CapsVisitor<'a> {
     /// Whether this visitor stopped early on a budget or stop flag.
     pub(crate) fn was_aborted(&self) -> bool {
         self.aborted
+    }
+
+    /// Per dimension, the smallest load that crossed the threshold bound
+    /// on any branch this visitor pruned (`Fixed64::MAX` where none did).
+    pub(crate) fn overflow(&self) -> [Fixed64; 3] {
+        self.overflow
     }
 
     /// The exact bottleneck loads of the current (complete) assignment.
@@ -819,12 +853,19 @@ impl PlanVisitor for CapsVisitor<'_> {
         // every worker the deltas touch. Bounds are exact inversions of
         // the cost predicate, so no epsilon is needed; the incumbent
         // limit admits equality, so plans tying the best cost survive.
+        // A threshold cut also lowers the dimension's overflow: any bound
+        // below it keeps this branch cut.
         for &(w, d) in &self.delta_arena[start..] {
             for dim in 0..3 {
                 let add = d[dim];
                 if add > Fixed64::ZERO {
                     let next = self.load[w][dim] + add;
-                    if next > self.bound[dim] || next > self.incumbent_limit[dim] {
+                    if next > self.bound[dim] {
+                        self.overflow[dim] = self.overflow[dim].min(next);
+                        self.delta_arena.truncate(start);
+                        return false;
+                    }
+                    if next > self.incumbent_limit[dim] {
                         self.delta_arena.truncate(start);
                         return false;
                     }
@@ -1042,6 +1083,7 @@ impl<'a> CapsSearch<'a> {
                 pressure: self.model.pressure(),
                 anytime: Vec::new(),
                 mcts: None,
+                overflow: None,
             });
         }
 
@@ -1085,6 +1127,7 @@ impl<'a> CapsSearch<'a> {
             stats,
             anytime,
             mcts,
+            overflow,
         } = match &config.backend {
             SearchBackend::Dfs => crate::strategy::DfsStrategy.search(&ctx)?,
             SearchBackend::Mcts(mcfg) => crate::mcts::MctsStrategy::new(mcfg.clone()).search(&ctx)?,
@@ -1114,20 +1157,23 @@ impl<'a> CapsSearch<'a> {
             pressure: self.model.pressure(),
             anytime,
             mcts,
+            overflow,
         })
     }
 
-    /// Runs a first-feasible probe and returns the witness plan, if any.
+    /// Runs a first-feasible probe: a witness plan, or the failed run's
+    /// minimum overflow.
     ///
     /// Used by the auto-tuner (§5.2): the witness's cost vector lets
     /// later probes re-validate it against relaxed thresholds in
-    /// O(plan-size) instead of launching a new search.
+    /// O(plan-size), and the overflow lets it skip every relaxed
+    /// threshold that provably still fails, without launching a search.
     pub fn find_witness(
         &self,
         thresholds: &Thresholds,
         config: &SearchConfig,
         deadline: Option<Instant>,
-    ) -> Result<Option<ScoredPlan>, CapsError> {
+    ) -> Result<Probe, CapsError> {
         let mut probe = SearchConfig {
             thresholds: Some(*thresholds),
             first_feasible: true,
@@ -1145,7 +1191,12 @@ impl<'a> CapsSearch<'a> {
             probe.time_budget = Some(remaining);
         }
         let outcome = self.run_with_thresholds(thresholds, &probe)?;
-        Ok(outcome.feasible.into_iter().next())
+        Ok(match outcome.feasible.into_iter().next() {
+            Some(witness) => Probe::Feasible(witness),
+            None => Probe::Infeasible {
+                overflow: outcome.overflow,
+            },
+        })
     }
 
     /// Returns true if at least one plan satisfies `thresholds`.
@@ -1157,7 +1208,10 @@ impl<'a> CapsSearch<'a> {
         config: &SearchConfig,
         deadline: Option<Instant>,
     ) -> Result<bool, CapsError> {
-        Ok(self.find_witness(thresholds, config, deadline)?.is_some())
+        Ok(matches!(
+            self.find_witness(thresholds, config, deadline)?,
+            Probe::Feasible(_)
+        ))
     }
 
     /// The logical graph this search was built from.

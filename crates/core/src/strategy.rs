@@ -125,6 +125,14 @@ pub struct BackendResult {
     pub anytime: Vec<AnytimePoint>,
     /// MCTS diagnostics, `None` for the DFS.
     pub mcts: Option<MctsReport>,
+    /// Per dimension, the smallest load that crossed the threshold bound
+    /// on any pruned branch (`Fixed64::MAX` where no branch crossed it).
+    /// Set only when the tree was explored completely; `None` when the
+    /// run aborted, a first-feasible stop fired, or the backend samples
+    /// instead of exhausting (MCTS). See [`SearchOutcome::overflow`].
+    ///
+    /// [`SearchOutcome::overflow`]: crate::search::SearchOutcome::overflow
+    pub overflow: Option<[Fixed64; 3]>,
 }
 
 /// A search algorithm over the CAPS plan space.

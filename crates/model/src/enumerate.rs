@@ -181,23 +181,6 @@ impl PlanEnumerator {
         }
     }
 
-    /// Enumerates all partial assignments of the first `depth` operators.
-    ///
-    /// Each returned prefix is a list of per-layer rows: `prefix[k][w]` is
-    /// the number of tasks of `order()[k]` placed on worker `w`.
-    pub fn prefixes(&self, depth: usize) -> Vec<Vec<Vec<usize>>> {
-        let depth = depth.min(self.op_order.len());
-        let mut limited = self.clone();
-        limited.depth_limit = Some(depth);
-        let mut v = PrefixCollect {
-            order: self.op_order.clone(),
-            depth,
-            out: Vec::new(),
-        };
-        limited.explore(&mut v);
-        v.out
-    }
-
     /// A canonical hash of the state a prefix leads to, invariant under
     /// permutation of workers.
     ///
@@ -230,15 +213,24 @@ impl PlanEnumerator {
         h
     }
 
-    /// Enumerates the child prefixes of `prefix`: every assignment of the
-    /// next outer layer with the given layers fixed.
+    /// Enumerates the child prefixes of `prefix` that `visitor` admits:
+    /// every assignment of the next outer layer with the given layers
+    /// fixed, offered to `visitor.place` exactly as a full traversal
+    /// offers them (the prefix's own rows first).
     ///
-    /// Together the children partition exactly the subtree under
-    /// `prefix`, so a work-stealing search can split one coarse work unit
-    /// into finer stealable units mid-run without visiting any leaf twice
-    /// or skipping one. A prefix that already fixes every layer is
-    /// returned unchanged as its own single child.
-    pub fn expand_prefix(&self, prefix: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
+    /// The admitted children partition the leaves under `prefix` that the
+    /// visitor would accept, so a work-stealing search can split one
+    /// coarse work unit into finer stealable units mid-run without
+    /// visiting any leaf twice or skipping one; and the visitor sees the
+    /// same `place` calls for the layer as a traversal that never split
+    /// there. A prefix that already fixes every layer is returned
+    /// unchanged as its own single child. An admit-everything visitor
+    /// yields every child; from the empty prefix, the depth-1 prefixes.
+    pub fn expand_prefix<V: PlanVisitor>(
+        &self,
+        prefix: &[Vec<usize>],
+        visitor: &mut V,
+    ) -> Vec<Vec<Vec<usize>>> {
         if prefix.len() >= self.op_order.len() {
             return vec![prefix.to_vec()];
         }
@@ -246,6 +238,7 @@ impl PlanEnumerator {
         let mut limited = self.clone();
         limited.depth_limit = Some(depth);
         let mut v = PrefixCollect {
+            inner: visitor,
             order: self.op_order.clone(),
             depth,
             out: Vec::new(),
@@ -372,19 +365,23 @@ impl PlanEnumerator {
     }
 }
 
-/// Collects the leaves of a depth-limited traversal as prefix rows; used
-/// by [`PlanEnumerator::prefixes`] and [`PlanEnumerator::expand_prefix`].
-struct PrefixCollect {
+/// Collects the leaves of a depth-limited traversal as prefix rows,
+/// passing placements through to `inner`; used by
+/// [`PlanEnumerator::expand_prefix`].
+struct PrefixCollect<'v, V> {
+    inner: &'v mut V,
     order: Vec<OperatorId>,
     depth: usize,
     out: Vec<Vec<Vec<usize>>>,
 }
 
-impl PlanVisitor for PrefixCollect {
-    fn place(&mut self, _: usize, _: OperatorId, _: usize) -> bool {
-        true
+impl<V: PlanVisitor> PlanVisitor for PrefixCollect<'_, V> {
+    fn place(&mut self, worker: usize, op: OperatorId, count: usize) -> bool {
+        self.inner.place(worker, op, count)
     }
-    fn unplace(&mut self, _: usize, _: OperatorId, _: usize) {}
+    fn unplace(&mut self, worker: usize, op: OperatorId, count: usize) {
+        self.inner.unplace(worker, op, count)
+    }
     fn leaf(&mut self, counts: &[Vec<usize>]) -> bool {
         let prefix: Vec<Vec<usize>> = self.order[..self.depth]
             .iter()
@@ -599,10 +596,11 @@ impl PlanVisitor for CollectAll<'_> {
     }
 }
 
-/// A visitor that only counts leaves.
-struct CountOnly;
+/// A visitor that admits every placement and every leaf; the traversal's
+/// own statistics count them.
+struct AcceptAll;
 
-impl PlanVisitor for CountOnly {
+impl PlanVisitor for AcceptAll {
     fn place(&mut self, _worker: usize, _op: OperatorId, _count: usize) -> bool {
         true
     }
@@ -634,7 +632,7 @@ pub fn enumerate_plans(
 /// Counts all distinct placement plans (up to symmetry).
 pub fn count_plans(physical: &PhysicalGraph, cluster: &Cluster) -> Result<usize, ModelError> {
     let enumerator = PlanEnumerator::new(physical, cluster)?;
-    let stats = enumerator.explore(&mut CountOnly);
+    let stats = enumerator.explore(&mut AcceptAll);
     Ok(stats.plans)
 }
 
@@ -753,7 +751,7 @@ mod tests {
             .unwrap()
             .with_order(vec![OperatorId(1), OperatorId(2), OperatorId(0)])
             .unwrap();
-        let stats = e.explore(&mut CountOnly);
+        let stats = e.explore(&mut AcceptAll);
         assert_eq!(stats.plans, base);
     }
 
@@ -826,11 +824,11 @@ mod tests {
         let g = b.build().unwrap();
         let p = PhysicalGraph::expand(&g);
         let c = cluster(2, 2);
-        let sym = PlanEnumerator::new(&p, &c).unwrap().explore(&mut CountOnly);
+        let sym = PlanEnumerator::new(&p, &c).unwrap().explore(&mut AcceptAll);
         let all = PlanEnumerator::new(&p, &c)
             .unwrap()
             .with_symmetry(false)
-            .explore(&mut CountOnly);
+            .explore(&mut AcceptAll);
         assert_eq!(sym.plans, 2);
         assert_eq!(all.plans, 3);
     }
@@ -840,7 +838,7 @@ mod tests {
         let p = chain(&[2, 3, 1]);
         let c = cluster(3, 3);
         let e = PlanEnumerator::new(&p, &c).unwrap();
-        let prefixes = e.prefixes(1);
+        let prefixes = e.expand_prefix(&[], &mut AcceptAll);
         // Partitions of 2 over 3 symmetric workers: {2}, {1,1}.
         assert_eq!(prefixes.len(), 2);
         for pre in &prefixes {
@@ -858,8 +856,8 @@ mod tests {
         let e = PlanEnumerator::new(&p, &c).unwrap();
         let total = count_plans(&p, &c).unwrap();
         let mut sum = 0;
-        for pre in e.prefixes(1) {
-            let stats = e.explore_with_prefix(&pre, &mut CountOnly);
+        for pre in e.expand_prefix(&[], &mut AcceptAll) {
+            let stats = e.explore_with_prefix(&pre, &mut AcceptAll);
             sum += stats.plans;
         }
         assert_eq!(sum, total);
@@ -875,14 +873,68 @@ mod tests {
         let e = PlanEnumerator::new(&p, &c).unwrap();
         let total = count_plans(&p, &c).unwrap();
         let mut sum = 0;
-        for pre in e.prefixes(1) {
-            for child in e.expand_prefix(&pre) {
+        for pre in e.expand_prefix(&[], &mut AcceptAll) {
+            for child in e.expand_prefix(&pre, &mut AcceptAll) {
                 assert_eq!(child.len(), 2);
                 assert_eq!(child[0], pre[0]);
-                sum += e.explore_with_prefix(&child, &mut CountOnly).plans;
+                sum += e.explore_with_prefix(&child, &mut AcceptAll).plans;
             }
         }
         assert_eq!(sum, total);
+    }
+
+    #[test]
+    fn expand_prefix_offers_the_layer_to_the_visitor() {
+        // A visitor that rejects more than one task of an operator per
+        // worker: expanding drops the children it rejects, makes the same
+        // `place` calls as an unsplit traversal of the layer, and the
+        // admitted children still hold every plan it accepts.
+        #[derive(Default)]
+        struct AtMostOne {
+            rejected: Vec<(usize, OperatorId, usize)>,
+        }
+        impl PlanVisitor for AtMostOne {
+            fn place(&mut self, w: usize, op: OperatorId, c: usize) -> bool {
+                if c > 1 {
+                    self.rejected.push((w, op, c));
+                }
+                c <= 1
+            }
+            fn unplace(&mut self, _: usize, _: OperatorId, _: usize) {}
+            fn leaf(&mut self, _: &[Vec<usize>]) -> bool {
+                true
+            }
+        }
+        let p = chain(&[2, 3, 1]);
+        let c = cluster(3, 3);
+        let e = PlanEnumerator::new(&p, &c).unwrap();
+        let mut whole = AtMostOne::default();
+        let accepted = e.explore(&mut whole).plans;
+        assert!(accepted > 0);
+
+        let mut split = AtMostOne::default();
+        let units = e.expand_prefix(&[], &mut split);
+        assert_eq!(
+            units,
+            vec![vec![vec![1, 1, 0]]],
+            "{{2}} on one worker is cut"
+        );
+        let mut sum = 0;
+        for pre in &units {
+            let children = e.expand_prefix(pre, &mut split);
+            assert!(children.iter().all(|ch| ch[1].iter().all(|&n| n <= 1)));
+            for child in children {
+                sum += e.explore_with_prefix(&child, &mut split).plans;
+            }
+        }
+        assert_eq!(sum, accepted);
+        // Each layer's rejections are made once, by the expansion that
+        // offered it, exactly as the unsplit traversal made them.
+        let mut a = whole.rejected.clone();
+        let mut b = split.rejected.clone();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -890,8 +942,11 @@ mod tests {
         let p = chain(&[2, 2]);
         let c = cluster(2, 2);
         let e = PlanEnumerator::new(&p, &c).unwrap();
-        for pre in e.prefixes(2) {
-            assert_eq!(e.expand_prefix(&pre), vec![pre.clone()]);
+        for pre in e.expand_prefix(&[], &mut AcceptAll) {
+            for full in e.expand_prefix(&pre, &mut AcceptAll) {
+                assert_eq!(full.len(), 2);
+                assert_eq!(e.expand_prefix(&full, &mut AcceptAll), vec![full.clone()]);
+            }
         }
     }
 
@@ -916,7 +971,7 @@ mod tests {
         let c = cluster(2, 2);
         let e = PlanEnumerator::new(&p, &c).unwrap();
         let mut v = Balance(0);
-        for pre in e.prefixes(1) {
+        for pre in e.expand_prefix(&[], &mut AcceptAll) {
             e.explore_with_prefix(&pre, &mut v);
             assert_eq!(v.0, 0);
         }
@@ -966,7 +1021,7 @@ mod tests {
             .unwrap()
             .with_free_slots(vec![2, 2])
             .unwrap();
-        let stats = e.explore(&mut CountOnly);
+        let stats = e.explore(&mut AcceptAll);
         assert_eq!(stats.plans, 3, "distinct groups disable dedup");
         // Re-merging the groups restores symmetric counting.
         let e = PlanEnumerator::new(&p, &c)
@@ -975,7 +1030,7 @@ mod tests {
             .unwrap()
             .with_worker_groups(vec![0, 0])
             .unwrap();
-        assert_eq!(e.explore(&mut CountOnly).plans, 2);
+        assert_eq!(e.explore(&mut AcceptAll).plans, 2);
     }
 
     #[test]
@@ -1082,7 +1137,7 @@ mod tests {
         assert_eq!(v.1, 3, "one boundary per outer layer");
         // The pairing must also hold under prefix exploration.
         let mut v = Depth(0, 0);
-        for pre in e.prefixes(1) {
+        for pre in e.expand_prefix(&[], &mut AcceptAll) {
             e.explore_with_prefix(&pre, &mut v);
             assert_eq!(v.0, 0);
         }

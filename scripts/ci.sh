@@ -22,13 +22,12 @@
 #   8. one smoke bench end-to-end, emitting a timing result;
 #   9. chaos smoke — seeded fault injection + self-healing recovery
 #      under three distinct seeds, each with a same-seed replay check;
-#  10. search perf smoke — thread-scaling + auto-tune warm-start +
+#  10. search perf smoke — thread-scaling + auto-tune probe counts +
 #      dead-state-memo run that writes BENCH_search.json and
 #      self-asserts (identical plan counts across thread counts,
-#      bit-exact stored costs, warm tune never probing more than cold,
-#      memo firing on the symmetric topology without changing the plan
-#      set, and a speedup floor that is explicitly marked skipped on
-#      machines with < 4 hardware threads);
+#      bit-exact stored costs, memo firing on the symmetric topology
+#      without changing the plan set, and a speedup floor that is
+#      explicitly marked skipped on machines with < 4 hardware threads);
 #  11. guard smoke — the reconfiguration safety governor under a
 #      model-skew fault: governor-off regresses and stays regressed,
 #      governor-on detects within one probation window, rolls back to
@@ -208,10 +207,10 @@ for seed in 7 11 23; do
 done
 step_done
 
-step "10/17" "search perf smoke (thread scaling + warm-start, BENCH_search.json)"
+step "10/17" "search perf smoke (thread scaling + auto-tune, BENCH_search.json)"
 # exp_perf asserts its own invariants (determinism across thread counts,
-# warm-start probe economy, hardware-gated speedup floor) and validates
-# the JSON it wrote; a malformed record fails this step.
+# hardware-gated speedup floor) and validates the JSON it wrote; a
+# malformed record fails this step.
 cargo run --release -p capsys-bench --bin exp_perf -- --smoke
 step_done
 
