@@ -8,6 +8,10 @@
 //!
 //! Paper reference: tens of milliseconds in all cases, up to ~100 ms for
 //! the tightest thresholds at 256 tasks.
+//!
+//! Self-asserts that every (scale, α) cell finds a plan; timings are
+//! printed, never gated. `scripts/ci.sh` runs this binary as its search
+//! smoke step.
 
 use std::time::Instant;
 
@@ -43,6 +47,7 @@ fn main() {
     println!("{header}");
     capsys_bench::rule(&header);
 
+    let mut missing = Vec::new();
     for scale in [1usize, 2, 4, 8, 16] {
         let query = q2_join().scaled(scale).expect("scaling");
         let tasks = query.logical().total_tasks();
@@ -53,7 +58,7 @@ fn main() {
         let search = CapsSearch::new(query.logical(), &physical, &cluster, &loads).expect("search");
 
         let mut times = Vec::new();
-        for (_, th) in &alphas {
+        for (name, th) in &alphas {
             // An infeasible threshold forces a first-feasible search to
             // exhaust the (pruned) space before giving up; bound it.
             let config = SearchConfig {
@@ -65,6 +70,7 @@ fn main() {
             let outcome = search.run(&config).expect("search runs");
             let elapsed = start.elapsed();
             times.push(if outcome.feasible.is_empty() {
+                missing.push(format!("{tasks} tasks / {name}"));
                 format!("none@{:.1}s", elapsed.as_secs_f64())
             } else {
                 format!("{:.1}ms", elapsed.as_secs_f64() * 1e3)
@@ -83,4 +89,5 @@ fn main() {
 
     println!("\n(paper Figure 10a: first satisfactory plan within tens of ms up to");
     println!(" 256 tasks; tighter thresholds take slightly longer at scale)");
+    assert!(missing.is_empty(), "no plan found for: {missing:?}");
 }

@@ -7,7 +7,6 @@
 //! recorded run.
 
 #![warn(missing_docs)]
-use std::collections::HashMap;
 
 use capsys_model::{Cluster, OperatorId, Placement, WorkerId};
 use capsys_queries::Query;
@@ -258,14 +257,6 @@ pub fn mapped_sources(query: &Query, mapping: &[OperatorId]) -> Vec<OperatorId> 
         .into_iter()
         .map(|s| mapping[s.0])
         .collect()
-}
-
-/// Constant schedules for a merged multi-tenant query at a total rate.
-pub fn merged_schedules(
-    merged: &Query,
-    total_rate: f64,
-) -> HashMap<OperatorId, capsys_model::RateSchedule> {
-    merged.schedules(total_rate)
 }
 
 #[cfg(test)]

@@ -108,10 +108,8 @@ impl WorkerSpec {
 /// let cluster = Cluster::heterogeneous(vec![
 ///     HardwareProfile::baseline().apply(base),
 ///     HardwareProfile::slow_cpu().apply(base),
-///     HardwareProfile::hdd().apply(base),
-///     HardwareProfile::wan(0.04).apply(base),
 /// ]).unwrap();
-/// assert_eq!(cluster.num_workers(), 4);
+/// assert_eq!(cluster.num_workers(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareProfile {
@@ -148,24 +146,6 @@ impl HardwareProfile {
     pub fn slow_cpu() -> Self {
         HardwareProfile {
             cpu_mult: 0.5,
-            ..HardwareProfile::baseline()
-        }
-    }
-
-    /// Spinning disks instead of NVMe: a quarter of the base bandwidth.
-    pub fn hdd() -> Self {
-        HardwareProfile {
-            disk_mult: 0.25,
-            ..HardwareProfile::baseline()
-        }
-    }
-
-    /// A WAN-attached edge worker: a tenth of the base NIC bandwidth
-    /// plus the given one-way link latency in seconds.
-    pub fn wan(link_latency: f64) -> Self {
-        HardwareProfile {
-            net_mult: 0.1,
-            link_latency,
             ..HardwareProfile::baseline()
         }
     }
@@ -366,8 +346,17 @@ mod tests {
         let c = Cluster::heterogeneous(vec![
             HardwareProfile::baseline().apply(base),
             HardwareProfile::fast_cpu().apply(base),
-            HardwareProfile::hdd().apply(base),
-            HardwareProfile::wan(0.04).apply(base),
+            HardwareProfile {
+                disk_mult: 0.25,
+                ..HardwareProfile::baseline()
+            }
+            .apply(base),
+            HardwareProfile {
+                net_mult: 0.1,
+                link_latency: 0.04,
+                ..HardwareProfile::baseline()
+            }
+            .apply(base),
         ])
         .unwrap();
         assert!(c.is_heterogeneous());
@@ -398,9 +387,11 @@ mod tests {
         assert!(HardwareProfile::baseline().is_valid());
         assert!(HardwareProfile::fast_cpu().is_valid());
         assert!(HardwareProfile::slow_cpu().is_valid());
-        assert!(HardwareProfile::hdd().is_valid());
-        assert!(HardwareProfile::wan(0.08).is_valid());
-        assert!(!HardwareProfile::wan(f64::NAN).is_valid());
+        let mut p = HardwareProfile::baseline();
+        p.link_latency = 0.08;
+        assert!(p.is_valid());
+        p.link_latency = f64::NAN;
+        assert!(!p.is_valid());
         let mut p = HardwareProfile::baseline();
         p.cpu_mult = 0.0;
         assert!(!p.is_valid());

@@ -118,11 +118,6 @@ impl StateModel {
         self.bytes[t.0]
     }
 
-    /// Total state bytes across all tasks.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
     /// Number of tasks the model covers.
     pub fn num_tasks(&self) -> usize {
         self.bytes.len()
@@ -199,11 +194,6 @@ impl PlanDiff {
         self.moves.iter().map(|m| m.bytes).sum()
     }
 
-    /// Number of tasks that change workers.
-    pub fn num_moves(&self) -> usize {
-        self.moves.len()
-    }
-
     /// Whether the two placements were identical.
     pub fn is_empty(&self) -> bool {
         self.moves.is_empty()
@@ -244,15 +234,6 @@ impl PlanDiff {
                     bytes: m.bytes,
                 })
                 .collect(),
-        }
-    }
-
-    /// A diff holding only the first `n` waves of `wave_size` moves —
-    /// the prefix a controller had applied when it was interrupted.
-    pub fn prefix_waves(&self, wave_size: usize, n: usize) -> PlanDiff {
-        let take = wave_size.max(1).saturating_mul(n).min(self.moves.len());
-        PlanDiff {
-            moves: self.moves[..take].to_vec(),
         }
     }
 }
@@ -305,7 +286,7 @@ mod tests {
         for t in p.operator_tasks(OperatorId(0)).chain(p.operator_tasks(OperatorId(2))) {
             assert_eq!(sm.state_bytes(TaskId(t)), 0);
         }
-        assert_eq!(sm.total_bytes(), 500_000_000);
+        assert_eq!(sm.bytes.iter().sum::<u64>(), 500_000_000);
         assert_eq!(sm.num_tasks(), p.num_tasks());
     }
 
@@ -351,7 +332,7 @@ mod tests {
         v[5] = WorkerId(2); // window subtask 3
         let b = Placement::new(v);
         let d = PlanDiff::between(&a, &b, &sm).unwrap();
-        assert_eq!(d.num_moves(), 2);
+        assert_eq!(d.moves().len(), 2);
         assert_eq!(d.moves()[0].task, TaskId(2));
         assert_eq!(d.moves()[0].to, WorkerId(1));
         assert_eq!(d.moves()[1].task, TaskId(5));
@@ -381,7 +362,7 @@ mod tests {
         let a = Placement::new(vec![WorkerId(0); p.num_tasks()]);
         let b = Placement::new(vec![WorkerId(1); p.num_tasks()]);
         let d = PlanDiff::between(&a, &b, &sm).unwrap();
-        assert_eq!(d.num_moves(), p.num_tasks());
+        assert_eq!(d.moves().len(), p.num_tasks());
         let waves = d.waves(3);
         assert_eq!(waves.len(), p.num_tasks().div_ceil(3));
         let flat: Vec<TaskMove> = waves.iter().flat_map(|w| w.iter().copied()).collect();
@@ -413,7 +394,11 @@ mod tests {
                 let b = Placement::new(ys.iter().map(|&w| WorkerId(w)).collect());
                 let d = PlanDiff::between(&a, &b, &sm).unwrap();
                 let ws = *ws;
-                let prefix = d.prefix_waves(ws, *k);
+                // The first k waves: what a controller had applied when
+                // it was interrupted.
+                let prefix = PlanDiff {
+                    moves: d.waves(ws).into_iter().take(*k).flatten().copied().collect(),
+                };
                 let partial = prefix.apply(&a);
                 // Reversal restores the incumbent exactly.
                 assert_eq!(prefix.reversed().apply(&partial), a);

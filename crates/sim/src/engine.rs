@@ -664,11 +664,6 @@ impl Simulation {
         self.blackout = on;
     }
 
-    /// The reconfiguration epoch this deployment was accepted under.
-    pub fn deploy_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Deploys this simulation under `epoch`, checked against the
     /// cluster-resident `fence`. A stale epoch is rejected *before* any
     /// state is touched: on error the simulation keeps its previous
@@ -1473,13 +1468,6 @@ impl Simulation {
         }
     }
 
-    /// Drains all channel queues, as a restart-from-savepoint analogue.
-    pub fn drain_queues(&mut self) {
-        for c in &mut self.channels {
-            c.q = 0.0;
-        }
-    }
-
     /// Queue occupancy of every channel, for invariant checks.
     pub fn queue_occupancies(&self) -> Vec<f64> {
         self.channels.iter().map(|c| c.q).collect()
@@ -2005,8 +1993,6 @@ mod tests {
         sim.advance(10.0, 0.0);
         assert!((sim.time() - t1 - 10.0).abs() < 1e-9);
         assert!(inflight > 0.0, "bottleneck should leave records in flight");
-        sim.drain_queues();
-        assert_eq!(sim.in_flight(), 0.0);
     }
 
     #[test]
@@ -2133,10 +2119,10 @@ mod tests {
         );
         // The rejected bind moved nothing: not the deployment epoch,
         // not the fence.
-        assert_eq!(sim.deploy_epoch(), 0);
+        assert_eq!(sim.epoch, 0);
         assert_eq!(fence.current(), 5);
         sim.bind_epoch(&fence, 6).unwrap();
-        assert_eq!(sim.deploy_epoch(), 6);
+        assert_eq!(sim.epoch, 6);
     }
 
     #[test]

@@ -23,9 +23,6 @@
 //! * [`prop`] — a mini property-testing harness with seeded case
 //!   generation, failing-seed reporting, and input shrinking
 //!   (replaces `proptest`).
-//! * [`bench`] — a wall-clock benchmark runner with warm-up,
-//!   configurable sample counts, and median reporting (replaces
-//!   `criterion`).
 //!
 //! Everything in this crate uses only `std`. Reintroducing an external
 //! registry dependency anywhere in the workspace is a CI failure
@@ -33,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod deque;
 pub mod fixed;
 pub mod journal;

@@ -237,22 +237,6 @@ pub fn vec_of<S: Strategy>(element: S, len: impl Into<IntStrategy<usize>>) -> Ve
     }
 }
 
-/// A strategy from a plain generation function; no shrinking.
-pub struct FnStrategy<F>(F);
-
-impl<V: Clone + Debug, F: Fn(&mut SmallRng) -> V> Strategy for FnStrategy<F> {
-    type Value = V;
-
-    fn generate(&self, rng: &mut SmallRng) -> V {
-        (self.0)(rng)
-    }
-}
-
-/// Wraps a closure `Fn(&mut SmallRng) -> V` as a strategy.
-pub fn from_fn<V: Clone + Debug, F: Fn(&mut SmallRng) -> V>(f: F) -> FnStrategy<F> {
-    FnStrategy(f)
-}
-
 /// Exactly one constant value.
 pub struct JustStrategy<V>(V);
 

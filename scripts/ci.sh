@@ -7,7 +7,7 @@
 #
 #   1. tree guard — no build artifacts (target/) may be tracked;
 #   2. dependency guard — no non-capsys-* dependency may appear in any
-#      Cargo.toml (including dev-dependencies and benches);
+#      Cargo.toml (including dev-dependencies);
 #   3. panic lint — no unwrap()/expect(/panic! in non-test code under
 #      crates/, outside the justified scripts/panic_allowlist.txt;
 #   4. non-test line-count ledger (scripts/loc.sh) — prints the lines
@@ -19,20 +19,16 @@
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
 #   7. determinism and search-outcome golden tests again in release
 #      (debug/release parity);
-#   8. one smoke bench end-to-end, emitting a timing result;
+#   8. search smoke — Figure 10a's first-feasible CAPS searches on
+#      Q2-join from 16 to 256 tasks under α⃗₁/α⃗₂/α⃗₃, self-asserting that
+#      every cell finds a plan (timings are printed, not gated);
 #   9. chaos smoke — seeded fault injection + self-healing recovery
 #      under three distinct seeds, each with a same-seed replay check;
-#  10. search perf smoke — thread-scaling + auto-tune probe counts +
-#      dead-state-memo run that writes BENCH_search.json and
-#      self-asserts (identical plan counts across thread counts,
-#      bit-exact stored costs, memo firing on the symmetric topology
-#      without changing the plan set, and a speedup floor that is
-#      explicitly marked skipped on machines with < 4 hardware threads);
-#  11. guard smoke — the reconfiguration safety governor under a
+#  10. guard smoke — the reconfiguration safety governor under a
 #      model-skew fault: governor-off regresses and stays regressed,
 #      governor-on detects within one probation window, rolls back to
 #      last-known-good, bounds oscillation, and replays identically;
-#  12. recovery sweep — kill the controller after every journaled
+#  11. recovery sweep — kill the controller after every journaled
 #      decision (including between Prepare and Commit, and between a
 #      governor Rollback and its Commit), recover from the write-ahead
 #      journal, and diff the recovered trace and journal byte-for-byte
@@ -40,20 +36,20 @@
 #      also checks zombie fencing; a fourth scenario journals an
 #      incremental migration and sweeps kills across its
 #      MigratePrepare/MigrateStep/MigrateCommit records;
-#  13. migration smoke — whole-plan redeploy vs minimum-movement
+#  12. migration smoke — whole-plan redeploy vs minimum-movement
 #      incremental migration A/B on the same seeded crash: less state
 #      moved, less downtime, less throughput lost, the journaled
 #      target re-derived byte-identically through the exported
 #      optimizer and within epsilon of the unconstrained optimum,
 #      under three distinct seeds;
-#  14. anytime search smoke — DFS vs MCTS backends under a shared node
+#  13. anytime search smoke — DFS vs MCTS backends under a shared node
 #      budget (seeds 7/11/23), writing BENCH_anytime.json and
 #      self-asserting that MCTS matches the DFS optimum bit-for-bit at
 #      16 tasks, returns feasible plans at 256/1024 tasks where the
 #      budgeted DFS exhausts with none, keeps every anytime curve
 #      monotone non-increasing, and replays byte-identically under the
 #      same seed;
-#  15. hostile-workload smoke — seeded adversarial traffic
+#  14. hostile-workload smoke — seeded adversarial traffic
 #      (seeds 7/11/23), writing BENCH_hostile.json and self-asserting
 #      that the drift-aware governor performs zero rollbacks under pure
 #      organic growth and flash crowds where the absolute-baseline
@@ -64,7 +60,7 @@
 #      unshedded baseline, releases once the crowd decays, and a
 #      controller kill right after the first journaled Shed record
 #      recovers byte-identically;
-#  16. fleet smoke — sharded multi-tenant control plane
+#  15. fleet smoke — sharded multi-tenant control plane
 #      (seeds 7/11/23), writing BENCH_fleet.json and self-asserting
 #      that with 6 tenants on a 120-worker heterogeneous fleet, a
 #      shard controller killed mid-reconfiguration fails over to a
@@ -75,7 +71,7 @@
 #      + recorded history, aggregate goodput stays within 10% of the
 #      no-kill baseline, an over-subscribed tenant is rejected at
 #      admission, and a same-seed re-run is byte-identical;
-#  17. perfbench gate — the benchmark package's own tests, then each
+#  16. perfbench gate — the benchmark package's own tests, then each
 #      workload (place / fleet / recover) for one second at seeds 1 and
 #      2: every run must end with `"correct":true` and `"failed":0`, and
 #      both seeds must print the same decision digest.
@@ -97,7 +93,7 @@ step_done() {
     echo "    [done in $(($(date +%s) - STEP_T0))s]"
 }
 
-step "1/17" "tree guard: no tracked build artifacts"
+step "1/16" "tree guard: no tracked build artifacts"
 if git ls-files | grep -q '^target/'; then
     echo "FORBIDDEN: build artifacts under target/ are tracked" >&2
     echo "(run: git rm -r --cached target)" >&2
@@ -106,7 +102,7 @@ fi
 echo "    ok: target/ is untracked"
 step_done
 
-step "2/17" "dependency guard: workspace-internal crates only"
+step "2/16" "dependency guard: workspace-internal crates only"
 # Collect every dependency key from every manifest. Dependency lines are
 # `name = ...` or `name.workspace = true` inside a [*dependencies*]
 # section; only capsys-* names are allowed.
@@ -136,7 +132,7 @@ fi
 echo "    ok: all dependencies are capsys-* path crates"
 step_done
 
-step "3/17" "panic lint: no unwrap/expect/panic! in non-test code"
+step "3/16" "panic lint: no unwrap/expect/panic! in non-test code"
 # Library code must surface failures as Results — a panicking controller
 # is the exact failure mode the robustness work guards against. Unit-test
 # modules (everything from the first #[cfg(test)] down) and the justified
@@ -171,19 +167,19 @@ fi
 echo "    ok: non-test library code is panic-free"
 step_done
 
-step "4/17" "non-test line-count ledger (informational)"
+step "4/16" "non-test line-count ledger (informational)"
 scripts/loc.sh
 step_done
 
-step "5/17" "cargo build --release (all targets)"
+step "5/16" "cargo build --release (all targets)"
 cargo build --release --workspace --all-targets
 step_done
 
-step "6/17" "cargo test (debug, full workspace)"
+step "6/16" "cargo test (debug, full workspace)"
 cargo test -q --workspace
 step_done
 
-step "6b/17" "fixed-point overflow checks (capsys-util, release + overflow-checks)"
+step "6b/16" "fixed-point overflow checks (capsys-util, release + overflow-checks)"
 # The Fixed64 core promises saturating/checked arithmetic, never a
 # silent two's-complement wrap. Release builds normally disable
 # overflow checks, so any unchecked `+`/`-`/`*` on a raw mantissa would
@@ -193,28 +189,22 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/17" "determinism + search golden tests (release)"
+step "7/16" "determinism + search golden tests (release)"
 cargo test -q --release --test golden_determinism --test search_golden
 step_done
 
-step "8/17" "smoke bench (quick mode, end-to-end)"
-CAPSYS_BENCH_QUICK=1 cargo bench -p capsys-bench --bench caps_search
+step "8/16" "search smoke (Figure 10a first-feasible searches, 16-256 tasks)"
+# exp_fig10a self-asserts that every (scale, alpha) cell finds a plan.
+cargo run --release -p capsys-bench --bin exp_fig10a
 step_done
 
-step "9/17" "chaos smoke (fault injection + recovery, seeds 7/11/23)"
+step "9/16" "chaos smoke (fault injection + recovery, seeds 7/11/23)"
 for seed in 7 11 23; do
     cargo run --release -p capsys-bench --bin exp_chaos -- --seed "$seed" --quick
 done
 step_done
 
-step "10/17" "search perf smoke (thread scaling + auto-tune, BENCH_search.json)"
-# exp_perf asserts its own invariants (determinism across thread counts,
-# hardware-gated speedup floor) and validates the JSON it wrote; a
-# malformed record fails this step.
-cargo run --release -p capsys-bench --bin exp_perf -- --smoke
-step_done
-
-step "11/17" "guard smoke (safety governor vs model skew, seed 7)"
+step "10/16" "guard smoke (safety governor vs model skew, seed 7)"
 # exp_guard self-asserts: without the governor the stale-model regression
 # persists; with it, the regression is detected within one probation
 # window, rolled back to last-known-good, throughput recovers, churn
@@ -222,7 +212,7 @@ step "11/17" "guard smoke (safety governor vs model skew, seed 7)"
 cargo run --release -p capsys-bench --bin exp_guard -- --seed 7 --quick
 step_done
 
-step "12/17" "recovery sweep (kill-at-every-decision crash recovery, seeds 7/11/23)"
+step "11/16" "recovery sweep (kill-at-every-decision crash recovery, seeds 7/11/23)"
 # exp_recovery self-asserts: every kill point recovers to a
 # byte-identical trace AND journal, the mid-reconfiguration kill rolls
 # forward (for scaling Prepares, governor Rollbacks, and mid-wave
@@ -233,7 +223,7 @@ for seed in 7 11 23; do
 done
 step_done
 
-step "13/17" "migration smoke (incremental vs whole-plan A/B, seeds 7/11/23)"
+step "12/16" "migration smoke (incremental vs whole-plan A/B, seeds 7/11/23)"
 # exp_migrate self-asserts: the incremental arm moves strictly fewer
 # bytes, pauses strictly fewer task-seconds, and loses strictly less
 # throughput area than the whole-plan arm on the same crash; the
@@ -245,7 +235,7 @@ for seed in 7 11 23; do
 done
 step_done
 
-step "14/17" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/23)"
+step "13/16" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/23)"
 # exp_search self-asserts: MCTS == DFS optimum at 16 tasks (Fixed64 bit
 # equality, every seed), MCTS feasible within the budget at 256/1024
 # tasks where the DFS reports budget exhaustion with zero plans,
@@ -254,7 +244,7 @@ step "14/17" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/
 cargo run --release -p capsys-bench --bin exp_search -- --smoke
 step_done
 
-step "15/17" "hostile-workload smoke (governor drift A/B + overload shedding, seeds 7/11/23)"
+step "14/16" "hostile-workload smoke (governor drift A/B + overload shedding, seeds 7/11/23)"
 # exp_hostile self-asserts: zero drift-aware rollbacks under pure
 # growth and flash crowds (absolute baseline false-rollbacks on every
 # flash seed), a true regression still caught within one probation
@@ -265,7 +255,7 @@ step "15/17" "hostile-workload smoke (governor drift A/B + overload shedding, se
 cargo run --release -p capsys-bench --bin exp_hostile -- --smoke
 step_done
 
-step "16/17" "fleet smoke (sharded control plane + lease-fenced failover, seeds 7/11/23)"
+step "15/16" "fleet smoke (sharded control plane + lease-fenced failover, seeds 7/11/23)"
 # exp_fleet self-asserts: a shard controller killed mid-reconfiguration
 # fails over to a standby within the lease MTTR bound, a partitioned
 # controller is fenced as a zombie (zero split-brain stamps), the
@@ -280,7 +270,7 @@ for seed in 7 11 23; do
 done
 step_done
 
-step "17/17" "perfbench gate (self-tests + 1 s of each workload, seeds 1/2)"
+step "16/16" "perfbench gate (self-tests + 1 s of each workload, seeds 1/2)"
 # Each run checks its own outputs and prints a digest of every decision
 # of a pass; the seed only reorders order-independent work, so both
 # seeds must agree on the digest.

@@ -4,8 +4,8 @@
 # For every Rust file under crates/*/src, counts the lines before the
 # first top-level `#[cfg(test)]` (the unit-test module, by convention the
 # last item of a file), then prints one line per file and one total per
-# crate, and a workspace total. Integration tests, benches and examples
-# live outside src/ and are not counted.
+# crate, and a workspace total. Integration tests and examples live
+# outside src/ and are not counted.
 #
 # Usage: scripts/loc.sh
 

@@ -134,6 +134,42 @@ fn parallel_search_is_deterministic_in_results() {
     let best_seq = seq.best_scored().unwrap().cost;
     let best_par = par.best_scored().unwrap().cost;
     assert!((best_seq.max_component() - best_par.max_component()).abs() < 1e-9);
+
+    // Q3-inf on 5 workers with a 64-plan store: the capped store keeps
+    // the same plan set at every thread count (one thread keeps store
+    // order, more threads sort), and every stored cost is the
+    // from-scratch recost bit for bit.
+    let c = Cluster::homogeneous(5, WorkerSpec::r5d_xlarge(4)).unwrap();
+    let q = q3_inf();
+    let physical = q.physical();
+    let loads = q.load_model(&physical).unwrap();
+    let search = CapsSearch::new(q.logical(), &physical, &c, &loads).unwrap();
+    let th = Thresholds::new(0.5, 0.5, f64::INFINITY);
+    let mut first = None;
+    for threads in [1usize, 2, 4, 8] {
+        let out = search
+            .run(&SearchConfig {
+                threads,
+                max_plans: 64,
+                ..SearchConfig::with_thresholds(th)
+            })
+            .unwrap();
+        assert_eq!(out.stats.plans_found, 26_217, "{threads} threads");
+        for s in &out.feasible {
+            let recost = search.cost_model().cost(&physical, &s.plan);
+            for (got, want) in [
+                (s.cost.cpu, recost.cpu),
+                (s.cost.io, recost.io),
+                (s.cost.net, recost.net),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits(), "{threads} threads");
+            }
+        }
+        let mut stored = out.feasible;
+        stored.sort_by(|a, b| a.plan.assignment().cmp(b.plan.assignment()));
+        let first = first.get_or_insert_with(|| stored.clone());
+        assert_eq!(&stored, first, "{threads} threads");
+    }
 }
 
 #[test]
