@@ -22,7 +22,7 @@
 //!   mantissas (one `f64` divide of two integers per dimension), making
 //!   costs identical across schedules, thread counts, and build
 //!   profiles;
-//! * threshold and incumbent pruning invert the cost predicate into
+//! * threshold and store-bound pruning invert the cost predicate into
 //!   *exact* per-dimension mantissa limits, so pruning agrees with
 //!   [`CostVector::within`] on every leaf — no epsilon slack in the
 //!   hot path.
@@ -434,8 +434,8 @@ impl CostModel {
     ///
     /// Degenerate dimensions (`L_max = L_min`) and non-finite costs
     /// yield [`Fixed64::MAX`] (no pruning along that dimension) — the
-    /// same convention as [`CostModel::load_bound`]. The parallel search
-    /// uses this to turn the shared incumbent `max_component` cost into
+    /// same convention as [`CostModel::load_bound`]. The search uses
+    /// this to turn the worst stored plan's `max_component` cost into
     /// per-dimension load limits it can check incrementally; ties keep
     /// surviving because the inversion uses `≤`.
     pub fn cost_to_load(&self, dim: usize, cost: f64) -> Fixed64 {

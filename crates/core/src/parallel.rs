@@ -31,27 +31,30 @@
 //! ([`PlanEnumerator::expand_prefix`]): the split layer's
 //! placements are offered to it exactly as an unsplit traversal offers
 //! them, and only the children it admits become units. Those children
-//! cover every leaf of the parent's subtree, so the set of feasible
-//! plans found — and the `plans_found` statistic — are independent of
-//! the steal schedule. Without the dead-state memo, so is the set of
-//! branches the threshold bound cuts, and with it the run's overflow
-//! (`BackendResult::overflow`), which equals the one-thread value.
+//! cover every leaf of the parent's subtree, so without the store bound
+//! the set of feasible plans found — and the `plans_found` statistic —
+//! are independent of the steal schedule. Without the dead-state memo
+//! and the store bound, so is the set of branches the threshold bound
+//! cuts, and with it the run's overflow (`BackendResult::overflow`),
+//! which equals the one-thread value.
 //!
-//! Threads additionally share:
+//! Threads additionally share a stop flag (first-feasible and abort
+//! propagation). Every visitor polls its own deadline once per
+//! `TIME_CHECK_MASK + 1` nodes; the thread that sees it pass raises the
+//! stop flag for the rest.
 //!
-//! * a stop flag (first-feasible and abort propagation). Every visitor
-//!   polls its own deadline once per `TIME_CHECK_MASK + 1` nodes; the
-//!   thread that sees it pass raises the stop flag for the rest;
-//! * when [`SearchConfig::incumbent_prune`] is set, the best-so-far
-//!   `max_component` cost in an atomic cell, letting every thread prune
-//!   against the global incumbent rather than only its local one.
+//! Under store-bound pruning ([`SearchConfig::incumbent_prune`]) each
+//! visitor prunes against its own full local store and nothing else is
+//! shared. The merged top-`max_plans` is still exact: a plan a thread
+//! cuts costs more than every plan that thread holds, so it ranks below
+//! `max_plans` merged plans.
 //!
 //! With more than one thread, a worker that panics is caught, the
 //! remaining workers are stopped and joined cleanly, and the run returns
 //! [`CapsError::SearchPanicked`] instead of poisoning the whole process.
 //! With one thread the panic unwinds to the caller.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use capsys_model::PlanEnumerator;
@@ -92,8 +95,6 @@ struct Shared {
     /// Cooperative stop: first-feasible hit, budget abort, or worker
     /// panic.
     stop: AtomicBool,
-    /// Best `max_component` cost so far, as f64 bits (incumbent pruning).
-    incumbent: AtomicU64,
 }
 
 impl Shared {
@@ -103,7 +104,6 @@ impl Shared {
             in_flight: AtomicUsize::new(0),
             starving: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
         }
     }
 }
@@ -167,9 +167,9 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
             match h.join() {
                 Ok(Some((found, local, theirs))) => {
                     merged.extend(found);
-                    for (mine, theirs) in overflow.iter_mut().zip(theirs) {
-                        *mine = (*mine).min(theirs);
-                    }
+                    overflow = overflow
+                        .zip(theirs)
+                        .map(|(mine, theirs)| [0, 1, 2].map(|d| mine[d].min(theirs[d])));
                     stats.nodes += local.nodes;
                     stats.pruned += local.pruned;
                     stats.plans_found += local.plans_found;
@@ -196,7 +196,7 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
         // would leak nondeterminism into the outcome.
         anytime: Vec::new(),
         mcts: None,
-        overflow: complete(&shared, &stats).then_some(overflow),
+        overflow: overflow.filter(|_| complete(&shared, &stats)),
     })
 }
 
@@ -220,13 +220,14 @@ fn run_on_caller(ctx: &StrategyContext<'_>) -> BackendResult {
         stats,
         anytime,
         mcts: None,
-        overflow: complete(&shared, &stats).then_some(overflow),
+        overflow: overflow.filter(|_| complete(&shared, &stats)),
     }
 }
 
 /// Whether the run explored its whole tree: no budget abort and no stop
 /// (first-feasible hit, abort or panic) raised. Only then is the minimum
-/// overflow over the pruned branches a bound on every plan.
+/// overflow over the pruned branches a bound on every plan (a visitor
+/// whose store bound cut a branch reports none of its own).
 fn complete(shared: &Shared, stats: &RunStats) -> bool {
     !stats.aborted && !shared.stop.load(Ordering::Relaxed)
 }
@@ -242,9 +243,6 @@ fn new_visitor<'a>(ctx: &StrategyContext<'a>, shared: &'a Shared) -> CapsVisitor
         ctx.deadline,
         &shared.stop,
     );
-    if ctx.config.incumbent_prune {
-        visitor.set_incumbent(&shared.incumbent);
-    }
     if let Some(setup) = ctx.memo {
         // The table is shared: one thread proving a state dead spares
         // every sibling that reaches it.
@@ -531,25 +529,28 @@ mod tests {
             .iter()
             .map(|s| s.cost.max_component())
             .fold(f64::INFINITY, f64::min);
+        let single = |threads: usize| crate::search::SearchConfig {
+            threads,
+            max_plans: 1,
+            ..crate::search::SearchConfig::exhaustive()
+        };
+        let unpruned = search.run(&single(1)).unwrap();
         for threads in [1, 4] {
-            let pruned = search
-                .run(
-                    &crate::search::SearchConfig {
-                        threads,
-                        max_plans: usize::MAX / 2,
-                        ..crate::search::SearchConfig::exhaustive()
-                    }
-                    .incumbent_pruned(),
-                )
-                .unwrap();
+            let pruned = search.run(&single(threads).incumbent_pruned()).unwrap();
             assert!(!pruned.feasible.is_empty());
-            // Every surviving plan ties the optimum.
+            // A one-plan store bounds the search by the best plan so far,
+            // so every survivor ties the optimum...
             for s in &pruned.feasible {
                 assert!((s.cost.max_component() - best_cost).abs() < 1e-9);
             }
-            // And the incumbent bound only ever removed nodes.
-            assert!(pruned.stats.nodes <= full.stats.nodes);
+            // ...and it is the plan the unpruned one-plan store keeps.
+            assert_eq!(pruned.feasible, unpruned.feasible);
         }
+        // At one thread the store bound only ever removes nodes. Above
+        // one, each thread's store starts empty and node counts include
+        // prefix replays, so they can exceed the unpruned run's.
+        let pruned = search.run(&single(1).incumbent_pruned()).unwrap();
+        assert!(pruned.stats.nodes < full.stats.nodes);
     }
 
     fn scored(max: f64, tag: usize) -> ScoredPlan {

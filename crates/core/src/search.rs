@@ -65,15 +65,17 @@ pub struct SearchConfig {
     pub free_slots: Option<Vec<usize>>,
     /// Auto-tuner settings used when `thresholds` is `None`.
     pub auto_tune: AutoTuneConfig,
-    /// Prune against the best `max_component` cost found so far (shared
-    /// across all threads in the parallel search §5.1). Branches whose
-    /// partial cost already exceeds the incumbent cannot contain a new
-    /// best plan, so cutting them is sound for *optimization* — but it
-    /// changes what "feasible" means for the stored set and the
-    /// `plans_found` statistic, so it is opt-in. When enabled, `feasible`
-    /// is filtered to the minimum-cost plans (every tie is kept, up to
-    /// `max_plans`) and `plans_found`/`nodes`/`pruned` become
-    /// schedule-dependent.
+    /// Store-bound pruning: once the plan store holds `max_plans`
+    /// plans, cut every branch whose partial per-worker load already
+    /// costs more than the worst stored plan's `max_component` in some
+    /// dimension. No leaf below such a branch can enter the store, so
+    /// `feasible`, `pareto` and `best_scored` are exactly those of the
+    /// unpruned run at the same `max_plans` (in the same store order at
+    /// one thread); only `nodes`, `pruned` and `plans_found` shrink, and
+    /// `plans_found` then counts the plans explored rather than every
+    /// plan within the thresholds. A run in which a store cut fired
+    /// reports no [`SearchOutcome::overflow`]. The dead-state memo is
+    /// off while this is on, and the MCTS backend ignores it.
     pub incumbent_prune: bool,
     /// Memoize dead search states across layers (transposition pruning).
     ///
@@ -83,7 +85,7 @@ pub struct SearchConfig {
     /// other prefixes. Only *dead* subtrees are skipped, so the feasible
     /// plan set, the stored plans, and `plans_found` are identical with
     /// the memo on or off; `nodes` shrinks. Automatically disabled for
-    /// first-feasible and incumbent-pruned searches, whose reachability
+    /// first-feasible and store-bound-pruned searches, whose reachability
     /// depends on more than the state.
     pub memo: bool,
     /// Which [`SearchStrategy`] backend explores the plan space. The
@@ -94,15 +96,22 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// A search with explicit thresholds and otherwise default settings.
+    /// A search with explicit thresholds and otherwise default settings,
+    /// except that store-bound pruning is off: every plan within the
+    /// thresholds is explored and counted in `plans_found`, which the
+    /// plan-space experiments (paper Table 2) rely on.
     pub fn with_thresholds(thresholds: Thresholds) -> Self {
         SearchConfig {
             thresholds: Some(thresholds),
+            incumbent_prune: false,
             ..SearchConfig::auto_tuned()
         }
     }
 
-    /// A search that auto-tunes its thresholds first (the CAPSys default).
+    /// A search that auto-tunes its thresholds first (the CAPSys
+    /// default), then searches with store-bound pruning
+    /// ([`SearchConfig::incumbent_prune`]): it keeps the same plans as
+    /// the unpruned search and visits fewer nodes.
     pub fn auto_tuned() -> Self {
         SearchConfig {
             thresholds: None,
@@ -114,13 +123,14 @@ impl SearchConfig {
             time_budget: None,
             free_slots: None,
             auto_tune: AutoTuneConfig::default(),
-            incumbent_prune: false,
+            incumbent_prune: true,
             memo: true,
             backend: SearchBackend::Dfs,
         }
     }
 
-    /// An exhaustive, unpruned search that visits every distinct plan.
+    /// An exhaustive, unpruned search that visits every distinct plan
+    /// (no thresholds, no store-bound pruning).
     pub fn exhaustive() -> Self {
         SearchConfig::with_thresholds(Thresholds::unbounded())
     }
@@ -137,8 +147,8 @@ impl SearchConfig {
         self
     }
 
-    /// Enables incumbent-bound pruning (best-so-far `max_component`
-    /// shared across threads), returning the modified config.
+    /// Enables store-bound pruning ([`SearchConfig::incumbent_prune`]),
+    /// returning the modified config.
     pub fn incumbent_pruned(mut self) -> Self {
         self.incumbent_prune = true;
         self
@@ -185,9 +195,12 @@ pub struct ScoredPlan {
 pub struct RunStats {
     /// Search tree nodes visited.
     pub nodes: usize,
-    /// Branches pruned (threshold violations and budget aborts).
+    /// Branches pruned (threshold violations, store-bound cuts and
+    /// budget aborts).
     pub pruned: usize,
-    /// Feasible plans discovered (including ones not stored).
+    /// Feasible plans discovered (including ones not stored). Under
+    /// store-bound pruning, only the plans explored before their branch
+    /// was cut.
     pub plans_found: usize,
     /// Subtrees skipped by the dead-state memo. Hits depend on the
     /// exploration schedule across threads (which sibling proved a state
@@ -243,7 +256,10 @@ pub struct SearchOutcome {
     /// Per dimension, the smallest exact load that crossed the threshold
     /// bound on any pruned branch (`Fixed64::MAX` where none crossed).
     /// `None` unless the DFS explored its whole tree: an aborted run, a
-    /// first-feasible stop and the MCTS backend all leave it unset.
+    /// first-feasible stop and the MCTS backend all leave it unset. So
+    /// does a run in which a store-bound cut fired
+    /// ([`SearchConfig::incumbent_prune`]): such a cut may hide a deeper
+    /// threshold crossing, so the overflow describes threshold cuts only.
     ///
     /// Every plan this run's bound cut carries a load at or above the
     /// overflow in some dimension that recorded one, so a bound at least
@@ -432,11 +448,20 @@ pub(crate) struct CapsVisitor<'a> {
     /// meaningful only for single-threaded runs (deterministic order).
     anytime: Vec<AnytimePoint>,
     best_cost: f64,
-    /// Index of the worst stored plan under [`cmp_scored`], maintained
-    /// incrementally so a full store rejects a non-improving candidate
-    /// in O(1) instead of rescanning the store per leaf.
-    worst_idx: Option<usize>,
+    /// Index of the worst stored plan under [`cmp_scored`], recomputed
+    /// whenever a store modification leaves the store full, so a full
+    /// store rejects a non-improving candidate in O(1) instead of
+    /// rescanning the store per leaf.
+    worst_idx: usize,
     max_plans: usize,
+    /// Store-bound pruning ([`SearchConfig::incumbent_prune`]).
+    store_prune: bool,
+    /// Per-dimension exact load limits implied by the worst stored
+    /// plan's `max_component` cost while the store is full and
+    /// `store_prune` is set; `Fixed64::MAX` otherwise.
+    store_limit: [Fixed64; 3],
+    /// Whether a store-bound cut fired, which voids the overflow.
+    store_cut: bool,
     first_feasible: bool,
     // Budgets / cooperative stop.
     nodes: usize,
@@ -446,14 +471,6 @@ pub(crate) struct CapsVisitor<'a> {
     /// Shared cooperative stop, polled with the deadline and raised by a
     /// first-feasible leaf.
     stop_flag: &'a std::sync::atomic::AtomicBool,
-    /// Shared best-so-far `max_component` cost (f64 bits), for
-    /// incumbent-bound pruning across threads.
-    incumbent: Option<&'a std::sync::atomic::AtomicU64>,
-    /// Cached incumbent bits, to avoid re-deriving load limits when the
-    /// shared value has not moved.
-    incumbent_bits: u64,
-    /// Per-dimension exact load limits implied by the incumbent cost.
-    incumbent_limit: [Fixed64; 3],
     /// Per dimension, the smallest load that crossed `bound` on a pruned
     /// branch (`Fixed64::MAX` while none has).
     overflow: [Fixed64; 3],
@@ -497,16 +514,16 @@ impl<'a> CapsVisitor<'a> {
             found: Vec::new(),
             anytime: Vec::new(),
             best_cost: f64::INFINITY,
-            worst_idx: None,
+            worst_idx: 0,
             max_plans: config.max_plans,
+            store_prune: config.incumbent_prune,
+            store_limit: [Fixed64::MAX; 3],
+            store_cut: false,
             first_feasible: config.first_feasible,
             nodes: 0,
             node_budget: config.node_budget.unwrap_or(usize::MAX),
             deadline,
             stop_flag,
-            incumbent: None,
-            incumbent_bits: f64::INFINITY.to_bits(),
-            incumbent_limit: [Fixed64::MAX; 3],
             overflow: [Fixed64::MAX; 3],
             aborted: false,
             memo: None,
@@ -519,7 +536,7 @@ impl<'a> CapsVisitor<'a> {
     /// Installs a dead-state memo (shared across threads in the parallel
     /// search). Only sound for searches whose subtree reachability is a
     /// pure function of the layer state — the caller guarantees neither
-    /// first-feasible stop nor incumbent pruning is active.
+    /// first-feasible stop nor store-bound pruning is active.
     pub(crate) fn set_memo(&mut self, setup: &'a MemoSetup) {
         self.memo = Some(setup);
     }
@@ -584,30 +601,6 @@ impl<'a> CapsVisitor<'a> {
         key
     }
 
-    /// Installs a shared incumbent cell (best `max_component` cost so
-    /// far, stored as f64 bits) and enables pruning against it.
-    pub(crate) fn set_incumbent(&mut self, cell: &'a std::sync::atomic::AtomicU64) {
-        self.incumbent = Some(cell);
-        self.refresh_incumbent();
-    }
-
-    /// Re-derives the per-dimension load limits from the shared incumbent
-    /// if it has improved since the last look.
-    fn refresh_incumbent(&mut self) {
-        let Some(cell) = self.incumbent else {
-            return;
-        };
-        let bits = cell.load(std::sync::atomic::Ordering::Relaxed);
-        if bits == self.incumbent_bits {
-            return;
-        }
-        self.incumbent_bits = bits;
-        let cost = f64::from_bits(bits);
-        for dim in 0..3 {
-            self.incumbent_limit[dim] = self.model.cost_to_load(dim, cost);
-        }
-    }
-
     /// Consumes the visitor and returns its local plan cache.
     pub(crate) fn into_found(self) -> Vec<ScoredPlan> {
         self.found
@@ -624,9 +617,11 @@ impl<'a> CapsVisitor<'a> {
     }
 
     /// Per dimension, the smallest load that crossed the threshold bound
-    /// on any branch this visitor pruned (`Fixed64::MAX` where none did).
-    pub(crate) fn overflow(&self) -> [Fixed64; 3] {
-        self.overflow
+    /// on any branch this visitor pruned (`Fixed64::MAX` where none did);
+    /// `None` once a store-bound cut fired, since that cut may have
+    /// hidden a threshold crossing deeper in its branch.
+    pub(crate) fn overflow(&self) -> Option<[Fixed64; 3]> {
+        (!self.store_cut).then_some(self.overflow)
     }
 
     /// The exact bottleneck loads of the current (complete) assignment.
@@ -764,27 +759,6 @@ impl<'a> CapsVisitor<'a> {
     /// Records a feasible plan, respecting the storage cap.
     fn record(&mut self, counts: &[Vec<usize>]) {
         let cost = self.current_cost();
-        if let Some(cell) = self.incumbent {
-            // CAS-min on the shared incumbent. Bit patterns of
-            // non-negative f64s order like the floats themselves, so a
-            // min on bits is a min on costs.
-            let bits = cost.max_component().max(0.0).to_bits();
-            let mut cur = cell.load(std::sync::atomic::Ordering::Relaxed);
-            while bits < cur {
-                match cell.compare_exchange_weak(
-                    cur,
-                    bits,
-                    std::sync::atomic::Ordering::Relaxed,
-                    std::sync::atomic::Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-        if self.max_plans == 0 {
-            return;
-        }
         if cost.max_component() < self.best_cost {
             self.best_cost = cost.max_component();
             self.anytime.push(AnytimePoint {
@@ -796,20 +770,10 @@ impl<'a> CapsVisitor<'a> {
         // loads reach a leaf with the same mantissas on every schedule,
         // so `cmp_scored` is a schedule-independent total order with no
         // from-scratch recosting. When the store is full, a candidate
-        // that does not beat the cached worst entry is rejected before
+        // that does not beat the worst entry is rejected before
         // materializing a `Placement`.
         if self.found.len() == self.max_plans {
-            let idx = match self.worst_idx {
-                Some(idx) => idx,
-                None => {
-                    let idx = (0..self.found.len())
-                        .max_by(|&i, &j| cmp_scored(&self.found[i], &self.found[j]))
-                        .unwrap_or(0);
-                    self.worst_idx = Some(idx);
-                    idx
-                }
-            };
-            let worst = &self.found[idx];
+            let worst = &self.found[self.worst_idx];
             // Cheap pre-screen on cost alone before building the plan:
             // strictly worse than the worst stored cost can never win
             // the total order.
@@ -825,8 +789,8 @@ impl<'a> CapsVisitor<'a> {
             // so a capped store is a deterministic function of the set
             // of plans seen, not of the order seen in.
             if cmp_scored(&scored, worst) == std::cmp::Ordering::Less {
-                self.found[idx] = scored;
-                self.worst_idx = None;
+                self.found[self.worst_idx] = scored;
+                self.refresh_worst();
             }
         } else {
             let plan = match Placement::from_op_counts(self.physical, counts) {
@@ -834,7 +798,27 @@ impl<'a> CapsVisitor<'a> {
                 Err(_) => return,
             };
             self.found.push(ScoredPlan { plan, cost });
-            self.worst_idx = None;
+            if self.found.len() == self.max_plans {
+                self.refresh_worst();
+            }
+        }
+    }
+
+    /// Re-finds the worst plan of the full store and, under store-bound
+    /// pruning, turns its `max_component` cost into per-dimension load
+    /// limits. The inversion is exact and admits ties, so a branch over
+    /// a limit holds only leaves whose cost exceeds the worst stored
+    /// cost in that dimension — leaves `record` would reject — and the
+    /// worst cost only falls while the store stays full.
+    fn refresh_worst(&mut self) {
+        self.worst_idx = (0..self.found.len())
+            .max_by(|&i, &j| cmp_scored(&self.found[i], &self.found[j]))
+            .unwrap_or(0);
+        if self.store_prune {
+            let worst = self.found[self.worst_idx].cost.max_component();
+            for dim in 0..3 {
+                self.store_limit[dim] = self.model.cost_to_load(dim, worst);
+            }
         }
     }
 }
@@ -845,16 +829,14 @@ impl PlanVisitor for CapsVisitor<'_> {
         if self.should_stop() {
             return false;
         }
-        if self.incumbent.is_some() {
-            self.refresh_incumbent();
-        }
         let start = self.append_deltas(worker, op.0, count);
-        // Check Eq. 10 — and, when enabled, the incumbent bound — on
-        // every worker the deltas touch. Bounds are exact inversions of
-        // the cost predicate, so no epsilon is needed; the incumbent
-        // limit admits equality, so plans tying the best cost survive.
-        // A threshold cut also lowers the dimension's overflow: any bound
-        // below it keeps this branch cut.
+        // Check Eq. 10 — and, when the store is full under store-bound
+        // pruning, the store limit — on every worker the deltas touch.
+        // Bounds are exact inversions of the cost predicate, so no
+        // epsilon is needed; the store limit admits equality, so plans
+        // tying the worst stored cost survive. A threshold cut also
+        // lowers the dimension's overflow: any bound below it keeps this
+        // branch cut.
         for &(w, d) in &self.delta_arena[start..] {
             for dim in 0..3 {
                 let add = d[dim];
@@ -865,7 +847,8 @@ impl PlanVisitor for CapsVisitor<'_> {
                         self.delta_arena.truncate(start);
                         return false;
                     }
-                    if next > self.incumbent_limit[dim] {
+                    if next > self.store_limit[dim] {
+                        self.store_cut = true;
                         self.delta_arena.truncate(start);
                         return false;
                     }
@@ -1095,7 +1078,7 @@ impl<'a> CapsSearch<'a> {
 
         // Dead-state memoization is sound only when subtree reachability
         // is a pure function of the layer state: a first-feasible stop or
-        // a moving incumbent bound makes "dead" time-dependent. The MCTS
+        // a falling store bound makes "dead" time-dependent. The MCTS
         // backend samples rather than exhausts, so it never consults the
         // memo and the table is not built for it.
         let memo = (config.memo
@@ -1123,7 +1106,7 @@ impl<'a> CapsSearch<'a> {
             start,
         };
         let BackendResult {
-            plans: mut found,
+            plans: found,
             stats,
             anytime,
             mcts,
@@ -1132,19 +1115,6 @@ impl<'a> CapsSearch<'a> {
             SearchBackend::Dfs => crate::strategy::DfsStrategy.search(&ctx)?,
             SearchBackend::Mcts(mcfg) => crate::mcts::MctsStrategy::new(mcfg.clone()).search(&ctx)?,
         };
-
-        if config.incumbent_prune {
-            // Under incumbent pruning only the minimum-cost plans are
-            // guaranteed to survive every schedule; filter the store down
-            // to exactly that set so the outcome is deterministic. Costs
-            // are exact, so tying plans compare bit-equal.
-            let min = found
-                .iter()
-                .map(|s| s.cost.max_component())
-                .fold(f64::INFINITY, f64::min);
-            found.retain(|s| s.cost.max_component() <= min);
-            found.sort_by(cmp_scored);
-        }
 
         let pareto = pareto_front(&found);
         Ok(SearchOutcome {
@@ -1328,6 +1298,35 @@ mod tests {
             .unwrap();
         assert_eq!(pruned.stats.plans_found, expected, "pruning must be exact");
         assert!(pruned.stats.nodes <= all.stats.nodes);
+    }
+
+    #[test]
+    fn store_cuts_void_the_overflow() {
+        let (g, p, c, lm) = fixture();
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let config = SearchConfig::with_thresholds(Thresholds::new(0.5, 0.5, 0.8)).without_memo();
+        let unpruned = search.run(&config).unwrap();
+        assert!(unpruned
+            .overflow
+            .is_some_and(|o| o.iter().any(|l| !l.is_max())));
+        // A store that never fills cuts nothing, so the overflow stands.
+        let roomy = search.run(&config.clone().incumbent_pruned()).unwrap();
+        assert_eq!(roomy.stats.nodes, unpruned.stats.nodes);
+        assert_eq!(roomy.overflow, unpruned.overflow);
+        // A one-plan store cuts branches whose threshold crossings it
+        // never sees, so the run reports no overflow.
+        let tight = search
+            .run(
+                &SearchConfig {
+                    max_plans: 1,
+                    ..config
+                }
+                .incumbent_pruned(),
+            )
+            .unwrap();
+        assert!(tight.stats.nodes < unpruned.stats.nodes);
+        assert!(!tight.stats.aborted);
+        assert_eq!(tight.overflow, None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let caps_plan = outcome.best_plan().expect("a feasible plan exists").clone();
     let report = outcome.autotune.expect("auto-tuning ran");
     println!(
-        "CAPS: thresholds (cpu {:.3}, io {:.3}) tuned in {:?}; {} feasible plans found",
+        "CAPS: thresholds (cpu {:.3}, io {:.3}) tuned in {:?}; {} feasible plans explored",
         report.thresholds.cpu, report.thresholds.io, report.elapsed, outcome.stats.plans_found
     );
 

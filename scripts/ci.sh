@@ -18,7 +18,8 @@
 #      then the capsys-util suite again in release with
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
 #   7. determinism and search-outcome golden tests again in release
-#      (debug/release parity);
+#      (debug/release parity), with the store-bound exactness test
+#      (tests/store_bound.rs);
 #   8. search smoke — Figure 10a's first-feasible CAPS searches on
 #      Q2-join from 16 to 256 tasks under α⃗₁/α⃗₂/α⃗₃, self-asserting that
 #      every cell finds a plan (timings are printed, not gated);
@@ -189,8 +190,8 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/16" "determinism + search golden tests (release)"
-cargo test -q --release --test golden_determinism --test search_golden
+step "7/16" "determinism + search golden + store-bound tests (release)"
+cargo test -q --release --test golden_determinism --test search_golden --test store_bound
 step_done
 
 step "8/16" "search smoke (Figure 10a first-feasible searches, 16-256 tasks)"

@@ -186,26 +186,30 @@ fn incumbent_prune_survivors_identical_across_thread_counts() {
         let physical = PhysicalGraph::expand(&g);
         let loads = loads_for(&g, &physical, 1000.0);
         let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
-        let run = |threads: usize| {
-            search
-                .run(
-                    &SearchConfig {
-                        threads,
-                        max_plans: 1 << 20,
-                        ..SearchConfig::exhaustive()
-                    }
-                    .incumbent_pruned(),
-                )
-                .expect("search runs")
-        };
-        let base_set = plan_set(&run(1));
-        assert!(!base_set.is_empty(), "some plan always exists");
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                plan_set(&run(threads)),
-                base_set,
-                "incumbent-pruned survivors diverged at {threads} threads"
-            );
+        // The store bound only fires once the store is full, so small
+        // caps exercise it; the 1<<20 cap never fills.
+        for max_plans in [1usize, 2, 12, 1 << 20] {
+            let run = |threads: usize| {
+                search
+                    .run(
+                        &SearchConfig {
+                            threads,
+                            max_plans,
+                            ..SearchConfig::exhaustive()
+                        }
+                        .incumbent_pruned(),
+                    )
+                    .expect("search runs")
+            };
+            let base_set = plan_set(&run(1));
+            assert!(!base_set.is_empty(), "some plan always exists");
+            for threads in [2usize, 4, 8] {
+                assert_eq!(
+                    plan_set(&run(threads)),
+                    base_set,
+                    "incumbent-pruned survivors diverged at {threads} threads, cap {max_plans}"
+                );
+            }
         }
     });
 }

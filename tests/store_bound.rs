@@ -1,0 +1,218 @@
+//! Store-bound pruning ([`SearchConfig::incumbent_prune`]) is exact.
+//!
+//! Once the plan store is full, the search cuts every branch whose
+//! partial load already costs more than the worst stored plan. Such a
+//! branch holds only leaves the store would reject, so the pruned run
+//! must keep exactly the plans the unpruned run keeps at the same
+//! `max_plans`: the same stored plans (in discovery order at one
+//! thread, in the merge's total order above one), the same pareto
+//! front and the same recommended plan, while exploring no more plans.
+//!
+//! The unpruned baseline runs without the dead-state memo, which a
+//! pruned run never uses, so at one thread the pruned run walks a
+//! subset of the baseline's tree and visits no more nodes. Above one
+//! thread node counts include schedule-dependent prefix replays, so
+//! only `plans_found` is compared there.
+//!
+//! Problems: the paper's six queries on 8 × r5d.xlarge at 70% of
+//! capacity, at their tuned thresholds and at random relaxations of
+//! them, plus random linear jobs on random clusters (replay a failing
+//! case with `CAPSYS_PROP_SEED=<seed> cargo test --test store_bound`).
+
+use std::cell::Cell;
+use std::collections::HashMap;
+
+use capsys::caps::{CapsSearch, SearchConfig, Thresholds};
+use capsys::model::{
+    Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind, PhysicalGraph,
+    ResourceProfile, WorkerSpec,
+};
+use capsys::queries::all_queries;
+use capsys_util::forall;
+use capsys_util::prop::{floats, ints, vec_of, Config};
+
+const MAX_PLANS: [usize; 4] = [1, 2, 12, 64];
+const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Runs `config` with store-bound pruning and its unpruned, memo-free
+/// twin at the pruned run's thresholds, asserts the two agree, and
+/// returns whether a store cut saved nodes at one thread.
+fn assert_exact(search: &CapsSearch<'_>, config: SearchConfig, what: &str) -> bool {
+    let pruned = search
+        .run(&config.clone().incumbent_pruned())
+        .expect("pruned search runs");
+    let unpruned = search
+        .run(
+            &SearchConfig {
+                thresholds: Some(pruned.thresholds),
+                incumbent_prune: false,
+                ..config.clone()
+            }
+            .without_memo(),
+        )
+        .expect("unpruned search runs");
+    let at = format!(
+        "{what}, max_plans {}, {} threads",
+        config.max_plans, config.threads
+    );
+    assert_eq!(
+        pruned.feasible, unpruned.feasible,
+        "stored plans differ: {at}"
+    );
+    assert_eq!(pruned.pareto, unpruned.pareto, "pareto fronts differ: {at}");
+    assert_eq!(
+        pruned.best_scored(),
+        unpruned.best_scored(),
+        "recommended plans differ: {at}"
+    );
+    assert!(
+        pruned.stats.plans_found <= unpruned.stats.plans_found,
+        "pruned run explored more plans: {at}"
+    );
+    if config.threads > 1 {
+        return false;
+    }
+    assert!(
+        pruned.stats.nodes <= unpruned.stats.nodes,
+        "pruned run visited more nodes: {at}"
+    );
+    pruned.stats.nodes < unpruned.stats.nodes
+}
+
+/// Every `MAX_PLANS` × `THREADS` setting of `base`; returns whether any
+/// store cut saved nodes at one thread.
+fn assert_exact_grid(search: &CapsSearch<'_>, base: &SearchConfig, what: &str) -> bool {
+    let mut cut = false;
+    for max_plans in MAX_PLANS {
+        for threads in THREADS {
+            let config = SearchConfig {
+                max_plans,
+                threads,
+                ..base.clone()
+            };
+            cut |= assert_exact(search, config, what);
+        }
+    }
+    cut
+}
+
+/// Runs `f` on each paper query on 8 × r5d.xlarge at 70% of capacity.
+fn for_each_paper_query(mut f: impl FnMut(&str, &CapsSearch<'_>)) {
+    let cluster = Cluster::homogeneous(8, WorkerSpec::r5d_xlarge(4)).expect("valid cluster");
+    for query in all_queries() {
+        let physical = query.physical();
+        let rate = query.capacity_rate(&cluster, 0.7).expect("capacity rate");
+        let loads = query.load_model_at(&physical, rate).expect("load model");
+        let search = CapsSearch::new(query.logical(), &physical, &cluster, &loads).expect("search");
+        f(query.name(), &search);
+    }
+}
+
+#[test]
+fn tuned_paper_searches_keep_every_stored_plan() {
+    let mut cut = false;
+    for_each_paper_query(|name, search| {
+        cut |= assert_exact_grid(search, &SearchConfig::auto_tuned(), name);
+    });
+    assert!(cut, "no store cut fired on any tuned paper search");
+}
+
+#[test]
+fn relaxed_paper_searches_keep_every_stored_plan() {
+    // Relaxing the tuned thresholds admits more plans, so the store
+    // fills and its bound does the cutting rather than the thresholds.
+    let cut = Cell::new(false);
+    for_each_paper_query(|name, search| {
+        let alpha = search
+            .run(&SearchConfig::auto_tuned())
+            .expect("auto-tuned search runs")
+            .thresholds;
+        forall!(Config::default().cases(2), (
+            relax in vec_of(floats(1.0..1.3), 3..=3),
+        ) => {
+            let th = Thresholds::new(
+                (alpha.cpu * relax[0]).min(1.0),
+                (alpha.io * relax[1]).min(1.0),
+                (alpha.net * relax[2]).min(1.0),
+            );
+            let config = SearchConfig::with_thresholds(th);
+            cut.set(assert_exact_grid(search, &config, name) | cut.get());
+        });
+    });
+    assert!(cut.get(), "no store cut fired on any relaxed paper search");
+}
+
+/// A random linear job: per operator (parallelism, cpu/rec, state
+/// B/rec, out B/rec, selectivity, connection pattern to the next).
+type OpDraw = (usize, f64, f64, f64, f64, usize);
+
+fn build_problem(ops: &[OpDraw], workers: usize, extra_slots: usize) -> (LogicalGraph, Cluster) {
+    let n = ops.len();
+    let mut b = LogicalGraph::builder("store-bound");
+    let mut prev = None;
+    for (i, &(par, cpu, io, out, sel, _)) in ops.iter().enumerate() {
+        let kind = match i {
+            0 => OperatorKind::Source,
+            i if i + 1 == n => OperatorKind::Sink,
+            _ => OperatorKind::Stateless,
+        };
+        let sel = if i + 1 == n { 1.0 } else { sel };
+        let id = b.operator(
+            format!("op{i}"),
+            kind,
+            par,
+            ResourceProfile::new(cpu, io, out, sel),
+        );
+        if let Some((p, pattern)) = prev {
+            b.edge(p, id, pattern);
+        }
+        let pattern = [
+            ConnectionPattern::Hash,
+            ConnectionPattern::Rebalance,
+            ConnectionPattern::Forward,
+        ][ops[i].5];
+        prev = Some((id, pattern));
+    }
+    let g = b.build().expect("valid linear graph");
+    let slots = g.total_tasks().div_ceil(workers) + extra_slots;
+    let cluster = Cluster::homogeneous(workers, WorkerSpec::new(slots, 2.0, 1e8, 1e9))
+        .expect("valid cluster");
+    (g, cluster)
+}
+
+fn loads_for(g: &LogicalGraph, physical: &PhysicalGraph) -> LoadModel {
+    let rates: HashMap<OperatorId, f64> = g.sources().into_iter().map(|s| (s, 1000.0)).collect();
+    LoadModel::derive(g, physical, &rates).expect("load model")
+}
+
+#[test]
+fn random_problems_keep_every_stored_plan() {
+    let cut = Cell::new(false);
+    forall!(Config::default().cases(16), (
+        ops in vec_of(
+            (
+                ints(1usize..=4),
+                floats(1e-5..2e-3),
+                floats(0.0..5000.0),
+                floats(1.0..1000.0),
+                floats(0.1..1.5),
+                ints(0usize..=2),
+            ),
+            2..=4,
+        ),
+        workers in ints(2usize..=4),
+        extra_slots in ints(1usize..=4),
+        alpha in vec_of(floats(0.3..1.0), 3..=3),
+    ) => {
+        let (g, cluster) = build_problem(ops, *workers, *extra_slots);
+        let physical = PhysicalGraph::expand(&g);
+        let loads = loads_for(&g, &physical);
+        let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
+        let tuned = assert_exact_grid(&search, &SearchConfig::auto_tuned(), "tuned");
+        let th = Thresholds::new(alpha[0], alpha[1], alpha[2]);
+        let config = SearchConfig::with_thresholds(th);
+        let random = assert_exact_grid(&search, &config, "random thresholds");
+        cut.set(tuned | random | cut.get());
+    });
+    assert!(cut.get(), "no store cut fired on any random problem");
+}
