@@ -12,7 +12,9 @@
 //!   loads grow monotonically down the tree;
 //! * **exploration reordering** (§4.4.2) — operators with the highest
 //!   normalized resource consumption are explored first so that costly
-//!   branches hit the threshold near the root.
+//!   branches hit the threshold near the root; a first-feasible probe
+//!   bounded on the network alone explores upstream-first instead
+//!   ([`CapsSearch::exploration_order`]).
 
 use std::time::{Duration, Instant};
 
@@ -43,7 +45,14 @@ const TIME_CHECK_MASK: usize = 0x3FF;
 pub struct SearchConfig {
     /// Pruning thresholds; `None` runs threshold auto-tuning first (§5.2).
     pub thresholds: Option<Thresholds>,
-    /// Explore resource-intensive operators first (§4.4.2).
+    /// Explore operators in an order that prunes early
+    /// ([`CapsSearch::exploration_order`]); `false` keeps operator-id
+    /// order. CPU and I/O loads are known as soon as a task is placed,
+    /// so resource-intensive operators go first (§4.4.2). A channel's
+    /// network load is known only once both of its ends are placed, so a
+    /// first-feasible probe whose only finite threshold is α_net places
+    /// each operator after its upstream operators. The order never
+    /// changes whether a plan exists.
     pub reorder: bool,
     /// Threads of the work-stealing DFS (§5.1). `1` explores on the
     /// caller's thread and spawns none; its stored plans keep discovery
@@ -973,9 +982,62 @@ impl<'a> CapsSearch<'a> {
         &self.model
     }
 
-    /// The operator exploration order §4.4.2 would choose: operators with
-    /// the highest normalized resource consumption first.
-    pub fn reordered_ops(&self) -> Vec<OperatorId> {
+    /// The operator order a search under `thresholds` and `config`
+    /// explores: the identity order without [`SearchConfig::reorder`],
+    /// else the §4.4.2 order, except for network-only probes.
+    ///
+    /// CPU and I/O loads are known as soon as a task is placed, so the
+    /// §4.4.2 order (highest normalized resource consumption first) makes
+    /// costly branches hit those thresholds near the root. Network load
+    /// is known only once both ends of a channel are placed (Eq. 8). In
+    /// the §4.4.2 order a wide operator goes first and its channels are
+    /// charged only when its last neighbour is placed, often at the bottom
+    /// of the tree. A first-feasible probe whose only finite threshold is
+    /// α_net therefore explores upstream-first: each operator after all of
+    /// its upstream operators, ready operators taken in §4.4.2 order.
+    /// Every layer then closes all channels into the operator it places,
+    /// and the narrow sources of a scaled-out job come first, at one or
+    /// two branches each on identical workers. Whether a plan exists does
+    /// not depend on the order, so the probe's answer stands; its witness
+    /// and overflow may differ.
+    ///
+    /// Runs that keep a plan store stay in the §4.4.2 order at every
+    /// threshold vector. A capped store breaks cost ties on the
+    /// assignment vector, and which of several worker-symmetric
+    /// assignments the enumerator emits depends on the order, so another
+    /// order could keep other plans and recommend another one.
+    pub fn exploration_order(
+        &self,
+        thresholds: &Thresholds,
+        config: &SearchConfig,
+    ) -> Vec<OperatorId> {
+        let n_ops = self.physical.num_operators();
+        if !config.reorder {
+            return (0..n_ops).map(OperatorId).collect();
+        }
+        let heavy_first = self.heavy_first();
+        let net_only =
+            !thresholds.cpu.is_finite() && !thresholds.io.is_finite() && thresholds.net.is_finite();
+        if !(config.first_feasible && net_only) {
+            return heavy_first;
+        }
+        // The logical graph is acyclic, so every operator becomes ready.
+        let mut placed = vec![false; n_ops];
+        let mut order = Vec::with_capacity(n_ops);
+        while let Some(next) = heavy_first
+            .iter()
+            .copied()
+            .find(|op| !placed[op.0] && self.topo.in_edges[op.0].iter().all(|&(up, _)| placed[up]))
+        {
+            placed[next.0] = true;
+            order.push(next);
+        }
+        order
+    }
+
+    /// The §4.4.2 order: operators with the highest normalized resource
+    /// consumption first.
+    fn heavy_first(&self) -> Vec<OperatorId> {
         let n_ops = self.physical.num_operators();
         let bounds = self.model.bounds();
         let mut scored: Vec<(f64, usize)> = (0..n_ops)
@@ -1037,11 +1099,7 @@ impl<'a> CapsSearch<'a> {
         if config.max_plans == 0 {
             return Err(CapsError::InvalidConfig("max_plans must be >= 1".into()));
         }
-        let order = if config.reorder {
-            self.reordered_ops()
-        } else {
-            (0..self.physical.num_operators()).map(OperatorId).collect()
-        };
+        let order = self.exploration_order(thresholds, config);
         let bound = self.model.load_bound(thresholds);
         let deadline = config.time_budget.map(|d| Instant::now() + d);
         let start = Instant::now();
@@ -1167,21 +1225,6 @@ impl<'a> CapsSearch<'a> {
                 overflow: outcome.overflow,
             },
         })
-    }
-
-    /// Returns true if at least one plan satisfies `thresholds`.
-    ///
-    /// Used by the auto-tuner; runs a first-feasible search.
-    pub fn is_feasible(
-        &self,
-        thresholds: &Thresholds,
-        config: &SearchConfig,
-        deadline: Option<Instant>,
-    ) -> Result<bool, CapsError> {
-        Ok(matches!(
-            self.find_witness(thresholds, config, deadline)?,
-            Probe::Feasible(_)
-        ))
     }
 
     /// The logical graph this search was built from.
@@ -1333,41 +1376,122 @@ mod tests {
     fn reordering_preserves_the_plan_set() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let th = Thresholds::new(0.5, 0.5, 0.8);
-        let with = search
-            .run(&SearchConfig {
-                max_plans: usize::MAX / 2,
-                reorder: true,
-                ..SearchConfig::with_thresholds(th)
-            })
-            .unwrap();
-        let without = search
-            .run(&SearchConfig {
-                max_plans: usize::MAX / 2,
-                reorder: false,
-                ..SearchConfig::with_thresholds(th)
-            })
-            .unwrap();
-        assert_eq!(with.stats.plans_found, without.stats.plans_found);
-        // Same canonical plan sets.
-        let key = |plans: &[ScoredPlan]| {
-            let mut ks: Vec<_> = plans
-                .iter()
-                .map(|s| s.plan.canonical_key(&p, c.num_workers()))
-                .collect();
-            ks.sort();
-            ks
-        };
-        assert_eq!(key(&with.feasible), key(&without.feasible));
+        let inf = f64::INFINITY;
+        for th in [
+            Thresholds::new(0.5, 0.5, 0.8),
+            Thresholds::new(inf, inf, 0.8),
+        ] {
+            let with = search
+                .run(&SearchConfig {
+                    max_plans: usize::MAX / 2,
+                    reorder: true,
+                    ..SearchConfig::with_thresholds(th)
+                })
+                .unwrap();
+            let without = search
+                .run(&SearchConfig {
+                    max_plans: usize::MAX / 2,
+                    reorder: false,
+                    ..SearchConfig::with_thresholds(th)
+                })
+                .unwrap();
+            assert_ne!(with.order, without.order, "{th:?}: reordering is a no-op");
+            assert!(with.stats.pruned > 0, "{th:?}: nothing pruned");
+            assert_eq!(with.stats.plans_found, without.stats.plans_found);
+            // Same canonical plan sets.
+            let key = |plans: &[ScoredPlan]| {
+                let mut ks: Vec<_> = plans
+                    .iter()
+                    .map(|s| s.plan.canonical_key(&p, c.num_workers()))
+                    .collect();
+                ks.sort();
+                ks
+            };
+            assert_eq!(key(&with.feasible), key(&without.feasible), "{th:?}");
+        }
+        // A network-only probe explores upstream-first; the full run at
+        // the same thresholds keeps the §4.4.2 order. They agree on
+        // feasibility at every step of a grid that crosses from
+        // infeasible to feasible.
+        let mut answers = Vec::new();
+        for step in 0..40 {
+            let th = Thresholds::new(inf, inf, 0.05 * step as f64);
+            let config = SearchConfig::auto_tuned();
+            let probe = search.find_witness(&th, &config, None).unwrap();
+            let full = search.run(&SearchConfig::with_thresholds(th)).unwrap();
+            assert_ne!(
+                search.exploration_order(&th, &config.first_feasible()),
+                full.order
+            );
+            let feasible = matches!(probe, Probe::Feasible(_));
+            assert_eq!(feasible, full.stats.plans_found > 0, "{th:?}");
+            answers.push(feasible);
+        }
+        assert!(answers.contains(&true) && answers.contains(&false));
     }
 
     #[test]
-    fn reordering_explores_heavy_operator_first() {
+    fn exploration_order_depends_on_the_active_thresholds() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let order = search.reordered_ops();
-        // The window operator (id 1) dominates cpu and io.
-        assert_eq!(order[0], OperatorId(1));
+        let inf = f64::INFINITY;
+        let net_only = Thresholds::new(inf, inf, 0.5);
+        let full = SearchConfig::auto_tuned();
+        let probe = full.clone().first_feasible();
+        // The window operator (id 1) dominates cpu and io, so it goes
+        // first whenever cpu or io is bounded, or nothing is, and in
+        // every run that keeps a plan store.
+        for (th, config) in [
+            (Thresholds::unbounded(), &probe),
+            (Thresholds::new(0.5, inf, inf), &probe),
+            (Thresholds::new(inf, 0.5, 0.5), &probe),
+            (net_only, &full),
+        ] {
+            let order = search.exploration_order(&th, config);
+            assert_eq!(order[0], OperatorId(1), "{th:?}");
+        }
+        // A network-only probe explores upstream-first.
+        assert_eq!(
+            search.exploration_order(&net_only, &probe),
+            [OperatorId(0), OperatorId(1), OperatorId(2)]
+        );
+        // Without reordering, the identity order.
+        let plain = SearchConfig {
+            reorder: false,
+            ..probe
+        };
+        assert_eq!(
+            search.exploration_order(&net_only, &plain),
+            [OperatorId(0), OperatorId(1), OperatorId(2)]
+        );
+    }
+
+    #[test]
+    fn upstream_first_takes_ready_operators_in_heavy_first_order() {
+        // Declared sink first, so the identity order is not upstream-first.
+        let mut b = LogicalGraph::builder("join");
+        let profile = |cpu| ResourceProfile::new(cpu, 0.0, 100.0, 1.0);
+        let k = b.operator("sink", OperatorKind::Sink, 1, profile(0.0001));
+        let light = b.operator("light", OperatorKind::Source, 1, profile(0.0001));
+        let heavy = b.operator("heavy", OperatorKind::Source, 2, profile(0.001));
+        let j = b.operator("join", OperatorKind::Join, 3, profile(0.002));
+        b.edge(light, j, ConnectionPattern::Hash);
+        b.edge(heavy, j, ConnectionPattern::Hash);
+        b.edge(j, k, ConnectionPattern::Rebalance);
+        let g = b.build().unwrap();
+        let p = PhysicalGraph::expand(&g);
+        let c = Cluster::homogeneous(2, WorkerSpec::new(4, 4.0, 1e8, 1e9)).unwrap();
+        let rates = HashMap::from([(light, 1000.0), (heavy, 1000.0)]);
+        let lm = LoadModel::derive(&g, &p, &rates).unwrap();
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let inf = f64::INFINITY;
+        let net_only = Thresholds::new(inf, inf, 0.5);
+        let full = SearchConfig::auto_tuned();
+        assert_eq!(search.exploration_order(&net_only, &full)[0], j);
+        assert_eq!(
+            search.exploration_order(&net_only, &full.first_feasible()),
+            [heavy, light, j, k]
+        );
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! it, a plain scan with one first-feasible search per grid step, and
 //! requires the same thresholds, phase-1 minima, iteration count and
 //! error kind, with no more searches.
+//!
+//! A probe whose only finite threshold is α_net explores upstream-first
+//! rather than in the §4.4.2 order (`CapsSearch::exploration_order`).
+//! The plain scan calls the same `find_witness`, so on its own it would
+//! walk the same trees; on network-pressed problems it also answers
+//! those steps in two other orders.
 
 use std::collections::HashMap;
 use std::mem::discriminant;
@@ -15,6 +21,8 @@ use capsys::caps::{
     AutoTuneConfig, AutoTuner, CapsError, CapsSearch, CostVector, Dimension, Probe, SearchConfig,
     Thresholds,
 };
+use capsys::controller::controller::true_rate_from_profile;
+use capsys::ds2::{Ds2Config, Ds2Controller};
 use capsys::model::{
     Cluster, ConnectionPattern, LogicalGraph, OperatorId, OperatorKind, PhysicalGraph,
     ResourceProfile, WorkerSpec,
@@ -27,6 +35,10 @@ use capsys_util::prop::{floats, ints, vec_of, Config};
 /// abort before their first feasible leaf.
 const TINY_BUDGET: usize = 60;
 
+/// NIC bandwidth of the network-pressed problems, bytes/s: the worker
+/// families' 1.25 GB/s capped to 200 MB/s.
+const CAPPED_NIC: f64 = 2e8;
+
 /// What the plain scan saw.
 #[derive(Debug, Default)]
 struct Reference {
@@ -36,6 +48,23 @@ struct Reference {
     searches: usize,
     /// Probes that ran out of node budget; they count as infeasible.
     aborted: usize,
+}
+
+/// How the plain scan answers a grid step.
+#[derive(Clone, Copy, PartialEq)]
+enum Scan {
+    /// One first-feasible search per step, as the tuner probes.
+    Probe,
+    /// As `Probe`, except that a network-only step, which the tuner
+    /// probes upstream-first, is answered in two other orders that must
+    /// agree: a probe at `reorder: false` (operator-id order, the same
+    /// as upstream-first only where ids follow the dataflow) and a run
+    /// that keeps a one-plan store (the §4.4.2 order). Other steps keep
+    /// the tuner's order, which this does not test: at `reorder: false`
+    /// the probes with α_cpu finite hit `probe_node_budget` 66 times on
+    /// three of these problems, and the scan takes 36 s, not 0.7 s, in
+    /// release on a 2-vCPU x86-64 VM.
+    OtherOrders,
 }
 
 /// The §5.2 tuner with one first-feasible search per grid step: phase 1
@@ -48,6 +77,7 @@ fn plain_scan(
     search: &CapsSearch<'_>,
     base: &SearchConfig,
     reuse_witnesses: bool,
+    scan: Scan,
     r: &mut Reference,
 ) -> Result<(), CapsError> {
     let cfg = &base.auto_tune;
@@ -59,6 +89,10 @@ fn plain_scan(
         ),
         ..base.clone()
     };
+    let identity = SearchConfig {
+        reorder: false,
+        ..probe_base.clone()
+    };
     let relax = |a: f64, factor: f64| (if a < cfg.seed { cfg.seed } else { a * factor }).min(1.0);
     let mut witnesses: Vec<CostVector> = Vec::new();
     let mut feasible = |th: &Thresholds, r: &mut Reference| -> Result<bool, CapsError> {
@@ -67,18 +101,40 @@ fn plain_scan(
             return Ok(true);
         }
         r.searches += 1;
-        match search.find_witness(th, &probe_base, None)? {
+        let net_only = !th.cpu.is_finite() && !th.io.is_finite() && th.net.is_finite();
+        let other_orders = scan == Scan::OtherOrders && net_only;
+        let config = if other_orders { &identity } else { &probe_base };
+        let found = match search.find_witness(th, config, None)? {
             Probe::Feasible(w) => {
                 witnesses.push(w.cost);
-                Ok(true)
+                true
             }
             Probe::Infeasible { overflow } => {
                 if overflow.is_none() {
                     r.aborted += 1;
                 }
-                Ok(false)
+                false
+            }
+        };
+        if other_orders {
+            let stored = search.run_with_thresholds(
+                th,
+                &SearchConfig {
+                    max_plans: 1,
+                    ..probe_base.clone()
+                },
+            )?;
+            if stored.stats.aborted {
+                r.aborted += 1;
+            } else {
+                assert_eq!(
+                    !stored.feasible.is_empty(),
+                    found,
+                    "{th:?}: the orders disagree"
+                );
             }
         }
+        Ok(found)
     };
 
     let pressure = search.cost_model().pressure();
@@ -125,17 +181,19 @@ fn plain_scan(
     }
 }
 
-/// Tunes `search` both ways and asserts they agree; returns the number
-/// of reference probes that aborted on their node budget.
+/// Tunes `search` both ways and asserts they agree; returns what the
+/// plain scan saw, including how many of its searches aborted on their
+/// node budget.
 fn assert_equivalent(
     label: &str,
     search: &CapsSearch<'_>,
     base: &SearchConfig,
     reuse_witnesses: bool,
-) -> usize {
+    scan: Scan,
+) -> Reference {
     let tuned = AutoTuner::new(&base.auto_tune).tune(search, base);
     let mut reference = Reference::default();
-    let outcome = plain_scan(search, base, reuse_witnesses, &mut reference);
+    let outcome = plain_scan(search, base, reuse_witnesses, scan, &mut reference);
     match (&tuned, &outcome) {
         (Ok(report), Ok(())) => {
             assert_eq!(
@@ -166,7 +224,7 @@ fn assert_equivalent(
         (Err(a), Err(b)) => assert_eq!(discriminant(a), discriminant(b), "{label}: {a} vs {b}"),
         (a, b) => panic!("{label}: tuner gave {a:?}, plain scan gave {b:?}"),
     }
-    reference.aborted
+    reference
 }
 
 /// The paper's six queries on 8 × r5d.xlarge at three utilizations.
@@ -192,7 +250,7 @@ fn tuner_matches_plain_scan_on_paper_queries() {
     for_each_paper_query(|label, search| {
         // The plain scan reuses nothing, which matches the tuner only if
         // no probe is cut short by its node budget; none is here.
-        let aborted = assert_equivalent(label, search, &base, false);
+        let aborted = assert_equivalent(label, search, &base, false, Scan::Probe).aborted;
         assert_eq!(aborted, 0, "{label}: a probe hit probe_node_budget");
     });
 }
@@ -208,9 +266,84 @@ fn budget_aborted_probes_relax_exactly_one_step() {
     };
     let mut aborted = 0;
     for_each_paper_query(|label, search| {
-        aborted += assert_equivalent(label, search, &base, true);
+        aborted += assert_equivalent(label, search, &base, true, Scan::Probe).aborted;
     });
     assert!(aborted > 0, "the tiny budget never cut a probe short");
+}
+
+/// The perfbench `place` request shapes with capped NICs: Q1–Q6 at
+/// scales 1–4 on 4-slot r5d.xlarge and 8-slot m5d.2xlarge workers. Each
+/// job's input rate drives a cluster that just fits its default
+/// parallelism to 80%; DS2 sizes the job from its operators' true rates
+/// and it deploys at 60% slot fill.
+fn for_each_network_pressed_problem(mut f: impl FnMut(&str, &CapsSearch<'_>)) {
+    let ds2 = Ds2Controller::new(Ds2Config::default());
+    let families: [(fn(usize) -> WorkerSpec, usize); 2] =
+        [(WorkerSpec::r5d_xlarge, 4), (WorkerSpec::m5d_2xlarge, 8)];
+    for query in all_queries() {
+        for scale in 1..=4 {
+            let job = query.scaled(scale).expect("scaled query");
+            let physical = job.physical();
+            let true_rates: Vec<f64> = job
+                .logical()
+                .operators()
+                .iter()
+                .map(|o| true_rate_from_profile(&o.profile))
+                .collect();
+            for (family, slots) in families {
+                let spec = family(slots).with_network_cap(CAPPED_NIC);
+                let fits = Cluster::homogeneous(physical.num_tasks().div_ceil(slots), spec)
+                    .expect("valid cluster");
+                let rate = job.capacity_rate(&fits, 0.8).expect("capacity rate");
+                let decision = ds2
+                    .decide_from_op_rates(
+                        job.logical(),
+                        &physical,
+                        &true_rates,
+                        &job.source_rates(rate),
+                    )
+                    .expect("DS2 decides");
+                let sized = job
+                    .with_parallelism(&decision.parallelism)
+                    .expect("valid parallelism");
+                let sized_physical = sized.physical();
+                let loads = sized
+                    .load_model_at(&sized_physical, rate)
+                    .expect("load model");
+                let workers = (decision.total_tasks() as f64 / (slots as f64 * 0.6)).ceil();
+                let cluster = Cluster::homogeneous(workers as usize, spec).expect("valid cluster");
+                let search = CapsSearch::new(sized.logical(), &sized_physical, &cluster, &loads)
+                    .expect("search");
+                let label = format!(
+                    "{} x{scale} {:?} on {workers} x {slots} slots",
+                    query.name(),
+                    decision.parallelism
+                );
+                f(&label, &search);
+            }
+        }
+    }
+}
+
+#[test]
+fn network_only_probes_answer_alike_in_every_order() {
+    let base = SearchConfig::auto_tuned();
+    let (mut cases, mut net_active) = (0, 0);
+    for_each_network_pressed_problem(|label, search| {
+        let reference = assert_equivalent(label, search, &base, false, Scan::OtherOrders);
+        assert_eq!(
+            reference.aborted, 0,
+            "{label}: a search hit its node budget"
+        );
+        cases += 1;
+        if reference.per_dimension[2].is_finite() {
+            net_active += 1;
+        }
+    });
+    assert!(
+        4 * net_active >= cases,
+        "α_net is tuned in only {net_active} of {cases} cases"
+    );
 }
 
 /// A random linear dataflow of 2-4 operators on 2-4 homogeneous workers
@@ -266,7 +399,7 @@ fn tuner_matches_plain_scan_on_random_fixtures() {
         if tiny {
             base.auto_tune.probe_node_budget = 8;
         }
-        let aborted = assert_equivalent("random fixture", &search, &base, tiny);
+        let aborted = assert_equivalent("random fixture", &search, &base, tiny, Scan::Probe).aborted;
         if !tiny {
             assert_eq!(aborted, 0, "a default-budget probe aborted");
         }
