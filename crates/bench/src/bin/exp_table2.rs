@@ -12,11 +12,27 @@
 //! shrinking to 0 plans / 28 k nodes at α_cpu = 0.01 with reordering.
 //! Our parallelism calibration yields the same order of magnitude
 //! (~1.8 M distinct plans).
+//!
+//! The one-thread search is deterministic, so every row is asserted
+//! against the exact counts EXPERIMENTS.md records: a change to duplicate
+//! elimination, threshold pruning or reordering that moves a count fails
+//! the run.
 
 use capsys_bench::banner;
 use capsys_core::{CapsSearch, SearchConfig, Thresholds};
 use capsys_model::{Cluster, WorkerSpec};
 use capsys_queries::q3_inf;
+
+/// Per α_cpu row: (label, α_cpu, plans, nodes, nodes with reordering).
+const ROWS: [(&str, f64, usize, usize, usize); 7] = [
+    ("inf", f64::INFINITY, 1_796_275, 22_928_269, 22_532_910),
+    ("0.5", 0.5, 283_142, 7_355_812, 3_593_380),
+    ("0.2", 0.2, 1_089, 2_468_403, 35_225),
+    ("0.1", 0.1, 0, 1_923_678, 27),
+    ("0.05", 0.05, 0, 1_923_678, 27),
+    ("0.03", 0.03, 0, 1_857_086, 27),
+    ("0.01", 0.01, 0, 1_768_745, 27),
+];
 
 fn main() {
     banner(
@@ -38,16 +54,6 @@ fn main() {
         cluster.slots_per_worker()
     );
 
-    let alphas: [(String, f64); 7] = [
-        ("inf".into(), f64::INFINITY),
-        ("0.5".into(), 0.5),
-        ("0.2".into(), 0.2),
-        ("0.1".into(), 0.1),
-        ("0.05".into(), 0.05),
-        ("0.03".into(), 0.03),
-        ("0.01".into(), 0.01),
-    ];
-
     let header = format!(
         "{:<10} {:>12} {:>14} {:>22}",
         "alpha_cpu", "plans", "nodes", "nodes w/ reordering"
@@ -55,8 +61,8 @@ fn main() {
     println!("{header}");
     capsys_bench::rule(&header);
 
-    for (label, alpha) in &alphas {
-        let thresholds = Thresholds::new(*alpha, f64::INFINITY, f64::INFINITY);
+    for (label, alpha, plans, nodes, reordered_nodes) in ROWS {
+        let thresholds = Thresholds::new(alpha, f64::INFINITY, f64::INFINITY);
         let base = SearchConfig {
             max_plans: 1,
             ..SearchConfig::with_thresholds(thresholds)
@@ -77,9 +83,16 @@ fn main() {
             plain.stats.plans_found, reordered.stats.plans_found,
             "reordering must preserve the feasible-plan set"
         );
-        println!(
-            "{:<10} {:>12} {:>14} {:>22}",
-            label, plain.stats.plans_found, plain.stats.nodes, reordered.stats.nodes
+        let row = (
+            plain.stats.plans_found,
+            plain.stats.nodes,
+            reordered.stats.nodes,
+        );
+        println!("{:<10} {:>12} {:>14} {:>22}", label, row.0, row.1, row.2);
+        assert_eq!(
+            row,
+            (plans, nodes, reordered_nodes),
+            "Table 2 row alpha_cpu = {label} differs from the counts EXPERIMENTS.md records"
         );
     }
 

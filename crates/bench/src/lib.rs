@@ -6,6 +6,7 @@
 //! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for a
 //! recorded run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use capsys_model::{Cluster, OperatorId, Placement, WorkerId};

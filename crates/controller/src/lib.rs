@@ -28,6 +28,7 @@
 //!   traffic is shed at the sources (journaled two-phase like any
 //!   reconfiguration) and restored hysteretically once the load fits.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod arbiter;
 pub mod closed_loop;

@@ -41,12 +41,12 @@
 //! plan.validate(&physical, &cluster).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod autotune;
 pub mod cost;
 pub mod error;
 pub mod mcts;
-mod memo;
 pub mod movemin;
 pub mod parallel;
 pub mod pareto;

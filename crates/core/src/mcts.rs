@@ -707,7 +707,6 @@ impl SearchStrategy for MctsStrategy {
                 nodes: run.node_units,
                 pruned: 0,
                 plans_found: run.plans_found,
-                memo_hits: 0,
                 elapsed: ctx.start.elapsed(),
                 threads: 1,
                 aborted,

@@ -33,10 +33,10 @@
 //! them, and only the children it admits become units. Those children
 //! cover every leaf of the parent's subtree, so without the store bound
 //! the set of feasible plans found — and the `plans_found` statistic —
-//! are independent of the steal schedule. Without the dead-state memo
-//! and the store bound, so is the set of branches the threshold bound
-//! cuts, and with it the run's overflow (`BackendResult::overflow`),
-//! which equals the one-thread value.
+//! are independent of the steal schedule. Without the store bound, so is
+//! the set of branches the threshold bound cuts, and with it the run's
+//! overflow (`BackendResult::overflow`), which equals the one-thread
+//! value.
 //!
 //! Threads additionally share a stop flag (first-feasible and abort
 //! propagation). Every visitor polls its own deadline once per
@@ -173,7 +173,6 @@ pub(crate) fn run(ctx: &StrategyContext<'_>) -> Result<BackendResult, CapsError>
                     stats.nodes += local.nodes;
                     stats.pruned += local.pruned;
                     stats.plans_found += local.plans_found;
-                    stats.memo_hits += local.memo_hits;
                     stats.aborted |= local.aborted;
                 }
                 Ok(None) | Err(_) => {
@@ -234,7 +233,7 @@ fn complete(shared: &Shared, stats: &RunStats) -> bool {
 
 /// A visitor wired to the run's problem, deadline and shared cells.
 fn new_visitor<'a>(ctx: &StrategyContext<'a>, shared: &'a Shared) -> CapsVisitor<'a> {
-    let mut visitor = CapsVisitor::new(
+    CapsVisitor::new(
         ctx.physical,
         ctx.model,
         ctx.topo,
@@ -242,13 +241,7 @@ fn new_visitor<'a>(ctx: &StrategyContext<'a>, shared: &'a Shared) -> CapsVisitor
         ctx.config,
         ctx.deadline,
         &shared.stop,
-    );
-    if let Some(setup) = ctx.memo {
-        // The table is shared: one thread proving a state dead spares
-        // every sibling that reaches it.
-        visitor.set_memo(setup);
-    }
-    visitor
+    )
 }
 
 /// Explores one unit's subtree and adds its counts to `local`.
@@ -264,11 +257,10 @@ fn explore_unit(
     local.plans_found += s.plans;
 }
 
-/// Folds the visitor's abort and memo counters into `local` and returns
-/// its plan cache in discovery order.
+/// Folds the visitor's abort flag into `local` and returns its plan
+/// cache in discovery order.
 fn harvest(visitor: CapsVisitor<'_>, local: &mut RunStats) -> Vec<ScoredPlan> {
     local.aborted |= visitor.was_aborted();
-    local.memo_hits = visitor.memo_hits();
     visitor.into_found()
 }
 

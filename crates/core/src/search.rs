@@ -28,7 +28,6 @@ use crate::autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner};
 use crate::cost::{CostModel, CostVector, Thresholds};
 use crate::error::CapsError;
 use crate::mcts::MctsReport;
-use crate::memo::{fnv1a64, MemoSetup, MemoTable};
 use crate::pareto::pareto_front;
 use crate::strategy::{BackendResult, SearchBackend, SearchStrategy, StrategyContext};
 
@@ -37,7 +36,10 @@ use crate::strategy::{BackendResult, SearchBackend, SearchStrategy, StrategyCont
 /// search itself prunes on exact fixed-point mantissas).
 const BOUND_EPS: f64 = 1e-9;
 
-/// How often (in `place` calls) the deadline is polled.
+/// How often the DFS polls its two time-dependent stop conditions, the
+/// deadline and the shared stop flag: once every `TIME_CHECK_MASK + 1`
+/// `place` calls (nodes). A raised flag, from a first-feasible leaf or a
+/// thread that saw the deadline pass, is thus seen within that many nodes.
 const TIME_CHECK_MASK: usize = 0x3FF;
 
 /// Configuration of one CAPS search run.
@@ -83,20 +85,9 @@ pub struct SearchConfig {
     /// one thread); only `nodes`, `pruned` and `plans_found` shrink, and
     /// `plans_found` then counts the plans explored rather than every
     /// plan within the thresholds. A run in which a store cut fired
-    /// reports no [`SearchOutcome::overflow`]. The dead-state memo is
-    /// off while this is on, and the MCTS backend ignores it.
+    /// reports no [`SearchOutcome::overflow`]. The MCTS backend ignores
+    /// it.
     pub incumbent_prune: bool,
-    /// Memoize dead search states across layers (transposition pruning).
-    ///
-    /// The DFS records every fully explored outer-layer state that held
-    /// zero feasible leaves, keyed by a canonical worker-multiset hash
-    /// with an exact verify key, and skips equal states reached through
-    /// other prefixes. Only *dead* subtrees are skipped, so the feasible
-    /// plan set, the stored plans, and `plans_found` are identical with
-    /// the memo on or off; `nodes` shrinks. Automatically disabled for
-    /// first-feasible and store-bound-pruned searches, whose reachability
-    /// depends on more than the state.
-    pub memo: bool,
     /// Which [`SearchStrategy`] backend explores the plan space. The
     /// default DFS backend is exhaustive within its budget; the MCTS
     /// backend is an anytime search for plan spaces too large to
@@ -133,7 +124,6 @@ impl SearchConfig {
             free_slots: None,
             auto_tune: AutoTuneConfig::default(),
             incumbent_prune: true,
-            memo: true,
             backend: SearchBackend::Dfs,
         }
     }
@@ -160,12 +150,6 @@ impl SearchConfig {
     /// returning the modified config.
     pub fn incumbent_pruned(mut self) -> Self {
         self.incumbent_prune = true;
-        self
-    }
-
-    /// Disables dead-state memoization, returning the modified config.
-    pub fn without_memo(mut self) -> Self {
-        self.memo = false;
         self
     }
 
@@ -211,10 +195,6 @@ pub struct RunStats {
     /// store-bound pruning, only the plans explored before their branch
     /// was cut.
     pub plans_found: usize,
-    /// Subtrees skipped by the dead-state memo. Hits depend on the
-    /// exploration schedule across threads (which sibling proved a state
-    /// dead first), so this is a diagnostic, not a determinism surface.
-    pub memo_hits: usize,
     /// Wall-clock duration of the search phase.
     pub elapsed: Duration,
     /// Worker threads used.
@@ -392,45 +372,6 @@ impl OpTopology {
             out_edges,
         }
     }
-
-    /// Derives the per-layer memoization gates for an operator order: for
-    /// each layer, which placed operators' counts remain *open* (read by
-    /// future mesh deltas, so part of the state key) and whether the
-    /// layer is memoizable at all (one-to-one edges into the unplaced
-    /// suffix depend on task alignment that counts cannot express).
-    pub(crate) fn memo_layout(&self, order: &[OperatorId]) -> (Vec<bool>, Vec<Vec<usize>>) {
-        let n_ops = self.parallelism.len();
-        let layers = order.len();
-        let mut layer_ok = vec![true; layers];
-        let mut open_ops = vec![Vec::new(); layers];
-        let mut future = vec![false; n_ops];
-        for l in 0..layers {
-            for f in future.iter_mut() {
-                *f = false;
-            }
-            for id in &order[l..] {
-                future[id.0] = true;
-            }
-            let mut open = std::collections::BTreeSet::new();
-            let mut ok = true;
-            for id in &order[l..] {
-                let edges = self.in_edges[id.0]
-                    .iter()
-                    .chain(self.out_edges[id.0].iter());
-                for &(peer, shape) in edges {
-                    if !future[peer] {
-                        open.insert(peer);
-                        if shape == EdgeShape::OneToOne {
-                            ok = false;
-                        }
-                    }
-                }
-            }
-            layer_ok[l] = ok;
-            open_ops[l] = open.into_iter().collect();
-        }
-        (layer_ok, open_ops)
-    }
 }
 
 /// The pruning and plan-collection visitor driving the DFS.
@@ -484,17 +425,6 @@ pub(crate) struct CapsVisitor<'a> {
     /// branch (`Fixed64::MAX` while none has).
     overflow: [Fixed64; 3],
     aborted: bool,
-    // Dead-state memoization.
-    memo: Option<&'a MemoSetup>,
-    /// One entry per active `enter_layer`: the state's hash and
-    /// `plans_seen` on entry (`None` for gated-off layers). A subtree is
-    /// proven dead when it exits with `plans_seen` unchanged and no
-    /// abort in flight; the verify key is rebuilt only then, because the
-    /// state at `exit_layer` is identical to the state at `enter_layer`.
-    memo_stack: Vec<Option<(u64, usize)>>,
-    /// Feasible leaves reached so far (monotone).
-    plans_seen: usize,
-    memo_hits: usize,
 }
 
 impl<'a> CapsVisitor<'a> {
@@ -535,79 +465,7 @@ impl<'a> CapsVisitor<'a> {
             stop_flag,
             overflow: [Fixed64::MAX; 3],
             aborted: false,
-            memo: None,
-            memo_stack: Vec::new(),
-            plans_seen: 0,
-            memo_hits: 0,
         }
-    }
-
-    /// Installs a dead-state memo (shared across threads in the parallel
-    /// search). Only sound for searches whose subtree reachability is a
-    /// pure function of the layer state — the caller guarantees neither
-    /// first-feasible stop nor store-bound pruning is active.
-    pub(crate) fn set_memo(&mut self, setup: &'a MemoSetup) {
-        self.memo = Some(setup);
-    }
-
-    /// Subtrees this visitor skipped via the memo.
-    pub(crate) fn memo_hits(&self) -> usize {
-        self.memo_hits
-    }
-
-    /// A worker-permutation-invariant hash of the state at an outer-layer
-    /// boundary, cheap enough for the hot path: per-worker rows of (free
-    /// slots, exact loads, open operators' task counts) are hashed
-    /// individually and combined commutatively, so no allocation or sort
-    /// happens unless a table probe actually matches.
-    fn state_hash(&self, layer: usize, remaining: &[usize]) -> u64 {
-        let setup = self.memo.expect("state_hash without memo");
-        let open = &setup.open_ops[layer];
-        let mut acc = 0u64;
-        for w in 0..self.num_workers {
-            let mut h = fnv1a64(&[remaining[w] as u64]);
-            for dim in 0..3 {
-                h = crate::memo::fnv1a64_word(h, self.load[w][dim].to_bits() as u64);
-            }
-            for &q in open {
-                h = crate::memo::fnv1a64_word(h, self.cnt[q][w] as u64);
-            }
-            acc = acc.wrapping_add(h);
-        }
-        // Fold the layer in last so equal worker multisets at different
-        // depths stay apart.
-        crate::memo::fnv1a64_word(acc, layer as u64)
-    }
-
-    /// The canonical verify key for the same state: the layer, then the
-    /// *sorted* per-worker rows. Sorting makes the key invariant under
-    /// worker permutation; two equal keys have isomorphic subtrees, and
-    /// isomorphic subtrees are either both dead or both live. Only built
-    /// when a probe matches or a dead subtree is recorded.
-    fn state_verify_key(&self, layer: usize, remaining: &[usize]) -> Vec<u64> {
-        let setup = self.memo.expect("state_verify_key without memo");
-        let open = &setup.open_ops[layer];
-        let width = 4 + open.len();
-        let mut rows: Vec<Vec<u64>> = (0..self.num_workers)
-            .map(|w| {
-                let mut row = Vec::with_capacity(width);
-                row.push(remaining[w] as u64);
-                for dim in 0..3 {
-                    row.push(self.load[w][dim].to_bits() as u64);
-                }
-                for &q in open {
-                    row.push(self.cnt[q][w] as u64);
-                }
-                row
-            })
-            .collect();
-        rows.sort_unstable();
-        let mut key = Vec::with_capacity(1 + self.num_workers * width);
-        key.push(layer as u64);
-        for row in &rows {
-            key.extend_from_slice(row);
-        }
-        key
     }
 
     /// Consumes the visitor and returns its local plan cache.
@@ -897,53 +755,12 @@ impl PlanVisitor for CapsVisitor<'_> {
         if self.aborted {
             return false;
         }
-        self.plans_seen += 1;
         self.record(counts);
         if self.first_feasible {
             self.stop_flag.store(true, std::sync::atomic::Ordering::Relaxed);
             return false;
         }
         true
-    }
-
-    fn enter_layer(&mut self, layer: usize, remaining: &[usize]) -> bool {
-        let Some(setup) = self.memo else {
-            return true;
-        };
-        if !setup.layer_ok[layer] {
-            self.memo_stack.push(None);
-            return true;
-        }
-        let hash = self.state_hash(layer, remaining);
-        if setup.table.maybe_contains(hash) {
-            let key = self.state_verify_key(layer, remaining);
-            if setup.table.contains(hash, &key) {
-                // An equal state was fully explored and held no feasible
-                // leaf; this subtree is dead too — skipping it drops
-                // nothing.
-                self.memo_hits += 1;
-                return false;
-            }
-        }
-        self.memo_stack.push(Some((hash, self.plans_seen)));
-        true
-    }
-
-    fn exit_layer(&mut self, layer: usize, remaining: &[usize]) {
-        let Some(setup) = self.memo else {
-            return;
-        };
-        if let Some(Some((hash, seen))) = self.memo_stack.pop() {
-            // Dead only if the subtree was *fully* explored (no abort in
-            // flight) and produced no feasible leaf. Place/unplace pairs
-            // have restored the exact entry state, so the verify key can
-            // be rebuilt here, keeping the live path allocation-free.
-            if !self.aborted && self.plans_seen == seen {
-                setup
-                    .table
-                    .insert(hash, self.state_verify_key(layer, remaining));
-            }
-        }
     }
 }
 
@@ -1134,31 +951,12 @@ impl<'a> CapsSearch<'a> {
             enumerator = enumerator.with_free_slots(free.clone())?;
         }
 
-        // Dead-state memoization is sound only when subtree reachability
-        // is a pure function of the layer state: a first-feasible stop or
-        // a falling store bound makes "dead" time-dependent. The MCTS
-        // backend samples rather than exhausts, so it never consults the
-        // memo and the table is not built for it.
-        let memo = (config.memo
-            && !config.first_feasible
-            && !config.incumbent_prune
-            && config.backend == SearchBackend::Dfs)
-            .then(|| {
-                let (layer_ok, open_ops) = self.topo.memo_layout(&order);
-                MemoSetup {
-                    table: MemoTable::new(),
-                    layer_ok,
-                    open_ops,
-                }
-            });
-
         let ctx = StrategyContext {
             physical: self.physical,
             model: &self.model,
             topo: &self.topo,
             enumerator: &enumerator,
             bound,
-            memo: memo.as_ref(),
             config,
             deadline,
             start,
@@ -1347,7 +1145,7 @@ mod tests {
     fn store_cuts_void_the_overflow() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let config = SearchConfig::with_thresholds(Thresholds::new(0.5, 0.5, 0.8)).without_memo();
+        let config = SearchConfig::with_thresholds(Thresholds::new(0.5, 0.5, 0.8));
         let unpruned = search.run(&config).unwrap();
         assert!(unpruned
             .overflow

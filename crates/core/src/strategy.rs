@@ -2,9 +2,9 @@
 //!
 //! [`CapsSearch::run_with_thresholds`](crate::CapsSearch::run_with_thresholds)
 //! prepares one problem instance — the exploration order, the exact
-//! per-dimension load bound, the symmetry-deduplicated
-//! [`PlanEnumerator`], and (for the DFS) the dead-state memo — and then
-//! hands it to a [`SearchStrategy`]. Two backends implement the trait:
+//! per-dimension load bound and the symmetry-deduplicated
+//! [`PlanEnumerator`] — and then hands it to a [`SearchStrategy`]. Two
+//! backends implement the trait:
 //!
 //! * [`DfsStrategy`] — the threshold-pruned exhaustive DFS of §4.3-4.4
 //!   under the work-stealing runner of §5.1 (`crate::parallel`). One
@@ -28,7 +28,6 @@ use capsys_util::fixed::Fixed64;
 use crate::cost::CostModel;
 use crate::error::CapsError;
 use crate::mcts::{MctsConfig, MctsReport};
-use crate::memo::MemoSetup;
 use crate::search::{AnytimePoint, OpTopology, RunStats, ScoredPlan, SearchConfig};
 
 /// Which search algorithm a [`SearchConfig`] selects.
@@ -74,7 +73,6 @@ pub struct StrategyContext<'a> {
     pub(crate) topo: &'a OpTopology,
     pub(crate) enumerator: &'a PlanEnumerator,
     pub(crate) bound: [Fixed64; 3],
-    pub(crate) memo: Option<&'a MemoSetup>,
     pub(crate) config: &'a SearchConfig,
     pub(crate) deadline: Option<Instant>,
     pub(crate) start: Instant,

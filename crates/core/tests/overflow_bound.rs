@@ -122,8 +122,7 @@ fn overflow_is_a_lower_bound_on_every_plan() {
             let bound = model.load_bound(&th);
             let overflow = overflow.expect("an unaborted DFS probe reports its overflow");
             assert_bounds_every_plan(model, &p, &plans, bound, overflow);
-            // A full run skips memo-dead subtrees; what it reports must
-            // still bound every plan.
+            // A full run's overflow must bound every plan too.
             for threads in [1, 2] {
                 let full = search
                     .run_with_thresholds(&th, &SearchConfig::with_thresholds(th).with_threads(threads))
@@ -162,9 +161,9 @@ fn overflow_is_identical_across_thread_counts() {
             for other in &probes[1..] {
                 assert_eq!(other, &probes[0], "thresholds {th:?}");
             }
-            // A full run without the memo that explores the probe's
-            // operator order walks the same tree, so it reports the same
-            // overflow. Full runs keep the §4.4.2 order at every vector,
+            // A full run that explores the probe's operator order walks
+            // the same tree, so it reports the same overflow. Full runs
+            // keep the §4.4.2 order at every vector,
             // while a network-only probe explores upstream-first; on this
             // linear pipeline upstream-first is the identity order, so a
             // full run at `reorder: false` walks the probe's tree there.
@@ -173,7 +172,7 @@ fn overflow_is_identical_across_thread_counts() {
                 .exploration_order(&th, &SearchConfig::exhaustive().first_feasible());
             let mut full_overflows = Vec::new();
             for threads in [1, 2, 4] {
-                let config = SearchConfig::with_thresholds(th).with_threads(threads).without_memo();
+                let config = SearchConfig::with_thresholds(th).with_threads(threads);
                 let full = search.run_with_thresholds(&th, &config).unwrap();
                 assert!(full.feasible.is_empty());
                 assert!(full.overflow.is_some());

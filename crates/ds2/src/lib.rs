@@ -23,6 +23,7 @@
 //! paper exploits: a contention-heavy placement depresses true rates and
 //! makes DS2 overshoot (§6.4).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 use std::collections::HashMap;
 

@@ -44,26 +44,6 @@ pub trait PlanVisitor {
     /// Return `false` to stop the entire traversal (e.g. first-feasible
     /// search or plan budgets).
     fn leaf(&mut self, counts: &[Vec<usize>]) -> bool;
-
-    /// An outer-layer boundary: the first `layer` operators of the order
-    /// are fully placed and the subtree placing the rest is about to be
-    /// explored. `remaining[w]` is the number of free slots on worker `w`.
-    ///
-    /// Return `false` to skip the entire subtree *without* it counting as
-    /// a pruned node — the hook exists for transposition memoization,
-    /// where the visitor has proven an equivalent state to be a dead end.
-    /// Skipping a subtree that contains reachable leaves breaks the
-    /// enumeration contract (`plans` would under-count), so only visitors
-    /// that can prove deadness may return `false`. The default keeps the
-    /// traversal exact.
-    fn enter_layer(&mut self, _layer: usize, _remaining: &[usize]) -> bool {
-        true
-    }
-
-    /// Matching exit notification for an [`PlanVisitor::enter_layer`]
-    /// that returned `true`, called after the subtree has been explored
-    /// (or the traversal stopped inside it).
-    fn exit_layer(&mut self, _layer: usize, _remaining: &[usize]) {}
 }
 
 /// Traversal statistics, mirroring the paper's Table 2 metrics.
@@ -188,9 +168,10 @@ impl PlanEnumerator {
     /// per-worker columns (free slots after the prefix, then the task
     /// count each fixed layer put on the worker) are sorted, so prefixes
     /// that assign the same multiset of worker states — merely labelling
-    /// the workers differently — collapse to one value. Callers
-    /// memoizing on this hash must still verify exact state equality
-    /// (64-bit hashes collide); see the memo table in `capsys-core`.
+    /// the workers differently — collapse to one value. A caller keying
+    /// a table on this hash must still verify exact state equality
+    /// (64-bit hashes collide), as the MCTS transposition table in
+    /// `capsys-core` does with its exact verify key.
     pub fn prefix_hash(&self, prefix: &[Vec<usize>]) -> u64 {
         let mut columns: Vec<Vec<u64>> = (0..self.num_workers)
             .map(|w| {
@@ -419,13 +400,9 @@ impl PlanEnumerator {
             }
             return;
         }
-        if !visitor.enter_layer(layer, &st.remaining) {
-            return;
-        }
         let op = self.op_order[layer];
         let tasks = self.parallelism[op.0];
         self.inner(layer, op, 0, tasks, st, visitor);
-        visitor.exit_layer(layer, &st.remaining);
     }
 
     /// Inner search: one worker per layer, with symmetry breaking. The
@@ -1070,77 +1047,6 @@ mod tests {
         // Depth participates: a one-layer prefix differs from the same
         // rows read as layer one of a two-layer prefix.
         assert_ne!(e.prefix_hash(&a[..1]), e.prefix_hash(&a));
-    }
-
-    #[test]
-    fn enter_layer_skip_removes_exactly_that_subtree() {
-        // A visitor that vetoes every layer-1 boundary sees only the
-        // layer-0 assignments and no leaves; the stats stay consistent
-        // (skips are not counted as pruned nodes).
-        struct SkipAt(usize, usize);
-        impl PlanVisitor for SkipAt {
-            fn place(&mut self, _: usize, _: OperatorId, _: usize) -> bool {
-                true
-            }
-            fn unplace(&mut self, _: usize, _: OperatorId, _: usize) {}
-            fn leaf(&mut self, _: &[Vec<usize>]) -> bool {
-                true
-            }
-            fn enter_layer(&mut self, layer: usize, _: &[usize]) -> bool {
-                if layer == self.0 {
-                    self.1 += 1;
-                    return false;
-                }
-                true
-            }
-        }
-        let p = chain(&[2, 3, 1]);
-        let c = cluster(3, 3);
-        let e = PlanEnumerator::new(&p, &c).unwrap();
-        let mut v = SkipAt(1, 0);
-        let stats = e.explore(&mut v);
-        assert_eq!(stats.plans, 0, "every layer-1 subtree was skipped");
-        assert_eq!(stats.pruned, 0, "skips are not pruned nodes");
-        assert!(v.1 > 0, "the hook fired");
-        // Skipping nothing reproduces the full enumeration.
-        let mut v = SkipAt(usize::MAX, 0);
-        let full = e.explore(&mut v);
-        assert_eq!(full.plans, count_plans(&p, &c).unwrap());
-    }
-
-    #[test]
-    fn enter_and_exit_layer_calls_pair_up() {
-        struct Depth(i64, i64);
-        impl PlanVisitor for Depth {
-            fn place(&mut self, _: usize, _: OperatorId, _: usize) -> bool {
-                true
-            }
-            fn unplace(&mut self, _: usize, _: OperatorId, _: usize) {}
-            fn leaf(&mut self, _: &[Vec<usize>]) -> bool {
-                true
-            }
-            fn enter_layer(&mut self, _: usize, _: &[usize]) -> bool {
-                self.0 += 1;
-                self.1 = self.1.max(self.0);
-                true
-            }
-            fn exit_layer(&mut self, _: usize, _: &[usize]) {
-                self.0 -= 1;
-            }
-        }
-        let p = chain(&[2, 3, 1]);
-        let c = cluster(3, 3);
-        let e = PlanEnumerator::new(&p, &c).unwrap();
-        let mut v = Depth(0, 0);
-        e.explore(&mut v);
-        assert_eq!(v.0, 0, "every enter_layer saw a matching exit_layer");
-        assert_eq!(v.1, 3, "one boundary per outer layer");
-        // The pairing must also hold under prefix exploration.
-        let mut v = Depth(0, 0);
-        for pre in e.expand_prefix(&[], &mut AcceptAll) {
-            e.explore_with_prefix(&pre, &mut v);
-            assert_eq!(v.0, 0);
-        }
     }
 
     #[test]

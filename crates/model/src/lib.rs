@@ -18,6 +18,7 @@
 //!   to worker symmetry, used for the paper's exhaustive study (§3.2) and
 //!   for validating search completeness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod cluster;
 pub mod enumerate;

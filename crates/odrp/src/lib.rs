@@ -16,6 +16,7 @@
 //! presets reproduce the paper's *Default*, *Weighted*, and *Latency*
 //! configurations.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod config;
 pub mod objective;

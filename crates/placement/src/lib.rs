@@ -16,6 +16,7 @@
 //! All strategies take an explicit RNG so experiments can reproduce the
 //! baselines' randomness seed-for-seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 use capsys_core::{CapsError, CapsSearch, SearchConfig};
 use capsys_model::{

@@ -23,6 +23,7 @@
 //! own cost model input, §5.1); the fluid simulator consumes rates, not
 //! individual events.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 use std::collections::HashMap;
 

@@ -18,6 +18,7 @@
 //! See `DESIGN.md` at the repository root for the full substitution
 //! argument (what the paper ran on vs. what this simulates).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod config;
 pub mod engine;

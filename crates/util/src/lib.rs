@@ -28,6 +28,7 @@
 //! registry dependency anywhere in the workspace is a CI failure
 //! (`scripts/ci.sh` greps every manifest).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deque;

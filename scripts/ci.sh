@@ -196,9 +196,12 @@ cargo test -q --release --test golden_determinism --test search_golden --test st
     --test autotune_equivalence
 step_done
 
-step "8/16" "search smoke (Figure 10a first-feasible searches, 16-256 tasks)"
+step "8/16" "search smoke (Figure 10a first-feasible searches, 16-256 tasks; Table 2 counts)"
 # exp_fig10a self-asserts that every (scale, alpha) cell finds a plan.
+# exp_table2 asserts the plans, nodes and reordered nodes of all seven
+# alpha_cpu rows against the exact counts EXPERIMENTS.md records.
 cargo run --release -p capsys-bench --bin exp_fig10a
+cargo run --release -p capsys-bench --bin exp_table2
 step_done
 
 step "9/16" "chaos smoke (fault injection + recovery, seeds 7/11/23)"

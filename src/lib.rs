@@ -35,6 +35,7 @@
 //! assert!(plan.validate(&physical, &cluster).is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod spec;
 

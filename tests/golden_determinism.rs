@@ -65,69 +65,6 @@ fn golden_file_is_valid_json_with_expected_shape() {
 }
 
 #[test]
-fn memo_on_and_off_plans_are_byte_identical() {
-    // The dead-state memo only skips subtrees proven to hold no
-    // feasible plan, so the golden pipeline must emit byte-identical
-    // output with the memo on (the default) and off — and both must
-    // match the committed golden file.
-    use capsys::caps::{CostModel, SearchConfig};
-    use capsys::model::{Cluster, WorkerSpec};
-    use capsys::placement::{CapsStrategy, PlacementContext, PlacementStrategy};
-    use capsys::queries::q1_sliding;
-    use capsys_util::rng::{SeedableRng, SmallRng};
-
-    // The same problem the golden spec pins (q1_spec.json).
-    let query = q1_sliding();
-    let cluster = Cluster::homogeneous(4, WorkerSpec::r5d_xlarge(4)).expect("cluster");
-    let rate = query.capacity_rate(&cluster, 0.9).expect("rate");
-    let physical = query.physical();
-    let loads = query.load_model_at(&physical, rate).expect("loads");
-    let ctx = PlacementContext {
-        logical: query.logical(),
-        physical: &physical,
-        cluster: &cluster,
-        loads: &loads,
-    };
-    let model = CostModel::new(&physical, &cluster, &loads).expect("model");
-    let run = |memo: bool| {
-        let config = SearchConfig::auto_tuned();
-        let config = if memo { config } else { config.without_memo() };
-        let plan = CapsStrategy::new(config)
-            .place(&ctx, &mut SmallRng::seed_from_u64(42))
-            .expect("plan");
-        let cost = model.cost(&physical, &plan);
-        let assignment = Json::Arr(
-            plan.assignment()
-                .iter()
-                .map(|w| Json::Num(w.0 as f64))
-                .collect(),
-        );
-        let cost = Json::Arr(vec![
-            Json::Num(cost.cpu),
-            Json::Num(cost.io),
-            Json::Num(cost.net),
-        ]);
-        Json::Arr(vec![assignment, cost]).to_pretty()
-    };
-    let on = run(true);
-    assert_eq!(on, run(false), "memo changed the golden pipeline output");
-
-    // Cross-check against the committed golden record.
-    let golden = Json::parse(GOLDEN).expect("golden parses");
-    let got = Json::parse(&on).expect("output parses");
-    assert_eq!(
-        got.as_array().unwrap()[0],
-        *golden.get("assignment").unwrap(),
-        "memo-on assignment diverged from the committed golden file"
-    );
-    assert_eq!(
-        got.as_array().unwrap()[1],
-        *golden.get("cost").unwrap(),
-        "memo-on cost diverged from the committed golden file"
-    );
-}
-
-#[test]
 fn simulation_is_deterministic_for_fixed_seed() {
     let simulate = |secs: f64| {
         let mut spec = DeploymentSpec::from_json(SPEC).expect("spec parses");

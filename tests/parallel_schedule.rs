@@ -138,6 +138,57 @@ fn plan_set_identical_across_thread_counts_and_runs() {
     });
 }
 
+/// Runs `search` at `thresholds` with a 12-plan store on 1, 2, 4 and 8
+/// threads and asserts that every thread count keeps the one-thread
+/// plan set and `plans_found`. Returns the one-thread outcome.
+fn assert_capped_store_agrees(
+    search: &CapsSearch<'_>,
+    thresholds: Thresholds,
+) -> capsys::caps::SearchOutcome {
+    let run = |threads: usize| {
+        search
+            .run(&SearchConfig {
+                threads,
+                max_plans: 12,
+                ..SearchConfig::with_thresholds(thresholds)
+            })
+            .expect("search runs")
+    };
+    let base = run(1);
+    let base_set = plan_set(&base);
+    for threads in [2usize, 4, 8] {
+        let out = run(threads);
+        assert_eq!(out.stats.plans_found, base.stats.plans_found);
+        assert_eq!(
+            plan_set(&out),
+            base_set,
+            "capped store diverged at {threads} threads"
+        );
+    }
+    base
+}
+
+/// A source, six maps and a sink, all of parallelism 2 with one
+/// profile, on two 8-slot workers: equal exact loads make states reached
+/// through different prefixes coincide, the case per-layer symmetry
+/// elimination cannot see.
+fn symmetric_chain() -> (LogicalGraph, Cluster) {
+    let mut b = LogicalGraph::builder("sym");
+    let profile = ResourceProfile::new(0.001, 0.0, 100.0, 1.0);
+    let src = b.operator("src", OperatorKind::Source, 2, profile);
+    let mut prev = src;
+    for i in 1..=6 {
+        let op = b.operator(format!("map{i}"), OperatorKind::Stateless, 2, profile);
+        b.edge(prev, op, ConnectionPattern::Hash);
+        prev = op;
+    }
+    let sink = b.operator("sink", OperatorKind::Sink, 2, profile);
+    b.edge(prev, sink, ConnectionPattern::Hash);
+    let g = b.build().expect("graph");
+    let cluster = Cluster::homogeneous(2, WorkerSpec::r5d_xlarge(8)).expect("cluster");
+    (g, cluster)
+}
+
 #[test]
 fn capped_store_identical_across_thread_counts() {
     // With a small `max_plans` cap the store truncates under the
@@ -152,27 +203,19 @@ fn capped_store_identical_across_thread_counts() {
         let physical = PhysicalGraph::expand(&g);
         let loads = loads_for(&g, &physical, 1000.0);
         let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
-        let run = |threads: usize| {
-            search
-                .run(&SearchConfig {
-                    threads,
-                    max_plans: 12,
-                    ..SearchConfig::exhaustive()
-                })
-                .expect("search runs")
-        };
-        let base = run(1);
-        let base_set = plan_set(&base);
-        for threads in [2usize, 4, 8] {
-            let out = run(threads);
-            assert_eq!(out.stats.plans_found, base.stats.plans_found);
-            assert_eq!(
-                plan_set(&out),
-                base_set,
-                "capped store diverged at {threads} threads"
-            );
-        }
+        assert_capped_store_agrees(&search, Thresholds::unbounded());
     });
+    // The symmetric chain under a network bound that cuts branches: the
+    // threshold-pruned, capped store must not depend on the thread count
+    // either.
+    let (g, cluster) = symmetric_chain();
+    let physical = PhysicalGraph::expand(&g);
+    let loads = loads_for(&g, &physical, 1000.0);
+    let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
+    let base =
+        assert_capped_store_agrees(&search, Thresholds::new(f64::INFINITY, f64::INFINITY, 0.4));
+    assert!(base.stats.pruned > 0, "the network bound cut no branch");
+    assert!(base.stats.plans_found > 12, "the store never filled");
 }
 
 #[test]
@@ -212,130 +255,6 @@ fn incumbent_prune_survivors_identical_across_thread_counts() {
             }
         }
     });
-}
-
-#[test]
-fn memo_on_and_off_agree_across_seeds_and_thread_counts() {
-    // The dead-state memo may only skip subtrees that contain no
-    // feasible leaf, so switching it off must change *nothing* about
-    // the outcome: same plans_found, same stored plan set, same best
-    // cost — at every thread count, on every generated problem.
-    forall!(cases(), (
-        ops in arb_ops(),
-        workers in ints(2usize..=4),
-        extra_slots in ints(2usize..=6),
-    ) => {
-        let (g, cluster) = build_problem(ops, *workers, *extra_slots);
-        let physical = PhysicalGraph::expand(&g);
-        let loads = loads_for(&g, &physical, 1000.0);
-        let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
-        // Tight thresholds so dead subtrees actually exist.
-        let th = Thresholds::new(0.5, 0.6, 0.9);
-        let run = |threads: usize, memo: bool| {
-            let config = SearchConfig {
-                threads,
-                max_plans: 64,
-                ..SearchConfig::with_thresholds(th)
-            };
-            let config = if memo { config } else { config.without_memo() };
-            search.run(&config).expect("search runs")
-        };
-        for threads in [1usize, 2, 4] {
-            let on = run(threads, true);
-            let off = run(threads, false);
-            assert_eq!(
-                on.stats.plans_found, off.stats.plans_found,
-                "memo changed plans_found at {threads} threads"
-            );
-            assert_eq!(
-                plan_set(&on),
-                plan_set(&off),
-                "memo changed the stored plan set at {threads} threads"
-            );
-            match (on.best_scored(), off.best_scored()) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.plan, b.plan, "memo changed the best plan");
-                    for (x, y) in [
-                        (a.cost.cpu, b.cost.cpu),
-                        (a.cost.io, b.cost.io),
-                        (a.cost.net, b.cost.net),
-                    ] {
-                        assert_eq!(x.to_bits(), y.to_bits(), "memo changed the best cost");
-                    }
-                }
-                _ => panic!("memo changed best-plan existence at {threads} threads"),
-            }
-            assert_eq!(off.stats.memo_hits, 0, "memo-off run reported hits");
-            if threads == 1 {
-                // Sequential node counts are deterministic; the memo can
-                // only remove work, never add it.
-                assert!(
-                    on.stats.nodes <= off.stats.nodes,
-                    "memo increased sequential node count"
-                );
-            }
-        }
-    });
-}
-
-#[test]
-fn memo_fires_on_symmetric_topology_without_changing_outcome() {
-    // A chain of identical operators is where cross-layer
-    // transpositions actually occur: equal exact loads make states
-    // reached through different prefixes coincide. The memo must fire
-    // (nonzero hits sequentially) and still be invisible in the result
-    // at every thread count.
-    let mut b = LogicalGraph::builder("sym");
-    let profile = ResourceProfile::new(0.001, 0.0, 100.0, 1.0);
-    let src = b.operator("src", OperatorKind::Source, 2, profile);
-    let mut prev = src;
-    for i in 1..=6 {
-        let op = b.operator(
-            format!("map{i}"),
-            OperatorKind::Stateless,
-            2,
-            profile,
-        );
-        b.edge(prev, op, ConnectionPattern::Hash);
-        prev = op;
-    }
-    let sink = b.operator("sink", OperatorKind::Sink, 2, profile);
-    b.edge(prev, sink, ConnectionPattern::Hash);
-    let g = b.build().expect("graph");
-    let physical = PhysicalGraph::expand(&g);
-    let cluster = Cluster::homogeneous(2, WorkerSpec::r5d_xlarge(8)).expect("cluster");
-    let loads = loads_for(&g, &physical, 1000.0);
-    let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
-    let th = Thresholds::new(f64::INFINITY, f64::INFINITY, 0.4);
-    let run = |threads: usize, memo: bool| {
-        let config = SearchConfig {
-            threads,
-            max_plans: 64,
-            ..SearchConfig::with_thresholds(th)
-        };
-        let config = if memo { config } else { config.without_memo() };
-        search.run(&config).expect("search runs")
-    };
-    let seq_on = run(1, true);
-    let seq_off = run(1, false);
-    assert!(
-        seq_on.stats.memo_hits > 0,
-        "memo never fired on a symmetric chain"
-    );
-    assert!(
-        seq_on.stats.nodes < seq_off.stats.nodes,
-        "memo hits must shrink the sequential tree"
-    );
-    assert_eq!(seq_on.stats.plans_found, seq_off.stats.plans_found);
-    assert_eq!(plan_set(&seq_on), plan_set(&seq_off));
-    for threads in [2usize, 4] {
-        let on = run(threads, true);
-        let off = run(threads, false);
-        assert_eq!(on.stats.plans_found, seq_on.stats.plans_found);
-        assert_eq!(plan_set(&on), plan_set(&seq_on), "memo-on diverged at {threads} threads");
-        assert_eq!(plan_set(&off), plan_set(&seq_on), "memo-off diverged at {threads} threads");
-    }
 }
 
 #[test]

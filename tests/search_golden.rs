@@ -49,8 +49,8 @@ fn plan_line(s: &ScoredPlan) -> String {
 fn write_stats(out: &mut String, tag: &str, s: &RunStats) {
     writeln!(
         out,
-        "{tag} stats nodes {} pruned {} plans_found {} memo_hits {} threads {} aborted {}",
-        s.nodes, s.pruned, s.plans_found, s.memo_hits, s.threads, s.aborted
+        "{tag} stats nodes {} pruned {} plans_found {} threads {} aborted {}",
+        s.nodes, s.pruned, s.plans_found, s.threads, s.aborted
     )
     .unwrap();
 }

@@ -8,9 +8,8 @@
 //! thread, in the merge's total order above one), the same pareto
 //! front and the same recommended plan, while exploring no more plans.
 //!
-//! The unpruned baseline runs without the dead-state memo, which a
-//! pruned run never uses, so at one thread the pruned run walks a
-//! subset of the baseline's tree and visits no more nodes. Above one
+//! At one thread the pruned run walks a subset of the unpruned
+//! baseline's tree and visits no more nodes. Above one
 //! thread node counts include schedule-dependent prefix replays, so
 //! only `plans_found` is compared there.
 //!
@@ -34,22 +33,19 @@ use capsys_util::prop::{floats, ints, vec_of, Config};
 const MAX_PLANS: [usize; 4] = [1, 2, 12, 64];
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Runs `config` with store-bound pruning and its unpruned, memo-free
-/// twin at the pruned run's thresholds, asserts the two agree, and
+/// Runs `config` with store-bound pruning and its unpruned twin at the
+/// pruned run's thresholds, asserts the two agree, and
 /// returns whether a store cut saved nodes at one thread.
 fn assert_exact(search: &CapsSearch<'_>, config: SearchConfig, what: &str) -> bool {
     let pruned = search
         .run(&config.clone().incumbent_pruned())
         .expect("pruned search runs");
     let unpruned = search
-        .run(
-            &SearchConfig {
-                thresholds: Some(pruned.thresholds),
-                incumbent_prune: false,
-                ..config.clone()
-            }
-            .without_memo(),
-        )
+        .run(&SearchConfig {
+            thresholds: Some(pruned.thresholds),
+            incumbent_prune: false,
+            ..config.clone()
+        })
         .expect("unpruned search runs");
     let at = format!(
         "{what}, max_plans {}, {} threads",
