@@ -31,13 +31,10 @@ fn parse_args() -> (u64, bool) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
+                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--seed expects an integer; using 7");
+                    7
+                });
             }
             "--quick" => quick = true,
             other => eprintln!("ignoring unknown argument `{other}`"),
@@ -148,7 +145,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "robustness extension (not a paper figure)",
     );
     let duration = if quick { 240.0 } else { 600.0 };
-    println!("Q1-sliding, seed {seed}, {duration}s, 6 workers, 1 crash + 1 straggler + 1 blackout\n");
+    println!(
+        "Q1-sliding, seed {seed}, {duration}s, 6 workers, 1 crash + 1 straggler + 1 blackout\n"
+    );
 
     // Full ladder: auto-tuned CAPS first.
     let full = run_once(seed, duration, RecoveryConfig::default())?;
@@ -163,7 +162,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..RecoveryConfig::default()
     };
     let rr = run_once(seed, duration, starved)?;
-    report("ladder: round-robin only (zero search budget)", &rr, duration);
+    report(
+        "ladder: round-robin only (zero search budget)",
+        &rr,
+        duration,
+    );
     if rr
         .recovery_events
         .iter()
@@ -179,7 +182,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         && replay.points == full.points;
     println!(
         "determinism: two seed-{seed} runs {}",
-        if identical { "replay identically" } else { "DIVERGED" }
+        if identical {
+            "replay identically"
+        } else {
+            "DIVERGED"
+        }
     );
     if !identical {
         return Err("same-seed chaos runs diverged".into());

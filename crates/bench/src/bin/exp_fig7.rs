@@ -19,8 +19,8 @@ use capsys_placement::{
     CapsStrategy, FlinkDefault, FlinkEvenly, PlacementContext, PlacementStrategy,
 };
 use capsys_queries::{all_queries, Query};
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SeedableRng;
+use capsys_util::rng::SmallRng;
 
 struct StrategyResult {
     throughput: BoxStats,

@@ -53,13 +53,10 @@ fn parse_args() -> (u64, bool) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
+                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--seed expects an integer; using 7");
+                    7
+                });
             }
             "--smoke" => smoke = true,
             other => eprintln!("ignoring unknown argument `{other}`"),
@@ -163,8 +160,7 @@ fn make_jobs(seed: u64, sh: &Shape) -> Vec<JobSpec> {
         // Targets are sized against the *full-parallelism* tenant on a
         // reference pool, so the undersized tenant 0 cannot meet its
         // target without scaling up.
-        let rate = capsys_queries::tenant_jobs(sh.tenants, sh.scale).expect("tenant fixtures")
-            [i]
+        let rate = capsys_queries::tenant_jobs(sh.tenants, sh.scale).expect("tenant fixtures")[i]
             .capacity_rate(&reference, target_util)
             .expect("capacity rate");
         jobs.push(JobSpec {
@@ -225,8 +221,12 @@ fn run_arm(
 ) -> Result<(FleetOutcome, FleetWorld, Vec<f64>), Box<dyn std::error::Error>> {
     let global = global_cluster(sh.workers);
     let config = fleet_config(faults);
-    let (world, arbiter, buf) =
-        FleetWorld::build(&global, make_jobs(seed, sh), Box::new(FlinkDefault), &config)?;
+    let (world, arbiter, buf) = FleetWorld::build(
+        &global,
+        make_jobs(seed, sh),
+        Box::new(FlinkDefault),
+        &config,
+    )?;
     if world.jobs().len() != sh.tenants {
         return Err(format!(
             "expected {} admitted tenants, got {}",
@@ -264,7 +264,13 @@ fn fairness_ratio(o: &FleetOutcome) -> f64 {
     let sats: Vec<f64> = o
         .shards
         .iter()
-        .map(|s| if s.target > 0.0 { s.goodput / s.target } else { 0.0 })
+        .map(|s| {
+            if s.target > 0.0 {
+                s.goodput / s.target
+            } else {
+                0.0
+            }
+        })
         .collect();
     let max = sats.iter().fold(f64::MIN, |a, &b| a.max(b));
     let min = sats.iter().fold(f64::MAX, |a, &b| a.min(b));
@@ -291,7 +297,10 @@ fn fingerprint(o: &FleetOutcome) -> String {
     s.push_str(&o.arbiter_log);
     s.push_str(&format!(
         "takeovers={:?} reacq={} fenced={} split={} arb={}",
-        o.takeovers, o.reacquisitions, o.fenced_attempts, o.split_brain_stamps,
+        o.takeovers,
+        o.reacquisitions,
+        o.fenced_attempts,
+        o.split_brain_stamps,
         o.arbiter_recoveries
     ));
     s
@@ -376,7 +385,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         killed.arbiter_recoveries
     );
     if smoke {
-        assert!(sh.workers >= 100 && sh.tenants >= 4, "smoke floor: >=4 tenants on >=100 workers");
+        assert!(
+            sh.workers >= 100 && sh.tenants >= 4,
+            "smoke floor: >=4 tenants on >=100 workers"
+        );
     } else {
         assert!(
             total_tasks >= 1000,
@@ -405,7 +417,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "  takeover: shard {} term {} lost at t={} recovered at t={} (MTTR {:.0}s)",
-            t.shard, t.term, t.lost_at, t.acquired_at, t.mttr()
+            t.shard,
+            t.term,
+            t.lost_at,
+            t.acquired_at,
+            t.mttr()
         );
     }
     assert_eq!(
@@ -422,12 +438,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // re-journaled log holds both the Prepare it inherited mid-flight
     // and the Commit it finished.
     let recovered0 = parse_journal(&killed.shards[0].journal)?;
-    let has_prepare = recovered0.records.iter().any(
-        |r| matches!(r, DecisionRecord::Prepare { epoch, .. } if *epoch == prepare_epoch),
-    );
-    let has_commit = recovered0.records.iter().any(
-        |r| matches!(r, DecisionRecord::Commit { epoch, .. } if *epoch == prepare_epoch),
-    );
+    let has_prepare = recovered0
+        .records
+        .iter()
+        .any(|r| matches!(r, DecisionRecord::Prepare { epoch, .. } if *epoch == prepare_epoch));
+    let has_commit = recovered0
+        .records
+        .iter()
+        .any(|r| matches!(r, DecisionRecord::Commit { epoch, .. } if *epoch == prepare_epoch));
     assert!(
         has_prepare && has_commit,
         "standby did not roll the in-doubt Prepare(epoch {prepare_epoch}) forward"
@@ -486,7 +504,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.name,
             fmt_rate(s.goodput),
             fmt_rate(s.target),
-            if s.target > 0.0 { s.goodput / s.target } else { 0.0 }
+            if s.target > 0.0 {
+                s.goodput / s.target
+            } else {
+                0.0
+            }
         );
     }
     let fair_kill = fairness_ratio(&killed);
@@ -541,9 +563,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("takeovers", Json::Arr(takeovers_json)),
         ("mttr_bound", Json::Num(mttr_bound)),
         ("fenced_attempts", Json::Num(killed.fenced_attempts as f64)),
-        ("split_brain_stamps", Json::Num(killed.split_brain_stamps as f64)),
+        (
+            "split_brain_stamps",
+            Json::Num(killed.split_brain_stamps as f64),
+        ),
         ("reacquisitions", Json::Num(killed.reacquisitions as f64)),
-        ("arbiter_recoveries", Json::Num(killed.arbiter_recoveries as f64)),
+        (
+            "arbiter_recoveries",
+            Json::Num(killed.arbiter_recoveries as f64),
+        ),
         ("rejected_at_admission", Json::Num(1.0)),
         ("replay_identical", Json::Bool(true)),
         ("same_seed_identical", Json::Bool(true)),

@@ -35,13 +35,10 @@ fn parse_args() -> (u64, bool) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
+                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--seed expects an integer; using 7");
+                    7
+                });
             }
             "--quick" => quick = true,
             other => eprintln!("ignoring unknown argument `{other}`"),
@@ -174,10 +171,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         off.oscillations(),
         100.0 * off_tail
     );
-    assert!(
-        off.oscillations() == 0,
-        "governor-off run cannot roll back"
-    );
+    assert!(off.oscillations() == 0, "governor-off run cannot roll back");
     assert!(
         !off.events.is_empty(),
         "the rate step must goad DS2 into rescaling onto the stale model"
@@ -262,7 +256,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         && replay.rollback_events == on.rollback_events;
     println!(
         "determinism: two seed-{seed} governed runs {}",
-        if identical { "replay identically" } else { "DIVERGED" }
+        if identical {
+            "replay identically"
+        } else {
+            "DIVERGED"
+        }
     );
     if !identical {
         return Err("same-seed governed runs diverged".into());

@@ -42,9 +42,7 @@ use capsys_ds2::Ds2Config;
 use capsys_model::{Cluster, OperatorId, RateSchedule, WorkerSpec};
 use capsys_placement::CapsStrategy;
 use capsys_queries::q1_sliding;
-use capsys_sim::{
-    ChaosConfig, FaultPlan, KillPoint, SimConfig, WorkloadConfig, WorkloadEngine,
-};
+use capsys_sim::{ChaosConfig, FaultPlan, KillPoint, SimConfig, WorkloadConfig, WorkloadEngine};
 use capsys_util::json::{obj, Json};
 
 /// Seeds exercised by the governor A/B; `ci.sh` relies on these.
@@ -172,7 +170,13 @@ fn flash_schedule(seed: u64, base: f64, duration: f64) -> RateSchedule {
 /// absolute baseline convicts (the flash shape guarantees it; pure
 /// growth degrades the rolling baseline in lockstep, which makes
 /// absolute judgment lenient rather than trigger-happy).
-fn ab_cell(name: &str, seed: u64, schedule: RateSchedule, duration: f64, expect_false_rollback: bool) -> Json {
+fn ab_cell(
+    name: &str,
+    seed: u64,
+    schedule: RateSchedule,
+    duration: f64,
+    expect_false_rollback: bool,
+) -> Json {
     let drift = run_governed(
         seed,
         schedule.clone(),
@@ -240,7 +244,14 @@ fn regression_scenario(seed: u64, duration: f64) -> Json {
     let skew = plan.model_skew.expect("one skew");
     let step_at = ((skew.time / POLICY_INTERVAL).floor() + 2.0) * POLICY_INTERVAL;
     let schedule = RateSchedule::Steps(vec![(0.0, base), (step_at, 1.8 * base)]);
-    let trace = run_governed(seed, schedule, duration, 60.0, BaselineMode::DriftAware, Some(plan));
+    let trace = run_governed(
+        seed,
+        schedule,
+        duration,
+        60.0,
+        BaselineMode::DriftAware,
+        Some(plan),
+    );
     let config = GuardConfig::default();
     let deadline = (config.probation_windows as f64 + 1.0) * POLICY_INTERVAL;
     assert!(
@@ -271,9 +282,7 @@ fn regression_scenario(seed: u64, duration: f64) -> Json {
 /// whose scaling is pinned, so admission control is the only lever.
 fn overload_schedule(seed: u64, duration: f64) -> RateSchedule {
     let query = q1_sliding();
-    let base = query
-        .capacity_rate(&cluster(), 0.5)
-        .expect("capacity");
+    let base = query.capacity_rate(&cluster(), 0.5).expect("capacity");
     let engine = WorkloadEngine::new(WorkloadConfig {
         seed,
         horizon: duration,
@@ -358,7 +367,10 @@ fn overload_scenario(seed: u64, duration: f64) -> Json {
         RateSchedule::Program(p) => p.flashes[0].clone(),
         other => panic!("overload schedule must be a program, got {other:?}"),
     };
-    let plateau = (flash.start + flash.ramp, flash.start + flash.ramp + flash.hold);
+    let plateau = (
+        flash.start + flash.ramp,
+        flash.start + flash.ramp + flash.hold,
+    );
     let (bare_result, _) = overload_run(seed, duration, false, None, None);
     let bare = bare_result.expect("unshedded run");
     let (shed_result, shed_journal) = overload_run(seed, duration, true, None, None);
@@ -560,9 +572,7 @@ fn main() {
         "the absolute baseline must false-rollback at least once across the \
          growth/flash scenarios — otherwise the A/B shows nothing"
     );
-    println!(
-        "  absolute baseline false rollbacks across seeds: {absolute_false_rollbacks}\n"
-    );
+    println!("  absolute baseline false rollbacks across seeds: {absolute_false_rollbacks}\n");
 
     // --- Injected true regression: still caught, fast. ---
     println!("--- injected true regression (drift-aware) ---");
@@ -574,10 +584,7 @@ fn main() {
     let overload = overload_scenario(7, 300.0);
 
     let record = obj(vec![
-        (
-            "schema",
-            Json::Str("capsys/bench-hostile/v1".to_string()),
-        ),
+        ("schema", Json::Str("capsys/bench-hostile/v1".to_string())),
         ("smoke", Json::Bool(smoke)),
         (
             "seeds",

@@ -48,13 +48,10 @@ fn parse_args() -> (u64, bool) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
+                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--seed expects an integer; using 7");
+                    7
+                });
             }
             "--smoke" => smoke = true,
             other => eprintln!("ignoring unknown argument `{other}`"),
@@ -180,7 +177,12 @@ fn parse_migration(journal_text: &str) -> Result<MigrationDecision, Box<dyn std:
                 parallelism,
                 ..
             } if decision.is_none() => {
-                decision = Some((assignment.clone(), moved.clone(), *rate, parallelism.clone()));
+                decision = Some((
+                    assignment.clone(),
+                    moved.clone(),
+                    *rate,
+                    parallelism.clone(),
+                ));
             }
             _ => {}
         }

@@ -38,13 +38,10 @@ fn parse_args() -> (u64, bool) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed expects an integer; using 7");
-                        7
-                    });
+                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--seed expects an integer; using 7");
+                    7
+                });
             }
             "--smoke" => smoke = true,
             other => eprintln!("ignoring unknown argument `{other}`"),
@@ -112,7 +109,10 @@ impl Scenario {
     }
 
     /// The scenario's fault schedule (without any controller kill).
-    fn fault_plan(&self, loop_: &ClosedLoop<'_>) -> Result<Option<FaultPlan>, Box<dyn std::error::Error>> {
+    fn fault_plan(
+        &self,
+        loop_: &ClosedLoop<'_>,
+    ) -> Result<Option<FaultPlan>, Box<dyn std::error::Error>> {
         let mut plan = match self.crash_at {
             None => None,
             Some(t) => {
@@ -457,7 +457,10 @@ fn chaos_kill_case(seed: u64, duration: f64) -> Result<(), Box<dyn std::error::E
 
     let run_with = |p: FaultPlan,
                     journal_text: Option<&str>|
-     -> Result<(Result<ClosedLoopTrace, ControllerError>, String), Box<dyn std::error::Error>> {
+     -> Result<
+        (Result<ClosedLoopTrace, ControllerError>, String),
+        Box<dyn std::error::Error>,
+    > {
         let strategy = CapsStrategy::default();
         let loop_ = match journal_text {
             None => scenario.build_loop(&strategy, &scenario.cluster)?,
@@ -645,10 +648,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         name: "guard-rollback",
         query: capsys_queries::q1_sliding(),
         cluster: guard_cluster,
-        schedule: RateSchedule::Steps(vec![
-            (0.0, guard_target),
-            (80.0, 1.8 * guard_target),
-        ]),
+        schedule: RateSchedule::Steps(vec![(0.0, guard_target), (80.0, 1.8 * guard_target)]),
         activation_period: 60.0,
         crash_at: None,
         skew: Some(ModelSkew {

@@ -268,7 +268,12 @@ fn main() {
 
     for case in cases() {
         let physical = PhysicalGraph::expand(&case.logical);
-        assert_eq!(physical.num_tasks(), case.tasks, "{}: task count", case.name);
+        assert_eq!(
+            physical.num_tasks(),
+            case.tasks,
+            "{}: task count",
+            case.name
+        );
         let slots = case.tasks.div_ceil(case.workers);
         let cluster = Cluster::homogeneous(case.workers, WorkerSpec::new(slots, 4.0, 1e8, 1e9))
             .expect("cluster");
@@ -286,11 +291,7 @@ fn main() {
             None => Thresholds::unbounded(),
             Some(margin) => {
                 let bound = Fixed64::from_f64(ideal * (1.0 + margin));
-                Thresholds::new(
-                    model.load_to_cost(0, bound),
-                    f64::INFINITY,
-                    f64::INFINITY,
-                )
+                Thresholds::new(model.load_to_cost(0, bound), f64::INFINITY, f64::INFINITY)
             }
         };
 
@@ -394,10 +395,7 @@ fn main() {
                         Json::Num(report.feasible_rollouts as f64),
                     ),
                     ("feasible", Json::Bool(best.is_some())),
-                    (
-                        "best_cost",
-                        best.map(Json::Num).unwrap_or(Json::Null),
-                    ),
+                    ("best_cost", best.map(Json::Num).unwrap_or(Json::Null)),
                     ("seconds", Json::Num(*secs)),
                     ("anytime", curve_json(out)),
                 ])
@@ -421,10 +419,7 @@ fn main() {
                     ("plans_found", Json::Num(dfs.stats.plans_found as f64)),
                     ("aborted", Json::Bool(dfs.stats.aborted)),
                     ("feasible", Json::Bool(dfs_best.is_some())),
-                    (
-                        "best_cost",
-                        dfs_best.map(Json::Num).unwrap_or(Json::Null),
-                    ),
+                    ("best_cost", dfs_best.map(Json::Num).unwrap_or(Json::Null)),
                     ("seconds", Json::Num(dfs_secs)),
                     ("anytime", curve_json(&dfs)),
                 ]),
@@ -454,7 +449,10 @@ fn main() {
     for key in ["schema", "smoke", "seeds", "cases"] {
         assert!(parsed.get(key).is_some(), "missing key {key:?}");
     }
-    let cases_arr = parsed.get("cases").and_then(|c| c.as_array()).expect("cases");
+    let cases_arr = parsed
+        .get("cases")
+        .and_then(|c| c.as_array())
+        .expect("cases");
     assert_eq!(cases_arr.len(), 4, "expected 4 cases");
     for c in cases_arr {
         for key in ["name", "dfs", "mcts", "node_budget"] {

@@ -21,8 +21,8 @@ use capsys_placement::{
 };
 use capsys_queries::{q3_inf, Query};
 use capsys_sim::Simulation;
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SeedableRng;
+use capsys_util::rng::SmallRng;
 
 /// Ground-truth minimal parallelism to sustain `rate`, from the true
 /// profiles (one core per task).

@@ -168,7 +168,10 @@ pub struct Arbiter {
 impl Arbiter {
     /// A fresh arbiter journaling to `sink`. The config is validated and
     /// written as the log's first record.
-    pub fn new(config: ArbiterConfig, sink: Box<dyn Write + Send>) -> Result<Arbiter, ControllerError> {
+    pub fn new(
+        config: ArbiterConfig,
+        sink: Box<dyn Write + Send>,
+    ) -> Result<Arbiter, ControllerError> {
         config.validate()?;
         let mut log = JournalWriter::new(sink);
         log.append(&config.to_json())?;
@@ -284,9 +287,7 @@ impl Arbiter {
                     ("name", Json::Str(name.into())),
                     (
                         "reason",
-                        Json::Str(format!(
-                            "insufficient capacity for {requested} worker(s)"
-                        )),
+                        Json::Str(format!("insufficient capacity for {requested} worker(s)")),
                     ),
                 ]))?;
                 self.rejections.push(name.to_string());
@@ -461,7 +462,9 @@ impl Arbiter {
         for rec in records {
             let kind: String = req(&rec, "kind").map_err(jerr)?;
             let diverged = |what: String| {
-                ControllerError::Journal(format!("arbiter log replay diverged at seq {seq}: {what}"))
+                ControllerError::Journal(format!(
+                    "arbiter log replay diverged at seq {seq}: {what}"
+                ))
             };
             match kind.as_str() {
                 "admit" => {
@@ -609,7 +612,7 @@ mod tests {
         let (mut arb, _) = arbiter(4);
         arb.admit("heavy", 3, 2.0).unwrap(); // pool 0,1,2
         arb.admit("light", 3, 1.0).unwrap(); // pool 0,1,3
-        // Worker 0 is shared and hot; workers 2,3 hot but unshared.
+                                             // Worker 0 is shared and hot; workers 2,3 hot but unshared.
         let hot = vec![0.95, 0.5, 0.95, 0.95];
         assert!(arb.observe_utilization(&hot, 10.0).unwrap().is_empty());
         let revs = arb.observe_utilization(&hot, 20.0).unwrap();

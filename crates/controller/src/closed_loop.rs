@@ -43,11 +43,11 @@ use capsys_util::rng::SmallRng;
 
 use crate::guard::{GuardConfig, PlanSnapshot, RollbackEvent, RollbackRequest, SafetyGovernor};
 use crate::journal::{DecisionJournal, DecisionRecord, RedeployReason};
-use crate::shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
 use crate::recovery::{
     descends, place_with_ladder, place_with_movemin, FailureDetector, LadderRung, RecoveryConfig,
     RecoveryEvent,
 };
+use crate::shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
 use crate::ControllerError;
 
 /// One reconfiguration event in a closed-loop run.
@@ -67,7 +67,12 @@ impl ToJson for ScalingEvent {
             ("time".into(), Json::Num(self.time)),
             (
                 "parallelism".into(),
-                Json::Arr(self.parallelism.iter().map(|&p| Json::Num(p as f64)).collect()),
+                Json::Arr(
+                    self.parallelism
+                        .iter()
+                        .map(|&p| Json::Num(p as f64))
+                        .collect(),
+                ),
             ),
             ("slots".into(), Json::Num(self.slots as f64)),
         ])
@@ -315,12 +320,20 @@ impl ClosedLoopTrace {
             ("events".into(), self.events.to_json()),
             ("recovery_events".into(), self.recovery_events.to_json()),
             ("rollback_events".into(), self.rollback_events.to_json()),
-            ("sanitized_samples".into(), Json::Num(self.sanitized_samples as f64)),
+            (
+                "sanitized_samples".into(),
+                Json::Num(self.sanitized_samples as f64),
+            ),
             ("migration_waves".into(), self.migration_waves.to_json()),
             ("shed_events".into(), self.shed_events.to_json()),
             (
                 "final_parallelism".into(),
-                Json::Arr(self.final_parallelism.iter().map(|&p| Json::Num(p as f64)).collect()),
+                Json::Arr(
+                    self.final_parallelism
+                        .iter()
+                        .map(|&p| Json::Num(p as f64))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -2769,7 +2782,9 @@ mod tests {
             .with_state_transfer(RETAINED_RECORDS)
             .unwrap();
         if incremental {
-            loop_ = loop_.with_incremental_migration(migration_config()).unwrap();
+            loop_ = loop_
+                .with_incremental_migration(migration_config())
+                .unwrap();
         }
         let result = loop_.with_journal(journal).unwrap().run(300.0);
         (result, buf.text())
@@ -3347,7 +3362,10 @@ mod tests {
         let off = run(false);
         let on = run(true);
         assert!(on.num_scalings() >= 1, "scenario must actually reconfigure");
-        assert!(on.rollback_events.is_empty(), "healthy canaries must commit");
+        assert!(
+            on.rollback_events.is_empty(),
+            "healthy canaries must commit"
+        );
         assert_eq!(off.to_json().to_string(), on.to_json().to_string());
     }
 
@@ -3385,10 +3403,9 @@ mod tests {
                 ..SimConfig::default()
             };
             let loop_ = match journal_text {
-                None => ClosedLoop::new(
-                    &query, &cluster, &strategy, ds2, sim_cfg, schedule, 7,
-                )
-                .unwrap(),
+                None => {
+                    ClosedLoop::new(&query, &cluster, &strategy, ds2, sim_cfg, schedule, 7).unwrap()
+                }
                 Some(t) => ClosedLoop::recover_from_journal(
                     &query, &cluster, &strategy, ds2, sim_cfg, schedule, t,
                 )
@@ -3529,12 +3546,9 @@ mod tests {
         // before the crowd decays (an unshedded run pins it near 1).
         let engaged_at = first.time;
         assert!(
-            trace
-                .points
-                .iter()
-                .any(|p| p.time > engaged_at
-                    && p.time < 120.0
-                    && p.backpressure < ShedConfig::default().engage_threshold),
+            trace.points.iter().any(|p| p.time > engaged_at
+                && p.time < 120.0
+                && p.backpressure < ShedConfig::default().engage_threshold),
             "shedding never relieved backpressure during the crowd"
         );
         // Every shed decision is journaled and committed.
@@ -3652,12 +3666,7 @@ mod tests {
             ..WorkloadConfig::default()
         })
         .unwrap();
-        let schedule = engine
-            .generate(&[OperatorId(0)])
-            .unwrap()
-            .pop()
-            .unwrap()
-            .1;
+        let schedule = engine.generate(&[OperatorId(0)]).unwrap().pop().unwrap().1;
         let ds2 = Ds2Config {
             activation_period: 40.0,
             ..fast_ds2()
@@ -3668,10 +3677,9 @@ mod tests {
             ..SimConfig::default()
         };
         let loop_ = match journal_text {
-            None => ClosedLoop::new(
-                &query, &cluster, &strategy, ds2, sim_cfg, schedule, seed,
-            )
-            .unwrap(),
+            None => {
+                ClosedLoop::new(&query, &cluster, &strategy, ds2, sim_cfg, schedule, seed).unwrap()
+            }
             Some(t) => ClosedLoop::recover_from_journal(
                 &query, &cluster, &strategy, ds2, sim_cfg, schedule, t,
             )

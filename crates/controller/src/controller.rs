@@ -13,8 +13,8 @@ use capsys_ds2::{Ds2Config, Ds2Controller};
 use capsys_model::{Cluster, LoadModel, LogicalGraph, PhysicalGraph, Placement, ResourceProfile};
 use capsys_placement::{CapsStrategy, PlacementContext, PlacementStrategy};
 use capsys_queries::Query;
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SeedableRng;
+use capsys_util::rng::SmallRng;
 
 use crate::profiler::{apply_profiles, profile_query, ProfileReport, ProfilerConfig};
 use crate::ControllerError;

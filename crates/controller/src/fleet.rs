@@ -557,9 +557,7 @@ impl<'a> FleetController<'a> {
                     job.name, config.window
                 )));
             }
-            let kill = config
-                .control_faults
-                .decider_kill(DeciderTarget::Shard(s));
+            let kill = config.control_faults.decider_kill(DeciderTarget::Shard(s));
             let partitions = config
                 .control_faults
                 .decider_partitions(DeciderTarget::Shard(s));
@@ -667,7 +665,12 @@ impl<'a> FleetController<'a> {
     /// Per-shard control-plane transitions at a window boundary `t`:
     /// zombie stamps, partition heal, standby takeover, partition
     /// onset, lease renewal.
-    fn control_transitions(&mut self, s: usize, t: f64, arbiter_cut: bool) -> Result<(), ControllerError> {
+    fn control_transitions(
+        &mut self,
+        s: usize,
+        t: f64,
+        arbiter_cut: bool,
+    ) -> Result<(), ControllerError> {
         // 1. A healed zombie attempts one stamp with stale credentials.
         if !arbiter_cut {
             if let Some(z) = self.shards[s].zombie.clone() {
@@ -794,7 +797,13 @@ impl<'a> FleetController<'a> {
         let Some(lp) = sh.live.as_mut() else {
             return Ok(());
         };
-        let end = drive(lp, &sh.history, sh.stepped, sh.history.len(), self.config.window)?;
+        let end = drive(
+            lp,
+            &sh.history,
+            sh.stepped,
+            sh.history.len(),
+            self.config.window,
+        )?;
         sh.stepped = end.stepped;
         if let Some(report) = end.last {
             sh.last_contrib = report.worker_cpu_util;
@@ -858,7 +867,9 @@ impl<'a> FleetController<'a> {
                     });
                 }
             }
-            self.shards[s].history.push(WindowRecord { factors, revoked });
+            self.shards[s]
+                .history
+                .push(WindowRecord { factors, revoked });
         }
 
         // Step every live, reachable shard controller through the new
@@ -979,7 +990,6 @@ impl<'a> FleetController<'a> {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1047,10 +1057,7 @@ mod tests {
         }
     }
 
-    fn build_fleet(
-        config: &FleetConfig,
-        jobs: Vec<JobSpec>,
-    ) -> (FleetWorld, Arbiter, SharedBuf) {
+    fn build_fleet(config: &FleetConfig, jobs: Vec<JobSpec>) -> (FleetWorld, Arbiter, SharedBuf) {
         FleetWorld::build(&global_cluster(), jobs, Box::new(FlinkDefault), config).unwrap()
     }
 
@@ -1065,7 +1072,11 @@ mod tests {
             .filter(|g| world.pools()[1].contains(g))
             .copied()
             .collect();
-        assert!(!overlap.is_empty(), "pools {:?} must overlap", world.pools());
+        assert!(
+            !overlap.is_empty(),
+            "pools {:?} must overlap",
+            world.pools()
+        );
         let mut fleet = FleetController::new(&world, arbiter, buf, config.clone()).unwrap();
         fleet.run(60.0).unwrap();
         assert!(fleet.takeovers().is_empty());

@@ -236,8 +236,14 @@ impl ToJson for RollbackEvent {
             ("to_epoch".into(), Json::Num(self.to_epoch as f64)),
             ("deployed_at".into(), Json::Num(self.deployed_at)),
             ("degraded_for".into(), Json::Num(self.degraded_for)),
-            ("baseline_tracking".into(), Json::Num(self.baseline_tracking)),
-            ("observed_tracking".into(), Json::Num(self.observed_tracking)),
+            (
+                "baseline_tracking".into(),
+                Json::Num(self.baseline_tracking),
+            ),
+            (
+                "observed_tracking".into(),
+                Json::Num(self.observed_tracking),
+            ),
             ("cooldown_until".into(), Json::Num(self.cooldown_until)),
         ])
     }
@@ -295,7 +301,10 @@ pub struct SafetyGovernor {
 
 impl SafetyGovernor {
     /// A governor trusting `initial` (the epoch-0 deployment).
-    pub fn new(config: GuardConfig, initial: PlanSnapshot) -> Result<SafetyGovernor, ControllerError> {
+    pub fn new(
+        config: GuardConfig,
+        initial: PlanSnapshot,
+    ) -> Result<SafetyGovernor, ControllerError> {
         config.validate()?;
         Ok(SafetyGovernor {
             config,
@@ -339,7 +348,8 @@ impl SafetyGovernor {
         let backpressure = backpressure.clamp(0.0, 1.0);
         match &mut self.phase {
             Phase::Baseline => {
-                self.baseline.push_back((tracking, backpressure, throughput.max(0.0)));
+                self.baseline
+                    .push_back((tracking, backpressure, throughput.max(0.0)));
                 while self.baseline.len() > self.config.baseline_windows {
                     self.baseline.pop_front();
                 }
@@ -415,9 +425,12 @@ impl SafetyGovernor {
                 // judgment): the replacement is judged against the original
                 // baseline, and the rollback target stays the plan trusted
                 // before the first canary.
-                Phase::Probation(p) => {
-                    (p.baseline_tracking, p.baseline_backpressure, p.baseline_capacity, true)
-                }
+                Phase::Probation(p) => (
+                    p.baseline_tracking,
+                    p.baseline_backpressure,
+                    p.baseline_capacity,
+                    true,
+                ),
                 Phase::Baseline => {
                     let n = self.baseline.len();
                     if n >= self.config.baseline_windows {
@@ -563,15 +576,42 @@ mod tests {
     fn config_validation_rejects_bad_knobs() {
         assert!(GuardConfig::default().validate().is_ok());
         for bad in [
-            GuardConfig { probation_windows: 0, ..GuardConfig::default() },
-            GuardConfig { regression_threshold: 0.0, ..GuardConfig::default() },
-            GuardConfig { regression_threshold: 1.0, ..GuardConfig::default() },
-            GuardConfig { regression_threshold: f64::NAN, ..GuardConfig::default() },
-            GuardConfig { baseline_windows: 0, ..GuardConfig::default() },
-            GuardConfig { quarantine_ttl: 0.0, ..GuardConfig::default() },
-            GuardConfig { cooldown: -1.0, ..GuardConfig::default() },
-            GuardConfig { cooldown_factor: 0.9, ..GuardConfig::default() },
-            GuardConfig { max_rollbacks: 0, ..GuardConfig::default() },
+            GuardConfig {
+                probation_windows: 0,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                regression_threshold: 0.0,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                regression_threshold: 1.0,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                regression_threshold: f64::NAN,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                baseline_windows: 0,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                quarantine_ttl: 0.0,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                cooldown: -1.0,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                cooldown_factor: 0.9,
+                ..GuardConfig::default()
+            },
+            GuardConfig {
+                max_rollbacks: 0,
+                ..GuardConfig::default()
+            },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} should be rejected");
         }
@@ -730,7 +770,10 @@ mod tests {
     /// A governor in the given judgment mode, with a healthy baseline
     /// at 990/1000 already fed and a canary deployed at `t`.
     fn on_probation(mode: BaselineMode) -> (SafetyGovernor, f64) {
-        let config = GuardConfig { baseline_mode: mode, ..GuardConfig::default() };
+        let config = GuardConfig {
+            baseline_mode: mode,
+            ..GuardConfig::default()
+        };
         let mut g = SafetyGovernor::new(config, snap(&[1, 1], 0)).unwrap();
         let t = feed(&mut g, 0.0, 3, 990.0, 1000.0, 0.01);
         g.on_scaling_deploy(t, snap(&[2, 2], 1));
@@ -743,9 +786,10 @@ mod tests {
         // delivers the demonstrated ~990 rec/s and queues fill
         // (backpressure 0.6) — the hardware is saturated, the plan is
         // fine.
-        for (mode, expect_rollback) in
-            [(BaselineMode::Absolute, true), (BaselineMode::DriftAware, false)]
-        {
+        for (mode, expect_rollback) in [
+            (BaselineMode::Absolute, true),
+            (BaselineMode::DriftAware, false),
+        ] {
             let (mut g, t) = on_probation(mode);
             let t2 = feed(&mut g, t, 2, 990.0, 3000.0, 0.6);
             let verdict = g.observe_window(t2 + 5.0, 990.0, 3000.0, 0.6);
@@ -762,9 +806,10 @@ mod tests {
         // Load drifts up 50% during probation; throughput grows past
         // the old capacity (the canary added parallelism) but tracking
         // still slips below the absolute bar.
-        for (mode, expect_rollback) in
-            [(BaselineMode::Absolute, true), (BaselineMode::DriftAware, false)]
-        {
+        for (mode, expect_rollback) in [
+            (BaselineMode::Absolute, true),
+            (BaselineMode::DriftAware, false),
+        ] {
             let (mut g, t) = on_probation(mode);
             let t2 = feed(&mut g, t, 2, 1150.0, 1500.0, 0.05);
             let verdict = g.observe_window(t2 + 5.0, 1150.0, 1500.0, 0.05);

@@ -250,7 +250,10 @@ fn rng_from_json(v: Option<&Json>) -> Result<[u64; 4], ControllerError> {
         .and_then(Json::as_array)
         .ok_or_else(|| bad("missing `rng` state"))?;
     if arr.len() != 4 {
-        return Err(bad(format!("rng state has {} words, expected 4", arr.len())));
+        return Err(bad(format!(
+            "rng state has {} words, expected 4",
+            arr.len()
+        )));
     }
     let mut out = [0u64; 4];
     for (i, w) in arr.iter().enumerate() {
@@ -328,7 +331,9 @@ fn num(v: Option<&Json>, what: &str) -> Result<f64, ControllerError> {
 fn integer(v: Option<&Json>, what: &str) -> Result<u64, ControllerError> {
     let n = num(v, what)?;
     if n < 0.0 || n.fract() != 0.0 || n > 2f64.powi(53) {
-        return Err(bad(format!("field `{what}` is not a non-negative integer: {n}")));
+        return Err(bad(format!(
+            "field `{what}` is not a non-negative integer: {n}"
+        )));
     }
     Ok(n as u64)
 }
@@ -941,18 +946,16 @@ mod tests {
             j.append(rec).unwrap();
         }
         let pristine = buf.text();
-        let check_prefix = |damaged: &str, what: &str| {
-            match parse_journal(damaged) {
-                Err(ControllerError::Journal(_)) => {}
-                Ok(parsed) => {
-                    assert!(
-                        parsed.records.len() <= originals.len()
-                            && parsed.records == originals[..parsed.records.len()],
-                        "{what}: parse accepted a non-prefix record sequence"
-                    );
-                }
-                Err(other) => panic!("{what}: unexpected error class {other}"),
+        let check_prefix = |damaged: &str, what: &str| match parse_journal(damaged) {
+            Err(ControllerError::Journal(_)) => {}
+            Ok(parsed) => {
+                assert!(
+                    parsed.records.len() <= originals.len()
+                        && parsed.records == originals[..parsed.records.len()],
+                    "{what}: parse accepted a non-prefix record sequence"
+                );
             }
+            Err(other) => panic!("{what}: unexpected error class {other}"),
         };
         forall!(
             Config::default().cases(256),

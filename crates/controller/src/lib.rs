@@ -46,21 +46,21 @@ pub use arbiter::{Arbiter, ArbiterConfig, Revocation, ShardInfo};
 pub use closed_loop::{
     ClosedLoop, ClosedLoopTrace, MigrationConfig, MigrationWave, ScalingEvent, StepReport,
 };
-pub use fleet::{
-    replay_shard, FleetConfig, FleetController, FleetOutcome, FleetWorld, JobSpec,
-    RevocationEvent, ShardOutcome, TakeoverEvent, WindowRecord,
-};
-pub use lease::LeaseTable;
 pub use controller::{CapsysConfig, CapsysController, Deployment};
+pub use fleet::{
+    replay_shard, FleetConfig, FleetController, FleetOutcome, FleetWorld, JobSpec, RevocationEvent,
+    ShardOutcome, TakeoverEvent, WindowRecord,
+};
 pub use guard::{BaselineMode, GuardConfig, PlanSnapshot, RollbackEvent, SafetyGovernor};
 pub use journal::{DecisionJournal, DecisionRecord, ParsedJournal, RedeployReason};
-pub use shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
+pub use lease::LeaseTable;
 pub use online::{OnlineProfiler, OnlineProfilerConfig};
 pub use profiler::{profile_query, ProfileReport, ProfilerConfig};
 pub use recovery::{
     place_with_ladder, place_with_movemin, round_robin_free, Detection, DetectorConfig,
     FailureDetector, LadderRung, RecoveryConfig, RecoveryEvent,
 };
+pub use shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
 
 use capsys_ds2::Ds2Error;
 use capsys_model::ModelError;

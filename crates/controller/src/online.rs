@@ -329,14 +329,38 @@ mod tests {
         let ok = OnlineProfilerConfig::default();
         assert!(ok.validate().is_ok());
         for bad in [
-            OnlineProfilerConfig { alpha: 0.0, ..ok.clone() },
-            OnlineProfilerConfig { alpha: 1.5, ..ok.clone() },
-            OnlineProfilerConfig { alpha: f64::NAN, ..ok.clone() },
-            OnlineProfilerConfig { drift_threshold: -0.1, ..ok.clone() },
-            OnlineProfilerConfig { drift_threshold: f64::INFINITY, ..ok.clone() },
-            OnlineProfilerConfig { min_rate: 0.0, ..ok.clone() },
-            OnlineProfilerConfig { min_rate: -5.0, ..ok.clone() },
-            OnlineProfilerConfig { min_rate: f64::NAN, ..ok.clone() },
+            OnlineProfilerConfig {
+                alpha: 0.0,
+                ..ok.clone()
+            },
+            OnlineProfilerConfig {
+                alpha: 1.5,
+                ..ok.clone()
+            },
+            OnlineProfilerConfig {
+                alpha: f64::NAN,
+                ..ok.clone()
+            },
+            OnlineProfilerConfig {
+                drift_threshold: -0.1,
+                ..ok.clone()
+            },
+            OnlineProfilerConfig {
+                drift_threshold: f64::INFINITY,
+                ..ok.clone()
+            },
+            OnlineProfilerConfig {
+                min_rate: 0.0,
+                ..ok.clone()
+            },
+            OnlineProfilerConfig {
+                min_rate: -5.0,
+                ..ok.clone()
+            },
+            OnlineProfilerConfig {
+                min_rate: f64::NAN,
+                ..ok.clone()
+            },
         ] {
             let err = OnlineProfiler::checked(baseline(), bad.clone())
                 .err()

@@ -76,7 +76,8 @@ impl ShedConfig {
     /// Validates parameter ranges.
     pub fn validate(&self) -> Result<(), ControllerError> {
         let bad = |msg: String| Err(ControllerError::InvalidConfig(msg));
-        if !self.engage_threshold.is_finite() || !(0.0..1.0).contains(&self.engage_threshold)
+        if !self.engage_threshold.is_finite()
+            || !(0.0..1.0).contains(&self.engage_threshold)
             || self.engage_threshold == 0.0
         {
             return bad(format!(
@@ -96,10 +97,14 @@ impl ShedConfig {
         if self.release_windows == 0 {
             return bad("release_windows must be >= 1".into());
         }
-        if !self.min_delta.is_finite() || !(0.0..1.0).contains(&self.min_delta)
+        if !self.min_delta.is_finite()
+            || !(0.0..1.0).contains(&self.min_delta)
             || self.min_delta == 0.0
         {
-            return bad(format!("min_delta must be in (0, 1), got {}", self.min_delta));
+            return bad(format!(
+                "min_delta must be in (0, 1), got {}",
+                self.min_delta
+            ));
         }
         if self.capacity_windows == 0 {
             return bad("capacity_windows must be >= 1".into());
@@ -322,16 +327,46 @@ mod tests {
     fn config_validation_rejects_bad_knobs() {
         assert!(ShedConfig::default().validate().is_ok());
         for bad in [
-            ShedConfig { engage_threshold: 0.0, ..ShedConfig::default() },
-            ShedConfig { engage_threshold: 1.0, ..ShedConfig::default() },
-            ShedConfig { engage_threshold: f64::NAN, ..ShedConfig::default() },
-            ShedConfig { headroom: 0.0, ..ShedConfig::default() },
-            ShedConfig { headroom: 1.5, ..ShedConfig::default() },
-            ShedConfig { max_fraction: 1.0, ..ShedConfig::default() },
-            ShedConfig { max_fraction: -0.1, ..ShedConfig::default() },
-            ShedConfig { release_windows: 0, ..ShedConfig::default() },
-            ShedConfig { min_delta: 0.0, ..ShedConfig::default() },
-            ShedConfig { capacity_windows: 0, ..ShedConfig::default() },
+            ShedConfig {
+                engage_threshold: 0.0,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                engage_threshold: 1.0,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                engage_threshold: f64::NAN,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                headroom: 0.0,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                headroom: 1.5,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                max_fraction: 1.0,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                max_fraction: -0.1,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                release_windows: 0,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                min_delta: 0.0,
+                ..ShedConfig::default()
+            },
+            ShedConfig {
+                capacity_windows: 0,
+                ..ShedConfig::default()
+            },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} should be rejected");
         }
@@ -444,15 +479,16 @@ mod tests {
         feed_quiet(&mut s, 6, 1000.0, 1000.0, 0.05);
         let req = s.observe_window(35.0, 1000.0, 3000.0, 0.8).unwrap();
         s.on_applied(req.fraction); // 1 - 0.95*1000/3000 ≈ 0.683
-        // The engage-time estimate was optimistic — the true capacity is
-        // 900 — so the admitted traffic stays saturated. Once the stale
-        // 1000-samples age out, the needed correction (to ≈0.715) is
-        // smaller than min_delta; the deadband suppresses it at first,
-        // but persistent pressure forces it through after
-        // `release_windows` suppressed windows.
+                                    // The engage-time estimate was optimistic — the true capacity is
+                                    // 900 — so the admitted traffic stays saturated. Once the stale
+                                    // 1000-samples age out, the needed correction (to ≈0.715) is
+                                    // smaller than min_delta; the deadband suppresses it at first,
+                                    // but persistent pressure forces it through after
+                                    // `release_windows` suppressed windows.
         for i in 0..7 {
             assert!(
-                s.observe_window(40.0 + 5.0 * i as f64, 900.0, 3000.0, 0.9).is_none(),
+                s.observe_window(40.0 + 5.0 * i as f64, 900.0, 3000.0, 0.9)
+                    .is_none(),
                 "window {i} should still be suppressed"
             );
         }
@@ -470,7 +506,10 @@ mod tests {
             assert!(s.observe_window(0.0, 1000.0, bad, 0.9).is_none());
             assert!(s.observe_window(0.0, 1000.0, 1000.0, bad).is_none());
         }
-        assert!(s.window.is_empty(), "poisoned samples must not enter the window");
+        assert!(
+            s.window.is_empty(),
+            "poisoned samples must not enter the window"
+        );
     }
 
     #[test]

@@ -243,9 +243,8 @@ impl CostModel {
             // T_io / T_net with |T| = s, Table 1).
             let mut per_task: Vec<i64> = task_loads.iter().map(|l| l[dim].to_bits()).collect();
             per_task.sort_unstable_by(|a, b| b.cmp(a));
-            fx_max[dim] = Fixed64::from_bits(narrow(
-                per_task.iter().take(s).map(|&m| m as i128).sum(),
-            ));
+            fx_max[dim] =
+                Fixed64::from_bits(narrow(per_task.iter().take(s).map(|&m| m as i128).sum()));
         }
         let fx_denom = [0, 1, 2].map(|d| fx_max[d].to_bits().saturating_sub(fx_min[d].to_bits()));
         let bounds = LoadBounds {

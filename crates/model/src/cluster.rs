@@ -1,6 +1,5 @@
 //! Worker cluster model (`G_w` in the paper).
 
-
 use crate::error::ModelError;
 
 /// Identifier of a worker within a [`Cluster`].
@@ -371,10 +370,8 @@ mod tests {
 
     #[test]
     fn heterogeneous_cluster_rejects_mixed_slot_counts() {
-        let err = Cluster::heterogeneous(vec![
-            WorkerSpec::r5d_xlarge(4),
-            WorkerSpec::r5d_xlarge(8),
-        ]);
+        let err =
+            Cluster::heterogeneous(vec![WorkerSpec::r5d_xlarge(4), WorkerSpec::r5d_xlarge(8)]);
         assert!(err.is_err());
         assert!(Cluster::heterogeneous(vec![]).is_err());
         let mut bad = WorkerSpec::r5d_xlarge(4);

@@ -8,8 +8,8 @@
 
 use capsys_util::json::{obj, req, FromJson, Json, JsonError, ToJson};
 
-use crate::cluster::{Cluster, WorkerSpec};
 use crate::cluster::WorkerId;
+use crate::cluster::{Cluster, WorkerSpec};
 use crate::placement::Placement;
 
 impl ToJson for WorkerSpec {
@@ -49,12 +49,7 @@ impl ToJson for Cluster {
 
 impl ToJson for Placement {
     fn to_json(&self) -> Json {
-        Json::Arr(
-            self.assignment()
-                .iter()
-                .map(|w| w.0.to_json())
-                .collect(),
-        )
+        Json::Arr(self.assignment().iter().map(|w| w.0.to_json()).collect())
     }
 }
 

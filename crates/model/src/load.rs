@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 
-
 use crate::error::ModelError;
 use crate::logical::{ConnectionPattern, LogicalGraph};
 use crate::operator::OperatorId;

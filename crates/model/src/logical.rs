@@ -1,6 +1,5 @@
 //! Logical query graphs.
 
-
 use crate::error::ModelError;
 use crate::operator::{LogicalOperator, OperatorId, OperatorKind, ResourceProfile};
 

@@ -283,7 +283,10 @@ mod tests {
         for t in p.operator_tasks(OperatorId(1)) {
             assert_eq!(sm.state_bytes(TaskId(t)), 125_000_000);
         }
-        for t in p.operator_tasks(OperatorId(0)).chain(p.operator_tasks(OperatorId(2))) {
+        for t in p
+            .operator_tasks(OperatorId(0))
+            .chain(p.operator_tasks(OperatorId(2)))
+        {
             assert_eq!(sm.state_bytes(TaskId(t)), 0);
         }
         assert_eq!(sm.bytes.iter().sum::<u64>(), 500_000_000);

@@ -1,6 +1,5 @@
 //! Logical operators and their resource profiles.
 
-
 /// Identifier of a logical operator within a [`crate::LogicalGraph`].
 ///
 /// Operator ids are dense indices assigned in insertion order.

@@ -2,7 +2,6 @@
 
 use std::ops::Range;
 
-
 use crate::logical::{ConnectionPattern, LogicalGraph};
 use crate::operator::OperatorId;
 

@@ -1,6 +1,5 @@
 //! Task placement plans (`f : V_p -> V_w`).
 
-
 use crate::cluster::{Cluster, WorkerId};
 use crate::error::ModelError;
 use crate::physical::{PhysicalGraph, TaskId};

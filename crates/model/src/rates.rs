@@ -159,7 +159,11 @@ impl RateProgram {
 
     /// Checks every parameter is finite and in range.
     pub fn validate(&self) -> Result<(), ModelError> {
-        let bad = |what: &str| Err(ModelError::InvalidParameter(format!("rate program: {what}")));
+        let bad = |what: &str| {
+            Err(ModelError::InvalidParameter(format!(
+                "rate program: {what}"
+            )))
+        };
         if !self.base.is_finite() || self.base < 0.0 {
             return bad("base must be finite and non-negative");
         }
@@ -361,7 +365,10 @@ mod tests {
         while t <= 600.0 {
             let r = s.rate_at(t);
             assert!(r.is_finite() && r >= 0.0, "rate {r} at t={t}");
-            assert!(r <= peak + 1e-9, "rate {r} above peak bound {peak} at t={t}");
+            assert!(
+                r <= peak + 1e-9,
+                "rate {r} above peak bound {peak} at t={t}"
+            );
             t += 1.0;
         }
     }
@@ -392,7 +399,10 @@ mod tests {
         p.diurnal_amplitude = 0.4;
         p.diurnal_period = 100.0;
         let s = RateSchedule::Program(p);
-        assert!((s.rate_at(0.0) - 600.0).abs() < 1e-9, "trough at cycle start");
+        assert!(
+            (s.rate_at(0.0) - 600.0).abs() < 1e-9,
+            "trough at cycle start"
+        );
         assert!((s.rate_at(50.0) - 1400.0).abs() < 1e-9, "peak mid-cycle");
         assert!((s.rate_at(100.0) - 600.0).abs() < 1e-9, "trough again");
     }

@@ -22,8 +22,8 @@ use capsys_core::{CapsError, CapsSearch, SearchConfig};
 use capsys_model::{
     Cluster, LoadModel, LogicalGraph, ModelError, PhysicalGraph, Placement, WorkerId,
 };
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SliceRandom;
+use capsys_util::rng::SmallRng;
 
 /// Everything a strategy may consult when computing a placement.
 #[derive(Debug, Clone, Copy)]

@@ -749,8 +749,7 @@ mod tests {
         );
         // Two tenants of the same base query can still be merged into
         // one fleet-wide graph without operator-name collisions.
-        let (merged, maps) =
-            merge_queries("fleet", &[(&jobs[0], 1.0), (&jobs[6], 1.0)]).unwrap();
+        let (merged, maps) = merge_queries("fleet", &[(&jobs[0], 1.0), (&jobs[6], 1.0)]).unwrap();
         assert_eq!(maps.len(), 2);
         assert_eq!(
             merged.logical().total_tasks(),

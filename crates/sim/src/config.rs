@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-
 use crate::error::SimError;
 
 /// Parameters of a simulation run.

@@ -579,7 +579,11 @@ impl Simulation {
     /// after a redeployment like the other chaos state.
     pub fn set_contention(&mut self, w: capsys_model::WorkerId, factor: f64) {
         if let Some(c) = self.contention.get_mut(w.0) {
-            *c = if factor.is_finite() { factor.max(1.0) } else { 1.0 };
+            *c = if factor.is_finite() {
+                factor.max(1.0)
+            } else {
+                1.0
+            };
         }
     }
 
@@ -644,7 +648,11 @@ impl Simulation {
     /// it, modeling a plan whose true service rates fall short of what
     /// the cost model predicted.
     pub fn set_model_skew(&mut self, factor: f64) {
-        self.model_skew = if factor.is_finite() { factor.max(1.0) } else { 1.0 };
+        self.model_skew = if factor.is_finite() {
+            factor.max(1.0)
+        } else {
+            1.0
+        };
     }
 
     /// The deployment-wide model-skew multiplier (1.0 = unskewed).
@@ -2277,7 +2285,10 @@ mod tests {
         )
         .unwrap();
         sim.advance(2.0, 0.0);
-        assert!(sim.state_transfer_active(), "drain progressed with no live endpoint");
+        assert!(
+            sim.state_transfer_active(),
+            "drain progressed with no live endpoint"
+        );
         sim.restore_worker(WorkerId(1));
         sim.advance(0.5, 0.0);
         assert!(!sim.state_transfer_active());
@@ -2377,7 +2388,11 @@ mod tests {
             "partition should backpressure the source: {}",
             during.avg_backpressure
         );
-        assert!(during.avg_throughput < 100.0, "tp {}", during.avg_throughput);
+        assert!(
+            during.avg_throughput < 100.0,
+            "tp {}",
+            during.avg_throughput
+        );
         sim.set_partitioned(WorkerId(1), false);
         let after = sim.advance(30.0, 10.0);
         assert!(after.worker_alive[1]);

@@ -409,7 +409,9 @@ impl FaultPlan {
         // passes `validate`: same-kind windows never overlap on one
         // worker, and partitions avoid crash windows entirely.
         let overlaps = |windows: &[(usize, f64, f64)], w: usize, s: f64, e: f64| {
-            windows.iter().any(|&(ww, ws, we)| ww == w && s < we && ws < e)
+            windows
+                .iter()
+                .any(|&(ww, ws, we)| ww == w && s < we && ws < e)
         };
         let mut extra: Vec<FaultEvent> = Vec::new();
         let mut degrade_windows: Vec<(usize, f64, f64)> = Vec::new();
@@ -512,7 +514,10 @@ impl FaultPlan {
                     );
                     let candidate = plan.clone().with_decider_fault(DeciderFault {
                         target: DeciderTarget::Shard(s),
-                        kind: DeciderFaultKind::Partition { from: at, until: at + dur },
+                        kind: DeciderFaultKind::Partition {
+                            from: at,
+                            until: at + dur,
+                        },
                     });
                     if let Ok(p) = candidate {
                         plan = p;
@@ -836,7 +841,10 @@ impl ChaosConfig {
             )));
         }
         if self.decider_partitions > 0 {
-            range_ok(self.decider_partition_duration, "decider_partition_duration")?;
+            range_ok(
+                self.decider_partition_duration,
+                "decider_partition_duration",
+            )?;
             if self.shards == 0 {
                 return Err(SimError::InvalidFaultPlan(
                     "decider_partitions need shards > 0".into(),
@@ -925,10 +933,7 @@ mod tests {
             })
             .collect();
         for w in crashes {
-            assert!(plan
-                .events
-                .iter()
-                .any(|e| e.kind == FaultKind::Restore(w)));
+            assert!(plan.events.iter().any(|e| e.kind == FaultKind::Restore(w)));
         }
     }
 
@@ -1074,11 +1079,17 @@ mod tests {
         };
         let plan = FaultPlan::generate(&cfg, 4).unwrap();
         let Some(KillPoint::AtTime(t)) = plan.controller_kill else {
-            panic!("expected a seeded AtTime kill, got {:?}", plan.controller_kill);
+            panic!(
+                "expected a seeded AtTime kill, got {:?}",
+                plan.controller_kill
+            );
         };
         assert!((0.0..cfg.horizon * 0.7).contains(&t));
         // Same seed, same kill point.
-        assert_eq!(FaultPlan::generate(&cfg, 4).unwrap().controller_kill, plan.controller_kill);
+        assert_eq!(
+            FaultPlan::generate(&cfg, 4).unwrap().controller_kill,
+            plan.controller_kill
+        );
         // Adding a kill must not perturb the rest of the schedule.
         let base = FaultPlan::generate(&ChaosConfig::default(), 4).unwrap();
         assert_eq!(base.events, plan.events);
@@ -1121,7 +1132,10 @@ mod tests {
         assert!((0.0..cfg.horizon * 0.7).contains(&skew.time));
         assert!((2.0..=3.0).contains(&skew.factor));
         // Same seed, same skew.
-        assert_eq!(FaultPlan::generate(&cfg, 4).unwrap().model_skew, plan.model_skew);
+        assert_eq!(
+            FaultPlan::generate(&cfg, 4).unwrap().model_skew,
+            plan.model_skew
+        );
         // Enabling the skew must not perturb the rest of the schedule
         // (it is drawn after every other fault class).
         let base = FaultPlan::generate(&ChaosConfig::default(), 4).unwrap();
@@ -1131,15 +1145,24 @@ mod tests {
         // global clock) and count toward non-emptiness.
         assert_eq!(plan.shifted(50.0).model_skew, plan.model_skew);
         assert!(!FaultPlan::none()
-            .with_model_skew(ModelSkew { time: 10.0, factor: 2.0 })
+            .with_model_skew(ModelSkew {
+                time: 10.0,
+                factor: 2.0
+            })
             .unwrap()
             .is_empty());
         // Invalid skews are rejected.
         assert!(FaultPlan::none()
-            .with_model_skew(ModelSkew { time: -1.0, factor: 2.0 })
+            .with_model_skew(ModelSkew {
+                time: -1.0,
+                factor: 2.0
+            })
             .is_err());
         assert!(FaultPlan::none()
-            .with_model_skew(ModelSkew { time: 0.0, factor: 0.5 })
+            .with_model_skew(ModelSkew {
+                time: 0.0,
+                factor: 0.5
+            })
             .is_err());
         assert!(FaultPlan::generate(
             &ChaosConfig {
@@ -1256,8 +1279,20 @@ mod tests {
         );
         expect_err(
             vec![
-                ev(10.0, FaultKind::StragglerStart { worker: w, factor: 2.0 }),
-                ev(15.0, FaultKind::StragglerStart { worker: w, factor: 3.0 }),
+                ev(
+                    10.0,
+                    FaultKind::StragglerStart {
+                        worker: w,
+                        factor: 2.0,
+                    },
+                ),
+                ev(
+                    15.0,
+                    FaultKind::StragglerStart {
+                        worker: w,
+                        factor: 3.0,
+                    },
+                ),
                 ev(20.0, FaultKind::StragglerEnd(w)),
                 ev(30.0, FaultKind::StragglerEnd(w)),
             ],
@@ -1265,8 +1300,20 @@ mod tests {
         );
         expect_err(
             vec![
-                ev(10.0, FaultKind::LinkDegradeStart { worker: w, factor: 0.5 }),
-                ev(15.0, FaultKind::LinkDegradeStart { worker: w, factor: 0.5 }),
+                ev(
+                    10.0,
+                    FaultKind::LinkDegradeStart {
+                        worker: w,
+                        factor: 0.5,
+                    },
+                ),
+                ev(
+                    15.0,
+                    FaultKind::LinkDegradeStart {
+                        worker: w,
+                        factor: 0.5,
+                    },
+                ),
                 ev(20.0, FaultKind::LinkDegradeEnd(w)),
                 ev(30.0, FaultKind::LinkDegradeEnd(w)),
             ],
@@ -1286,7 +1333,13 @@ mod tests {
         // independent, sequential windows on one worker are fine, and
         // orphan ends (shifted plans) never trip the scan.
         FaultPlan::new(vec![
-            ev(10.0, FaultKind::StragglerStart { worker: w, factor: 2.0 }),
+            ev(
+                10.0,
+                FaultKind::StragglerStart {
+                    worker: w,
+                    factor: 2.0,
+                },
+            ),
             ev(12.0, FaultKind::Crash(w)),
             ev(20.0, FaultKind::Restore(w)),
             ev(25.0, FaultKind::StragglerEnd(w)),
@@ -1387,7 +1440,10 @@ mod tests {
             vec![(10.0, 20.0), (20.0, 30.0)]
         );
         assert!(plan.decider_partitions(DeciderTarget::Arbiter).is_empty());
-        assert!(plan.clone().with_decider_fault(kill(DeciderTarget::Shard(0))).is_err());
+        assert!(plan
+            .clone()
+            .with_decider_fault(kill(DeciderTarget::Shard(0)))
+            .is_err());
         assert!(plan
             .clone()
             .with_decider_fault(part(DeciderTarget::Shard(1), 15.0, 25.0))

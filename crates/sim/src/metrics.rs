@@ -31,7 +31,10 @@ impl ToJson for MetricPoint {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("time".into(), Json::Num(self.time)),
-            ("source_throughput".into(), Json::Num(self.source_throughput)),
+            (
+                "source_throughput".into(),
+                Json::Num(self.source_throughput),
+            ),
             ("target_rate".into(), Json::Num(self.target_rate)),
             ("backpressure".into(), Json::Num(self.backpressure)),
             ("latency".into(), Json::Num(self.latency)),

@@ -128,7 +128,9 @@ impl Fixed64 {
     /// Full fixed-point multiply via `i128`, truncating the extra 32
     /// fractional bits toward negative infinity, saturating.
     pub fn mul(self, rhs: Fixed64) -> Fixed64 {
-        Fixed64(saturate((self.0 as i128 * rhs.0 as i128) >> Self::SCALE_BITS))
+        Fixed64(saturate(
+            (self.0 as i128 * rhs.0 as i128) >> Self::SCALE_BITS,
+        ))
     }
 
     /// Full fixed-point divide via `i128`, truncating toward zero,
@@ -269,7 +271,9 @@ mod tests {
     fn add_sub_are_exact_and_order_independent() {
         // The property the search relies on: any accumulate/undo
         // interleaving lands on the same bits as the straight sum.
-        let xs: Vec<Fixed64> = (1..100).map(|i| Fixed64::from_f64(0.1 * i as f64)).collect();
+        let xs: Vec<Fixed64> = (1..100)
+            .map(|i| Fixed64::from_f64(0.1 * i as f64))
+            .collect();
         let forward = xs.iter().fold(Fixed64::ZERO, |a, &b| a + b);
         let backward = xs.iter().rev().fold(Fixed64::ZERO, |a, &b| a + b);
         assert_eq!(forward, backward);
@@ -288,7 +292,10 @@ mod tests {
         assert_eq!(Fixed64::MAX.mul_int(2), Fixed64::MAX);
         assert_eq!(Fixed64::MIN.mul_int(2), Fixed64::MIN);
         assert_eq!(Fixed64::MAX.mul(Fixed64::MAX), Fixed64::MAX);
-        assert_eq!(Fixed64::MAX.mul(-Fixed64::ONE), Fixed64::from_bits(-i64::MAX));
+        assert_eq!(
+            Fixed64::MAX.mul(-Fixed64::ONE),
+            Fixed64::from_bits(-i64::MAX)
+        );
         assert_eq!(Fixed64::MIN.mul(Fixed64::from_int(2)), Fixed64::MIN);
         assert_eq!(-Fixed64::MIN, Fixed64::MAX);
         assert_eq!(Fixed64::MIN.abs(), Fixed64::MAX);
@@ -303,10 +310,7 @@ mod tests {
         assert_eq!(Fixed64::MIN.checked_sub(Fixed64::ONE), None);
         assert_eq!(Fixed64::MAX.checked_mul_int(2), None);
         assert!(Fixed64::ONE.checked_add(Fixed64::ONE).is_some());
-        assert_eq!(
-            Fixed64::ONE.checked_mul_int(7),
-            Some(Fixed64::from_int(7))
-        );
+        assert_eq!(Fixed64::ONE.checked_mul_int(7), Some(Fixed64::from_int(7)));
         assert_eq!(Fixed64::ONE.checked_div(Fixed64::ZERO), None);
         assert_eq!(
             Fixed64::from_int(10).checked_div(Fixed64::from_int(4)),
@@ -318,7 +322,10 @@ mod tests {
     fn mul_int_distributes_over_addition_exactly() {
         let r = Fixed64::from_f64(0.3337);
         let ks = [3i64, 7, 11, 20];
-        let lhs: Fixed64 = ks.iter().map(|&k| r.mul_int(k)).fold(Fixed64::ZERO, Add::add);
+        let lhs: Fixed64 = ks
+            .iter()
+            .map(|&k| r.mul_int(k))
+            .fold(Fixed64::ZERO, Add::add);
         let rhs = r.mul_int(ks.iter().sum());
         assert_eq!(lhs, rhs, "k·r must distribute bit-exactly");
     }
@@ -340,7 +347,10 @@ mod tests {
             let back = Json::parse(&text).unwrap();
             assert_eq!(Fixed64::from_json(&back).unwrap(), v);
         }
-        assert_eq!(Fixed64::ONE.to_json(), Json::Str("0x0000000100000000".into()));
+        assert_eq!(
+            Fixed64::ONE.to_json(),
+            Json::Str("0x0000000100000000".into())
+        );
     }
 
     #[test]

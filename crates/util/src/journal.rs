@@ -105,7 +105,10 @@ impl JournalWriter {
     pub fn append(&mut self, data: &Json) -> Result<u64, JournalError> {
         let body = data.to_string();
         let crc = crc32(body.as_bytes());
-        let line = format!("{{\"seq\":{},\"crc\":{crc},\"data\":{body}}}\n", self.next_seq);
+        let line = format!(
+            "{{\"seq\":{},\"crc\":{crc},\"data\":{body}}}\n",
+            self.next_seq
+        );
         self.out
             .write_all(line.as_bytes())
             .map_err(|e| JournalError::Io(e.to_string()))?;
@@ -143,7 +146,9 @@ fn check_frame(line: &str, expected_seq: u64) -> Result<Json, String> {
         .and_then(Json::as_f64)
         .ok_or("frame has no numeric `seq`")?;
     if seq != expected_seq as f64 {
-        return Err(format!("sequence gap: expected {expected_seq}, found {seq}"));
+        return Err(format!(
+            "sequence gap: expected {expected_seq}, found {seq}"
+        ));
     }
     let crc = frame
         .get("crc")
@@ -152,7 +157,9 @@ fn check_frame(line: &str, expected_seq: u64) -> Result<Json, String> {
     let data = frame.get("data").ok_or("frame has no `data`")?;
     let actual = crc32(data.to_string().as_bytes());
     if crc != actual as f64 {
-        return Err(format!("checksum mismatch: stored {crc}, computed {actual}"));
+        return Err(format!(
+            "checksum mismatch: stored {crc}, computed {actual}"
+        ));
     }
     Ok(data.clone())
 }
@@ -287,7 +294,10 @@ mod tests {
         lines[1] = &bad;
         let corrupted = lines.join("\n");
         let err = read_journal(&corrupted).unwrap_err();
-        assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "{err}");
+        assert!(
+            matches!(err, JournalError::Corrupt { line: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]

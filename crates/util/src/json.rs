@@ -247,9 +247,7 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("write to String")
-            }
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("write to String"),
             c => out.push(c),
         }
     }
@@ -281,10 +279,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(JsonError::at(
-                format!("expected `{}`", b as char),
-                self.pos,
-            ))
+            Err(JsonError::at(format!("expected `{}`", b as char), self.pos))
         }
     }
 
@@ -399,10 +394,7 @@ impl<'a> Parser<'a> {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
                                     if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(JsonError::at(
-                                            "invalid low surrogate",
-                                            start,
-                                        ));
+                                        return Err(JsonError::at("invalid low surrogate", start));
                                     }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
@@ -702,7 +694,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(1000.0));
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[2].as_f64(),
+            Some(1000.0)
+        );
         assert_eq!(v.get("b").unwrap().as_str(), Some("x\nyA"));
         assert_eq!(v.get("c").unwrap().as_bool(), Some(true));
         assert!(v.get("d").unwrap().is_null());
@@ -712,8 +707,17 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "{", "[1,", "\"abc", "{\"a\":}", "01e", "tru", "{\"a\":1,}", "[1] x",
-            "{\"a\" 1}", "\"\\q\"", "nan",
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\":}",
+            "01e",
+            "tru",
+            "{\"a\":1,}",
+            "[1] x",
+            "{\"a\" 1}",
+            "\"\\q\"",
+            "nan",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -755,10 +759,7 @@ mod tests {
     fn string_escapes_round_trip() {
         let original = "line1\nline2\t\"quoted\" \\ \u{1F600} \u{0007}";
         let encoded = Json::Str(original.to_string()).to_string();
-        assert_eq!(
-            Json::parse(&encoded).unwrap().as_str().unwrap(),
-            original
-        );
+        assert_eq!(Json::parse(&encoded).unwrap().as_str().unwrap(), original);
         // Surrogate-pair escapes decode too.
         assert_eq!(
             Json::parse(r#""\ud83d\ude00""#).unwrap().as_str().unwrap(),

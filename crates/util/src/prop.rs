@@ -277,13 +277,34 @@ macro_rules! tuple_strategy {
     };
 }
 
-tuple_strategy!(S0/v0/0);
-tuple_strategy!(S0/v0/0, S1/v1/1);
-tuple_strategy!(S0/v0/0, S1/v1/1, S2/v2/2);
-tuple_strategy!(S0/v0/0, S1/v1/1, S2/v2/2, S3/v3/3);
-tuple_strategy!(S0/v0/0, S1/v1/1, S2/v2/2, S3/v3/3, S4/v4/4);
-tuple_strategy!(S0/v0/0, S1/v1/1, S2/v2/2, S3/v3/3, S4/v4/4, S5/v5/5);
-tuple_strategy!(S0/v0/0, S1/v1/1, S2/v2/2, S3/v3/3, S4/v4/4, S5/v5/5, S6/v6/6);
+tuple_strategy!(S0 / v0 / 0);
+tuple_strategy!(S0 / v0 / 0, S1 / v1 / 1);
+tuple_strategy!(S0 / v0 / 0, S1 / v1 / 1, S2 / v2 / 2);
+tuple_strategy!(S0 / v0 / 0, S1 / v1 / 1, S2 / v2 / 2, S3 / v3 / 3);
+tuple_strategy!(
+    S0 / v0 / 0,
+    S1 / v1 / 1,
+    S2 / v2 / 2,
+    S3 / v3 / 3,
+    S4 / v4 / 4
+);
+tuple_strategy!(
+    S0 / v0 / 0,
+    S1 / v1 / 1,
+    S2 / v2 / 2,
+    S3 / v3 / 3,
+    S4 / v4 / 4,
+    S5 / v5 / 5
+);
+tuple_strategy!(
+    S0 / v0 / 0,
+    S1 / v1 / 1,
+    S2 / v2 / 2,
+    S3 / v3 / 3,
+    S4 / v4 / 4,
+    S5 / v5 / 5,
+    S6 / v6 / 6
+);
 
 thread_local! {
     static SUPPRESS_PANIC_OUTPUT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };

@@ -74,8 +74,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             "  worker {} silent from t={:.0}s, detected at t={:.0}s, \
              re-placed {:.1}s after the first missed heartbeat \
              ({} attempt(s), rung: {})",
-            e.worker.0, e.stale_since, e.detected_at, e.time_to_recover,
-            e.plans_tried, e.rung.name()
+            e.worker.0,
+            e.stale_since,
+            e.detected_at,
+            e.time_to_recover,
+            e.plans_tried,
+            e.rung.name()
         );
     }
     if let Some(mttr) = trace.mttr() {

@@ -44,7 +44,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     let schedule = RateSchedule::Constant(rate);
 
     let build = |journal: DecisionJournal| -> Result<ClosedLoop<'_>, Box<dyn Error>> {
-        let loop_ = ClosedLoop::new(&query, &cluster, &strategy, ds2(), sim(), schedule.clone(), 7)?;
+        let loop_ = ClosedLoop::new(
+            &query,
+            &cluster,
+            &strategy,
+            ds2(),
+            sim(),
+            schedule.clone(),
+            7,
+        )?;
         // Crash the worker hosting task 0 at t=60s so the run also
         // exercises the recovery ladder; the journal then holds both
         // scaling and recovery reconfigurations.
@@ -63,7 +71,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let (journal, golden_buf) = DecisionJournal::in_memory();
     let golden_trace = build(journal)?.run(300.0)?;
     let golden_journal = golden_buf.text();
-    println!("golden run: {} journal records", golden_journal.lines().count());
+    println!(
+        "golden run: {} journal records",
+        golden_journal.lines().count()
+    );
 
     // The epoch of the first reconfiguration in the golden journal —
     // the kill target.
@@ -139,11 +150,19 @@ fn main() -> Result<(), Box<dyn Error>> {
     let identical_journal = recovered_buf.text() == golden_journal;
     println!(
         "trace vs never-killed run: {}",
-        if identical_trace { "byte-identical" } else { "DIVERGED" }
+        if identical_trace {
+            "byte-identical"
+        } else {
+            "DIVERGED"
+        }
     );
     println!(
         "journal vs never-killed run: {}",
-        if identical_journal { "byte-identical" } else { "DIVERGED" }
+        if identical_journal {
+            "byte-identical"
+        } else {
+            "DIVERGED"
+        }
     );
     if !(identical_trace && identical_journal) {
         return Err("recovery was not exact".into());

@@ -7,8 +7,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use capsys::prelude::*;
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SeedableRng;
+use capsys_util::rng::SmallRng;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {

@@ -12,8 +12,8 @@
 use capsys::model::{apply_skew, SkewSpec, TaskId};
 use capsys::placement::{CapsStrategy, PlacementContext, PlacementStrategy};
 use capsys::prelude::*;
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SeedableRng;
+use capsys_util::rng::SmallRng;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {

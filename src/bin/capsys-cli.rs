@@ -109,7 +109,10 @@ fn main() -> ExitCode {
             }
             match spec.run() {
                 Ok(outcome) => {
-                    println!("{}", capsys_util::json::ToJson::to_json(&outcome).to_pretty());
+                    println!(
+                        "{}",
+                        capsys_util::json::ToJson::to_json(&outcome).to_pretty()
+                    );
                     ExitCode::SUCCESS
                 }
                 Err(e) => {

@@ -40,7 +40,6 @@
 pub mod spec;
 
 pub use capsys_controller as controller;
-pub use capsys_util as util;
 pub use capsys_core as caps;
 pub use capsys_ds2 as ds2;
 pub use capsys_model as model;
@@ -48,6 +47,7 @@ pub use capsys_odrp as odrp;
 pub use capsys_placement as placement;
 pub use capsys_queries as queries;
 pub use capsys_sim as sim;
+pub use capsys_util as util;
 
 /// Convenient glob-import of the most common types.
 pub mod prelude {

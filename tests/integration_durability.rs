@@ -2,8 +2,9 @@
 //! killed mid-run recovers from its write-ahead journal to a
 //! byte-identical trace, and a superseded (zombie) controller is fenced.
 
-use capsys::controller::{ClosedLoop, ClosedLoopTrace, ControllerError, DecisionJournal,
-    RecoveryConfig};
+use capsys::controller::{
+    ClosedLoop, ClosedLoopTrace, ControllerError, DecisionJournal, RecoveryConfig,
+};
 use capsys::ds2::Ds2Config;
 use capsys::placement::CapsStrategy;
 use capsys::prelude::*;
@@ -111,15 +112,23 @@ fn killed_controller_recovers_exactly_via_public_api() {
     );
     assert!(partial.lines().count() < golden_journal.lines().count());
     let (trace, rewritten) = recover_scenario(&partial);
-    assert_eq!(trace.to_json().to_string(), golden, "recovered trace diverged");
+    assert_eq!(
+        trace.to_json().to_string(),
+        golden,
+        "recovered trace diverged"
+    );
     assert_eq!(rewritten, golden_journal, "recovered journal diverged");
 }
 
 #[test]
 fn zombie_controller_is_fenced_via_public_api() {
-    let query = capsys::queries::q1_sliding().with_parallelism(&[1, 1, 1, 1]).unwrap();
+    let query = capsys::queries::q1_sliding()
+        .with_parallelism(&[1, 1, 1, 1])
+        .unwrap();
     let cluster = Cluster::homogeneous(4, WorkerSpec::m5d_2xlarge(8)).unwrap();
-    let rate = capsys::queries::q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
+    let rate = capsys::queries::q1_sliding()
+        .capacity_rate(&cluster, 0.5)
+        .unwrap();
     let strategy = CapsStrategy::default();
     let fence = EpochFence::new();
     let build = || {
@@ -146,7 +155,10 @@ fn zombie_controller_is_fenced_via_public_api() {
     // A second controller with the same (stale) view of the world must
     // be rejected at its first deployment, with the fence unmoved.
     match build().run(120.0) {
-        Err(ControllerError::FencedEpoch { attempted, current: c }) => {
+        Err(ControllerError::FencedEpoch {
+            attempted,
+            current: c,
+        }) => {
             assert!(attempted <= current);
             assert_eq!(c, current);
         }

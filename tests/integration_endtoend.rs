@@ -8,8 +8,8 @@ use capsys::model::{Cluster, RateSchedule, WorkerSpec};
 use capsys::placement::{CapsStrategy, FlinkDefault, PlacementContext, PlacementStrategy};
 use capsys::queries::{q1_sliding, q3_inf};
 use capsys::sim::{SimConfig, Simulation};
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SeedableRng;
+use capsys_util::rng::SmallRng;
 
 #[test]
 fn caps_throughput_dominates_random_average() {

@@ -12,8 +12,8 @@ use capsys::model::{Cluster, RateSchedule, WorkerId, WorkerSpec};
 use capsys::placement::{CapsStrategy, PlacementContext, PlacementStrategy};
 use capsys::queries::q1_sliding;
 use capsys::sim::{FaultEvent, FaultKind, FaultPlan, SimConfig, Simulation};
-use capsys_util::rng::SmallRng;
 use capsys_util::rng::SeedableRng;
+use capsys_util::rng::SmallRng;
 
 #[test]
 fn caps_replacement_recovers_from_worker_failure() {
