@@ -7,15 +7,18 @@
 //!
 //! 1. **Per-dimension minimum.** For each dimension in isolation (the
 //!    other two disabled), start from the tightest possible bound and
-//!    relax it geometrically (factor 1.1 in the paper and by default
-//!    here) until a feasible plan exists.
+//!    relax it geometrically by [`RELAX_FACTOR`] until a feasible plan
+//!    exists.
 //! 2. **Joint relaxation.** Feasibility per dimension does not imply
 //!    joint feasibility, so starting from the phase-1 vector, all three
 //!    thresholds are relaxed together until a plan satisfying all of them
 //!    exists.
 //!
-//! A configurable timeout bounds the total tuning time; hitting it
-//! returns [`CapsError::AutoTuneTimeout`].
+//! The tuner has no clock of its own. [`SearchConfig::time_budget`]
+//! bounds tuning and search together; a run whose budget runs out while
+//! tuning fails with [`CapsError::BudgetExhausted`]. Without a time
+//! budget no tuning decision reads the clock, and tuning is bounded in
+//! nodes (see [`AutoTuner`]).
 //!
 //! Both phases walk their grid with one routine, `scan`, which answers
 //! most grid steps without a search. Feasibility is monotone in `α⃗`:
@@ -52,25 +55,23 @@ use crate::cost::{CostVector, Thresholds};
 use crate::error::CapsError;
 use crate::search::{CapsSearch, Probe, SearchConfig};
 
+/// The relaxation factor of both phases, the paper's 1.1.
+pub const RELAX_FACTOR: f64 = 1.1;
+
+/// The first non-zero threshold a scan tries once its value is below
+/// it: a geometric relaxation cannot leave zero on its own.
+pub const RELAX_SEED: f64 = 0.01;
+
+/// Dimensions whose aggregate demand is below this fraction of the
+/// cluster capacity are left unconstrained (`α = ∞`): an under-pressure
+/// dimension cannot produce contention, and tight thresholds on it would
+/// push the search toward plans that trade real balance (e.g. CPU) for
+/// irrelevant balance (e.g. network on an idle NIC).
+pub const PRESSURE_FLOOR: f64 = 0.05;
+
 /// Configuration of the threshold auto-tuner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoTuneConfig {
-    /// Relaxation factor for the per-dimension phase (paper: 1.1).
-    pub phase1_factor: f64,
-    /// Relaxation factor for the joint phase (paper: 1.1).
-    pub phase2_factor: f64,
-    /// The smallest non-zero threshold to try when the tightest bound is
-    /// zero (a geometric relaxation cannot leave zero on its own).
-    pub seed: f64,
-    /// Wall-clock budget for the whole tuning process.
-    pub timeout: Duration,
-    /// Dimensions whose aggregate demand is below this fraction of the
-    /// cluster capacity are left unconstrained (`α = ∞`): an
-    /// under-pressure dimension cannot produce contention, and tight
-    /// thresholds on it would push the search toward plans that trade
-    /// real balance (e.g. CPU) for irrelevant balance (e.g. network on an
-    /// idle NIC).
-    pub min_pressure: f64,
     /// Node budget per feasibility probe. A probe that exhausts the
     /// budget without finding a plan is treated as infeasible and the
     /// threshold is relaxed further — a conservative early exit that
@@ -81,11 +82,6 @@ pub struct AutoTuneConfig {
 impl Default for AutoTuneConfig {
     fn default() -> Self {
         AutoTuneConfig {
-            phase1_factor: 1.1,
-            phase2_factor: 1.1,
-            seed: 0.01,
-            timeout: Duration::from_secs(5),
-            min_pressure: 0.05,
             probe_node_budget: 2_000_000,
         }
     }
@@ -136,75 +132,74 @@ fn still_fails(bound: [Fixed64; 3], overflow: [Fixed64; 3]) -> bool {
 }
 
 /// The threshold auto-tuner.
-pub struct AutoTuner<'a> {
-    config: &'a AutoTuneConfig,
+///
+/// Tuning is bounded in nodes whatever the clock does. One scan probes
+/// at most 51 grid steps: its start value, then [`RELAX_SEED`] ·
+/// [`RELAX_FACTOR`]^k for k = 0..=48 (0.0100 up to 0.9702), then 1, where
+/// a failed step proves that no plan exists. Phase 1 scans at most the
+/// three dimensions and phase 2 scans once, so a tuning run takes at most
+/// 204 grid steps. Each step runs at most one first-feasible search,
+/// which aborts once one of its threads has visited more than
+/// [`AutoTuneConfig::probe_node_budget`] nodes (or
+/// [`SearchConfig::node_budget`], if smaller).
+pub struct AutoTuner {
+    probe_node_budget: usize,
 }
 
-impl<'a> AutoTuner<'a> {
+impl AutoTuner {
     /// Creates an auto-tuner with the given configuration.
-    pub fn new(config: &'a AutoTuneConfig) -> AutoTuner<'a> {
-        AutoTuner { config }
+    pub fn new(config: &AutoTuneConfig) -> AutoTuner {
+        AutoTuner {
+            probe_node_budget: config.probe_node_budget,
+        }
     }
 
     /// Runs both tuning phases for the given search instance.
     ///
-    /// `base` supplies the search settings (thread count, reordering) used
-    /// for the feasibility probes.
+    /// `base` supplies the search settings (thread count, reordering,
+    /// budgets) used for the feasibility probes. Its `time_budget`, if
+    /// set, bounds the whole tuning run.
     pub fn tune(
         &self,
         search: &CapsSearch<'_>,
         base: &SearchConfig,
     ) -> Result<AutoTuneReport, CapsError> {
-        if self.config.phase1_factor <= 1.0 || self.config.phase2_factor <= 1.0 {
-            return Err(CapsError::InvalidConfig(
-                "relaxation factors must be greater than 1".into(),
-            ));
-        }
-        if self.config.seed.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(CapsError::InvalidConfig("seed must be positive".into()));
-        }
+        self.tune_until(search, base, base.time_budget.map(|b| Instant::now() + b))
+    }
+
+    /// [`AutoTuner::tune`] against a deadline fixed by the caller, so
+    /// that [`CapsSearch::run`] tunes and searches under one clock.
+    pub(crate) fn tune_until(
+        &self,
+        search: &CapsSearch<'_>,
+        base: &SearchConfig,
+        deadline: Option<Instant>,
+    ) -> Result<AutoTuneReport, CapsError> {
         let start = Instant::now();
-        let deadline = start + self.config.timeout;
         let mut probes = Probes::default();
-        let probe_base = SearchConfig {
+        let mut probe = SearchConfig {
             node_budget: Some(
                 base.node_budget
                     .unwrap_or(usize::MAX)
-                    .min(self.config.probe_node_budget),
+                    .min(self.probe_node_budget),
             ),
             ..base.clone()
         };
-        let base = &probe_base;
 
         // Phase 1: per-dimension minima with the other dimensions disabled.
         let pressure = search.cost_model().pressure();
         let mut per_dimension = [f64::INFINITY; 3];
         for dim in 0..3 {
-            if pressure[dim] < self.config.min_pressure {
+            if pressure[dim] < PRESSURE_FLOOR {
                 continue;
             }
             let mut alpha = [f64::INFINITY; 3];
             alpha[dim] = search.cost_model().tightest_cost(dim);
-            let found = self.scan(
-                search,
-                base,
-                deadline,
-                &mut probes,
-                alpha,
-                self.config.phase1_factor,
-            )?;
-            per_dimension[dim] = found[dim];
+            per_dimension[dim] = scan(search, &mut probe, deadline, &mut probes, alpha)?[dim];
         }
 
         // Phase 2: joint relaxation of the active thresholds.
-        let joint = self.scan(
-            search,
-            base,
-            deadline,
-            &mut probes,
-            per_dimension,
-            self.config.phase2_factor,
-        )?;
+        let joint = scan(search, &mut probe, deadline, &mut probes, per_dimension)?;
 
         Ok(AutoTuneReport {
             thresholds: Thresholds::new(joint[0], joint[1], joint[2]),
@@ -215,73 +210,68 @@ impl<'a> AutoTuner<'a> {
             elapsed: start.elapsed(),
         })
     }
+}
 
-    /// Walks one relaxation grid from `alpha` to its first feasible
-    /// point. Each step relaxes every finite component by `factor`
-    /// (clamped at 1); infinite components stay disabled.
-    ///
-    /// A step costs one first-feasible search unless a cached witness
-    /// fits it or the last failed search's overflow proves it fails
-    /// (see the module docs). Every step counts as one iteration either
-    /// way, so the walk is the one-search-per-step scan of §5.2.
-    fn scan(
-        &self,
-        search: &CapsSearch<'_>,
-        base: &SearchConfig,
-        deadline: Instant,
-        probes: &mut Probes,
-        mut alpha: [f64; 3],
-        factor: f64,
-    ) -> Result<[f64; 3], CapsError> {
-        let model = search.cost_model();
-        // The overflow of the last failed search; it covers the steps
-        // after it until one's bound reaches it in some dimension.
-        let mut overflow = None;
-        loop {
-            probes.iterations += 1;
-            let th = Thresholds::new(alpha[0], alpha[1], alpha[2]);
-            if probes.witnesses.iter().any(|w| w.within(&th)) {
-                probes.hits += 1;
-                return Ok(alpha);
-            }
-            if overflow.is_some_and(|o| still_fails(model.load_bound(&th), o)) {
-                probes.hits += 1;
-            } else {
-                probes.searches += 1;
-                match search.find_witness(&th, base, Some(deadline))? {
-                    Probe::Feasible(w) => {
-                        probes.witnesses.push(w.cost);
-                        return Ok(alpha);
-                    }
-                    Probe::Infeasible { overflow: o } => overflow = o,
-                }
-            }
-            if alpha.iter().all(|a| !a.is_finite() || *a >= 1.0) {
-                // C_i <= 1 holds for every plan, so failing with every
-                // active threshold at 1 means no plan exists at all.
-                return Err(CapsError::NoFeasiblePlan);
-            }
-            alpha = alpha.map(|a| {
-                if a.is_finite() {
-                    self.relax(a, factor).min(1.0)
-                } else {
-                    a
-                }
-            });
-            if Instant::now() >= deadline {
-                return Err(CapsError::AutoTuneTimeout { last_tried: alpha });
-            }
+/// Walks one relaxation grid from `alpha` to its first feasible point.
+/// Each step relaxes every finite component ([`relax`]); infinite
+/// components stay disabled.
+///
+/// A step costs one first-feasible search unless a cached witness fits
+/// it or the last failed search's overflow proves it fails (see the
+/// module docs). Every step counts as one iteration either way, so the
+/// walk is the one-search-per-step scan of §5.2. Each search gets the
+/// time left until `deadline`; a search that fails with the deadline
+/// passed fails the scan with [`CapsError::BudgetExhausted`].
+fn scan(
+    search: &CapsSearch<'_>,
+    probe: &mut SearchConfig,
+    deadline: Option<Instant>,
+    probes: &mut Probes,
+    mut alpha: [f64; 3],
+) -> Result<[f64; 3], CapsError> {
+    let model = search.cost_model();
+    // The overflow of the last failed search; it covers the steps after
+    // it until one's bound reaches it in some dimension.
+    let mut overflow = None;
+    loop {
+        probes.iterations += 1;
+        let th = Thresholds::new(alpha[0], alpha[1], alpha[2]);
+        if probes.witnesses.iter().any(|w| w.within(&th)) {
+            probes.hits += 1;
+            return Ok(alpha);
         }
-    }
-
-    /// One relaxation step: geometric growth, bootstrapped by the seed
-    /// when the current value is zero.
-    fn relax(&self, alpha: f64, factor: f64) -> f64 {
-        if alpha < self.config.seed {
-            self.config.seed
+        if overflow.is_some_and(|o| still_fails(model.load_bound(&th), o)) {
+            probes.hits += 1;
         } else {
-            alpha * factor
+            probes.searches += 1;
+            probe.time_budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            match search.find_witness(&th, probe)? {
+                Probe::Feasible(w) => {
+                    probes.witnesses.push(w.cost);
+                    return Ok(alpha);
+                }
+                Probe::Infeasible { overflow: o } => overflow = o,
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(CapsError::BudgetExhausted);
+            }
         }
+        if alpha.iter().all(|a| !a.is_finite() || *a >= 1.0) {
+            // C_i <= 1 holds for every plan, so failing with every
+            // active threshold at 1 means no plan exists at all.
+            return Err(CapsError::NoFeasiblePlan);
+        }
+        alpha = alpha.map(|a| if a.is_finite() { relax(a) } else { a });
+    }
+}
+
+/// One relaxation step: geometric growth by [`RELAX_FACTOR`], clamped
+/// at 1, bootstrapped by [`RELAX_SEED`] below the seed.
+fn relax(alpha: f64) -> f64 {
+    if alpha < RELAX_SEED {
+        RELAX_SEED
+    } else {
+        (alpha * RELAX_FACTOR).min(1.0)
     }
 }
 
@@ -334,9 +324,7 @@ mod tests {
             .tune(&search, &base)
             .unwrap();
         assert!(matches!(
-            search
-                .find_witness(&report.thresholds, &base, None)
-                .unwrap(),
+            search.find_witness(&report.thresholds, &base).unwrap(),
             Probe::Feasible(_)
         ));
         assert!(report.iterations >= 2, "at least one probe per phase");
@@ -355,7 +343,7 @@ mod tests {
             .tune(&search, &base)
             .unwrap();
         let th = report.thresholds;
-        let factor = base.auto_tune.phase2_factor.powi(2);
+        let factor = RELAX_FACTOR.powi(2);
         let floor: Vec<f64> = (0..3)
             .map(|d| search.cost_model().tightest_cost(d))
             .collect();
@@ -367,7 +355,7 @@ mod tests {
         let tighter = Thresholds::new(th.cpu / factor, th.io / factor, th.net / factor);
         assert!(
             !matches!(
-                search.find_witness(&tighter, &base, None).unwrap(),
+                search.find_witness(&tighter, &base).unwrap(),
                 Probe::Feasible(_)
             ),
             "thresholds {th:?} were not minimal"
@@ -426,32 +414,29 @@ mod tests {
     }
 
     #[test]
-    fn invalid_tuner_config_is_rejected() {
-        let (g, p, c, lm) = fixture();
-        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let base = SearchConfig::auto_tuned();
-        let bad = AutoTuneConfig {
-            phase1_factor: 1.0,
-            ..AutoTuneConfig::default()
-        };
-        assert!(AutoTuner::new(&bad).tune(&search, &base).is_err());
-        let bad = AutoTuneConfig {
-            seed: 0.0,
-            ..AutoTuneConfig::default()
-        };
-        assert!(AutoTuner::new(&bad).tune(&search, &base).is_err());
+    fn a_scan_from_zero_probes_at_most_51_steps() {
+        let mut alpha = 0.0;
+        let mut steps = 1;
+        while alpha < 1.0 {
+            alpha = relax(alpha);
+            steps += 1;
+        }
+        assert_eq!(alpha, 1.0);
+        assert_eq!(steps, 51);
     }
 
     #[test]
-    fn zero_timeout_times_out() {
+    fn zero_time_budget_exhausts_tuning_and_run() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let base = SearchConfig::auto_tuned();
-        let cfg = AutoTuneConfig {
-            timeout: Duration::ZERO,
-            ..AutoTuneConfig::default()
+        let base = SearchConfig {
+            time_budget: Some(Duration::ZERO),
+            ..SearchConfig::auto_tuned()
         };
-        let err = AutoTuner::new(&cfg).tune(&search, &base).unwrap_err();
-        assert!(matches!(err, CapsError::AutoTuneTimeout { .. }));
+        let err = AutoTuner::new(&base.auto_tune)
+            .tune(&search, &base)
+            .unwrap_err();
+        assert_eq!(err, CapsError::BudgetExhausted);
+        assert_eq!(search.run(&base).unwrap_err(), CapsError::BudgetExhausted);
     }
 }

@@ -53,13 +53,15 @@ pub mod pareto;
 pub mod search;
 pub mod strategy;
 
-pub use autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner};
+pub use autotune::{
+    AutoTuneConfig, AutoTuneReport, AutoTuner, PRESSURE_FLOOR, RELAX_FACTOR, RELAX_SEED,
+};
 pub use cost::{CostModel, CostVector, Dimension, LoadBounds, Thresholds};
 pub use error::CapsError;
-pub use mcts::{MctsConfig, MctsReport, MctsStrategy};
+pub use mcts::{MctsConfig, MctsReport};
 pub use movemin::{min_movement_plan, MoveMinOutcome};
 pub use pareto::pareto_front;
 pub use search::{
     AnytimePoint, CapsSearch, Probe, RunStats, ScoredPlan, SearchConfig, SearchOutcome,
 };
-pub use strategy::{BackendResult, DfsStrategy, SearchBackend, SearchStrategy, StrategyContext};
+pub use strategy::SearchBackend;

@@ -116,7 +116,7 @@ fn overflow_is_a_lower_bound_on_every_plan() {
     ) => {
         let th = thresholds([*cpu, *io, *net], *off);
         let probe = search
-            .find_witness(&th, &SearchConfig::exhaustive(), None)
+            .find_witness(&th, &SearchConfig::exhaustive())
             .unwrap();
         if let Probe::Infeasible { overflow } = probe {
             let bound = model.load_bound(&th);
@@ -152,7 +152,7 @@ fn overflow_is_identical_across_thread_counts() {
             .iter()
             .map(|&t| {
                 search
-                    .find_witness(&th, &SearchConfig::exhaustive().with_threads(t), None)
+                    .find_witness(&th, &SearchConfig::exhaustive().with_threads(t))
                     .unwrap()
             })
             .collect();
@@ -227,7 +227,7 @@ fn runs_that_do_not_exhaust_their_tree_report_no_overflow() {
             ..SearchConfig::exhaustive().with_threads(threads)
         };
         assert_eq!(
-            search.find_witness(&th, &budgeted, None).unwrap(),
+            search.find_witness(&th, &budgeted).unwrap(),
             Probe::Infeasible { overflow: None },
             "{threads} threads"
         );
@@ -239,7 +239,7 @@ fn runs_that_do_not_exhaust_their_tree_report_no_overflow() {
         ..MctsConfig::default()
     }));
     assert_eq!(
-        search.find_witness(&th, &mcts, None).unwrap(),
+        search.find_witness(&th, &mcts).unwrap(),
         Probe::Infeasible { overflow: None }
     );
     let sampled = search

@@ -19,7 +19,7 @@ use std::mem::discriminant;
 
 use capsys::caps::{
     AutoTuneConfig, AutoTuner, CapsError, CapsSearch, CostVector, Dimension, Probe, SearchConfig,
-    Thresholds,
+    Thresholds, PRESSURE_FLOOR, RELAX_FACTOR, RELAX_SEED,
 };
 use capsys::controller::controller::true_rate_from_profile;
 use capsys::ds2::{Ds2Config, Ds2Controller};
@@ -93,7 +93,14 @@ fn plain_scan(
         reorder: false,
         ..probe_base.clone()
     };
-    let relax = |a: f64, factor: f64| (if a < cfg.seed { cfg.seed } else { a * factor }).min(1.0);
+    let relax = |a: f64| {
+        (if a < RELAX_SEED {
+            RELAX_SEED
+        } else {
+            a * RELAX_FACTOR
+        })
+        .min(1.0)
+    };
     let mut witnesses: Vec<CostVector> = Vec::new();
     let mut feasible = |th: &Thresholds, r: &mut Reference| -> Result<bool, CapsError> {
         r.iterations += 1;
@@ -104,7 +111,7 @@ fn plain_scan(
         let net_only = !th.cpu.is_finite() && !th.io.is_finite() && th.net.is_finite();
         let other_orders = scan == Scan::OtherOrders && net_only;
         let config = if other_orders { &identity } else { &probe_base };
-        let found = match search.find_witness(th, config, None)? {
+        let found = match search.find_witness(th, config)? {
             Probe::Feasible(w) => {
                 witnesses.push(w.cost);
                 true
@@ -140,7 +147,7 @@ fn plain_scan(
     let pressure = search.cost_model().pressure();
     r.per_dimension = [f64::INFINITY; 3];
     for dim in 0..3 {
-        if pressure[dim] < cfg.min_pressure {
+        if pressure[dim] < PRESSURE_FLOOR {
             continue;
         }
         let mut alpha = search.cost_model().tightest_cost(dim);
@@ -153,7 +160,7 @@ fn plain_scan(
             if alpha >= 1.0 {
                 return Err(CapsError::NoFeasiblePlan);
             }
-            alpha = relax(alpha, cfg.phase1_factor);
+            alpha = relax(alpha);
         }
     }
 
@@ -161,7 +168,7 @@ fn plain_scan(
     let mut th = Thresholds::new(cpu, io, net);
     let step = |v: f64| {
         if v.is_finite() {
-            relax(v, cfg.phase2_factor)
+            relax(v)
         } else {
             v
         }
@@ -260,7 +267,6 @@ fn budget_aborted_probes_relax_exactly_one_step() {
     let base = SearchConfig {
         auto_tune: AutoTuneConfig {
             probe_node_budget: TINY_BUDGET,
-            ..AutoTuneConfig::default()
         },
         ..SearchConfig::auto_tuned()
     };

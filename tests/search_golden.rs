@@ -23,7 +23,8 @@
 use std::fmt::Write as _;
 
 use capsys::caps::{
-    CapsSearch, Probe, RunStats, ScoredPlan, SearchConfig, SearchOutcome, Thresholds,
+    CapsSearch, Probe, RunStats, ScoredPlan, SearchConfig, SearchOutcome, Thresholds, RELAX_FACTOR,
+    RELAX_SEED,
 };
 use capsys::model::{Cluster, WorkerSpec};
 use capsys::queries::{all_queries, q3_inf};
@@ -134,7 +135,7 @@ fn run_searches() -> String {
 
 /// Q3-inf at parallelism [1, 3, 3, 18, 1] on 11 × r5d.xlarge (44
 /// slots), driven at 70% of that cluster's capacity. Network pressure
-/// stays below `min_pressure` for every paper query above, but not here,
+/// stays below `PRESSURE_FLOOR` for every paper query above, but not here,
 /// so the tuner runs phase-1 probes with α_net as the only finite
 /// threshold. Pinned at `threads: 1`: the auto-tuned run; the tuner's
 /// probe (witness or overflow, order and statistics) at the phase-1
@@ -170,10 +171,10 @@ fn run_network_pressed(out: &mut String) {
     let mut alpha = search.cost_model().tightest_cost(2);
     while alpha < min {
         below = Some(alpha);
-        alpha = if alpha < tune.seed {
-            tune.seed
+        alpha = if alpha < RELAX_SEED {
+            RELAX_SEED
         } else {
-            (alpha * tune.phase1_factor).min(1.0)
+            (alpha * RELAX_FACTOR).min(1.0)
         };
     }
     assert_eq!(alpha, min, "the phase-1 minimum lies on the grid");
@@ -186,10 +187,7 @@ fn run_network_pressed(out: &mut String) {
     for (step, alpha) in [("min", min), ("below", below)] {
         let tag = format!("{name}.net_{step}");
         let th = Thresholds::new(f64::INFINITY, f64::INFINITY, alpha);
-        match search
-            .find_witness(&th, &probe_base, None)
-            .expect("probe runs")
-        {
+        match search.find_witness(&th, &probe_base).expect("probe runs") {
             Probe::Feasible(w) => writeln!(out, "{tag} alpha {alpha:?} witness {}", plan_line(&w)),
             Probe::Infeasible { overflow } => {
                 let bits = overflow.map(|o| o.map(|l| l.to_bits()));
