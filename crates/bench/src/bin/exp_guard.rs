@@ -3,12 +3,12 @@
 //!
 //! Not a figure from the paper — the paper assumes the cost model stays
 //! truthful — but the failure mode its adaptive controller invites: a
-//! seeded [`ModelSkew`] fault makes every plan deployed after its onset
-//! run on a stale model (tasks cost `factor`x their prediction), while
-//! the plan live at the onset keeps its measured behavior. A rate step
-//! after the onset goads DS2 into rescaling onto the stale model; the
-//! run then regresses and stays regressed unless the governor detects
-//! it and rolls back to the last-known-good plan.
+//! seeded [`capsys_sim::ModelSkew`] fault makes every plan deployed
+//! after its onset run on a stale model (tasks cost `factor`x their
+//! prediction), while the plan live at the onset keeps its measured
+//! behavior. A rate step after the onset goads DS2 into rescaling onto
+//! the stale model; the run then regresses and stays regressed unless
+//! the governor detects it and rolls back to the last-known-good plan.
 //!
 //! The experiment runs the same seeded scenario with the governor off
 //! (regression persists) and on (detected within one probation window,
@@ -18,6 +18,7 @@
 //! Usage: `exp_guard [--seed N] [--quick]`
 
 use capsys_bench::{banner, fast_mode, fmt_rate};
+use capsys_controller::guard::{MAX_ROLLBACKS, PROBATION_WINDOWS};
 use capsys_controller::{ClosedLoop, ClosedLoopTrace, GuardConfig};
 use capsys_ds2::Ds2Config;
 use capsys_model::{Cluster, RateSchedule, WorkerSpec};
@@ -183,7 +184,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Governor on: detect, roll back, recover, stay stable. ---
-    let config = GuardConfig::default();
     let on_tail = tracking(&on, tail_from, duration);
     println!("--- governor on ---");
     for e in &on.events {
@@ -219,7 +219,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the governor must detect the stale-model regression"
     );
     let first = &on.rollback_events[0];
-    let deadline = (config.probation_windows as f64 + 1.0) * POLICY_INTERVAL;
+    let deadline = (PROBATION_WINDOWS as f64 + 1.0) * POLICY_INTERVAL;
     assert!(
         first.degraded_for <= deadline + 1e-9,
         "regression must be detected within one probation window \
@@ -227,7 +227,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         first.degraded_for
     );
     assert!(
-        on.oscillations() <= config.max_rollbacks,
+        on.oscillations() <= MAX_ROLLBACKS,
         "rollback churn must be bounded by the governor's cap"
     );
     // Rolling back cannot make the old plan track the stepped-up target,

@@ -34,6 +34,8 @@
 use std::time::Instant;
 
 use capsys_bench::{banner, fmt_rate};
+use capsys_controller::guard::PROBATION_WINDOWS;
+use capsys_controller::shed::{CAPACITY_WINDOWS, ENGAGE_THRESHOLD, RELEASE_WINDOWS};
 use capsys_controller::{
     BaselineMode, ClosedLoop, ClosedLoopTrace, ControllerError, DecisionJournal, DecisionRecord,
     GuardConfig, ShedConfig,
@@ -252,8 +254,7 @@ fn regression_scenario(seed: u64, duration: f64) -> Json {
         BaselineMode::DriftAware,
         Some(plan),
     );
-    let config = GuardConfig::default();
-    let deadline = (config.probation_windows as f64 + 1.0) * POLICY_INTERVAL;
+    let deadline = (PROBATION_WINDOWS as f64 + 1.0) * POLICY_INTERVAL;
     assert!(
         !trace.rollback_events.is_empty(),
         "drift-aware governor must still catch an injected true regression"
@@ -404,9 +405,7 @@ fn overload_scenario(seed: u64, duration: f64) -> Json {
     // full capacity window plus the deadband-override hysteresis to
     // converge, then demand calm for the rest of the plateau — while
     // the unshedded run stays pinned at collapse the whole way.
-    let config = ShedConfig::default();
-    let settle = engage.time
-        + (config.capacity_windows + config.release_windows + 1) as f64 * POLICY_INTERVAL;
+    let settle = engage.time + (CAPACITY_WINDOWS + RELEASE_WINDOWS + 1) as f64 * POLICY_INTERVAL;
     assert!(
         settle < plateau.1 - 2.0 * POLICY_INTERVAL,
         "scenario must leave a post-settle plateau to judge ({settle:.0}s vs {:.0}s)",
@@ -421,7 +420,7 @@ fn overload_scenario(seed: u64, duration: f64) -> Json {
     let shed_bp = bp_peak(&shedded);
     let bare_bp = bp_peak(&bare);
     assert!(
-        shed_bp <= config.engage_threshold,
+        shed_bp <= ENGAGE_THRESHOLD,
         "shedding must bound backpressure (peak {shed_bp:.2} after settling)"
     );
     assert!(

@@ -44,8 +44,8 @@ use capsys_util::rng::SmallRng;
 use crate::guard::{GuardConfig, PlanSnapshot, RollbackEvent, RollbackRequest, SafetyGovernor};
 use crate::journal::{DecisionJournal, DecisionRecord, RedeployReason};
 use crate::recovery::{
-    descends, place_with_ladder, place_with_movemin, FailureDetector, LadderRung, RecoveryConfig,
-    RecoveryEvent,
+    backoff, descends, place_with_ladder, place_with_movemin, FailureDetector, LadderRung,
+    RecoveryConfig, RecoveryEvent, MAX_RETRIES,
 };
 use crate::shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
 use crate::ControllerError;
@@ -815,12 +815,13 @@ impl<'a> ClosedLoop<'a> {
     /// regressions roll back to the last-known-good plan (journaled as
     /// `Rollback` records), regressed plans are quarantined, and a
     /// growing cooldown damps churn. The current deployment is the
-    /// first trusted plan. Re-attach with the same config to a loop
-    /// built by [`ClosedLoop::recover_from_journal`] — replay drives
-    /// the governor through the same transitions the crashed run took.
+    /// first trusted plan. Re-attach with the same
+    /// [`GuardConfig::baseline_mode`] to a loop built by
+    /// [`ClosedLoop::recover_from_journal`] — replay drives the governor
+    /// through the same transitions the crashed run took. Never fails.
     pub fn with_guard(mut self, config: GuardConfig) -> Result<Self, ControllerError> {
         let initial = self.snapshot();
-        self.guard = Some(SafetyGovernor::new(config, initial)?);
+        self.guard = Some(SafetyGovernor::new(config, initial));
         Ok(self)
     }
 
@@ -829,17 +830,17 @@ impl<'a> ClosedLoop<'a> {
     /// a bounded fraction of offered traffic is shed at the sources.
     /// Every change to the shed fraction is journaled as a two-phase
     /// `Shed` record, so a recovered controller replays the same
-    /// admission decisions. Re-attach with the same config to a loop
-    /// built by [`ClosedLoop::recover_from_journal`].
-    pub fn with_shedding(mut self, config: ShedConfig) -> Result<Self, ControllerError> {
-        self.shedder = Some(ShedController::new(config)?);
+    /// admission decisions. Re-attach to a loop built by
+    /// [`ClosedLoop::recover_from_journal`]. Never fails.
+    pub fn with_shedding(mut self, _config: ShedConfig) -> Result<Self, ControllerError> {
+        self.shedder = Some(ShedController::default());
         Ok(self)
     }
 
     /// Enables failure detection and self-healing re-placement.
     pub fn with_recovery(mut self, config: RecoveryConfig) -> Self {
         self.recovery = Some(RecoveryState {
-            detector: FailureDetector::new(self.cluster.num_workers(), config.detector.clone()),
+            detector: FailureDetector::new(self.cluster.num_workers()),
             config,
             pending: None,
             events: Vec::new(),
@@ -1094,7 +1095,7 @@ impl<'a> ClosedLoop<'a> {
             self.points.push(p);
         }
         // Ingestion sanitizer: clamp poisoned samples before the rates
-        // can reach DS2 or the online profiler.
+        // can reach DS2.
         let mut task_rates = std::mem::take(&mut report.task_rates);
         self.sanitized += sanitize_rates(&mut task_rates) as u64;
         self.recent.push_back((window, task_rates));
@@ -1476,17 +1477,17 @@ impl<'a> ClosedLoop<'a> {
     }
 
     /// A failed re-placement attempt as a `Retry`: exponential backoff,
-    /// or give-up once `max_retries` attempts are spent. `None` without
+    /// or give-up once [`MAX_RETRIES`] attempts are spent. `None` without
     /// a pending recovery.
     fn decide_retry(&self) -> Option<DecisionRecord> {
         let rec = self.recovery.as_ref()?;
         let attempts = rec.pending.as_ref()?.attempts + 1;
-        let gave_up = attempts > rec.config.max_retries;
+        let gave_up = attempts > MAX_RETRIES;
         Some(DecisionRecord::Retry {
             time: self.time,
             attempts,
             gave_up,
-            next_attempt_at: (!gave_up).then(|| self.time + rec.config.backoff(attempts)),
+            next_attempt_at: (!gave_up).then(|| self.time + backoff(attempts)),
             rng: self.rng.state(),
         })
     }
@@ -1495,7 +1496,7 @@ impl<'a> ClosedLoop<'a> {
     /// incremental migration when enabled, otherwise a whole-plan
     /// redeploy. A retryable failure — of the search or of the deploy
     /// after its `Prepare` — backs off exponentially (a journaled
-    /// `Retry`) and, once `max_retries` attempts are spent, gives up and
+    /// `Retry`) and, once [`MAX_RETRIES`] attempts are spent, gives up and
     /// lets the job continue degraded: the loop never crashes on an
     /// unplaceable cluster. Fencing and injected kills propagate.
     fn attempt_recovery(&mut self) -> Result<(), ControllerError> {
@@ -3303,7 +3304,7 @@ mod tests {
         ) => {
             let (trace, text) = guard_run(*seed, true);
             let parsed = crate::journal::parse_journal(&text).unwrap();
-            let ttl = GuardConfig::default().quarantine_ttl;
+            let ttl = crate::guard::QUARANTINE_TTL;
             for rb in &trace.rollback_events {
                 // The regressed plan is the Prepare that burned the
                 // rollback's from_epoch.
@@ -3548,7 +3549,7 @@ mod tests {
         assert!(
             trace.points.iter().any(|p| p.time > engaged_at
                 && p.time < 120.0
-                && p.backpressure < ShedConfig::default().engage_threshold),
+                && p.backpressure < crate::shed::ENGAGE_THRESHOLD),
             "shedding never relieved backpressure during the crowd"
         );
         // Every shed decision is journaled and committed.

@@ -10,9 +10,10 @@
 //! * **Leases.** Every shard controller holds a lease from the
 //!   arbiter's [`crate::LeaseTable`]: an epoch-fenced term, journaled
 //!   in the arbiter's WAL. The holder renews each window; when a shard
-//!   controller is killed or partitioned (the [`DeciderFault`] classes
-//!   of the fault plan), its lease expires and a standby acquires the
-//!   next term, recovers the dead controller's decision journal
+//!   controller is killed or partitioned (the
+//!   [`capsys_sim::DeciderFault`] classes of the fault plan), its lease
+//!   expires and a standby acquires the next term, recovers the dead
+//!   controller's decision journal
 //!   ([`ClosedLoop::recover_from_journal`]) — including mid-migration,
 //!   mid-reconfiguration tails — and catches up to the fleet clock by
 //!   replaying the recorded per-window history. Split-brain is

@@ -25,9 +25,9 @@
 //! *Baseline* tracks a rolling window of tracking ratio
 //! (throughput / DS2 target) and backpressure for the trusted plan.
 //! A scaling redeploy snapshots that baseline and enters *Probation*:
-//! the new plan is a canary judged after `probation_windows` policy
+//! the new plan is a canary judged after [`PROBATION_WINDOWS`] policy
 //! windows. A canary whose average tracking ratio falls more than
-//! `regression_threshold` below the baseline (or whose backpressure
+//! [`REGRESSION_THRESHOLD`] below the baseline (or whose backpressure
 //! rises by more than the threshold) is *regressed*: the governor asks
 //! the closed loop to restore the last-known-good plan through the
 //! same two-phase epoch-fenced redeploy as any other reconfiguration,
@@ -51,8 +51,6 @@
 use std::collections::VecDeque;
 
 use capsys_util::json::{Json, ToJson};
-
-use crate::ControllerError;
 
 /// Small slack for time comparisons on window boundaries, matching the
 /// closed loop's fault-injection slack.
@@ -92,30 +90,37 @@ pub enum BaselineMode {
     DriftAware,
 }
 
-/// Tuning knobs of the safety governor.
+/// Policy windows a canary plan is observed before judgment.
+pub const PROBATION_WINDOWS: usize = 3;
+
+/// Relative regression that triggers a rollback (`θ`): the canary is
+/// regressed when its tracking ratio falls below `(1 - θ) · baseline`,
+/// or its backpressure exceeds the baseline by more than `θ`.
+pub const REGRESSION_THRESHOLD: f64 = 0.1;
+
+/// Baseline samples required before a deploy can be judged (also the
+/// rolling-average length). A deploy without enough baseline is adopted
+/// unjudged, as the loop did before the governor existed.
+pub const BASELINE_WINDOWS: usize = 3;
+
+/// How long a regressed plan stays quarantined, seconds.
+pub const QUARANTINE_TTL: f64 = 600.0;
+
+/// Cooldown after a rollback during which no scaling redeploy is
+/// attempted, seconds.
+pub const COOLDOWN: f64 = 30.0;
+
+/// Multiplicative cooldown growth per consecutive rollback.
+pub const COOLDOWN_FACTOR: f64 = 2.0;
+
+/// Hard cap on rollbacks per run; beyond it the governor stops rolling
+/// back (bounding oscillation) and leaves plans unjudged.
+pub const MAX_ROLLBACKS: usize = 3;
+
+/// Settings of the safety governor. Every other policy value is one of
+/// the constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardConfig {
-    /// Policy windows a canary plan is observed before judgment.
-    pub probation_windows: usize,
-    /// Relative regression that triggers a rollback: the canary is
-    /// regressed when its tracking ratio falls below
-    /// `(1 - regression_threshold) ·  baseline`, or its backpressure
-    /// exceeds the baseline by more than the threshold. In `(0, 1)`.
-    pub regression_threshold: f64,
-    /// Baseline samples required before a deploy can be judged (also
-    /// the rolling-average length). A deploy without enough baseline is
-    /// adopted unjudged, as the loop did before the governor existed.
-    pub baseline_windows: usize,
-    /// How long a regressed plan stays quarantined, seconds.
-    pub quarantine_ttl: f64,
-    /// Cooldown after a rollback during which no scaling redeploy is
-    /// attempted, seconds.
-    pub cooldown: f64,
-    /// Multiplicative cooldown growth per consecutive rollback, `>= 1`.
-    pub cooldown_factor: f64,
-    /// Hard cap on rollbacks per run; beyond it the governor stops
-    /// rolling back (bounding oscillation) and leaves plans unjudged.
-    pub max_rollbacks: usize,
     /// How canaries are judged: load-normalized ([`BaselineMode::DriftAware`],
     /// the default) or raw ([`BaselineMode::Absolute`]).
     pub baseline_mode: BaselineMode,
@@ -124,59 +129,8 @@ pub struct GuardConfig {
 impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
-            probation_windows: 3,
-            regression_threshold: 0.1,
-            baseline_windows: 3,
-            quarantine_ttl: 600.0,
-            cooldown: 30.0,
-            cooldown_factor: 2.0,
-            max_rollbacks: 3,
             baseline_mode: BaselineMode::DriftAware,
         }
-    }
-}
-
-impl GuardConfig {
-    /// Validates parameter ranges.
-    pub fn validate(&self) -> Result<(), ControllerError> {
-        let bad = |msg: String| Err(ControllerError::InvalidConfig(msg));
-        if self.probation_windows == 0 {
-            return bad("probation_windows must be >= 1".into());
-        }
-        if !self.regression_threshold.is_finite()
-            || !(0.0..1.0).contains(&self.regression_threshold)
-            || self.regression_threshold == 0.0
-        {
-            return bad(format!(
-                "regression_threshold must be in (0, 1), got {}",
-                self.regression_threshold
-            ));
-        }
-        if self.baseline_windows == 0 {
-            return bad("baseline_windows must be >= 1".into());
-        }
-        if !self.quarantine_ttl.is_finite() || self.quarantine_ttl <= 0.0 {
-            return bad(format!(
-                "quarantine_ttl must be positive, got {}",
-                self.quarantine_ttl
-            ));
-        }
-        if !self.cooldown.is_finite() || self.cooldown < 0.0 {
-            return bad(format!(
-                "cooldown must be finite and non-negative, got {}",
-                self.cooldown
-            ));
-        }
-        if !self.cooldown_factor.is_finite() || self.cooldown_factor < 1.0 {
-            return bad(format!(
-                "cooldown_factor must be finite and >= 1, got {}",
-                self.cooldown_factor
-            ));
-        }
-        if self.max_rollbacks == 0 {
-            return bad("max_rollbacks must be >= 1".into());
-        }
-        Ok(())
     }
 }
 
@@ -301,12 +255,8 @@ pub struct SafetyGovernor {
 
 impl SafetyGovernor {
     /// A governor trusting `initial` (the epoch-0 deployment).
-    pub fn new(
-        config: GuardConfig,
-        initial: PlanSnapshot,
-    ) -> Result<SafetyGovernor, ControllerError> {
-        config.validate()?;
-        Ok(SafetyGovernor {
+    pub fn new(config: GuardConfig, initial: PlanSnapshot) -> SafetyGovernor {
+        SafetyGovernor {
             config,
             phase: Phase::Baseline,
             baseline: VecDeque::new(),
@@ -315,7 +265,7 @@ impl SafetyGovernor {
             cooldown_until: f64::NEG_INFINITY,
             consecutive_rollbacks: 0,
             rollbacks_total: 0,
-        })
+        }
     }
 
     /// The governor's configuration.
@@ -350,7 +300,7 @@ impl SafetyGovernor {
             Phase::Baseline => {
                 self.baseline
                     .push_back((tracking, backpressure, throughput.max(0.0)));
-                while self.baseline.len() > self.config.baseline_windows {
+                while self.baseline.len() > BASELINE_WINDOWS {
                     self.baseline.pop_front();
                 }
                 None
@@ -361,14 +311,14 @@ impl SafetyGovernor {
                 p.sum_backpressure += backpressure;
                 p.sum_throughput += throughput.max(0.0);
                 p.sum_target += target.max(0.0);
-                if p.windows < self.config.probation_windows {
+                if p.windows < PROBATION_WINDOWS {
                     return None;
                 }
                 let observed_tracking = p.sum_tracking / p.windows as f64;
                 let observed_bp = p.sum_backpressure / p.windows as f64;
                 let observed_throughput = p.sum_throughput / p.windows as f64;
                 let observed_target = p.sum_target / p.windows as f64;
-                let theta = self.config.regression_threshold;
+                let theta = REGRESSION_THRESHOLD;
                 let regressed = match self.config.baseline_mode {
                     BaselineMode::Absolute => {
                         observed_tracking < (1.0 - theta) * p.baseline_tracking
@@ -396,7 +346,7 @@ impl SafetyGovernor {
                         .push_back((observed_tracking, observed_bp, observed_throughput));
                     return None;
                 }
-                if self.rollbacks_total >= self.config.max_rollbacks {
+                if self.rollbacks_total >= MAX_ROLLBACKS {
                     // Rollback budget exhausted: stay put (the canary
                     // keeps running, unjudged and untrusted) rather
                     // than oscillate further.
@@ -433,7 +383,7 @@ impl SafetyGovernor {
                 ),
                 Phase::Baseline => {
                     let n = self.baseline.len();
-                    if n >= self.config.baseline_windows {
+                    if n >= BASELINE_WINDOWS {
                         let (st, sb, sc) = self
                             .baseline
                             .iter()
@@ -483,15 +433,12 @@ impl SafetyGovernor {
     pub fn on_rollback(&mut self, time: f64, req: &RollbackRequest) -> f64 {
         self.quarantine.push(QuarantineEntry {
             parallelism: req.regressed.parallelism.clone(),
-            expires_at: time + self.config.quarantine_ttl,
+            expires_at: time + QUARANTINE_TTL,
         });
         self.consecutive_rollbacks += 1;
         self.rollbacks_total += 1;
-        let growth = self
-            .config
-            .cooldown_factor
-            .powi(self.consecutive_rollbacks as i32 - 1);
-        self.cooldown_until = time + self.config.cooldown * growth;
+        let growth = COOLDOWN_FACTOR.powi(self.consecutive_rollbacks as i32 - 1);
+        self.cooldown_until = time + COOLDOWN * growth;
         // The restored plan is (still) the trusted one; its baseline
         // samples were not polluted during probation.
         self.phase = Phase::Baseline;
@@ -559,7 +506,7 @@ mod tests {
     }
 
     fn governor() -> SafetyGovernor {
-        SafetyGovernor::new(GuardConfig::default(), snap(&[1, 1], 0)).unwrap()
+        SafetyGovernor::new(GuardConfig::default(), snap(&[1, 1], 0))
     }
 
     /// Feeds `n` baseline windows of the given quality.
@@ -570,51 +517,6 @@ mod tests {
             assert!(g.observe_window(t, tp, tgt, bp).is_none());
         }
         t
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_knobs() {
-        assert!(GuardConfig::default().validate().is_ok());
-        for bad in [
-            GuardConfig {
-                probation_windows: 0,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                regression_threshold: 0.0,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                regression_threshold: 1.0,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                regression_threshold: f64::NAN,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                baseline_windows: 0,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                quarantine_ttl: 0.0,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                cooldown: -1.0,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                cooldown_factor: 0.9,
-                ..GuardConfig::default()
-            },
-            GuardConfig {
-                max_rollbacks: 0,
-                ..GuardConfig::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
-        }
     }
 
     #[test]
@@ -671,7 +573,7 @@ mod tests {
             match g.observe_window(t, 400.0, 1000.0, 0.5) {
                 Some(req) => cooldowns.push(g.on_rollback(t, &req) - t),
                 None => {
-                    // Cap reached: max_rollbacks=3, fourth regression
+                    // Cap reached: MAX_ROLLBACKS=3, fourth regression
                     // is left alone.
                     assert_eq!(g.rollbacks(), 3);
                     assert_eq!(cooldowns, vec![30.0, 60.0, 120.0]);
@@ -774,7 +676,7 @@ mod tests {
             baseline_mode: mode,
             ..GuardConfig::default()
         };
-        let mut g = SafetyGovernor::new(config, snap(&[1, 1], 0)).unwrap();
+        let mut g = SafetyGovernor::new(config, snap(&[1, 1], 0));
         let t = feed(&mut g, 0.0, 3, 990.0, 1000.0, 0.01);
         g.on_scaling_deploy(t, snap(&[2, 2], 1));
         (g, t)
@@ -821,7 +723,7 @@ mod tests {
     fn drift_aware_still_catches_true_regression() {
         // Steady load, throughput halves: a genuine plan regression is
         // judged identically in both modes — and within one probation
-        // window (judgment fires on the `probation_windows`-th sample).
+        // window (judgment fires on the `PROBATION_WINDOWS`-th sample).
         for mode in [BaselineMode::Absolute, BaselineMode::DriftAware] {
             let (mut g, t) = on_probation(mode);
             let t2 = feed(&mut g, t, 2, 500.0, 1000.0, 0.4);

@@ -9,9 +9,6 @@
 //! * [`closed_loop`] — the runtime loop for variable workloads (§6.4):
 //!   DS2 re-evaluates every policy interval and reconfigurations re-run
 //!   the placement strategy;
-//! * [`online`] — online profiling (the §5.1 future-work extension):
-//!   effective unit costs tracked from runtime metrics, with drift
-//!   detection to trigger re-planning;
 //! * [`recovery`] — self-healing under injected faults: heartbeat-based
 //!   failure detection, backoff re-placement on the surviving workers,
 //!   and a graceful-degradation ladder (CAPS → relaxed CAPS →
@@ -37,7 +34,6 @@ pub mod fleet;
 pub mod guard;
 pub mod journal;
 pub mod lease;
-pub mod online;
 pub mod profiler;
 pub mod recovery;
 pub mod shed;
@@ -54,11 +50,10 @@ pub use fleet::{
 pub use guard::{BaselineMode, GuardConfig, PlanSnapshot, RollbackEvent, SafetyGovernor};
 pub use journal::{DecisionJournal, DecisionRecord, ParsedJournal, RedeployReason};
 pub use lease::LeaseTable;
-pub use online::{OnlineProfiler, OnlineProfilerConfig};
 pub use profiler::{profile_query, ProfileReport, ProfilerConfig};
 pub use recovery::{
-    place_with_ladder, place_with_movemin, round_robin_free, Detection, DetectorConfig,
-    FailureDetector, LadderRung, RecoveryConfig, RecoveryEvent,
+    place_with_ladder, place_with_movemin, round_robin_free, Detection, FailureDetector,
+    LadderRung, RecoveryConfig, RecoveryEvent,
 };
 pub use shed::{ShedConfig, ShedController, ShedEvent, ShedRequest};
 

@@ -5,7 +5,7 @@
 //!
 //! * [`FailureDetector`] — a heartbeat/staleness detector fed from the
 //!   per-window liveness bits the simulator reports. A worker is declared
-//!   down after `miss_threshold` consecutive *observed* windows without a
+//!   down after [`MISS_THRESHOLD`] consecutive *observed* windows without a
 //!   heartbeat; windows inside a metric blackout are unobserved and
 //!   freeze every staleness clock (a telemetry outage must not read as a
 //!   whole-cluster failure).
@@ -17,9 +17,9 @@
 //!   (any plan beats no plan); if even that fails, rung 3 deals tasks
 //!   round-robin across the remaining free slots. The ladder only errors
 //!   when the survivors genuinely lack slot capacity.
-//! * [`RecoveryConfig`] — bounded retry with exponential backoff between
-//!   re-placement attempts, mirroring restart-strategy backoff in
-//!   production stream processors.
+//! * [`backoff`] — bounded retry ([`MAX_RETRIES`] attempts) with
+//!   exponential backoff between re-placement attempts, mirroring
+//!   restart-strategy backoff in production stream processors.
 
 use capsys_core::{min_movement_plan, CapsError, CapsSearch, SearchConfig, Thresholds};
 use capsys_model::{ModelError, Placement, PlanDiff, StateModel, WorkerId};
@@ -27,20 +27,20 @@ use capsys_placement::{CapsStrategy, PlacementContext, PlacementError, Placement
 use capsys_util::json::{Json, ToJson};
 use capsys_util::rng::SmallRng;
 
-/// Failure-detector settings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectorConfig {
-    /// Consecutive observed windows without a heartbeat before a worker
-    /// is declared down. `1` reacts fastest but confuses a single lost
-    /// report with a crash.
-    pub miss_threshold: usize,
-}
+/// Consecutive observed windows without a heartbeat before a worker is
+/// declared down. `1` would react fastest but confuse a single lost
+/// report with a crash.
+pub const MISS_THRESHOLD: usize = 2;
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { miss_threshold: 2 }
-    }
-}
+/// Re-placement attempts per failure before giving up and continuing
+/// degraded. Each attempt walks the whole ladder.
+pub const MAX_RETRIES: usize = 3;
+
+/// Simulated seconds before the first retry.
+pub const INITIAL_BACKOFF: f64 = 5.0;
+
+/// Multiplier applied to the backoff after each failed attempt.
+pub const BACKOFF_FACTOR: f64 = 2.0;
 
 /// What one detector observation concluded.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -63,10 +63,9 @@ pub struct Detection {
 /// Heartbeats ride the metrics reports: a worker that is alive at the end
 /// of a reporting window has its `worker_alive` bit set. The detector
 /// counts consecutive missing heartbeats per worker and declares a
-/// failure at [`DetectorConfig::miss_threshold`].
+/// failure at [`MISS_THRESHOLD`].
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
-    config: DetectorConfig,
     misses: Vec<usize>,
     down: Vec<bool>,
     /// Workers currently classified as isolated (running behind a
@@ -79,11 +78,8 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// A detector for `num_workers` workers, all initially presumed up.
-    pub fn new(num_workers: usize, config: DetectorConfig) -> FailureDetector {
+    pub fn new(num_workers: usize) -> FailureDetector {
         FailureDetector {
-            config: DetectorConfig {
-                miss_threshold: config.miss_threshold.max(1),
-            },
             misses: vec![0; num_workers],
             down: vec![false; num_workers],
             isolated: vec![false; num_workers],
@@ -144,7 +140,7 @@ impl FailureDetector {
                 }
                 self.misses[w] += 1;
                 let active = worker_activity.get(w).copied().unwrap_or(false);
-                if self.misses[w] >= self.config.miss_threshold {
+                if self.misses[w] >= MISS_THRESHOLD {
                     if active {
                         if !self.isolated[w] && !self.down[w] {
                             self.isolated[w] = true;
@@ -235,18 +231,10 @@ impl LadderRung {
     }
 }
 
-/// Recovery-policy settings.
+/// Recovery-policy settings. The detector and retry policy are the
+/// constants above.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Failure-detector settings.
-    pub detector: DetectorConfig,
-    /// Re-placement attempts per failure before giving up and continuing
-    /// degraded. Each attempt walks the whole ladder.
-    pub max_retries: usize,
-    /// Simulated seconds before the first retry.
-    pub initial_backoff: f64,
-    /// Multiplier applied to the backoff after each failed attempt.
-    pub backoff_factor: f64,
     /// Base search configuration for the ladder's CAPS rungs. Its
     /// `free_slots` is overwritten with the surviving workers' slots at
     /// recovery time.
@@ -256,24 +244,18 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            detector: DetectorConfig::default(),
-            max_retries: 3,
-            initial_backoff: 5.0,
-            backoff_factor: 2.0,
             search: SearchConfig::auto_tuned(),
         }
     }
 }
 
-impl RecoveryConfig {
-    /// Backoff delay before attempt `attempt` (0-based; attempt 0 runs
-    /// immediately on detection).
-    pub fn backoff(&self, attempt: usize) -> f64 {
-        if attempt == 0 {
-            return 0.0;
-        }
-        self.initial_backoff * self.backoff_factor.powi(attempt as i32 - 1)
+/// Backoff delay before attempt `attempt` (0-based; attempt 0 runs
+/// immediately on detection).
+pub fn backoff(attempt: usize) -> f64 {
+    if attempt == 0 {
+        return 0.0;
     }
+    INITIAL_BACKOFF * BACKOFF_FACTOR.powi(attempt as i32 - 1)
 }
 
 /// One completed recovery, as recorded in the closed-loop trace.
@@ -466,7 +448,7 @@ mod tests {
 
     #[test]
     fn detector_requires_consecutive_misses() {
-        let mut d = FailureDetector::new(2, DetectorConfig { miss_threshold: 2 });
+        let mut d = FailureDetector::new(2);
         // One miss: not yet down.
         let det = d.observe(&[true, false], true, 5.0);
         assert!(det.newly_down.is_empty());
@@ -493,7 +475,7 @@ mod tests {
 
     #[test]
     fn blackout_windows_freeze_staleness() {
-        let mut d = FailureDetector::new(1, DetectorConfig { miss_threshold: 2 });
+        let mut d = FailureDetector::new(1);
         d.observe(&[false], true, 5.0);
         // Blackout windows must not advance (nor reset) the clock.
         for i in 0..5 {
@@ -513,7 +495,7 @@ mod tests {
         // declaration must wait for the next *observed* window, and the
         // staleness clock must still point at the first missed
         // heartbeat, not at the blackout or the declaration window.
-        let mut d = FailureDetector::new(1, DetectorConfig { miss_threshold: 2 });
+        let mut d = FailureDetector::new(1);
         let det = d.observe(&[false], true, 5.0);
         assert!(det.newly_down.is_empty());
         assert_eq!(d.staleness(WorkerId(0)), 1);
@@ -535,7 +517,7 @@ mod tests {
         // its next outage with a fresh staleness clock: the second
         // declaration's stale_since belongs to the second outage, and
         // the full threshold must elapse again.
-        let mut d = FailureDetector::new(1, DetectorConfig { miss_threshold: 2 });
+        let mut d = FailureDetector::new(1);
         d.observe(&[false], true, 5.0);
         let det = d.observe(&[false], true, 10.0);
         assert_eq!(det.newly_down, vec![WorkerId(0)]);
@@ -557,7 +539,7 @@ mod tests {
 
     #[test]
     fn activity_evidence_classifies_partition_not_crash() {
-        let mut d = FailureDetector::new(2, DetectorConfig { miss_threshold: 2 });
+        let mut d = FailureDetector::new(2);
         // Worker 0 crashes (no heartbeat, no activity); worker 1 is
         // partitioned (no heartbeat, but its fenced writes keep landing).
         d.observe_with_evidence(&[false, false], &[false, true], true, 5.0);
@@ -584,7 +566,7 @@ mod tests {
         // A partition that turns into a crash: once the activity
         // evidence disappears, the accumulated staleness declares the
         // worker down on the next observed window.
-        let mut d = FailureDetector::new(1, DetectorConfig { miss_threshold: 2 });
+        let mut d = FailureDetector::new(1);
         d.observe_with_evidence(&[false], &[true], true, 5.0);
         let det = d.observe_with_evidence(&[false], &[true], true, 10.0);
         assert_eq!(det.newly_isolated, vec![WorkerId(0)]);
@@ -602,8 +584,8 @@ mod tests {
     fn observe_without_evidence_keeps_legacy_crash_presumption() {
         // The legacy entry point must behave exactly as before: a
         // missing heartbeat with no evidence channel is a crash.
-        let mut a = FailureDetector::new(2, DetectorConfig { miss_threshold: 2 });
-        let mut b = FailureDetector::new(2, DetectorConfig { miss_threshold: 2 });
+        let mut a = FailureDetector::new(2);
+        let mut b = FailureDetector::new(2);
         for (t, alive) in [
             (5.0, [true, false]),
             (10.0, [false, false]),
@@ -717,14 +699,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let cfg = RecoveryConfig {
-            initial_backoff: 5.0,
-            backoff_factor: 2.0,
-            ..RecoveryConfig::default()
-        };
-        assert_eq!(cfg.backoff(0), 0.0);
-        assert_eq!(cfg.backoff(1), 5.0);
-        assert_eq!(cfg.backoff(2), 10.0);
-        assert_eq!(cfg.backoff(3), 20.0);
+        assert_eq!(backoff(0), 0.0);
+        assert_eq!(backoff(1), 5.0);
+        assert_eq!(backoff(2), 10.0);
+        assert_eq!(backoff(3), 20.0);
     }
 }

@@ -8,6 +8,7 @@
 //! rewritten journal to be byte-identical to the uninterrupted run's.
 
 use capsys_controller::journal::parse_journal;
+use capsys_controller::recovery::{backoff, MAX_RETRIES};
 use capsys_controller::{
     ClosedLoop, ClosedLoopTrace, ControllerError, DecisionJournal, DecisionRecord, MigrationConfig,
     RecoveryConfig, RedeployReason,
@@ -191,7 +192,7 @@ fn starved_scenario() -> Scenario {
 fn starved_recovery_retries_then_gives_up_and_replays_byte_identically() {
     let records = starved_scenario().sweep();
     let got = retries(&records);
-    let max = RecoveryConfig::default().max_retries;
+    let max = MAX_RETRIES;
     assert_eq!(
         got.len(),
         max + 1,
@@ -313,7 +314,7 @@ fn recovery_prepare_followed_by_retry_is_not_deployed() {
     else {
         unreachable!()
     };
-    let backoff = RecoveryConfig::default().backoff(1);
+    let backoff = backoff(1);
     let (mut sink, buf) = DecisionJournal::in_memory();
     for rec in &records[..=at] {
         sink.append(rec).unwrap();

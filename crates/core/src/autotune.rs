@@ -72,8 +72,9 @@ pub const PRESSURE_FLOOR: f64 = 0.05;
 /// Configuration of the threshold auto-tuner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoTuneConfig {
-    /// Node budget per feasibility probe. A probe that exhausts the
-    /// budget without finding a plan is treated as infeasible and the
+    /// Node budget per feasibility probe, counted over all of the
+    /// probe's threads. A probe that exhausts the budget without finding
+    /// a plan is treated as infeasible and the
     /// threshold is relaxed further — a conservative early exit that
     /// keeps tuning fast on very large plan spaces.
     pub probe_node_budget: usize,
@@ -139,9 +140,11 @@ fn still_fails(bound: [Fixed64; 3], overflow: [Fixed64; 3]) -> bool {
 /// a failed step proves that no plan exists. Phase 1 scans at most the
 /// three dimensions and phase 2 scans once, so a tuning run takes at most
 /// 204 grid steps. Each step runs at most one first-feasible search,
-/// which aborts once one of its threads has visited more than
+/// which aborts once its threads together have visited more than
 /// [`AutoTuneConfig::probe_node_budget`] nodes (or
-/// [`SearchConfig::node_budget`], if smaller).
+/// [`SearchConfig::node_budget`], if smaller), give or take 1,024 nodes
+/// per thread: a tuning run visits at most 204 × (budget + 1,024 ×
+/// threads) nodes.
 pub struct AutoTuner {
     probe_node_budget: usize,
 }

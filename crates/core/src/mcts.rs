@@ -24,7 +24,7 @@
 //!   adds of identical summands in identical order), and UCT
 //!   tie-breaks prefer the earliest child, so selection never depends
 //!   on float summation order or container iteration order;
-//! * rollout plans are scored by the exact [`CostModel`] load
+//! * rollout plans are scored by the exact [`CostModel`](crate::CostModel) load
 //!   accounting, the same bit-for-bit costs the DFS computes.
 //!
 //! Hence a fixed seed and node budget reproduce the identical tree,
@@ -54,7 +54,15 @@ use crate::search::{cmp_scored, AnytimePoint, RunStats, ScoredPlan};
 use crate::strategy::{BackendResult, Problem};
 
 /// Default playout cap when neither a node nor a time budget is set.
-const DEFAULT_ITERATIONS: usize = 4096;
+pub const DEFAULT_ITERATIONS: usize = 4096;
+
+/// UCT exploration constant `c` in `mean + c·√(ln N / n)`.
+pub const EXPLORATION: f64 = std::f64::consts::SQRT_2;
+
+/// When a node's canonical child-row count is at most this, all children
+/// are enumerated up front (the node becomes exhaustive and UCT covers it
+/// completely); wider nodes grow children by sampling.
+pub const FULL_EXPAND_LIMIT: usize = 64;
 
 /// Configuration of the MCTS backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +70,6 @@ pub struct MctsConfig {
     /// Seed of the backend's private RNG. Same seed + same node budget
     /// ⇒ byte-identical best plan, visit counts, and anytime curve.
     pub seed: u64,
-    /// UCT exploration constant `c` in `mean + c·√(ln N / n)`.
-    pub exploration: f64,
     /// Probability a rollout row takes the balanced (fair-share) count
     /// instead of a uniform canonical count. `0` is fully random, `1`
     /// fully greedy; greedy-only rollouts lose full support over the
@@ -73,20 +79,14 @@ pub struct MctsConfig {
     /// search (or [`DEFAULT_ITERATIONS`] playouts when no budget is set
     /// at all).
     pub iterations: Option<usize>,
-    /// When a node's canonical child-row count is at most this, all
-    /// children are enumerated up front (the node becomes exhaustive and
-    /// UCT covers it completely); wider nodes grow children by sampling.
-    pub full_expand_limit: usize,
 }
 
 impl Default for MctsConfig {
     fn default() -> Self {
         MctsConfig {
             seed: 0xCA95,
-            exploration: std::f64::consts::SQRT_2,
             greedy_bias: 0.7,
             iterations: None,
-            full_expand_limit: 64,
         }
     }
 }
@@ -101,22 +101,11 @@ impl MctsConfig {
     }
 
     fn validate(&self) -> Result<(), CapsError> {
-        if !self.exploration.is_finite() || self.exploration < 0.0 {
-            return Err(CapsError::InvalidConfig(format!(
-                "mcts exploration must be finite and non-negative, got {}",
-                self.exploration
-            )));
-        }
         if !self.greedy_bias.is_finite() || !(0.0..=1.0).contains(&self.greedy_bias) {
             return Err(CapsError::InvalidConfig(format!(
                 "mcts greedy_bias must be in [0, 1], got {}",
                 self.greedy_bias
             )));
-        }
-        if self.full_expand_limit == 0 {
-            return Err(CapsError::InvalidConfig(
-                "mcts full_expand_limit must be >= 1".into(),
-            ));
         }
         Ok(())
     }
@@ -537,7 +526,7 @@ pub(crate) fn run(config: &MctsConfig, ctx: &Problem<'_>) -> Result<BackendResul
                     &run.tree[cur].remaining,
                     &run.tree[cur].groups,
                     tasks,
-                    run.cfg.full_expand_limit,
+                    FULL_EXPAND_LIMIT,
                 );
                 match all {
                     Some(all_rows) => {
@@ -592,7 +581,7 @@ pub(crate) fn run(config: &MctsConfig, ctx: &Problem<'_>) -> Result<BackendResul
                         .checked_div(Fixed64::from_int(st.visits as i64))
                         .unwrap_or(Fixed64::ZERO)
                         .to_f64();
-                    mean + run.cfg.exploration * (ln_n / st.visits as f64).sqrt()
+                    mean + EXPLORATION * (ln_n / st.visits as f64).sqrt()
                 };
                 if score > best_score {
                     best_score = score;

@@ -15,9 +15,9 @@
 //!    order (max cost component, then assignment);
 //! 3. convert `optimum + ε` back into exact per-dimension
 //!    [`Fixed64`](capsys_util::fixed::Fixed64) load bounds via
-//!    [`CostModel::cost_to_load`], so the tolerance screen is a pure
-//!    integer mantissa compare — bit-exact, replay-safe, immune to
-//!    float rounding at the band edge;
+//!    [`CostModel::cost_to_load`](crate::CostModel::cost_to_load), so
+//!    the tolerance screen is a pure integer mantissa compare —
+//!    bit-exact, replay-safe, immune to float rounding at the band edge;
 //! 4. among the plans inside the band, pick the one moving the fewest
 //!    state bytes from the incumbent (ties: fewest tasks moved, then
 //!    the plan order of step 2).

@@ -23,7 +23,7 @@
 //!   expands it into its children (one more fixed layer) instead of
 //!   exploring it, pushing them onto its own deque where thieves can
 //!   take the oldest, coarsest ones. Splitting is capped at
-//!   [`MAX_SPLIT_DEPTH`] layers, so prefix-replay overhead stays bounded
+//!   `MAX_SPLIT_DEPTH` (3) layers, so prefix-replay overhead stays bounded
 //!   and units finer than depth 1 are only made when someone needs the
 //!   parallelism.
 //!
@@ -39,9 +39,10 @@
 //! value.
 //!
 //! Threads additionally share a stop flag (first-feasible and abort
-//! propagation). Every visitor polls its own deadline once per
-//! `TIME_CHECK_MASK + 1` nodes; the thread that sees it pass raises the
-//! stop flag for the rest.
+//! propagation) and a node count. Every visitor polls once per 1,024
+//! nodes: it adds its nodes to the shared count and checks that count
+//! against the node budget and the clock against its deadline; the
+//! thread that sees either run out raises the stop flag for the rest.
 //!
 //! Under store-bound pruning ([`SearchConfig::incumbent_prune`]) each
 //! visitor prunes against its own full local store and nothing else is
@@ -95,6 +96,8 @@ struct Shared {
     /// Cooperative stop: first-feasible hit, budget abort, or worker
     /// panic.
     stop: AtomicBool,
+    /// Nodes of all visitors, added at their polls (the node budget).
+    nodes: AtomicUsize,
 }
 
 impl Shared {
@@ -104,6 +107,7 @@ impl Shared {
             in_flight: AtomicUsize::new(0),
             starving: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
+            nodes: AtomicUsize::new(0),
         }
     }
 }
@@ -241,6 +245,7 @@ fn new_visitor<'a>(ctx: &Problem<'a>, shared: &'a Shared) -> CapsVisitor<'a> {
         ctx.config,
         ctx.deadline,
         &shared.stop,
+        &shared.nodes,
     )
 }
 

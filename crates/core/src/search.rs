@@ -16,6 +16,7 @@
 //!   bounded on the network alone explores upstream-first instead
 //!   ([`CapsSearch::exploration_order`]).
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use capsys_model::{
@@ -36,10 +37,12 @@ use crate::strategy::{BackendResult, Problem, SearchBackend};
 /// search itself prunes on exact fixed-point mantissas).
 const BOUND_EPS: f64 = 1e-9;
 
-/// How often the DFS polls its two time-dependent stop conditions, the
-/// deadline and the shared stop flag: once every `TIME_CHECK_MASK + 1`
-/// `place` calls (nodes). A raised flag, from a first-feasible leaf or a
-/// thread that saw the deadline pass, is thus seen within that many nodes.
+/// How often the DFS polls its shared stop conditions, the deadline, the
+/// stop flag and the search-wide node count: once every
+/// `TIME_CHECK_MASK + 1` `place` calls (nodes). A raised flag, from a
+/// first-feasible leaf or a thread that saw a budget run out, is thus
+/// seen within that many nodes, and a run of `t` threads visits at most
+/// `node_budget + t · (TIME_CHECK_MASK + 1)` nodes.
 const TIME_CHECK_MASK: usize = 0x3FF;
 
 /// Configuration of one CAPS search run.
@@ -66,7 +69,9 @@ pub struct SearchConfig {
     /// plans still count in the statistics; stored plans are replaced only
     /// by cheaper ones.
     pub max_plans: usize,
-    /// Abort after visiting this many tree nodes.
+    /// Abort after visiting this many tree nodes, counted over all
+    /// threads: one thread stops at exactly this count, `t` threads
+    /// within `t · 1024` nodes past it.
     pub node_budget: Option<usize>,
     /// Abort after this much wall-clock time from the start of the call.
     /// In [`CapsSearch::run`] it covers auto-tuning too: a budget that
@@ -424,7 +429,9 @@ pub(crate) struct CapsVisitor<'a> {
     deadline: Option<Instant>,
     /// Shared cooperative stop, polled with the deadline and raised by a
     /// first-feasible leaf.
-    stop_flag: &'a std::sync::atomic::AtomicBool,
+    stop_flag: &'a AtomicBool,
+    /// Nodes of all the run's visitors, added at each poll.
+    shared_nodes: &'a AtomicUsize,
     /// Per dimension, the smallest load that crossed `bound` on a pruned
     /// branch (`Fixed64::MAX` while none has).
     overflow: [Fixed64; 3],
@@ -439,7 +446,8 @@ impl<'a> CapsVisitor<'a> {
         bound: [Fixed64; 3],
         config: &SearchConfig,
         deadline: Option<Instant>,
-        stop_flag: &'a std::sync::atomic::AtomicBool,
+        stop_flag: &'a AtomicBool,
+        shared_nodes: &'a AtomicUsize,
     ) -> CapsVisitor<'a> {
         let n_ops = physical.num_operators();
         let num_workers = model.num_workers();
@@ -467,6 +475,7 @@ impl<'a> CapsVisitor<'a> {
             node_budget: config.node_budget.unwrap_or(usize::MAX),
             deadline,
             stop_flag,
+            shared_nodes,
             overflow: [Fixed64::MAX; 3],
             aborted: false,
         }
@@ -514,26 +523,17 @@ impl<'a> CapsVisitor<'a> {
     }
 
     fn should_stop(&mut self) -> bool {
-        if self.aborted {
-            return true;
+        if !self.aborted && (self.nodes > self.node_budget || self.nodes & TIME_CHECK_MASK == 0) {
+            // A poll adds the nodes since the last one (one interval) to
+            // the shared count. A lone visitor's count never passes the
+            // budget before its own does, so one thread stops exactly.
+            let step = TIME_CHECK_MASK + 1;
+            self.aborted = self.nodes > self.node_budget
+                || self.shared_nodes.fetch_add(step, Ordering::Relaxed) + step > self.node_budget
+                || self.deadline.is_some_and(|d| Instant::now() >= d)
+                || self.stop_flag.load(Ordering::Relaxed);
         }
-        if self.nodes > self.node_budget {
-            self.aborted = true;
-            return true;
-        }
-        if self.nodes & TIME_CHECK_MASK == 0 {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.aborted = true;
-                    return true;
-                }
-            }
-            if self.stop_flag.load(std::sync::atomic::Ordering::Relaxed) {
-                self.aborted = true;
-                return true;
-            }
-        }
-        false
+        self.aborted
     }
 
     /// Is operator `op` fully placed?
@@ -761,8 +761,7 @@ impl PlanVisitor for CapsVisitor<'_> {
         }
         self.record(counts);
         if self.first_feasible {
-            self.stop_flag
-                .store(true, std::sync::atomic::Ordering::Relaxed);
+            self.stop_flag.store(true, Ordering::Relaxed);
             return false;
         }
         true
@@ -1348,6 +1347,51 @@ mod tests {
             .unwrap();
         let full = search.run(&SearchConfig::exhaustive()).unwrap();
         assert!(out.stats.plans_found < full.stats.plans_found);
+
+        // The budget counts the whole search, not each thread: a 24-task
+        // pipeline on 8 x 4 slots has far more than `budget` nodes, so
+        // every thread count aborts, one thread at exactly the budget and
+        // `t` threads within one poll interval per thread past it.
+        let mut b = LogicalGraph::builder("wide");
+        let mut prev = None;
+        for (name, kind, par) in [
+            ("src", OperatorKind::Source, 4),
+            ("map", OperatorKind::Stateless, 8),
+            ("win", OperatorKind::Window, 8),
+            ("sink", OperatorKind::Sink, 4),
+        ] {
+            let op = b.operator(name, kind, par, ResourceProfile::new(0.001, 0.0, 50.0, 1.0));
+            if let Some(up) = prev {
+                b.edge(up, op, ConnectionPattern::Rebalance);
+            }
+            prev = Some(op);
+        }
+        let g = b.build().unwrap();
+        let p = PhysicalGraph::expand(&g);
+        let c = Cluster::homogeneous(8, WorkerSpec::new(4, 4.0, 1e8, 1e9)).unwrap();
+        let mut rates = HashMap::new();
+        rates.insert(OperatorId(0), 1000.0);
+        let lm = LoadModel::derive(&g, &p, &rates).unwrap();
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let budget = 20_000;
+        for threads in [1, 2, 4] {
+            let out = search
+                .run(&SearchConfig {
+                    node_budget: Some(budget),
+                    threads,
+                    ..SearchConfig::exhaustive()
+                })
+                .unwrap();
+            assert!(out.stats.aborted, "{threads} threads");
+            assert!(
+                out.stats.nodes <= budget + threads * (TIME_CHECK_MASK + 1),
+                "{threads} threads visited {} nodes",
+                out.stats.nodes
+            );
+            if threads == 1 {
+                assert_eq!(out.stats.nodes, budget);
+            }
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl TaskRateStats {
 
 /// Sanitizes a collector batch in place, returning how many samples
 /// had at least one field clamped. Call this on every metrics window
-/// before the rates reach DS2 or the online profiler.
+/// before the rates reach DS2.
 pub fn sanitize_rates(rates: &mut [TaskRateStats]) -> usize {
     rates.iter_mut().map(|r| usize::from(r.sanitize())).sum()
 }

@@ -12,6 +12,8 @@
 #      crates/, outside the justified scripts/panic_allowlist.txt;
 #  3b. format check — `cargo fmt --all -- --check` over the workspace
 #      members (perfbench is a separate package and is not checked);
+#  3c. rustdoc check — `cargo doc --workspace --no-deps` with warnings
+#      denied, so intra-doc links to renamed or deleted items fail;
 #   4. non-test line-count ledger (scripts/loc.sh) — prints the lines
 #      before each file's first top-level #[cfg(test)] per file and per
 #      crate; informational only, it never fails the build;
@@ -177,6 +179,11 @@ step_done
 step "3b/16" "format check: cargo fmt --all -- --check"
 cargo fmt --all -- --check
 echo "    ok: the workspace is rustfmt-clean"
+step_done
+
+step "3c/16" "rustdoc check: cargo doc with warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+echo "    ok: the workspace documents without warnings"
 step_done
 
 step "4/16" "non-test line-count ledger (informational)"
