@@ -26,7 +26,8 @@
 //! rejecting an over-subscribed tenant, and a byte-identical same-seed
 //! re-run. Writes `BENCH_fleet.json` (aggregate goodput, per-tenant
 //! fairness as the max/min satisfaction ratio, per-window controller
-//! decision latency, and failover MTTR) and validates it.
+//! decision latency, and failover MTTR) at the repository root
+//! (`target/` under `--smoke`) and validates it.
 //!
 //! Usage: `exp_fleet [--seed N] [--smoke]`
 
@@ -579,13 +580,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("step_ms_max", Json::Num(lat.max)),
         ("total_seconds", Json::Num(started.elapsed().as_secs_f64())),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(path, record.to_pretty() + "\n")?;
-    println!("\nwrote {path}");
+    let path = capsys_bench::bench_record_path("BENCH_fleet.json", smoke);
+    std::fs::write(&path, record.to_pretty() + "\n")?;
+    println!("\nwrote {}", path.display());
 
     // The record must round-trip and carry the keys the acceptance
     // criteria rely on.
-    let raw = std::fs::read_to_string(path)?;
+    let raw = std::fs::read_to_string(&path)?;
     let parsed = Json::parse(&raw).map_err(|e| format!("BENCH_fleet.json must parse: {e}"))?;
     for key in [
         "schema",

@@ -27,8 +27,8 @@
 //!   the crowd decays. A controller kill right after the first `Shed`
 //!   record recovers byte-identically from the journal.
 //!
-//! Writes `BENCH_hostile.json` at the repository root and self-asserts
-//! every claim. Usage: `exp_hostile [--smoke]` (smoke = shorter runs;
+//! Writes `BENCH_hostile.json` at the repository root (`target/` for a
+//! smoke run) and self-asserts every claim. Usage: `exp_hostile [--smoke]` (smoke = shorter runs;
 //! `ci.sh` relies on the seeds 7/11/23 baked in here).
 
 use std::time::Instant;
@@ -600,13 +600,13 @@ fn main() {
         ("slo_seconds", Json::Num(SLO_SECONDS)),
         ("total_seconds", Json::Num(started.elapsed().as_secs_f64())),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hostile.json");
-    std::fs::write(path, record.to_pretty() + "\n").expect("write BENCH_hostile.json");
-    println!("\nwrote {path}");
+    let path = capsys_bench::bench_record_path("BENCH_hostile.json", smoke);
+    std::fs::write(&path, record.to_pretty() + "\n").expect("write BENCH_hostile.json");
+    println!("\nwrote {}", path.display());
 
     // The record must round-trip and carry the keys the acceptance
     // criteria (and downstream tooling) rely on.
-    let raw = std::fs::read_to_string(path).expect("re-read BENCH_hostile.json");
+    let raw = std::fs::read_to_string(&path).expect("re-read BENCH_hostile.json");
     let parsed = Json::parse(&raw).expect("BENCH_hostile.json must parse");
     for key in [
         "schema",

@@ -4,7 +4,8 @@
 //! a family of pipelines at 16, 64, 256, and 1024 tasks under a shared
 //! node budget, and records each backend's *anytime curve* — the best
 //! feasible `max_component` cost as a function of nodes spent — to
-//! `BENCH_anytime.json` at the repository root.
+//! `BENCH_anytime.json` at the repository root (`target/` under
+//! `--smoke`).
 //!
 //! The instance family is chosen so the two backends genuinely separate:
 //!
@@ -438,13 +439,13 @@ fn main() {
         ("cases", Json::Arr(case_records)),
         ("total_seconds", Json::Num(started.elapsed().as_secs_f64())),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_anytime.json");
-    std::fs::write(path, record.to_pretty() + "\n").expect("write BENCH_anytime.json");
-    println!("\nwrote {path}");
+    let path = capsys_bench::bench_record_path("BENCH_anytime.json", smoke);
+    std::fs::write(&path, record.to_pretty() + "\n").expect("write BENCH_anytime.json");
+    println!("\nwrote {}", path.display());
 
     // The record must round-trip and carry the keys downstream tooling
     // (and the acceptance criteria) rely on.
-    let raw = std::fs::read_to_string(path).expect("re-read BENCH_anytime.json");
+    let raw = std::fs::read_to_string(&path).expect("re-read BENCH_anytime.json");
     let parsed = Json::parse(&raw).expect("BENCH_anytime.json must parse");
     for key in ["schema", "smoke", "seeds", "cases"] {
         assert!(parsed.get(key).is_some(), "missing key {key:?}");

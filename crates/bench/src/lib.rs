@@ -21,6 +21,19 @@ pub fn fast_mode() -> bool {
         .unwrap_or(false)
 }
 
+/// Where an experiment writes its `BENCH_*.json` record `file`: the
+/// repository root for a full run, `target/` for a smoke run, so a smoke
+/// run (as in `scripts/ci.sh`) leaves the committed records untouched.
+pub fn bench_record_path(file: &str, smoke: bool) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if !smoke {
+        return root.join(file);
+    }
+    let dir = root.join("target");
+    std::fs::create_dir_all(&dir).expect("create target/ for the smoke record");
+    dir.join(file)
+}
+
 /// Number of repetitions for randomized strategies (paper: 10).
 pub fn repetitions() -> usize {
     if fast_mode() {

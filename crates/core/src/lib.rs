@@ -51,6 +51,7 @@ pub mod movemin;
 pub mod parallel;
 pub mod pareto;
 pub mod search;
+mod store;
 pub mod strategy;
 
 pub use autotune::{

@@ -51,6 +51,7 @@ use capsys_util::rng::{Rng, SeedableRng, SmallRng};
 
 use crate::error::CapsError;
 use crate::search::{cmp_scored, AnytimePoint, RunStats, ScoredPlan};
+use crate::store::PlanStore;
 use crate::strategy::{BackendResult, Problem};
 
 /// Default playout cap when neither a node nor a time budget is set.
@@ -318,7 +319,6 @@ fn verify_key(free_slots: &[usize], rows: &[Vec<usize>]) -> Vec<u64> {
 
 /// Mutable search state threaded through one run.
 struct Run<'a> {
-    ctx: &'a Problem<'a>,
     cfg: &'a MctsConfig,
     enumerator: &'a PlanEnumerator,
     rng: SmallRng,
@@ -334,7 +334,7 @@ struct Run<'a> {
     deadline: Option<Instant>,
     stopped: bool,
     // Results.
-    found: Vec<ScoredPlan>,
+    store: PlanStore,
     found_keys: std::collections::HashSet<Vec<usize>>,
     plans_found: usize,
     feasible_rollouts: usize,
@@ -420,28 +420,14 @@ impl Run<'_> {
             return;
         }
         self.plans_found += 1;
-        let scored = ScoredPlan { plan, cost };
-        let max_plans = self.ctx.config.max_plans;
-        if self.found.len() < max_plans {
-            self.found_keys.insert(key);
-            self.found.push(scored);
+        if !self.store.admits(mc, key.iter().copied()) {
             return;
         }
-        let worst =
-            (0..self.found.len()).max_by(|&i, &j| cmp_scored(&self.found[i], &self.found[j]));
-        if let Some(widx) = worst {
-            if cmp_scored(&scored, &self.found[widx]).is_lt() {
-                let old: Vec<usize> = self.found[widx]
-                    .plan
-                    .assignment()
-                    .iter()
-                    .map(|w| w.0)
-                    .collect();
-                self.found_keys.remove(&old);
-                self.found_keys.insert(key);
-                self.found[widx] = scored;
-            }
+        if let Some(evicted) = self.store.insert(ScoredPlan { plan, cost }) {
+            let old: Vec<usize> = evicted.plan.assignment().iter().map(|w| w.0).collect();
+            self.found_keys.remove(&old);
         }
+        self.found_keys.insert(key);
     }
 }
 
@@ -469,7 +455,6 @@ pub(crate) fn run(config: &MctsConfig, ctx: &Problem<'_>) -> Result<BackendResul
     });
 
     let mut run = Run {
-        ctx,
         cfg: config,
         enumerator,
         rng: SmallRng::seed_from_u64(config.seed),
@@ -480,7 +465,7 @@ pub(crate) fn run(config: &MctsConfig, ctx: &Problem<'_>) -> Result<BackendResul
         node_budget: ctx.config.node_budget.unwrap_or(usize::MAX),
         deadline: ctx.deadline,
         stopped: false,
-        found: Vec::new(),
+        store: PlanStore::new(ctx.config.max_plans),
         found_keys: std::collections::HashSet::new(),
         plans_found: 0,
         feasible_rollouts: 0,
@@ -658,7 +643,7 @@ pub(crate) fn run(config: &MctsConfig, ctx: &Problem<'_>) -> Result<BackendResul
         }
     }
 
-    let mut found = std::mem::take(&mut run.found);
+    let mut found = run.store.into_plans();
     found.sort_by(cmp_scored);
     // An empty MCTS outcome never proves infeasibility: the backend
     // samples, so "found nothing" always means "budget too small".

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use capsys_model::{
     Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, PhysicalGraph, Placement,
-    PlanEnumerator, PlanVisitor, TaskId,
+    PlanEnumerator, PlanVisitor, TaskId, WorkerId,
 };
 use capsys_util::fixed::Fixed64;
 
@@ -30,6 +30,7 @@ use crate::cost::{CostModel, CostVector, Thresholds};
 use crate::error::CapsError;
 use crate::mcts::MctsReport;
 use crate::pareto::pareto_front;
+use crate::store::PlanStore;
 use crate::strategy::{BackendResult, Problem, SearchBackend};
 
 /// Slack when treating tiny `f64` denominators as degenerate in the
@@ -402,17 +403,13 @@ pub(crate) struct CapsVisitor<'a> {
     delta_arena: Vec<(usize, [Fixed64; 3])>,
     undo_marks: Vec<usize>,
     // Results.
-    found: Vec<ScoredPlan>,
+    /// The `max_plans` best plans under [`cmp_scored`]; a full store
+    /// finds its worst plan in O(1) and replaces it in O(log max_plans).
+    store: PlanStore,
     /// Improvement points of the best stored `max_component` cost;
     /// meaningful only for single-threaded runs (deterministic order).
     anytime: Vec<AnytimePoint>,
     best_cost: f64,
-    /// Index of the worst stored plan under [`cmp_scored`], recomputed
-    /// whenever a store modification leaves the store full, so a full
-    /// store rejects a non-improving candidate in O(1) instead of
-    /// rescanning the store per leaf.
-    worst_idx: usize,
-    max_plans: usize,
     /// Store-bound pruning ([`SearchConfig::incumbent_prune`]).
     store_prune: bool,
     /// Per-dimension exact load limits implied by the worst stored
@@ -462,11 +459,9 @@ impl<'a> CapsVisitor<'a> {
             load: vec![[Fixed64::ZERO; 3]; num_workers],
             delta_arena: Vec::with_capacity(256),
             undo_marks: Vec::with_capacity(64),
-            found: Vec::new(),
+            store: PlanStore::new(config.max_plans),
             anytime: Vec::new(),
             best_cost: f64::INFINITY,
-            worst_idx: 0,
-            max_plans: config.max_plans,
             store_prune: config.incumbent_prune,
             store_limit: [Fixed64::MAX; 3],
             store_cut: false,
@@ -483,7 +478,7 @@ impl<'a> CapsVisitor<'a> {
 
     /// Consumes the visitor and returns its local plan cache.
     pub(crate) fn into_found(self) -> Vec<ScoredPlan> {
-        self.found
+        self.store.into_plans()
     }
 
     /// Takes the recorded best-cost improvement points.
@@ -640,53 +635,38 @@ impl<'a> CapsVisitor<'a> {
         // The incremental accumulator IS the stored cost: fixed-point
         // loads reach a leaf with the same mantissas on every schedule,
         // so `cmp_scored` is a schedule-independent total order with no
-        // from-scratch recosting. When the store is full, a candidate
-        // that does not beat the worst entry is rejected before
-        // materializing a `Placement`.
-        if self.found.len() == self.max_plans {
-            let worst = &self.found[self.worst_idx];
-            // Cheap pre-screen on cost alone before building the plan:
-            // strictly worse than the worst stored cost can never win
-            // the total order.
-            if cost.max_component() > worst.cost.max_component() {
-                return;
-            }
-            let plan = match Placement::from_op_counts(self.physical, counts) {
-                Ok(p) => p,
-                Err(_) => return,
-            };
-            let scored = ScoredPlan { plan, cost };
-            // Keep the `max_plans` smallest plans under the total order,
-            // so a capped store is a deterministic function of the set
-            // of plans seen, not of the order seen in.
-            if cmp_scored(&scored, worst) == std::cmp::Ordering::Less {
-                self.found[self.worst_idx] = scored;
-                self.refresh_worst();
-            }
-        } else {
-            let plan = match Placement::from_op_counts(self.physical, counts) {
-                Ok(p) => p,
-                Err(_) => return,
-            };
-            self.found.push(ScoredPlan { plan, cost });
-            if self.found.len() == self.max_plans {
-                self.refresh_worst();
-            }
+        // from-scratch recosting. The subtask rows, in operator-id order,
+        // are the plan's per-task assignment, so a full store screens the
+        // candidate against its worst plan before a `Placement` is built.
+        // Under store-bound pruning no leaf costs more than the worst
+        // stored plan, so the screen mostly rejects ties on cost.
+        let assignment = || self.subtask_worker.iter().flatten().copied();
+        if !self.store.admits(cost.max_component(), assignment()) {
+            return;
         }
+        let mut tasks = Vec::with_capacity(self.physical.num_tasks());
+        tasks.extend(assignment().map(WorkerId));
+        let plan = Placement::new(tasks);
+        debug_assert_eq!(
+            Placement::from_op_counts(self.physical, counts)
+                .ok()
+                .as_ref(),
+            Some(&plan)
+        );
+        self.store.insert(ScoredPlan { plan, cost });
+        self.refresh_store_limit();
     }
 
-    /// Re-finds the worst plan of the full store and, under store-bound
-    /// pruning, turns its `max_component` cost into per-dimension load
-    /// limits. The inversion is exact and admits ties, so a branch over
-    /// a limit holds only leaves whose cost exceeds the worst stored
-    /// cost in that dimension — leaves `record` would reject — and the
-    /// worst cost only falls while the store stays full.
-    fn refresh_worst(&mut self) {
-        self.worst_idx = (0..self.found.len())
-            .max_by(|&i, &j| cmp_scored(&self.found[i], &self.found[j]))
-            .unwrap_or(0);
-        if self.store_prune {
-            let worst = self.found[self.worst_idx].cost.max_component();
+    /// Under store-bound pruning, turns the worst stored plan's
+    /// `max_component` cost into per-dimension load limits once the
+    /// store is full. The inversion is exact and admits ties, so a
+    /// branch over a limit holds only leaves whose cost exceeds the
+    /// worst stored cost in that dimension — leaves `record` would
+    /// reject — and the worst cost only falls while the store stays
+    /// full.
+    fn refresh_store_limit(&mut self) {
+        if let Some(worst) = self.store.worst().filter(|_| self.store_prune) {
+            let worst = worst.cost.max_component();
             for dim in 0..3 {
                 self.store_limit[dim] = self.model.cost_to_load(dim, worst);
             }

@@ -52,14 +52,14 @@
 #      optimizer and within epsilon of the unconstrained optimum,
 #      under three distinct seeds;
 #  13. anytime search smoke — DFS vs MCTS backends under a shared node
-#      budget (seeds 7/11/23), writing BENCH_anytime.json and
+#      budget (seeds 7/11/23), writing target/BENCH_anytime.json and
 #      self-asserting that MCTS matches the DFS optimum bit-for-bit at
 #      16 tasks, returns feasible plans at 256/1024 tasks where the
 #      budgeted DFS exhausts with none, keeps every anytime curve
 #      monotone non-increasing, and replays byte-identically under the
 #      same seed;
 #  14. hostile-workload smoke — seeded adversarial traffic
-#      (seeds 7/11/23), writing BENCH_hostile.json and self-asserting
+#      (seeds 7/11/23), writing target/BENCH_hostile.json and self-asserting
 #      that the drift-aware governor performs zero rollbacks under pure
 #      organic growth and flash crowds where the absolute-baseline
 #      governor false-rollbacks on every flash seed, an injected true
@@ -70,7 +70,7 @@
 #      controller kill right after the first journaled Shed record
 #      recovers byte-identically;
 #  15. fleet smoke — sharded multi-tenant control plane
-#      (seeds 7/11/23), writing BENCH_fleet.json and self-asserting
+#      (seeds 7/11/23), writing target/BENCH_fleet.json and self-asserting
 #      that with 6 tenants on a 120-worker heterogeneous fleet, a
 #      shard controller killed mid-reconfiguration fails over to a
 #      standby within the lease MTTR bound, a controller partitioned
@@ -79,7 +79,10 @@
 #      shard's trace and journal replay byte-identically from journal
 #      + recorded history, aggregate goodput stays within 10% of the
 #      no-kill baseline, an over-subscribed tenant is rejected at
-#      admission, and a same-seed re-run is byte-identical;
+#      admission, and a same-seed re-run is byte-identical; a smoke
+#      run writes its record under target/, and the step checks that
+#      the committed BENCH_anytime.json, BENCH_hostile.json and
+#      BENCH_fleet.json at the root are still unmodified;
 #  16. perfbench gate — the benchmark package's own tests, then each
 #      workload (place / fleet / recover) for one second at seeds 1 and
 #      2: every run must end with `"correct":true` and `"failed":0`, and
@@ -267,7 +270,7 @@ step "13/16" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/
 # equality, every seed), MCTS feasible within the budget at 256/1024
 # tasks where the DFS reports budget exhaustion with zero plans,
 # monotone anytime curves, and a byte-identical same-seed replay; it
-# also validates the BENCH_anytime.json it wrote.
+# also validates the target/BENCH_anytime.json it wrote.
 cargo run --release -p capsys-bench --bin exp_search -- --smoke
 step_done
 
@@ -278,7 +281,7 @@ step "14/16" "hostile-workload smoke (governor drift A/B + overload shedding, se
 # window, shedding engages/bounds backpressure/wins goodput/releases
 # under an 8x flash crowd, every shed change is journaled, and the
 # whole hostile run replays byte-identically after a controller kill;
-# it also validates the BENCH_hostile.json it wrote.
+# it also validates the target/BENCH_hostile.json it wrote.
 cargo run --release -p capsys-bench --bin exp_hostile -- --smoke
 step_done
 
@@ -290,11 +293,18 @@ step "15/16" "fleet smoke (sharded control plane + lease-fenced failover, seeds 
 # journal replay byte-identically from journal + recorded history,
 # aggregate goodput stays within 10% of the no-kill baseline, the
 # over-subscribed tenant is rejected at admission, and a same-seed
-# re-run is byte-identical; it also validates the BENCH_fleet.json it
-# wrote.
+# re-run is byte-identical; it also validates the target/BENCH_fleet.json
+# it wrote.
 for seed in 7 11 23; do
     cargo run --release -p capsys-bench --bin exp_fleet -- --seed "$seed" --smoke
 done
+# The smoke runs above must leave the committed full-run records alone.
+if ! git diff --quiet -- BENCH_anytime.json BENCH_hostile.json BENCH_fleet.json; then
+    echo "a smoke run modified a committed BENCH_*.json record:" >&2
+    git diff --stat -- BENCH_anytime.json BENCH_hostile.json BENCH_fleet.json >&2
+    exit 1
+fi
+echo "    ok: the committed BENCH_*.json records are unmodified"
 step_done
 
 step "16/16" "perfbench gate (self-tests + 1 s of each workload, seeds 1/2)"
