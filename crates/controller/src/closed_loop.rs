@@ -1065,8 +1065,32 @@ impl<'a> ClosedLoop<'a> {
     /// decision. This is exactly one iteration of [`ClosedLoop::run`]'s
     /// loop, exposed so a fleet-level driver can interleave many shard
     /// controllers in lockstep on one global clock.
+    ///
+    /// It is two halves: the simulator ticks the window
+    /// ([`capsys_sim::Simulation::advance_ticks`]), then the controller
+    /// takes the window's report and observes and decides. The fleet
+    /// runs the halves apart, ticking every shard's simulator in
+    /// parallel in between; every other caller steps here.
     pub fn step(&mut self, window: f64) -> Result<StepReport, ControllerError> {
-        let mut report = self.sim.advance(window, 0.0);
+        self.sim.advance_ticks(window, 0.0);
+        self.observe(window)
+    }
+
+    /// This loop's simulation, for a caller that ticks it elsewhere
+    /// (`advance_ticks(window, 0.0)`, the simulator half of
+    /// [`ClosedLoop::step`]) before calling `observe`. Its buffers are
+    /// sized for one `window` here, on the caller's thread, so the tick
+    /// allocates nothing on whichever thread runs it.
+    pub(crate) fn simulation(&mut self, window: f64) -> &mut Simulation {
+        self.sim.reserve_window(window);
+        &mut self.sim
+    }
+
+    /// The controller half of [`ClosedLoop::step`]: takes the report of
+    /// the `window` the simulation just ticked, then observes and makes
+    /// at most one control decision.
+    pub(crate) fn observe(&mut self, window: f64) -> Result<StepReport, ControllerError> {
+        let mut report = self.sim.take_report();
         self.time += window;
         let summary = StepReport {
             time: self.time,

@@ -28,7 +28,10 @@
 //!   The factors (and arbiter revocations) applied before each window
 //!   are recorded per shard as [`WindowRecord`]s, which makes the whole
 //!   fleet run — including failover catch-up — deterministic and
-//!   offline-replayable byte-for-byte ([`replay_shard`]).
+//!   offline-replayable byte-for-byte ([`replay_shard`]). Because the
+//!   factors come from the previous window, the shards' simulators
+//!   share nothing inside a window, and
+//!   [`FleetController::step_window`] ticks them in parallel.
 //! * **Arbitration.** The arbiter admits tenants against slot
 //!   capacity, and when a shared worker stays overloaded it revokes the
 //!   worker from the lowest-weight tenant; the fleet applies the
@@ -44,12 +47,18 @@
 //! catch-up: the journal + history are sufficient to reconstruct the
 //! exact trajectory the uninterrupted controller would have produced.
 
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+
 use capsys_model::{Cluster, RateSchedule, WorkerId};
 use capsys_placement::PlacementStrategy;
 use capsys_queries::Query;
-use capsys_sim::{DeciderFaultKind, DeciderTarget, FaultPlan, KillPoint, SimConfig};
+use capsys_sim::{DeciderFaultKind, DeciderTarget, FaultPlan, KillPoint, SimConfig, Simulation};
 use capsys_util::journal::SharedBuf;
 use capsys_util::json::{obj, Json, ToJson};
+use capsys_util::sync::Mutex;
 
 use capsys_ds2::Ds2Config;
 
@@ -379,6 +388,16 @@ pub struct FleetController<'a> {
     split_brain_stamps: u64,
     arbiter_recoveries: u64,
     arbiter_kill_done: bool,
+    /// Threads the tick phase of each window uses at most: the
+    /// machine's available parallelism.
+    threads: usize,
+}
+
+/// The machine's available parallelism, read once per process: the
+/// query reads cgroup files, which would cost every fleet's set-up.
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 fn holder_name(job: &str, generation: u64) -> String {
@@ -443,10 +462,35 @@ fn recover_loop<'a>(
     Ok((lp, buf))
 }
 
-/// Steps `lp` through history windows `from..to`, applying each
-/// window's recorded contention factors and revocations first. A
-/// controller kill mid-drive stops the drive (`killed`); any other
-/// error propagates.
+/// Applies one recorded window's fleet-side inputs to `lp`: its
+/// contention factors, then its revocations. The first step of every
+/// shard window, in [`drive`] and in the lockstep window alike.
+fn prepare_window(lp: &mut ClosedLoop<'_>, rec: &WindowRecord) {
+    for (i, &f) in rec.factors.iter().enumerate() {
+        lp.set_contention(WorkerId(i), f);
+    }
+    for &i in &rec.revoked {
+        lp.revoke_worker(WorkerId(i));
+    }
+}
+
+/// The outcome of a shard window's controller half: its report, or
+/// `None` when an injected controller kill fired, which ends the
+/// controller's drive. Any other error propagates.
+fn finish_window(
+    step: Result<StepReport, ControllerError>,
+) -> Result<Option<StepReport>, ControllerError> {
+    match step {
+        Ok(report) => Ok(Some(report)),
+        Err(ControllerError::ControllerKilled { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Steps `lp` through history windows `from..to`, one after another on
+/// the caller's thread: each window's recorded inputs, then a whole
+/// [`ClosedLoop::step`]. A controller kill mid-drive stops the drive
+/// (`killed`); any other error propagates.
 fn drive(
     lp: &mut ClosedLoop<'_>,
     history: &[WindowRecord],
@@ -460,25 +504,61 @@ fn drive(
         killed: false,
     };
     for rec in history.iter().take(to).skip(from) {
-        for (i, &f) in rec.factors.iter().enumerate() {
-            lp.set_contention(WorkerId(i), f);
-        }
-        for &i in &rec.revoked {
-            lp.revoke_worker(WorkerId(i));
-        }
-        match lp.step(window) {
-            Ok(report) => {
+        prepare_window(lp, rec);
+        match finish_window(lp.step(window))? {
+            Some(report) => {
                 end.stepped += 1;
                 end.last = Some(report);
             }
-            Err(ControllerError::ControllerKilled { .. }) => {
+            None => {
                 end.killed = true;
                 return Ok(end);
             }
-            Err(e) => return Err(e),
         }
     }
     Ok(end)
+}
+
+/// Runs `tick` once on every item, on up to `threads` threads with the
+/// caller's among them; one thread ticks inline and spawns none. The
+/// items share nothing, and each is ticked by exactly one thread, so
+/// the outcome depends neither on `threads` nor on scheduling. A
+/// panicking tick is caught and reported as
+/// [`ControllerError::SimulationPanicked`] once every item is done.
+fn tick_phase<T: Send>(
+    items: &mut [T],
+    threads: usize,
+    tick: impl Fn(&mut T) + Sync,
+) -> Result<(), ControllerError> {
+    let threads = threads.clamp(1, items.len().max(1));
+    let queue = Mutex::new(items.iter_mut());
+    let panicked = AtomicBool::new(false);
+    let work = || loop {
+        // The guard drops at the end of this statement: the lock is
+        // held only to take the next item, never while ticking it.
+        let next = queue.lock().next();
+        let Some(item) = next else { break };
+        if catch_unwind(AssertUnwindSafe(|| tick(item))).is_err() {
+            panicked.store(true, Ordering::Relaxed);
+        }
+    };
+    if threads == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            work();
+            for h in helpers {
+                if h.join().is_err() {
+                    panicked.store(true, Ordering::Relaxed);
+                }
+            }
+        });
+    }
+    if panicked.load(Ordering::Relaxed) {
+        return Err(ControllerError::SimulationPanicked);
+    }
+    Ok(())
 }
 
 /// Offline verification: rebuilds one shard from its final journal and
@@ -597,6 +677,7 @@ impl<'a> FleetController<'a> {
             split_brain_stamps: 0,
             arbiter_recoveries: 0,
             arbiter_kill_done: false,
+            threads: hardware_threads(),
         })
     }
 
@@ -829,7 +910,21 @@ impl<'a> FleetController<'a> {
         total
     }
 
-    /// Advances the whole fleet one lockstep window.
+    /// Advances the whole fleet one lockstep window, in three phases:
+    ///
+    /// 1. in shard order, arbiter kill, failover transitions and lease
+    ///    checks, then the contention factors and revocations of the
+    ///    window applied to every stepping shard;
+    /// 2. every stepping shard's simulator ticks the window, in
+    ///    parallel on up to the machine's available parallelism of
+    ///    threads (the caller's among them);
+    /// 3. in shard order, each stepped shard's controller observes its
+    ///    window and decides.
+    ///
+    /// A shard's simulator reads nothing another shard writes during
+    /// phase 2, so the outcome is the same on any number of threads. A
+    /// simulator that panics in phase 2 is
+    /// [`ControllerError::SimulationPanicked`].
     pub fn step_window(&mut self) -> Result<(), ControllerError> {
         let t = self.time;
         self.process_arbiter_kill(t)?;
@@ -873,10 +968,11 @@ impl<'a> FleetController<'a> {
                 .push(WindowRecord { factors, revoked });
         }
 
-        // Step every live, reachable shard controller through the new
-        // window. The lease barrier gates the step: a holder whose term
-        // went stale must not drive the shard.
-        for s in 0..self.shards.len() {
+        // Pre-pass, in shard order: the lease barrier gates the step (a
+        // holder whose term went stale must not drive the shard), then
+        // the stepping shard's window inputs are applied.
+        let mut stepping = vec![false; self.shards.len()];
+        for (s, on) in stepping.iter_mut().enumerate() {
             let partitioned = self.shards[s].partition_until.is_some();
             let dead = self.shards[s].lost_at.is_some() && !partitioned;
             if self.shards[s].live.is_none() || partitioned || dead {
@@ -897,22 +993,44 @@ impl<'a> FleetController<'a> {
                     Err(e) => return Err(e),
                 }
             }
-            let window = self.config.window;
             let sh = &mut self.shards[s];
-            let from = sh.stepped;
-            let end = {
-                let Some(lp) = sh.live.as_mut() else { continue };
-                drive(lp, &sh.history, from, from + 1, window)?
-            };
-            sh.stepped = end.stepped;
-            if let Some(report) = end.last {
-                sh.last_contrib = report.worker_cpu_util;
-                sh.goodput += report.avg_throughput * window;
-                sh.target += report.avg_target * window;
+            if let (Some(lp), Some(rec)) = (sh.live.as_mut(), sh.history.get(sh.stepped)) {
+                prepare_window(lp, rec);
+                *on = true;
             }
-            if end.killed {
-                sh.live = None;
-                sh.lost_at = Some(self.time + window);
+        }
+
+        // Tick phase: the stepping shards' simulators advance the window
+        // in parallel. Nothing crosses threads but each shard's own
+        // simulator, and nothing shard-external changes until the
+        // observe pass.
+        let window = self.config.window;
+        let mut sims: Vec<&mut Simulation> = self
+            .shards
+            .iter_mut()
+            .zip(&stepping)
+            .filter(|&(_, &on)| on)
+            .filter_map(|(sh, _)| sh.live.as_mut().map(|lp| lp.simulation(window)))
+            .collect();
+        tick_phase(&mut sims, self.threads, |sim| {
+            sim.advance_ticks(window, 0.0)
+        })?;
+
+        // Observe pass, in shard order: the controller half of each
+        // stepped shard's window.
+        for (sh, _) in self.shards.iter_mut().zip(&stepping).filter(|&(_, &on)| on) {
+            let Some(lp) = sh.live.as_mut() else { continue };
+            match finish_window(lp.observe(window))? {
+                Some(report) => {
+                    sh.stepped += 1;
+                    sh.goodput += report.avg_throughput * window;
+                    sh.target += report.avg_target * window;
+                    sh.last_contrib = report.worker_cpu_util;
+                }
+                None => {
+                    sh.live = None;
+                    sh.lost_at = Some(self.time + window);
+                }
             }
         }
 
@@ -994,6 +1112,7 @@ impl<'a> FleetController<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{parse_journal, DecisionRecord};
     use capsys_core::SearchConfig;
     use capsys_model::WorkerSpec;
     use capsys_placement::FlinkDefault;
@@ -1197,6 +1316,138 @@ mod tests {
         assert_eq!(out.arbiter_recoveries, 1);
         assert!(out.takeovers.is_empty());
         assert_eq!(out.split_brain_stamps, 0);
+    }
+
+    /// Every deterministic surface of a fleet run, for byte comparison.
+    type Surfaces = (
+        Vec<(String, String, Vec<WindowRecord>)>,
+        String,
+        Vec<TakeoverEvent>,
+        [u64; 4],
+    );
+
+    fn surfaces(out: &FleetOutcome) -> Surfaces {
+        (
+            out.shards
+                .iter()
+                .map(|sh| {
+                    (
+                        sh.trace_json.clone(),
+                        sh.journal.clone(),
+                        sh.history.clone(),
+                    )
+                })
+                .collect(),
+            out.arbiter_log.clone(),
+            out.takeovers.clone(),
+            [
+                out.fenced_attempts,
+                out.split_brain_stamps,
+                out.reacquisitions,
+                out.arbiter_recoveries,
+            ],
+        )
+    }
+
+    #[test]
+    fn tick_phase_thread_count_leaves_every_surface_byte_identical() {
+        // Tenant 0 scales in its first window and dies between that
+        // Prepare and its Commit; tenant 1's holder is cut off past its
+        // lease; the arbiter dies and recovers from its log.
+        let faults = [
+            (
+                DeciderTarget::Shard(0),
+                DeciderFaultKind::Kill(KillPoint::MidReconfig(1)),
+            ),
+            (
+                DeciderTarget::Shard(1),
+                DeciderFaultKind::Partition {
+                    from: 20.0,
+                    until: 60.0,
+                },
+            ),
+            (
+                DeciderTarget::Arbiter,
+                DeciderFaultKind::Kill(KillPoint::AtTime(30.0)),
+            ),
+        ]
+        .into_iter()
+        .try_fold(FaultPlan::default(), |plan, (target, kind)| {
+            plan.with_decider_fault(DeciderFault { target, kind })
+        })
+        .unwrap();
+        let config = fleet_config(faults);
+        let mut hot = job("ten-a", 3, 1.0);
+        hot.schedule = RateSchedule::Constant(3000.0);
+        let mut jobs = vec![hot, job("ten-b", 5, 2.0), job("ten-c", 7, 1.5)];
+        // Per-tick CPU jitter: every tick draws from the simulator's
+        // RNG, so a shard ticked twice, or not at all, shows in its
+        // trace even at a steady rate.
+        for (seed, j) in (1..).zip(&mut jobs) {
+            j.sim = j.sim.clone().with_noise(0.05, seed);
+        }
+        let run = |threads: usize| {
+            let (world, arbiter, buf) = build_fleet(&config, jobs.clone());
+            let mut fleet = FleetController::new(&world, arbiter, buf, config.clone()).unwrap();
+            fleet.threads = threads;
+            fleet.run(100.0).unwrap();
+            let out = fleet.finish().unwrap();
+            (world, out)
+        };
+
+        let (world, base) = run(1);
+        assert!(base.takeovers.iter().any(|t| t.shard == 0 && t.term == 2));
+        assert!(base.takeovers.iter().any(|t| t.shard == 1));
+        assert!(
+            base.fenced_attempts >= 1,
+            "the zombie stamp was never fenced"
+        );
+        assert_eq!(base.arbiter_recoveries, 1);
+        assert_eq!(base.split_brain_stamps, 0);
+        let rolled_forward = parse_journal(&base.shards[0].journal)
+            .unwrap()
+            .records
+            .iter()
+            .any(|r| matches!(r, DecisionRecord::Commit { epoch: 1, .. }));
+        assert!(
+            rolled_forward,
+            "the in-doubt Prepare was not rolled forward"
+        );
+        for (s, sh) in base.shards.iter().enumerate() {
+            let replayed = replay_shard(
+                &world.jobs()[s],
+                &world.clusters()[s],
+                &FlinkDefault,
+                &sh.journal,
+                &sh.history,
+                config.window,
+            )
+            .unwrap();
+            assert_eq!(replayed, (sh.trace_json.clone(), sh.journal.clone()));
+        }
+
+        let expected = surfaces(&base);
+        for threads in [2, 3, 8] {
+            assert!(
+                surfaces(&run(threads).1) == expected,
+                "the fleet diverged on {threads} tick-phase threads"
+            );
+        }
+    }
+
+    #[test]
+    fn tick_phase_returns_a_panicking_tick_as_an_error() {
+        for threads in [1, 2, 3] {
+            let mut items = [0, 1, 2, 3];
+            let out = tick_phase(&mut items, threads, |x| {
+                if *x == 2 {
+                    panic!("induced tick panic");
+                }
+                *x += 10;
+            });
+            assert_eq!(out, Err(ControllerError::SimulationPanicked));
+            assert_eq!(items, [10, 11, 2, 13], "on {threads} threads");
+        }
     }
 
     #[test]

@@ -111,6 +111,9 @@ pub enum ControllerError {
     },
     /// A configuration value failed validation.
     InvalidConfig(String),
+    /// A shard's simulator panicked while the fleet ticked a window.
+    /// The fleet's state is unusable after this.
+    SimulationPanicked,
 }
 
 impl std::fmt::Display for ControllerError {
@@ -141,6 +144,12 @@ impl std::fmt::Display for ControllerError {
                  (lease table is at term {current}); this shard controller has been superseded"
             ),
             ControllerError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            ControllerError::SimulationPanicked => {
+                write!(
+                    f,
+                    "a shard's simulator panicked while ticking a fleet window"
+                )
+            }
         }
     }
 }

@@ -225,6 +225,34 @@ struct AllocScratch {
     order: Vec<usize>,
 }
 
+impl AllocScratch {
+    /// Grows every buffer to hold `tasks` entries.
+    fn reserve(&mut self, tasks: usize) {
+        for v in [
+            &mut self.allowed,
+            &mut self.potential,
+            &mut self.units,
+            &mut self.demands,
+            &mut self.alloc,
+        ] {
+            v.reserve(tasks.saturating_sub(v.len()));
+        }
+        self.order.reserve(tasks.saturating_sub(self.order.len()));
+    }
+}
+
+/// The scalar figures of one interval's [`MetricPoint`], as
+/// [`Simulation::advance_ticks`] records them; the point's per-worker
+/// utilizations sit in `Simulation::point_utils`.
+#[derive(Debug, Clone, Copy)]
+struct PointHead {
+    time: f64,
+    source_throughput: f64,
+    target_rate: f64,
+    backpressure: f64,
+    latency: f64,
+}
+
 /// A contention-aware stream-processing simulation bound to one
 /// deployment (graph + cluster + placement).
 #[derive(Debug)]
@@ -312,10 +340,25 @@ pub struct Simulation {
     budget_io: Vec<f64>,
     budget_net: Vec<f64>,
     alloc_scratch: AllocScratch,
-    /// Interval and report accumulators, reused across `advance` calls.
+    /// Interval and report accumulators, reused across `advance_ticks`
+    /// calls.
     interval_acc: WindowAcc,
     report_acc: WindowAcc,
+    /// Interval samples of the last `advance_ticks`, turned into
+    /// [`MetricPoint`]s by `take_report`. Kept across calls, so a steady
+    /// window reuses their buffers.
+    point_heads: Vec<PointHead>,
+    /// Per-worker CPU, then disk, then NIC utilization of each sample in
+    /// `point_heads`: `3 * workers` values per sample.
+    point_utils: Vec<f64>,
 }
+
+// The fleet advances shard simulations on worker threads: an `Rc` or
+// `RefCell` field must fail the build here, not there.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Simulation>();
+};
 
 impl Simulation {
     /// Builds a simulation for the given deployment.
@@ -519,6 +562,8 @@ impl Simulation {
             alloc_scratch: AllocScratch::default(),
             interval_acc: WindowAcc::new(n_workers, n, n_ops),
             report_acc: WindowAcc::new(n_workers, n, n_ops),
+            point_heads: Vec::new(),
+            point_utils: Vec::new(),
         })
     }
 
@@ -1010,15 +1055,33 @@ impl Simulation {
     }
 
     /// Advances the simulation by `duration` seconds and reports metrics,
-    /// excluding the first `warmup` seconds of the window from averages.
+    /// excluding the first `warmup` seconds of the window from averages:
+    /// [`Simulation::advance_ticks`] followed by
+    /// [`Simulation::take_report`].
     ///
     /// State (queues, clock) carries over between calls, so closed-loop
     /// controllers can alternate `advance` with reconfiguration.
     pub fn advance(&mut self, duration: f64, warmup: f64) -> SimulationReport {
-        let tick = self.config.tick;
-        let steps = (duration / tick).round().max(1.0) as usize;
-        let interval_steps = (self.config.metrics_interval / tick).round().max(1.0) as usize;
-        let warmup_steps = (warmup / tick).round() as usize;
+        self.advance_ticks(duration, warmup);
+        self.take_report()
+    }
+
+    /// Ticks `duration` seconds, accumulating the window's metrics
+    /// (excluding the first `warmup` seconds from averages) inside the
+    /// simulation; [`Simulation::take_report`] turns them into a report.
+    ///
+    /// Allocates nothing once its buffers are warm: a previous window at
+    /// least as long, or [`Simulation::reserve_window`], sized them. This
+    /// is what lets a caller tick many simulations on worker threads
+    /// without those threads growing allocator arenas. Call
+    /// `take_report` before the next `advance_ticks`, which discards an
+    /// untaken report.
+    pub fn advance_ticks(&mut self, duration: f64, warmup: f64) {
+        self.point_heads.clear();
+        self.point_utils.clear();
+        self.reserve_window(duration);
+        let (steps, interval_steps) = self.window_steps(duration);
+        let warmup_steps = (warmup / self.config.tick).round() as usize;
 
         // The accumulators live in `self` so their buffers outlive the
         // call; the loop borrows them out.
@@ -1026,7 +1089,6 @@ impl Simulation {
         let mut report = std::mem::take(&mut self.report_acc);
         interval.reset();
         report.reset();
-        let mut points = Vec::with_capacity(steps.div_ceil(interval_steps));
 
         for step in 0..steps {
             self.step_into(&mut interval);
@@ -1035,13 +1097,63 @@ impl Simulation {
                 self.merge_last_tick(&mut report);
             }
             if (step + 1) % interval_steps == 0 || step + 1 == steps {
-                points.push(self.flush_point(&mut interval));
+                self.flush_point(&mut interval);
             }
         }
 
-        let mut out = self.build_report(points, &report);
         self.interval_acc = interval;
         self.report_acc = report;
+    }
+
+    /// Sizes every buffer [`Simulation::advance_ticks`] writes for a
+    /// `duration`-second window, so that call allocates nothing. A
+    /// caller that ticks the simulation on a worker thread calls this on
+    /// its own thread first, so that any growth happens there.
+    pub fn reserve_window(&mut self, duration: f64) {
+        let (steps, interval_steps) = self.window_steps(duration);
+        let points = steps.div_ceil(interval_steps);
+        self.point_heads.reserve(points);
+        self.point_utils.reserve(points * 3 * self.workers.len());
+        let widest = self.worker_tasks.iter().map(Vec::len).max().unwrap_or(0);
+        self.alloc_scratch.reserve(widest);
+    }
+
+    /// Ticks in a `duration`-second window, and ticks per metrics
+    /// interval; both at least one.
+    fn window_steps(&self, duration: f64) -> (usize, usize) {
+        let tick = self.config.tick;
+        let steps = (duration / tick).round().max(1.0) as usize;
+        let interval_steps = (self.config.metrics_interval / tick).round().max(1.0) as usize;
+        (steps, interval_steps)
+    }
+
+    /// The report of the last [`Simulation::advance_ticks`]: its
+    /// interval points, post-warm-up averages, per-task rates (with the
+    /// installed plan's metric noise, drawn from the simulation's RNG)
+    /// and end-of-window liveness.
+    pub fn take_report(&mut self) -> SimulationReport {
+        let w = self.workers.len();
+        let points = self
+            .point_heads
+            .iter()
+            .enumerate()
+            .map(|(k, h)| {
+                let utils = &self.point_utils[3 * w * k..3 * w * (k + 1)];
+                MetricPoint {
+                    time: h.time,
+                    source_throughput: h.source_throughput,
+                    target_rate: h.target_rate,
+                    backpressure: h.backpressure,
+                    latency: h.latency,
+                    worker_cpu_util: utils[..w].to_vec(),
+                    worker_io_util: utils[w..2 * w].to_vec(),
+                    worker_net_util: utils[2 * w..].to_vec(),
+                }
+            })
+            .collect();
+        self.point_heads.clear();
+        self.point_utils.clear();
+        let mut out = self.build_report(points, &self.report_acc);
         self.apply_metric_noise(&mut out);
         out
     }
@@ -1380,27 +1492,26 @@ impl Simulation {
         }
     }
 
-    /// Emits one [`MetricPoint`] and resets the interval accumulator.
-    fn flush_point(&self, acc: &mut WindowAcc) -> MetricPoint {
+    /// Records one interval sample into `point_heads` and `point_utils`
+    /// and resets the interval accumulator.
+    fn flush_point(&mut self, acc: &mut WindowAcc) {
         let dt = acc.time.max(self.config.tick);
         let throughput = acc.admitted / dt;
-        let target = acc.target / dt;
-        let point = MetricPoint {
+        self.point_heads.push(PointHead {
             time: self.time,
             source_throughput: throughput,
-            target_rate: target,
+            target_rate: acc.target / dt,
             backpressure: acc.backpressure_fraction(),
             latency: if throughput > 0.0 {
                 acc.in_flight_time / dt / throughput
             } else {
                 0.0
             },
-            worker_cpu_util: acc.cpu_use.iter().map(|u| u / dt).collect(),
-            worker_io_util: acc.io_use.iter().map(|u| u / dt).collect(),
-            worker_net_util: acc.net_use.iter().map(|u| u / dt).collect(),
-        };
+        });
+        for used in [&acc.cpu_use, &acc.io_use, &acc.net_use] {
+            self.point_utils.extend(used.iter().map(|u| u / dt));
+        }
         acc.reset();
-        point
     }
 
     /// Builds the final report from the post-warmup accumulator.

@@ -1,6 +1,10 @@
-//! Allocation-count regression test: `Simulation::advance` allocates a
+//! Allocation-count regression tests: `Simulation::advance` allocates a
 //! fixed amount per call plus the output vectors of each emitted
-//! `MetricPoint`, and nothing per simulated tick.
+//! `MetricPoint`, and nothing per simulated tick; its tick half,
+//! `Simulation::advance_ticks`, allocates nothing at all once its
+//! buffers are warm. The fleet ticks shard simulations on worker
+//! threads, and an allocation there grows a per-thread allocator arena
+//! (and the process's resident memory) for the run's lifetime.
 //!
 //! A counting global allocator tallies allocations made by the test's
 //! own thread, so tests running in parallel do not disturb each other.
@@ -13,7 +17,7 @@ use capsys_model::{
     Cluster, ConnectionPattern, LogicalGraph, OperatorKind, PhysicalGraph, Placement, RateSchedule,
     ResourceProfile, WorkerId, WorkerSpec,
 };
-use capsys_sim::{SimConfig, Simulation, TaskTransfer};
+use capsys_sim::{FaultEvent, FaultKind, FaultPlan, SimConfig, Simulation, TaskTransfer};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -144,4 +148,60 @@ fn active_state_transfer_allocates_nothing_per_tick() {
 #[test]
 fn partitioned_worker_allocates_nothing_per_tick() {
     assert_tick_count_free(&|sim| sim.set_partitioned(WorkerId(1), true));
+}
+
+/// Length of the windows below, seconds: several metrics intervals.
+const WINDOW: f64 = 20.0;
+
+/// Allocations of each of three steady `WINDOW` `advance_ticks` windows
+/// after a first warm-up window, on a fixture prepared by `setup`.
+fn steady_window_allocs(setup: &dyn Fn(&mut Simulation)) -> Vec<u64> {
+    let mut sim = fixture();
+    setup(&mut sim);
+    sim.advance_ticks(WINDOW, 1.0);
+    sim.take_report();
+    (0..3)
+        .map(|_| {
+            let before = ALLOCS.with(Cell::get);
+            sim.advance_ticks(WINDOW, 1.0);
+            let made = ALLOCS.with(Cell::get) - before;
+            sim.take_report();
+            made
+        })
+        .collect()
+}
+
+#[test]
+fn steady_windows_tick_without_allocating() {
+    assert_eq!(steady_window_allocs(&|_| {}), [0, 0, 0]);
+}
+
+#[test]
+fn steady_windows_under_a_partition_fault_tick_without_allocating() {
+    assert_eq!(
+        steady_window_allocs(&|sim| {
+            // The partition starts inside the warm-up window and holds
+            // through the measured ones.
+            let plan = FaultPlan::new(vec![FaultEvent {
+                time: 2.0,
+                kind: FaultKind::PartitionStart(WorkerId(1)),
+            }])
+            .expect("valid plan");
+            sim.install_faults(plan).expect("plan fits the cluster");
+        }),
+        [0, 0, 0]
+    );
+}
+
+#[test]
+fn a_reserved_first_window_ticks_without_allocating() {
+    let mut sim = fixture();
+    sim.reserve_window(WINDOW);
+    let before = ALLOCS.with(Cell::get);
+    sim.advance_ticks(WINDOW, 0.0);
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0);
+    let interval = SimConfig::short().metrics_interval;
+    let points = (WINDOW / interval).ceil() as usize;
+    assert!(points > 1, "the window must span several metrics intervals");
+    assert_eq!(sim.take_report().points.len(), points);
 }

@@ -23,8 +23,12 @@
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
 #   7. determinism and search-outcome golden tests again in release
 #      (debug/release parity), with the store-bound exactness test
-#      (tests/store_bound.rs) and the auto-tuner's plain-scan
-#      equivalence (tests/autotune_equivalence.rs);
+#      (tests/store_bound.rs), the auto-tuner's plain-scan
+#      equivalence (tests/autotune_equivalence.rs), the simulator's
+#      allocation counts (crates/sim/tests/alloc_free_tick.rs: a warm
+#      tick phase allocates nothing) and the fleet tick phase's tests
+#      (the same surfaces at 1, 2, 3 and 8 threads; a panicking tick
+#      is an error);
 #   8. search smoke — Figure 10a's first-feasible CAPS searches on
 #      Q2-join from 16 to 256 tasks under α⃗₁/α⃗₂/α⃗₃, self-asserting that
 #      every cell finds a plan (timings are printed, not gated); Table 2's
@@ -211,9 +215,11 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/16" "determinism + search golden + store-bound + auto-tuner equivalence tests (release)"
+step "7/16" "determinism + search golden + store-bound + auto-tuner equivalence + tick-phase tests (release)"
 cargo test -q --release --test golden_determinism --test search_golden --test store_bound \
     --test autotune_equivalence
+cargo test -q --release -p capsys-sim --test alloc_free_tick
+cargo test -q --release -p capsys-controller --lib -- fleet::tests::tick_phase
 step_done
 
 step "8/16" "search smoke (Figure 10a first-feasible searches, 16-256 tasks; Table 2 counts; Figure 10b tuning)"
