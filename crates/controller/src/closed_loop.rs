@@ -352,7 +352,9 @@ pub struct ClosedLoop<'a> {
     time: f64,
     physical: PhysicalGraph,
     placement: Placement,
-    sim: Simulation,
+    /// The live simulation; away only while the fleet's tick phase
+    /// holds it ([`ClosedLoop::lend_simulation`]).
+    sim: Option<Simulation>,
     last_action: f64,
     events: Vec<ScalingEvent>,
     points: Vec<MetricPoint>,
@@ -764,7 +766,7 @@ impl<'a> ClosedLoop<'a> {
             time: 0.0,
             physical,
             placement,
-            sim,
+            sim: Some(sim),
             last_action: f64::NEG_INFINITY,
             events: Vec::new(),
             points: Vec::new(),
@@ -798,7 +800,7 @@ impl<'a> ClosedLoop<'a> {
     /// clock, plus the chaos state accumulated so far. A
     /// [`KillPoint`] in the plan arms the controller-kill switch.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Result<Self, ControllerError> {
-        self.sim
+        self.sim_mut()?
             .install_faults(plan.clone())
             .map_err(ControllerError::Sim)?;
         self.kill = plan.controller_kill;
@@ -958,7 +960,9 @@ impl<'a> ClosedLoop<'a> {
     /// shared workers; the factor survives redeployments like the other
     /// chaos state.
     pub fn set_contention(&mut self, w: WorkerId, factor: f64) {
-        self.sim.set_contention(w, factor);
+        if let Some(sim) = &mut self.sim {
+            sim.set_contention(w, factor);
+        }
     }
 
     /// Revokes a worker from this shard's pool: the arbiter reassigned
@@ -970,12 +974,16 @@ impl<'a> ClosedLoop<'a> {
     /// unless the arbiter returns the worker via
     /// [`ClosedLoop::restore_worker`].
     pub fn revoke_worker(&mut self, w: WorkerId) {
-        self.sim.fail_worker(w);
+        if let Some(sim) = &mut self.sim {
+            sim.fail_worker(w);
+        }
     }
 
     /// Returns a previously revoked (or crashed) worker to service.
     pub fn restore_worker(&mut self, w: WorkerId) {
-        self.sim.restore_worker(w);
+        if let Some(sim) = &mut self.sim {
+            sim.restore_worker(w);
+        }
     }
 
     /// The current deployment, frozen for the governor.
@@ -1072,25 +1080,44 @@ impl<'a> ClosedLoop<'a> {
     /// runs the halves apart, ticking every shard's simulator in
     /// parallel in between; every other caller steps here.
     pub fn step(&mut self, window: f64) -> Result<StepReport, ControllerError> {
-        self.sim.advance_ticks(window, 0.0);
+        self.sim_mut()?.advance_ticks(window, 0.0);
         self.observe(window)
     }
 
-    /// This loop's simulation, for a caller that ticks it elsewhere
-    /// (`advance_ticks(window, 0.0)`, the simulator half of
-    /// [`ClosedLoop::step`]) before calling `observe`. Its buffers are
-    /// sized for one `window` here, on the caller's thread, so the tick
-    /// allocates nothing on whichever thread runs it.
-    pub(crate) fn simulation(&mut self, window: f64) -> &mut Simulation {
-        self.sim.reserve_window(window);
-        &mut self.sim
+    /// Lends this loop's simulation by value to a caller that ticks it
+    /// elsewhere (`advance_ticks(window, 0.0)`, the simulator half of
+    /// [`ClosedLoop::step`]) and hands it back through
+    /// [`ClosedLoop::return_simulation`] before calling `observe`. Its
+    /// buffers are sized for one `window` here, on the caller's thread,
+    /// so the tick allocates nothing on whichever thread runs it. `None`
+    /// if it is already lent.
+    pub(crate) fn lend_simulation(&mut self, window: f64) -> Option<Simulation> {
+        let mut sim = self.sim.take()?;
+        sim.reserve_window(window);
+        Some(sim)
+    }
+
+    /// Takes back the simulation [`ClosedLoop::lend_simulation`] lent.
+    pub(crate) fn return_simulation(&mut self, sim: Simulation) {
+        self.sim = Some(sim);
+    }
+
+    /// The live simulation, or [`ControllerError::SimulationPanicked`]
+    /// if a tick phase lent it out and lost it.
+    fn sim(&self) -> Result<&Simulation, ControllerError> {
+        self.sim.as_ref().ok_or(ControllerError::SimulationPanicked)
+    }
+
+    /// Mutable [`ClosedLoop::sim`].
+    fn sim_mut(&mut self) -> Result<&mut Simulation, ControllerError> {
+        self.sim.as_mut().ok_or(ControllerError::SimulationPanicked)
     }
 
     /// The controller half of [`ClosedLoop::step`]: takes the report of
     /// the `window` the simulation just ticked, then observes and makes
     /// at most one control decision.
     pub(crate) fn observe(&mut self, window: f64) -> Result<StepReport, ControllerError> {
-        let mut report = self.sim.take_report();
+        let mut report = self.sim_mut()?.take_report();
         self.time += window;
         let summary = StepReport {
             time: self.time,
@@ -1172,9 +1199,11 @@ impl<'a> ClosedLoop<'a> {
 
         // Whole-plan restores: close the trace's open wave once the
         // restore finishes draining.
-        if self.migration.is_none() && self.open_wave.is_some() && !self.sim.state_transfer_active()
+        if self.migration.is_none()
+            && self.open_wave.is_some()
+            && !self.sim()?.state_transfer_active()
         {
-            self.close_open_wave();
+            self.close_open_wave()?;
         }
 
         // An in-flight incremental migration owns the control loop: one
@@ -1586,7 +1615,7 @@ impl<'a> ClosedLoop<'a> {
             // re-plans against the updated survivor set.
             let down = self.known_down();
             let invalidated = down.iter().any(|w| !mig.known_down_at_start.contains(w));
-            if !invalidated && self.sim.state_transfer_active() {
+            if !invalidated && self.sim()?.state_transfer_active() {
                 return Ok(()); // the current wave is still draining
             }
             let time = self.time;
@@ -1727,9 +1756,13 @@ impl<'a> ClosedLoop<'a> {
                 let fate = self.fate(epoch, origin, false)?;
                 // No plan change and no sim swap: the fence binds on the
                 // running simulation, exactly like a migration.
-                fence_epoch(&self.fence, &mut self.sim, epoch, origin)?;
-                let from_fraction = self.sim.shed_fraction();
-                self.sim.set_shed_fraction(fraction);
+                let sim = self
+                    .sim
+                    .as_mut()
+                    .ok_or(ControllerError::SimulationPanicked)?;
+                fence_epoch(&self.fence, sim, epoch, origin)?;
+                let from_fraction = sim.shed_fraction();
+                sim.set_shed_fraction(fraction);
                 self.commit(epoch, fate)?;
                 self.finish_shed(req, epoch, from_fraction);
             }
@@ -1784,7 +1817,11 @@ impl<'a> ClosedLoop<'a> {
                 // The live simulation keeps running across the migration,
                 // but the migration itself must win the fence: a
                 // superseded zombie must not move tasks around.
-                fence_epoch(&self.fence, &mut self.sim, epoch, origin)?;
+                let sim = self
+                    .sim
+                    .as_mut()
+                    .ok_or(ControllerError::SimulationPanicked)?;
+                fence_epoch(&self.fence, sim, epoch, origin)?;
                 self.migration = Some(MigrationState {
                     epoch,
                     rung,
@@ -1799,7 +1836,7 @@ impl<'a> ClosedLoop<'a> {
             DecisionRecord::MigrateStep { .. } => {
                 self.journal(rec, origin)?;
                 // The draining wave has landed: trace it, start the next.
-                self.close_open_wave();
+                self.close_open_wave()?;
                 if let Some(m) = &mut self.migration {
                     m.landed += 1;
                 }
@@ -1827,7 +1864,7 @@ impl<'a> ClosedLoop<'a> {
                 // A failed attempt abandons any in-flight migration: its
                 // tasks unpause in place.
                 if self.migration.take().is_some() {
-                    self.sim.cancel_state_transfer();
+                    self.sim_mut()?.cancel_state_transfer();
                     self.open_wave = None;
                 }
                 if let Some(state) = &mut self.recovery {
@@ -1961,9 +1998,9 @@ impl<'a> ClosedLoop<'a> {
             wave: m.landed,
             tasks: chunk.len(),
             bytes: chunk.iter().map(|m| m.bytes).sum(),
-            paused_base: self.sim.paused_task_seconds(),
+            paused_base: self.sim()?.paused_task_seconds(),
         };
-        self.sim
+        self.sim_mut()?
             .begin_state_transfer(&transfers, false)
             .map_err(ControllerError::Sim)?;
         self.open_wave = Some(wave);
@@ -1972,17 +2009,19 @@ impl<'a> ClosedLoop<'a> {
 
     /// Closes the trace's open state-transfer wave against the current
     /// simulation's paused-seconds clock.
-    fn close_open_wave(&mut self) {
+    fn close_open_wave(&mut self) -> Result<(), ControllerError> {
         if let Some(w) = self.open_wave.take() {
+            let paused = self.sim()?.paused_task_seconds();
             self.migration_waves.push(MigrationWave {
                 epoch: w.epoch,
                 wave: w.wave,
                 tasks_moved: w.tasks,
                 bytes: w.bytes,
-                downtime: (self.sim.paused_task_seconds() - w.paused_base).max(0.0),
+                downtime: (paused - w.paused_base).max(0.0),
                 completed_at: self.time,
             });
         }
+        Ok(())
     }
 
     /// Swaps in a new deployment: a fresh simulation (the
@@ -2010,7 +2049,7 @@ impl<'a> ClosedLoop<'a> {
         )
         .map_err(ControllerError::Sim)?;
         // Chaos state accumulated before the restart must survive it.
-        let old = &self.sim;
+        let old = self.sim()?;
         for (w, f) in old.failed_workers().iter().enumerate() {
             if *f {
                 sim.fail_worker(WorkerId(w));
@@ -2085,11 +2124,11 @@ impl<'a> ClosedLoop<'a> {
         fence_epoch(&self.fence, &mut sim, epoch, origin)?;
         // A still-draining wave of the outgoing deployment ends here:
         // close it against the old simulation before it is dropped.
-        self.close_open_wave();
+        self.close_open_wave()?;
         self.query = query;
         self.physical = physical;
         self.placement = placement;
-        self.sim = sim;
+        self.sim = Some(sim);
         self.open_wave = restore_wave;
         self.last_action = self.time;
         self.recent.clear();

@@ -47,10 +47,12 @@
 //! catch-up: the journal + history are sufficient to reconstruct the
 //! exact trajectory the uninterrupted controller would have produced.
 
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use capsys_model::{Cluster, RateSchedule, WorkerId};
 use capsys_placement::PlacementStrategy;
@@ -391,6 +393,8 @@ pub struct FleetController<'a> {
     /// Threads the tick phase of each window uses at most: the
     /// machine's available parallelism.
     threads: usize,
+    /// Ticks the stepping shards' simulators each window.
+    ticks: TickPool<Simulation>,
 }
 
 /// The machine's available parallelism, read once per process: the
@@ -519,46 +523,165 @@ fn drive(
     Ok(end)
 }
 
-/// Runs `tick` once on every item, on up to `threads` threads with the
-/// caller's among them; one thread ticks inline and spawns none. The
-/// items share nothing, and each is ticked by exactly one thread, so
-/// the outcome depends neither on `threads` nor on scheduling. A
-/// panicking tick is caught and reported as
-/// [`ControllerError::SimulationPanicked`] once every item is done.
-fn tick_phase<T: Send>(
-    items: &mut [T],
-    threads: usize,
-    tick: impl Fn(&mut T) + Sync,
-) -> Result<(), ControllerError> {
-    let threads = threads.clamp(1, items.len().max(1));
-    let queue = Mutex::new(items.iter_mut());
-    let panicked = AtomicBool::new(false);
-    let work = || loop {
-        // The guard drops at the end of this statement: the lock is
-        // held only to take the next item, never while ticking it.
-        let next = queue.lock().next();
-        let Some(item) = next else { break };
-        if catch_unwind(AssertUnwindSafe(|| tick(item))).is_err() {
-            panicked.store(true, Ordering::Relaxed);
+/// A finished tick on its way back to the caller: `(slot, item,
+/// panicked)`.
+type Done<T> = (usize, T, bool);
+
+/// The queue that deals a window's items to threads, and whether the
+/// pool is closing.
+struct Deal<T> {
+    items: VecDeque<(usize, T)>,
+    closed: bool,
+}
+
+/// The fleet's tick workers. [`TickPool::tick_all`] ticks a window's
+/// items on up to `threads` threads, the caller's among them; one thread
+/// (or one item) ticks inline and spawns nothing. The first call with
+/// more spawns the helper threads, which live until the pool drops and
+/// joins them. Items travel by value: dealt from one shared queue,
+/// ticked, and sent back, so no thread borrows anything past a call and
+/// no `unsafe` is needed. The items share nothing, and each is ticked by
+/// exactly one thread, so the outcome depends neither on `threads` nor
+/// on scheduling.
+struct TickPool<T> {
+    tick: Arc<dyn Fn(&mut T) + Send + Sync>,
+    deal: Arc<(Mutex<Deal<T>>, Condvar)>,
+    /// Where helpers send finished items; `None` until they spawn.
+    done: Option<Receiver<Done<T>>>,
+    helpers: Vec<JoinHandle<()>>,
+}
+
+impl<T: Send + 'static> TickPool<T> {
+    fn new(tick: impl Fn(&mut T) + Send + Sync + 'static) -> TickPool<T> {
+        TickPool {
+            tick: Arc::new(tick),
+            deal: Arc::new((
+                Mutex::new(Deal {
+                    items: VecDeque::new(),
+                    closed: false,
+                }),
+                Condvar::new(),
+            )),
+            done: None,
+            helpers: Vec::new(),
         }
-    };
-    if threads == 1 {
-        work();
-    } else {
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
-            work();
-            for h in helpers {
-                if h.join().is_err() {
-                    panicked.store(true, Ordering::Relaxed);
-                }
+    }
+
+    /// Ticks every present item once and puts it back in its slot. A
+    /// panicking tick is caught on the thread that ran it, its item
+    /// still comes back, and the call is
+    /// [`ControllerError::SimulationPanicked`] once every item is back.
+    fn tick_all(&mut self, items: &mut [Option<T>], threads: usize) -> Result<(), ControllerError> {
+        let present = items.iter().flatten().count();
+        let mut panicked = false;
+        if threads <= 1 || present <= 1 {
+            for item in items.iter_mut().flatten() {
+                panicked |= catch_unwind(AssertUnwindSafe(|| (self.tick)(item))).is_err();
             }
-        });
+        } else {
+            if self.done.is_none() {
+                self.spawn(threads.min(items.len()) - 1);
+            }
+            let (deal, ready) = &*self.deal;
+            deal.lock().items.extend(
+                items
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(k, item)| Some((k, item.take()?))),
+            );
+            ready.notify_all();
+            let mut pending = present;
+            // The caller ticks too, until the queue runs dry. The guard
+            // drops at the end of the `let`: the lock is held only to
+            // take the next item, never while ticking it.
+            loop {
+                let next = deal.lock().items.pop_front();
+                let Some((k, mut item)) = next else { break };
+                panicked |= catch_unwind(AssertUnwindSafe(|| (self.tick)(&mut item))).is_err();
+                items[k] = Some(item);
+                pending -= 1;
+            }
+            while pending > 0 {
+                // A helper catches every panic, so only a pool whose
+                // helpers are all gone can fail to hand an item back.
+                let Some(Ok((k, item, p))) = self.done.as_ref().map(Receiver::recv) else {
+                    return Err(ControllerError::SimulationPanicked);
+                };
+                panicked |= p;
+                items[k] = Some(item);
+                pending -= 1;
+            }
+        }
+        if panicked {
+            return Err(ControllerError::SimulationPanicked);
+        }
+        Ok(())
     }
-    if panicked.load(Ordering::Relaxed) {
-        return Err(ControllerError::SimulationPanicked);
+
+    /// Starts up to `count` helpers. A helper that fails to start only
+    /// slows the windows: the caller ticks whatever no helper takes.
+    fn spawn(&mut self, count: usize) {
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..count {
+            let (tick, deal, tx) = (Arc::clone(&self.tick), Arc::clone(&self.deal), tx.clone());
+            let helper = std::thread::Builder::new()
+                .name("fleet-tick".into())
+                .spawn(move || help(&*tick, &deal, &tx));
+            match helper {
+                Ok(h) => self.helpers.push(h),
+                Err(_) => break,
+            }
+        }
+        self.done = Some(rx);
     }
-    Ok(())
+}
+
+/// A helper's life: take the next dealt item, tick it, send it back;
+/// wait while the queue is empty, and return once the pool closes.
+fn help<T>(
+    tick: &(dyn Fn(&mut T) + Send + Sync),
+    (deal, ready): &(Mutex<Deal<T>>, Condvar),
+    done: &Sender<Done<T>>,
+) {
+    loop {
+        let (k, mut item) = {
+            let mut queue = deal.lock();
+            loop {
+                if let Some(next) = queue.items.pop_front() {
+                    break next;
+                }
+                if queue.closed {
+                    return;
+                }
+                queue = ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let panicked = catch_unwind(AssertUnwindSafe(|| tick(&mut item))).is_err();
+        if done.send((k, item, panicked)).is_err() {
+            return;
+        }
+    }
+}
+
+impl<T> Drop for TickPool<T> {
+    fn drop(&mut self) {
+        let (deal, ready) = &*self.deal;
+        deal.lock().closed = true;
+        ready.notify_all();
+        for h in self.helpers.drain(..) {
+            // Every tick's panic is caught inside the helper, so a join
+            // has nothing to report.
+            let _ = h.join();
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for TickPool<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TickPool")
+            .field("helpers", &self.helpers.len())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Offline verification: rebuilds one shard from its final journal and
@@ -627,6 +750,7 @@ impl<'a> FleetController<'a> {
                 DeciderTarget::Shard(_) => {}
             }
         }
+        let window = config.window;
         let mut arbiter = arbiter;
         let mut shards = Vec::with_capacity(world.jobs.len());
         for (s, job) in world.jobs.iter().enumerate() {
@@ -678,6 +802,7 @@ impl<'a> FleetController<'a> {
             arbiter_recoveries: 0,
             arbiter_kill_done: false,
             threads: hardware_threads(),
+            ticks: TickPool::new(move |sim: &mut Simulation| sim.advance_ticks(window, 0.0)),
         })
     }
 
@@ -1001,20 +1126,26 @@ impl<'a> FleetController<'a> {
         }
 
         // Tick phase: the stepping shards' simulators advance the window
-        // in parallel. Nothing crosses threads but each shard's own
-        // simulator, and nothing shard-external changes until the
-        // observe pass.
+        // in parallel. Each is lent to the tick pool by value and handed
+        // back to its shard; nothing else crosses threads, and nothing
+        // shard-external changes until the observe pass.
         let window = self.config.window;
-        let mut sims: Vec<&mut Simulation> = self
+        let mut sims: Vec<Option<Simulation>> = self
             .shards
             .iter_mut()
             .zip(&stepping)
-            .filter(|&(_, &on)| on)
-            .filter_map(|(sh, _)| sh.live.as_mut().map(|lp| lp.simulation(window)))
+            .map(|(sh, &on)| {
+                let lp = sh.live.as_mut().filter(|_| on)?;
+                lp.lend_simulation(window)
+            })
             .collect();
-        tick_phase(&mut sims, self.threads, |sim| {
-            sim.advance_ticks(window, 0.0)
-        })?;
+        let ticked = self.ticks.tick_all(&mut sims, self.threads);
+        for (sh, sim) in self.shards.iter_mut().zip(sims) {
+            if let (Some(lp), Some(sim)) = (sh.live.as_mut(), sim) {
+                lp.return_simulation(sim);
+            }
+        }
+        ticked?;
 
         // Observe pass, in shard order: the controller half of each
         // stepped shard's window.
@@ -1438,16 +1569,83 @@ mod tests {
     #[test]
     fn tick_phase_returns_a_panicking_tick_as_an_error() {
         for threads in [1, 2, 3] {
-            let mut items = [0, 1, 2, 3];
-            let out = tick_phase(&mut items, threads, |x| {
+            let mut pool = TickPool::new(|x: &mut i32| {
                 if *x == 2 {
                     panic!("induced tick panic");
                 }
                 *x += 10;
             });
+            let mut items = [0, 1, 2, 3].map(Some);
+            let out = pool.tick_all(&mut items, threads);
             assert_eq!(out, Err(ControllerError::SimulationPanicked));
-            assert_eq!(items, [10, 11, 2, 13], "on {threads} threads");
+            assert_eq!(items, [10, 11, 2, 13].map(Some), "on {threads} threads");
+            // The helpers outlive the panic: the next window ticks whole.
+            let mut next = [Some(4), None, Some(5)];
+            assert_eq!(pool.tick_all(&mut next, threads), Ok(()));
+            assert_eq!(next, [Some(14), None, Some(15)], "on {threads} threads");
         }
+    }
+
+    /// A three-tenant fleet ticking on `threads` threads.
+    fn three_tenant_fleet(
+        world: &FleetWorld,
+        arbiter: Arbiter,
+        buf: SharedBuf,
+        threads: usize,
+    ) -> FleetController<'_> {
+        let config = fleet_config(FaultPlan::default());
+        let mut fleet = FleetController::new(world, arbiter, buf, config).unwrap();
+        fleet.threads = threads;
+        fleet
+    }
+
+    #[test]
+    fn tick_phase_keeps_one_helper_per_extra_thread_across_windows() {
+        let config = fleet_config(FaultPlan::default());
+        let jobs = vec![
+            job("ten-a", 3, 1.0),
+            job("ten-b", 5, 2.0),
+            job("ten-c", 7, 1.5),
+        ];
+        for (threads, helpers) in [(1, 0), (2, 1), (3, 2), (8, 2)] {
+            let (world, arbiter, buf) = build_fleet(&config, jobs.clone());
+            let mut fleet = three_tenant_fleet(&world, arbiter, buf, threads);
+            fleet.run(20.0).unwrap();
+            let first: Vec<_> = fleet
+                .ticks
+                .helpers
+                .iter()
+                .map(|h| h.thread().id())
+                .collect();
+            assert_eq!(first.len(), helpers, "on {threads} threads");
+            fleet.run(20.0).unwrap();
+            let later: Vec<_> = fleet
+                .ticks
+                .helpers
+                .iter()
+                .map(|h| h.thread().id())
+                .collect();
+            assert_eq!(first, later, "helpers were replaced on {threads} threads");
+        }
+    }
+
+    #[test]
+    fn tick_phase_helpers_are_joined_when_the_fleet_drops() {
+        let config = fleet_config(FaultPlan::default());
+        let jobs = vec![
+            job("ten-a", 3, 1.0),
+            job("ten-b", 5, 2.0),
+            job("ten-c", 7, 1.5),
+        ];
+        let (world, arbiter, buf) = build_fleet(&config, jobs);
+        let mut fleet = three_tenant_fleet(&world, arbiter, buf, 3);
+        fleet.run(20.0).unwrap();
+        assert_eq!(fleet.ticks.helpers.len(), 2);
+        // Each helper holds the deal queue until its thread returns.
+        let deal = Arc::downgrade(&fleet.ticks.deal);
+        assert_eq!(deal.strong_count(), 3);
+        drop(fleet);
+        assert_eq!(deal.strong_count(), 0, "a helper outlived its fleet");
     }
 
     #[test]

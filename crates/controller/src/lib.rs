@@ -111,8 +111,9 @@ pub enum ControllerError {
     },
     /// A configuration value failed validation.
     InvalidConfig(String),
-    /// A shard's simulator panicked while the fleet ticked a window.
-    /// The fleet's state is unusable after this.
+    /// A shard's simulator panicked while the fleet ticked a window, or
+    /// never came back from the tick phase. The fleet's state is
+    /// unusable after this.
     SimulationPanicked,
 }
 

@@ -195,6 +195,18 @@ impl PhysicalGraph {
         self.in_channels[t.0].len()
     }
 
+    /// Indices into [`PhysicalGraph::channels`] of a task's outgoing
+    /// channels, ascending.
+    pub fn out_channel_indices(&self, t: TaskId) -> &[usize] {
+        &self.out_channels[t.0]
+    }
+
+    /// Indices into [`PhysicalGraph::channels`] of a task's incoming
+    /// channels, ascending.
+    pub fn in_channel_indices(&self, t: TaskId) -> &[usize] {
+        &self.in_channels[t.0]
+    }
+
     /// Per-operator parallelism vector.
     pub fn parallelism_vector(&self) -> Vec<usize> {
         self.op_task_ranges.iter().map(|r| r.len()).collect()

@@ -21,6 +21,7 @@
 //! fraction of time sources spend throttled — Flink's
 //! backpressured-time metric, which the paper reports.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use capsys_model::{
@@ -272,7 +273,6 @@ pub struct Simulation {
     rate: Vec<f64>,
     capacity_rate: Vec<f64>,
     cpu_eff: Vec<f64>,
-    deq: Vec<f64>,
     worker_tasks: Vec<Vec<usize>>,
     /// Workers currently failed (their tasks process nothing).
     failed: Vec<bool>,
@@ -299,6 +299,8 @@ pub struct Simulation {
     /// Per-channel frozen flags for the current tick (a cross-worker
     /// channel with a partitioned endpoint moves no records).
     frozen: Vec<bool>,
+    /// Whether any flag in `frozen` may be set.
+    any_frozen: bool,
     /// Global CPU-cost multiplier for a mispredicted deployment (1.0 =
     /// the cost model was right; > 1 = the plan runs slower than
     /// modeled). Set by the controller at deploy time under a
@@ -390,22 +392,29 @@ impl Simulation {
             sched_list.push((op.0, sched.clone()));
         }
 
-        // Bucket channels by producer and by consumer in one pass, in
-        // channel-index order.
-        let n_tasks = physical.num_tasks();
-        let mut out_chans: Vec<Vec<usize>> = vec![Vec::new(); n_tasks];
-        let mut in_chans: Vec<Vec<usize>> = vec![Vec::new(); n_tasks];
-        for (ci, ch) in physical.channels().iter().enumerate() {
-            out_chans[ch.from.0].push(ci);
-            in_chans[ch.to.0].push(ci);
-        }
         // Group each producer's channels by downstream operator (one
-        // group per logical out-edge), in ascending operator id; a
-        // stable sort keeps channel-index order within a group.
-        let d_op = |ci: usize| physical.task_operator(physical.channels()[ci].to);
+        // group per logical out-edge), in ascending operator id, keeping
+        // channel-index order within a group. The graph lists them in
+        // channel-index order, edge by edge, so only a producer whose
+        // out-edges are not in operator order needs the stable sort.
+        let n_tasks = physical.num_tasks();
+        let d_op = |ci: usize| physical.task_operator(physical.channels()[ci].to).0;
+        let out_chans: Vec<Cow<'_, [usize]>> = physical
+            .tasks()
+            .iter()
+            .map(|t| {
+                let chans = physical.out_channel_indices(t.id);
+                if chans.is_sorted_by_key(|&ci| d_op(ci)) {
+                    Cow::Borrowed(chans)
+                } else {
+                    let mut sorted = chans.to_vec();
+                    sorted.sort_by_key(|&ci| d_op(ci));
+                    Cow::Owned(sorted)
+                }
+            })
+            .collect();
         let mut group_len = vec![0usize; physical.channels().len()];
-        for chans in &mut out_chans {
-            chans.sort_by_key(|&ci| d_op(ci).0);
+        for chans in &out_chans {
             for group in chans.chunk_by(|&a, &b| d_op(a) == d_op(b)) {
                 for &ci in group {
                     group_len[ci] = group.len();
@@ -441,7 +450,7 @@ impl Simulation {
 
         let mut tasks = Vec::with_capacity(n_tasks);
         let mut task_schedule = Vec::with_capacity(n_tasks);
-        for (t, in_channels) in physical.tasks().iter().zip(in_chans) {
+        for t in physical.tasks() {
             let op = logical.operator(t.operator);
             let w = placement.worker_of(t.id);
 
@@ -450,7 +459,7 @@ impl Simulation {
             let mut out_pushes = Vec::with_capacity(chans.len());
             let mut net_unit = 0.0;
             let mut lat_unit = 0.0;
-            for &ci in chans {
+            for &ci in chans.iter() {
                 let ch = physical.channels()[ci];
                 let share = match ch.pattern {
                     // Broadcast replicates the full output stream to
@@ -483,7 +492,7 @@ impl Simulation {
                 burst_amp: op.profile.cpu_burst_amplitude,
                 is_source,
                 gen_share: 1.0 / op.parallelism as f64,
-                in_channels,
+                in_channels: physical.in_channel_indices(t.id).to_vec(),
                 out_pushes,
             });
         }
@@ -526,8 +535,8 @@ impl Simulation {
             rate: vec![0.0; n],
             capacity_rate: vec![0.0; n],
             cpu_eff: vec![0.0; n],
-            deq: vec![0.0; channels.len()],
             frozen: vec![false; channels.len()],
+            any_frozen: false,
             tasks,
             channels,
             failed: vec![false; workers.len()],
@@ -1194,16 +1203,18 @@ impl Simulation {
         // Cross-worker channels with a partitioned endpoint move no
         // records this tick; intra-worker traffic on a partitioned
         // worker keeps flowing (the worker is running, just unreachable).
+        // Once every partition has healed, one tick clears the flags;
+        // later ticks neither clear nor read them (`flows`).
         if self.partitioned.iter().any(|&p| p) {
             for (ci, &(from, to)) in self.channel_ends.iter().enumerate() {
                 let wf = self.tasks[from].worker;
                 let wt = self.tasks[to].worker;
                 self.frozen[ci] = wf != wt && (self.partitioned[wf] || self.partitioned[wt]);
             }
-        } else {
-            for f in &mut self.frozen {
-                *f = false;
-            }
+            self.any_frozen = true;
+        } else if self.any_frozen {
+            self.frozen.fill(false);
+            self.any_frozen = false;
         }
 
         // Effective per-record CPU cost: bursts, straggler slowdown,
@@ -1257,22 +1268,34 @@ impl Simulation {
                 let avail: f64 = task
                     .in_channels
                     .iter()
-                    .filter(|&&c| !self.frozen[c])
+                    .filter(|&&c| self.flows(c))
                     .fold(0.0f64, |acc, &c| acc + self.channels[c].q);
                 self.avail[i] = avail;
                 avail
             };
+            // `min(free / share)` over the out-channels, with one division
+            // per run of equal shares: dividing by a positive constant
+            // rounds monotonically, so `min(free) / share` is exactly the
+            // run's smallest quotient.
             let mut out_limit = f64::INFINITY;
+            let (mut run_share, mut run_free) = (1.0, f64::INFINITY);
             for &(ci, share) in &task.out_pushes {
                 if share > 0.0 {
-                    let free = if self.frozen[ci] {
-                        0.0
-                    } else {
+                    let free = if self.flows(ci) {
                         (self.channels[ci].cap - self.channels[ci].q).max(0.0)
+                    } else {
+                        0.0
                     };
-                    out_limit = out_limit.min(free / share);
+                    if share != run_share {
+                        out_limit = out_limit.min(run_free / run_share);
+                        run_share = share;
+                        run_free = free;
+                    } else {
+                        run_free = run_free.min(free);
+                    }
                 }
             }
+            out_limit = out_limit.min(run_free / run_share);
             self.desired[i] = supply.min(out_limit).max(0.0);
         }
 
@@ -1281,29 +1304,22 @@ impl Simulation {
             self.allocate_worker(w, tick);
         }
 
-        // Movement, phase 1: compute every dequeue from the start-of-tick
-        // queue state, then apply them. Interleaving pushes and dequeues
-        // would let consumers drain records their `avail` never saw.
-        for d in self.deq.iter_mut() {
-            *d = 0.0;
-        }
+        // Movement, phase 1: every consumer dequeues from its unfrozen
+        // in-channels in proportion to their start-of-tick occupancy.
+        // Each channel has exactly one consumer, and no push lands
+        // before phase 2, so every dequeue reads the queue that
+        // consumer's `avail` summed and can be applied in place.
         for i in 0..self.tasks.len() {
-            let x = self.rate[i];
+            let (x, avail) = (self.rate[i], self.avail[i]);
             let task = &self.tasks[i];
-            if !task.is_source && x > 0.0 {
-                let avail = self.avail[i];
-                if avail > 0.0 {
-                    for &c in &task.in_channels {
-                        if self.frozen[c] {
-                            continue;
-                        }
-                        self.deq[c] += x * self.channels[c].q / avail;
+            if !task.is_source && x > 0.0 && avail > 0.0 {
+                for &c in &task.in_channels {
+                    if self.flows(c) {
+                        let q = &mut self.channels[c].q;
+                        *q = (*q - x * *q / avail).max(0.0);
                     }
                 }
             }
-        }
-        for (c, d) in self.deq.iter().enumerate() {
-            self.channels[c].q = (self.channels[c].q - d).max(0.0);
         }
 
         // Movement, phase 2: pushes. Capacity cannot be exceeded because
@@ -1361,6 +1377,12 @@ impl Simulation {
         acc.in_flight_time += self.tick_in_flight * tick;
 
         self.time += tick;
+    }
+
+    /// Whether channel `c` moves records this tick, i.e. is not frozen.
+    /// Reads no flag while no partition has frozen any.
+    fn flows(&self, c: usize) -> bool {
+        !self.any_frozen || !self.frozen[c]
     }
 
     /// The raw (unthrottled) target generation volume of a source task at

@@ -21,14 +21,17 @@
 #   6. full test suite (debug), including the determinism golden test;
 #      then the capsys-util suite again in release with
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
-#   7. determinism and search-outcome golden tests again in release
-#      (debug/release parity), with the store-bound exactness test
-#      (tests/store_bound.rs), the auto-tuner's plain-scan
-#      equivalence (tests/autotune_equivalence.rs), the simulator's
-#      allocation counts (crates/sim/tests/alloc_free_tick.rs: a warm
-#      tick phase allocates nothing) and the fleet tick phase's tests
-#      (the same surfaces at 1, 2, 3 and 8 threads; a panicking tick
-#      is an error);
+#   7. determinism, search-outcome and simulator golden tests again in
+#      release (debug/release parity; the simulator goldens include a
+#      fan-out run whose partitions heal, tests/sim_heal_golden.rs),
+#      with the store-bound exactness test (tests/store_bound.rs), the
+#      auto-tuner's plain-scan equivalence
+#      (tests/autotune_equivalence.rs), the simulator's allocation
+#      counts (crates/sim/tests/alloc_free_tick.rs: a warm tick phase
+#      allocates nothing) and the fleet tick phase's tests (the same
+#      surfaces at 1, 2, 3 and 8 threads; a panicking tick is an error;
+#      the tick pool keeps its helpers across windows, spawns none on
+#      one thread, and joins them when the fleet drops);
 #   8. search smoke — Figure 10a's first-feasible CAPS searches on
 #      Q2-join from 16 to 256 tasks under α⃗₁/α⃗₂/α⃗₃, self-asserting that
 #      every cell finds a plan (timings are printed, not gated); Table 2's
@@ -215,9 +218,9 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/16" "determinism + search golden + store-bound + auto-tuner equivalence + tick-phase tests (release)"
+step "7/16" "determinism + search and sim goldens + store-bound + auto-tuner equivalence + tick-phase tests (release)"
 cargo test -q --release --test golden_determinism --test search_golden --test store_bound \
-    --test autotune_equivalence
+    --test autotune_equivalence --test sim_golden --test sim_heal_golden
 cargo test -q --release -p capsys-sim --test alloc_free_tick
 cargo test -q --release -p capsys-controller --lib -- fleet::tests::tick_phase
 step_done
