@@ -2,12 +2,15 @@
 //!
 //! One binary per table/figure of the CAPSys paper lives in `src/bin/`;
 //! this library provides what they share: simulation wrappers, box-plot
-//! statistics, contention-plan selection, and table formatting. See
-//! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for a
-//! recorded run.
+//! statistics, contention-plan selection, and table formatting. The
+//! robustness claims beyond the paper are built once each in
+//! [`claims`], for both their tests and their binaries. See `DESIGN.md`
+//! §4 for the experiment index and `EXPERIMENTS.md` for a recorded run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod claims;
 
 use capsys_model::{Cluster, OperatorId, Placement, WorkerId};
 use capsys_queries::Query;
@@ -19,6 +22,32 @@ pub fn fast_mode() -> bool {
     std::env::var("CAPSYS_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
+}
+
+/// Reads the one option of the claim binaries, `--seed N` (default 7);
+/// `exp_hostile`, whose seeds are fixed, takes [`no_args`]. Any other
+/// argument prints the usage and exits with status 2.
+pub fn seed_arg() -> u64 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => 7,
+        [flag, n] if flag == "--seed" => n.parse().unwrap_or_else(|_| usage(" [--seed N]")),
+        _ => usage(" [--seed N]"),
+    }
+}
+
+/// Exits 2 with a usage line unless the binary was given no argument.
+pub fn no_args() {
+    if std::env::args().len() > 1 {
+        usage("")
+    }
+}
+
+/// Prints `usage: <binary><args>` to stderr and exits 2.
+fn usage(args: &str) -> ! {
+    let name = std::env::args().next().unwrap_or_default();
+    eprintln!("usage: {name}{args}");
+    std::process::exit(2)
 }
 
 /// Where an experiment writes its `BENCH_*.json` record `file`: the

@@ -2217,13 +2217,11 @@ fn shift_schedule(schedule: &RateSchedule, offset: f64) -> RateSchedule {
 mod tests {
     use super::*;
     use capsys_core::SearchConfig;
-    use capsys_model::{RateProgram, TaskId, WorkerSpec};
+    use capsys_model::WorkerSpec;
     use capsys_placement::{CapsStrategy, FlinkDefault};
     use capsys_queries::q1_sliding;
-    use capsys_sim::{FaultEvent, FaultKind};
     use capsys_util::forall;
     use capsys_util::prop::{ints, vec_of, Config};
-    use std::time::Duration;
 
     fn small_cluster() -> Cluster {
         Cluster::homogeneous(4, WorkerSpec::m5d_2xlarge(8)).unwrap()
@@ -2368,112 +2366,6 @@ mod tests {
         assert!(!trace.points.is_empty());
     }
 
-    /// Builds a chaos run: q1 at its paper parallelism on 6 workers, a
-    /// seeded crash of the worker hosting task 0 at t=60s, recovery
-    /// enabled. Returns the victim and the trace.
-    fn chaos_run(recovery: RecoveryConfig) -> (WorkerId, ClosedLoopTrace) {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let loop_ = ClosedLoop::new(
-            &query,
-            &cluster,
-            &strategy,
-            Ds2Config {
-                activation_period: 60.0,
-                ..fast_ds2()
-            },
-            SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            },
-            RateSchedule::Constant(target),
-            7,
-        )
-        .unwrap();
-        let victim = loop_.placement().worker_of(TaskId(0));
-        let plan = FaultPlan::new(vec![FaultEvent {
-            time: 60.0,
-            kind: FaultKind::Crash(victim),
-        }])
-        .unwrap();
-        let trace = loop_
-            .with_fault_plan(plan)
-            .unwrap()
-            .with_recovery(recovery)
-            .run(300.0)
-            .unwrap();
-        (victim, trace)
-    }
-
-    #[test]
-    fn chaos_crash_is_detected_and_recovered() {
-        let (victim, trace) = chaos_run(RecoveryConfig::default());
-        assert_eq!(trace.recovery_events.len(), 1, "one recovery expected");
-        let ev = &trace.recovery_events[0];
-        assert_eq!(ev.worker, victim);
-        assert!(
-            ev.detected_at > 60.0,
-            "detected before the crash: {}",
-            ev.detected_at
-        );
-        assert!(
-            ev.detected_at <= 90.0,
-            "detection took too long: {}",
-            ev.detected_at
-        );
-        assert_eq!(ev.plans_tried, 1);
-        assert_eq!(ev.rung, LadderRung::Caps);
-        // With miss_threshold 2 and 5s windows, declaration trails the
-        // first silent heartbeat by one window.
-        assert!(ev.detection_lag > 0.0, "no detection lag recorded");
-        assert!(ev.time_to_recover >= ev.detection_lag);
-        assert_eq!(trace.mttr(), Some(ev.time_to_recover));
-        // After recovery settles, the job tracks >= 95% of its target on
-        // the surviving workers.
-        let tp = trace.avg_throughput(ev.recovered_at + 60.0, 300.0);
-        let tgt = trace.avg_target(ev.recovered_at + 60.0, 300.0);
-        assert!(
-            tp >= 0.95 * tgt,
-            "post-recovery throughput {tp} below 95% of target {tgt}"
-        );
-        // The outage left a visible loss footprint.
-        assert!(trace.throughput_loss_area(60.0, ev.recovered_at + 30.0) > 0.0);
-    }
-
-    #[test]
-    fn chaos_runs_are_deterministic() {
-        let (v1, t1) = chaos_run(RecoveryConfig::default());
-        let (v2, t2) = chaos_run(RecoveryConfig::default());
-        assert_eq!(v1, v2);
-        assert_eq!(t1.recovery_events, t2.recovery_events);
-        assert_eq!(t1.events, t2.events);
-        assert_eq!(t1.points, t2.points);
-    }
-
-    #[test]
-    fn zero_search_budget_degrades_to_round_robin() {
-        // A recovery policy whose CAPS rungs get no time at all must fall
-        // through to the round-robin rung, never error.
-        let cfg = RecoveryConfig {
-            search: SearchConfig {
-                time_budget: Some(Duration::ZERO),
-                ..SearchConfig::auto_tuned()
-            },
-            ..RecoveryConfig::default()
-        };
-        let (victim, trace) = chaos_run(cfg);
-        assert_eq!(trace.recovery_events.len(), 1);
-        let ev = &trace.recovery_events[0];
-        assert_eq!(ev.worker, victim);
-        assert_eq!(ev.rung, LadderRung::RoundRobin);
-        // Even the degraded plan keeps the job alive.
-        let tp = trace.avg_throughput(ev.recovered_at + 60.0, 300.0);
-        assert!(tp > 0.0, "round-robin recovery produced no throughput");
-    }
-
     #[test]
     fn activation_period_limits_scaling_frequency() {
         let query = q1_sliding().with_parallelism(&[1, 1, 1, 1]).unwrap();
@@ -2501,98 +2393,6 @@ mod tests {
         let trace = loop_.run(120.0).unwrap();
         // Only the very first evaluation can fire.
         assert!(trace.num_scalings() <= 1);
-    }
-
-    // ---- durability ----------------------------------------------------
-
-    /// The chaos scenario of `chaos_run` with a journal attached and an
-    /// optional controller kill. Returns the run outcome and the journal
-    /// text (which survives the loop's death).
-    fn journaled_chaos_run(
-        kill: Option<KillPoint>,
-    ) -> (Result<ClosedLoopTrace, ControllerError>, String) {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let loop_ = ClosedLoop::new(
-            &query,
-            &cluster,
-            &strategy,
-            Ds2Config {
-                activation_period: 60.0,
-                ..fast_ds2()
-            },
-            SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            },
-            RateSchedule::Constant(target),
-            7,
-        )
-        .unwrap();
-        let victim = loop_.placement().worker_of(TaskId(0));
-        let mut plan = FaultPlan::new(vec![FaultEvent {
-            time: 60.0,
-            kind: FaultKind::Crash(victim),
-        }])
-        .unwrap();
-        if let Some(k) = kill {
-            plan = plan.with_controller_kill(k).unwrap();
-        }
-        let (journal, buf) = DecisionJournal::in_memory();
-        let result = loop_
-            .with_fault_plan(plan)
-            .unwrap()
-            .with_recovery(RecoveryConfig::default())
-            .with_journal(journal)
-            .unwrap()
-            .run(300.0);
-        (result, buf.text())
-    }
-
-    /// Recovers from `journal_text` and runs to the scenario's end,
-    /// returning the trace and the recovered run's (fresh) journal.
-    fn recover_and_finish(journal_text: &str) -> (ClosedLoopTrace, String) {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let loop_ = ClosedLoop::recover_from_journal(
-            &query,
-            &cluster,
-            &strategy,
-            Ds2Config {
-                activation_period: 60.0,
-                ..fast_ds2()
-            },
-            SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            },
-            RateSchedule::Constant(target),
-            journal_text,
-        )
-        .unwrap();
-        // The same fault plan the crashed run had, minus its kill.
-        let victim = loop_.placement().worker_of(TaskId(0));
-        let plan = FaultPlan::new(vec![FaultEvent {
-            time: 60.0,
-            kind: FaultKind::Crash(victim),
-        }])
-        .unwrap();
-        let (journal, buf) = DecisionJournal::in_memory();
-        let trace = loop_
-            .with_fault_plan(plan)
-            .unwrap()
-            .with_recovery(RecoveryConfig::default())
-            .with_journal(journal)
-            .unwrap()
-            .run(300.0)
-            .unwrap();
-        (trace, buf.text())
     }
 
     #[test]
@@ -2679,440 +2479,9 @@ mod tests {
         assert!(checked >= 1, "scenario journaled no Prepare records");
     }
 
-    #[test]
-    fn journal_records_prepare_commit_pairs() {
-        let (result, text) = journaled_chaos_run(None);
-        result.unwrap();
-        let parsed = crate::journal::parse_journal(&text).unwrap();
-        assert!(!parsed.torn);
-        assert!(matches!(parsed.records[0], DecisionRecord::Init { .. }));
-        let mut last_epoch = 0u64;
-        let mut prepares = 0;
-        let mut i = 1;
-        while i < parsed.records.len() {
-            match &parsed.records[i] {
-                DecisionRecord::Prepare { epoch, .. } => {
-                    prepares += 1;
-                    assert!(*epoch > last_epoch, "epochs must increase strictly");
-                    last_epoch = *epoch;
-                    // Every applied prepare is immediately committed.
-                    match parsed.records.get(i + 1) {
-                        Some(DecisionRecord::Commit { epoch: e, .. }) => assert_eq!(e, epoch),
-                        Some(DecisionRecord::Retry { .. }) => {} // abandoned
-                        other => panic!("prepare followed by {other:?}"),
-                    }
-                    i += 2;
-                }
-                DecisionRecord::Retry { .. } => i += 1,
-                other => panic!("unexpected record {other:?}"),
-            }
-        }
-        assert!(prepares >= 1, "the crash recovery must journal a prepare");
-    }
-
-    #[test]
-    fn kill_at_each_decision_recovers_byte_identically() {
-        // The headline property, sampled at three decision points (the
-        // exhaustive sweep lives in exp_recovery): a controller killed
-        // right after journaling record k, then recovered from the
-        // journal, finishes with a byte-identical trace — and writes a
-        // byte-identical journal.
-        let (baseline, golden_journal) = journaled_chaos_run(None);
-        let golden = baseline.unwrap().to_json().to_string();
-        let n = golden_journal.lines().count() as u64;
-        assert!(n >= 3, "scenario too quiet to test kills ({n} records)");
-        // First prepare's sequence number: killing there is a kill
-        // between Prepare and Commit.
-        let parsed = crate::journal::parse_journal(&golden_journal).unwrap();
-        let prepare_seq = parsed
-            .records
-            .iter()
-            .position(|r| matches!(r, DecisionRecord::Prepare { .. }))
-            .expect("no prepare in golden journal") as u64;
-        for k in [1, prepare_seq, n - 1] {
-            let (result, partial) = journaled_chaos_run(Some(KillPoint::AfterRecord(k)));
-            match result {
-                Err(ControllerError::ControllerKilled { seq, .. }) => assert_eq!(seq, k + 1),
-                other => panic!("kill at record {k} did not fire: {other:?}"),
-            }
-            assert_eq!(
-                partial.lines().count() as u64,
-                k + 1,
-                "journal must hold exactly the records up to the kill"
-            );
-            let (trace, rewritten) = recover_and_finish(&partial);
-            assert_eq!(
-                trace.to_json().to_string(),
-                golden,
-                "recovered trace diverged after kill at record {k}"
-            );
-            assert_eq!(
-                rewritten, golden_journal,
-                "recovered journal diverged after kill at record {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn kill_between_prepare_and_commit_rolls_forward() {
-        let (baseline, golden_journal) = journaled_chaos_run(None);
-        let golden = baseline.unwrap().to_json().to_string();
-        let parsed = crate::journal::parse_journal(&golden_journal).unwrap();
-        let first_epoch = parsed
-            .records
-            .iter()
-            .find_map(|r| match r {
-                DecisionRecord::Prepare { epoch, .. } => Some(*epoch),
-                _ => None,
-            })
-            .expect("no prepare in golden journal");
-        let (result, partial) = journaled_chaos_run(Some(KillPoint::MidReconfig(first_epoch)));
-        assert!(
-            matches!(result, Err(ControllerError::ControllerKilled { .. })),
-            "mid-reconfiguration kill did not fire"
-        );
-        // The journal tail is the in-doubt Prepare.
-        let tail = crate::journal::parse_journal(&partial).unwrap();
-        assert!(
-            matches!(tail.records.last(), Some(DecisionRecord::Prepare { epoch, .. }) if *epoch == first_epoch),
-            "journal tail is not the prepared epoch"
-        );
-        // Recovery rolls it forward and the run finishes identically.
-        let (trace, rewritten) = recover_and_finish(&partial);
-        assert_eq!(trace.to_json().to_string(), golden);
-        assert_eq!(rewritten, golden_journal);
-    }
-
-    // ---- incremental migration -----------------------------------------
-
-    /// Retained records per key group for the migration scenarios:
-    /// sizes the sliding window's state at 100 MB per subtask.
+    /// Retained records per key group: sizes the sliding window's state
+    /// at 100 MB per subtask.
     const RETAINED_RECORDS: f64 = 2e5;
-
-    fn migration_ds2() -> Ds2Config {
-        // A huge activation period keeps DS2 quiet: the journal holds
-        // only the crash recovery, whichever form it takes.
-        Ds2Config {
-            activation_period: 1000.0,
-            ..fast_ds2()
-        }
-    }
-
-    fn migration_config() -> MigrationConfig {
-        MigrationConfig {
-            epsilon: 0.05,
-            wave_size: 1,
-        }
-    }
-
-    /// The chaos scenario with state-transfer charging (and optionally
-    /// incremental migration), a journal, and an optional kill.
-    fn migration_run(
-        kill: Option<KillPoint>,
-        incremental: bool,
-    ) -> (Result<ClosedLoopTrace, ControllerError>, String) {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let loop_ = ClosedLoop::new(
-            &query,
-            &cluster,
-            &strategy,
-            migration_ds2(),
-            SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            },
-            RateSchedule::Constant(target),
-            7,
-        )
-        .unwrap();
-        let victim = loop_.placement().worker_of(TaskId(0));
-        let mut plan = FaultPlan::new(vec![FaultEvent {
-            time: 60.0,
-            kind: FaultKind::Crash(victim),
-        }])
-        .unwrap();
-        if let Some(k) = kill {
-            plan = plan.with_controller_kill(k).unwrap();
-        }
-        let (journal, buf) = DecisionJournal::in_memory();
-        let mut loop_ = loop_
-            .with_fault_plan(plan)
-            .unwrap()
-            .with_recovery(RecoveryConfig::default())
-            .with_state_transfer(RETAINED_RECORDS)
-            .unwrap();
-        if incremental {
-            loop_ = loop_
-                .with_incremental_migration(migration_config())
-                .unwrap();
-        }
-        let result = loop_.with_journal(journal).unwrap().run(300.0);
-        (result, buf.text())
-    }
-
-    /// Recovers the incremental-migration scenario from `journal_text`
-    /// and runs to its end.
-    fn migration_recover_and_finish(journal_text: &str) -> (ClosedLoopTrace, String) {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let loop_ = ClosedLoop::recover_from_journal(
-            &query,
-            &cluster,
-            &strategy,
-            migration_ds2(),
-            SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            },
-            RateSchedule::Constant(target),
-            journal_text,
-        )
-        .unwrap();
-        let victim = loop_.placement().worker_of(TaskId(0));
-        let plan = FaultPlan::new(vec![FaultEvent {
-            time: 60.0,
-            kind: FaultKind::Crash(victim),
-        }])
-        .unwrap();
-        let (journal, buf) = DecisionJournal::in_memory();
-        let trace = loop_
-            .with_fault_plan(plan)
-            .unwrap()
-            .with_recovery(RecoveryConfig::default())
-            .with_state_transfer(RETAINED_RECORDS)
-            .unwrap()
-            .with_incremental_migration(migration_config())
-            .unwrap()
-            .with_journal(journal)
-            .unwrap()
-            .run(300.0)
-            .unwrap();
-        (trace, buf.text())
-    }
-
-    #[test]
-    fn incremental_migration_moves_less_and_pauses_less() {
-        let (whole, _) = migration_run(None, false);
-        let whole = whole.unwrap();
-        let (inc, text) = migration_run(None, true);
-        let inc = inc.unwrap();
-        // Both recovered the crash exactly once.
-        assert_eq!(whole.recovery_events.len(), 1);
-        assert_eq!(inc.recovery_events.len(), 1);
-        // The whole-plan redeploy reloads every stateful byte; the
-        // migration moves only the displaced tasks'.
-        assert!(inc.bytes_moved() > 0, "migration moved no state");
-        assert!(
-            inc.bytes_moved() < whole.bytes_moved(),
-            "incremental moved {} bytes, whole-plan restored {}",
-            inc.bytes_moved(),
-            whole.bytes_moved()
-        );
-        assert!(whole.downtime() > 0.0, "whole-plan restore paused nothing");
-        assert!(
-            inc.downtime() < whole.downtime(),
-            "incremental downtime {} not below whole-plan {}",
-            inc.downtime(),
-            whole.downtime()
-        );
-        // Per-wave accounting sums to the trace total.
-        let sum: f64 = inc.migration_waves.iter().map(|w| w.downtime).sum();
-        assert_eq!(inc.downtime(), sum);
-
-        // Journal protocol: one MigratePrepare, one MigrateStep per
-        // moved task (wave_size 1), one MigrateCommit — and the move
-        // set is exactly the tasks whose worker changed relative to the
-        // incumbent (the last whole-plan deploy before the migration).
-        let parsed = crate::journal::parse_journal(&text).unwrap();
-        let mut incumbent = match &parsed.records[0] {
-            DecisionRecord::Init { assignment, .. } => assignment.clone(),
-            other => panic!("journal does not start with init: {other:?}"),
-        };
-        let mut migrate = None;
-        for r in &parsed.records {
-            match r {
-                DecisionRecord::Prepare { assignment, .. } => incumbent = assignment.clone(),
-                DecisionRecord::MigratePrepare {
-                    epoch,
-                    assignment,
-                    moved,
-                    ..
-                } => {
-                    migrate = Some((*epoch, assignment.clone(), moved.clone()));
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let (migrate_epoch, target_assignment, moved) =
-            migrate.expect("no migrate-prepare journaled");
-        let steps = parsed
-            .records
-            .iter()
-            .filter(|r| matches!(r, DecisionRecord::MigrateStep { .. }))
-            .count();
-        assert_eq!(steps, moved.len(), "one step per task at wave_size 1");
-        assert_eq!(
-            parsed
-                .records
-                .iter()
-                .filter(|r| matches!(r, DecisionRecord::MigrateCommit { .. }))
-                .count(),
-            1
-        );
-        assert!(
-            !moved.is_empty() && moved.len() < incumbent.len(),
-            "migration should move some but not all tasks: {moved:?}"
-        );
-        assert_eq!(incumbent.len(), target_assignment.len());
-        for t in 0..incumbent.len() {
-            if moved.contains(&t) {
-                assert_ne!(
-                    incumbent[t], target_assignment[t],
-                    "task {t} journaled as moved but kept its worker"
-                );
-            } else {
-                assert_eq!(
-                    incumbent[t], target_assignment[t],
-                    "task {t} moved without being journaled"
-                );
-            }
-        }
-        // Migration waves land in order, one trace entry each. (Waves
-        // from earlier whole-plan restores carry other epochs.)
-        let wave_list: Vec<usize> = inc
-            .migration_waves
-            .iter()
-            .filter(|w| w.epoch == migrate_epoch)
-            .map(|w| w.wave)
-            .collect();
-        assert_eq!(wave_list, (0..steps).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn whole_plan_restores_are_traced_as_waves() {
-        let (whole, text) = migration_run(None, false);
-        let whole = whole.unwrap();
-        // Every whole-plan deploy — the early DS2 downscale and the
-        // crash-recovery redeploy — reloads the full state model. The
-        // operator's total state is parallelism-invariant:
-        // state_bytes_per_record (4000) x retained records.
-        let total_state = (4000.0 * RETAINED_RECORDS) as u64;
-        assert_eq!(whole.migration_waves.len(), 2);
-        for wave in &whole.migration_waves {
-            assert_eq!(wave.wave, 0, "whole-plan restores are single-wave");
-            assert_eq!(wave.bytes, total_state);
-            assert!(wave.downtime > 0.0, "restore paused nothing: {wave:?}");
-            // A restore reloads exactly the stateful tasks: the window
-            // operator's subtasks at the parallelism its deploy chose.
-            let parsed = crate::journal::parse_journal(&text).unwrap();
-            let parallelism = parsed
-                .records
-                .iter()
-                .find_map(|r| match r {
-                    DecisionRecord::Prepare {
-                        epoch, parallelism, ..
-                    } if *epoch == wave.epoch => Some(parallelism.clone()),
-                    _ => None,
-                })
-                .expect("restore wave without a matching prepare");
-            assert_eq!(wave.tasks_moved, parallelism[2]);
-        }
-        let sum: f64 = whole.migration_waves.iter().map(|w| w.downtime).sum();
-        assert_eq!(whole.downtime(), sum);
-        // The recovery restore completed after the crash at t=60.
-        assert!(whole.migration_waves[1].completed_at > 60.0);
-    }
-
-    #[test]
-    fn no_state_transfer_means_no_waves() {
-        let (_, trace) = chaos_run(RecoveryConfig::default());
-        assert!(trace.migration_waves.is_empty());
-        assert_eq!(trace.downtime(), 0.0);
-        assert_eq!(trace.bytes_moved(), 0);
-    }
-
-    #[test]
-    fn migration_kill_sweep_recovers_byte_identically() {
-        // Kill after every migration record — after the MigratePrepare
-        // (in-doubt migration rolls forward whole), after each
-        // MigrateStep (mid-wave: the remaining waves roll forward), and
-        // after the MigrateCommit — plus the journal tail. Every
-        // recovery must finish with a byte-identical trace and rewrite
-        // a byte-identical journal.
-        let (baseline, golden_journal) = migration_run(None, true);
-        let golden = baseline.unwrap().to_json().to_string();
-        let parsed = crate::journal::parse_journal(&golden_journal).unwrap();
-        let n = golden_journal.lines().count() as u64;
-        let mut kill_seqs: Vec<u64> = Vec::new();
-        let mut migrate_epoch = None;
-        for (i, r) in parsed.records.iter().enumerate() {
-            match r {
-                DecisionRecord::MigratePrepare { epoch, .. } => {
-                    migrate_epoch = Some(*epoch);
-                    kill_seqs.push(i as u64);
-                }
-                DecisionRecord::MigrateStep { .. } | DecisionRecord::MigrateCommit { .. } => {
-                    kill_seqs.push(i as u64);
-                }
-                _ => {}
-            }
-        }
-        assert!(
-            kill_seqs.len() >= 3,
-            "migration journaled too few records to sweep: {kill_seqs:?}"
-        );
-        kill_seqs.push(n - 1);
-        for &k in &kill_seqs {
-            let (result, partial) = migration_run(Some(KillPoint::AfterRecord(k)), true);
-            match result {
-                Err(ControllerError::ControllerKilled { seq, .. }) => assert_eq!(seq, k + 1),
-                other => panic!("kill at record {k} did not fire: {other:?}"),
-            }
-            assert_eq!(
-                partial.lines().count() as u64,
-                k + 1,
-                "journal must hold exactly the records up to the kill"
-            );
-            let (trace, rewritten) = migration_recover_and_finish(&partial);
-            assert_eq!(
-                trace.to_json().to_string(),
-                golden,
-                "recovered trace diverged after kill at record {k}"
-            );
-            assert_eq!(
-                rewritten, golden_journal,
-                "recovered journal diverged after kill at record {k}"
-            );
-        }
-        // Mid-reconfiguration kill on the migration's own epoch: the
-        // controller dies at the MigratePrepare and the whole migration
-        // rolls forward in the recovered run.
-        let epoch = migrate_epoch.expect("no migrate-prepare in golden journal");
-        let (result, partial) = migration_run(Some(KillPoint::MidReconfig(epoch)), true);
-        assert!(
-            matches!(result, Err(ControllerError::ControllerKilled { .. })),
-            "mid-migration kill did not fire"
-        );
-        let tail = crate::journal::parse_journal(&partial).unwrap();
-        assert!(
-            matches!(
-                tail.records.last(),
-                Some(DecisionRecord::MigratePrepare { epoch: e, .. }) if *e == epoch
-            ),
-            "journal tail is not the in-doubt migrate-prepare"
-        );
-        let (trace, rewritten) = migration_recover_and_finish(&partial);
-        assert_eq!(trace.to_json().to_string(), golden);
-        assert_eq!(rewritten, golden_journal);
-    }
 
     #[test]
     fn migration_builders_validate_their_inputs() {
@@ -3165,650 +2534,5 @@ mod tests {
             }),
             Err(ControllerError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn stale_epoch_deployment_is_fenced() {
-        // A controller whose fence has been advanced from outside (a
-        // newer controller superseded it) must fail its next deployment
-        // with FencedEpoch, not retry or deploy.
-        let query = q1_sliding().with_parallelism(&[1, 1, 1, 1]).unwrap();
-        let cluster = small_cluster();
-        let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let loop_ = ClosedLoop::new(
-            &query,
-            &cluster,
-            &strategy,
-            fast_ds2(),
-            SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            },
-            RateSchedule::Constant(target),
-            7,
-        )
-        .unwrap();
-        let fence = loop_.fence().clone();
-        fence.advance_to(1000).unwrap();
-        match loop_.run(300.0) {
-            Err(ControllerError::FencedEpoch { attempted, current }) => {
-                assert!(attempted <= 1000);
-                assert_eq!(current, 1000);
-            }
-            other => panic!("expected FencedEpoch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn recovery_validates_journal_against_inputs() {
-        let (result, text) = journaled_chaos_run(None);
-        result.unwrap();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let small = small_cluster();
-        let strategy = CapsStrategy::default();
-        let cfg = Ds2Config {
-            activation_period: 60.0,
-            ..fast_ds2()
-        };
-        let sim_cfg = SimConfig {
-            duration: 1.0,
-            warmup: 0.0,
-            ..SimConfig::default()
-        };
-        // Wrong worker count.
-        let err = ClosedLoop::recover_from_journal(
-            &q1_sliding(),
-            &small,
-            &strategy,
-            cfg.clone(),
-            sim_cfg.clone(),
-            RateSchedule::Constant(1000.0),
-            &text,
-        )
-        .err()
-        .expect("recovery on the wrong cluster must fail");
-        assert!(matches!(err, ControllerError::JournalReplay(_)), "{err}");
-        // Wrong starting parallelism.
-        let err = ClosedLoop::recover_from_journal(
-            &q1_sliding().with_parallelism(&[1, 1, 1, 1]).unwrap(),
-            &cluster,
-            &strategy,
-            cfg,
-            sim_cfg,
-            RateSchedule::Constant(1000.0),
-            &text,
-        )
-        .err()
-        .expect("recovery with the wrong parallelism must fail");
-        assert!(matches!(err, ControllerError::JournalReplay(_)), "{err}");
-    }
-
-    /// A governed scenario that reliably rolls back: the model goes
-    /// stale at t=70, a rate step at t=80 goads DS2 onto the stale
-    /// model, and the governor restores the trusted plan. Returns the
-    /// trace and the journal text.
-    fn guard_run(seed: u64, guard: bool) -> (ClosedLoopTrace, String) {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let base = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let plan = FaultPlan::new(vec![])
-            .unwrap()
-            .with_model_skew(ModelSkew {
-                time: 70.0,
-                factor: 3.5,
-            })
-            .unwrap();
-        let mut loop_ = ClosedLoop::new(
-            &query,
-            &cluster,
-            &strategy,
-            Ds2Config {
-                activation_period: 60.0,
-                ..fast_ds2()
-            },
-            SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            },
-            RateSchedule::Steps(vec![(0.0, base), (80.0, 1.8 * base)]),
-            seed,
-        )
-        .unwrap()
-        .with_fault_plan(plan)
-        .unwrap();
-        if guard {
-            loop_ = loop_.with_guard(GuardConfig::default()).unwrap();
-        }
-        let (journal, buf) = DecisionJournal::in_memory();
-        let trace = loop_.with_journal(journal).unwrap().run(200.0).unwrap();
-        (trace, buf.text())
-    }
-
-    #[test]
-    fn prop_rollback_keeps_epochs_monotonic_and_seqs_contiguous() {
-        forall!(Config::default().cases(6), (
-            seed in ints(0u64..1000),
-        ) => {
-            let (trace, text) = guard_run(*seed, true);
-            assert!(
-                !trace.rollback_events.is_empty(),
-                "scenario must roll back (seed {seed})"
-            );
-            // Frame level: sequence numbers are contiguous from 0.
-            for (i, line) in text.lines().enumerate() {
-                let frame = Json::parse(line).unwrap();
-                assert_eq!(
-                    frame.get("seq").and_then(Json::as_f64),
-                    Some(i as f64),
-                    "sequence gap at journal line {i} (seed {seed})"
-                );
-            }
-            // Record level: every epoch-burning record — Prepare or
-            // Rollback alike — uses a strictly increasing epoch.
-            let parsed = crate::journal::parse_journal(&text).unwrap();
-            assert!(!parsed.torn);
-            let mut last = 0u64;
-            let mut saw_rollback = false;
-            for rec in &parsed.records {
-                let e = match rec {
-                    DecisionRecord::Prepare { epoch, .. } => *epoch,
-                    DecisionRecord::Rollback { epoch, .. } => {
-                        saw_rollback = true;
-                        *epoch
-                    }
-                    _ => continue,
-                };
-                assert!(
-                    e > last,
-                    "epoch {e} did not increase past {last} (seed {seed})"
-                );
-                last = e;
-            }
-            assert!(saw_rollback, "journal holds no rollback record (seed {seed})");
-        });
-    }
-
-    #[test]
-    fn prop_no_redeploy_inside_cooldown() {
-        forall!(Config::default().cases(6), (
-            seed in ints(0u64..1000),
-        ) => {
-            let (trace, _) = guard_run(*seed, true);
-            assert!(!trace.rollback_events.is_empty(), "scenario must roll back");
-            for rb in &trace.rollback_events {
-                for ev in &trace.events {
-                    assert!(
-                        ev.time <= rb.time + 1e-9 || ev.time + 1e-9 >= rb.cooldown_until,
-                        "scaling redeploy at t={} inside cooldown ({}, {}) (seed {seed})",
-                        ev.time,
-                        rb.time,
-                        rb.cooldown_until
-                    );
-                }
-                for other in &trace.rollback_events {
-                    assert!(
-                        other.time <= rb.time + 1e-9 || other.time + 1e-9 >= rb.cooldown_until,
-                        "rollback at t={} inside another rollback's cooldown (seed {seed})",
-                        other.time
-                    );
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn prop_quarantined_plan_never_redeployed_before_ttl() {
-        forall!(Config::default().cases(6), (
-            seed in ints(0u64..1000),
-        ) => {
-            let (trace, text) = guard_run(*seed, true);
-            let parsed = crate::journal::parse_journal(&text).unwrap();
-            let ttl = crate::guard::QUARANTINE_TTL;
-            for rb in &trace.rollback_events {
-                // The regressed plan is the Prepare that burned the
-                // rollback's from_epoch.
-                let regressed = parsed
-                    .records
-                    .iter()
-                    .find_map(|r| match r {
-                        DecisionRecord::Prepare {
-                            epoch, parallelism, ..
-                        } if *epoch == rb.from_epoch => Some(parallelism.clone()),
-                        _ => None,
-                    })
-                    .expect("rollback's from_epoch has a journaled prepare");
-                for ev in &trace.events {
-                    if ev.time > rb.time && ev.time < rb.time + ttl {
-                        assert_ne!(
-                            ev.parallelism, regressed,
-                            "quarantined plan redeployed at t={} before its TTL (seed {seed})",
-                            ev.time
-                        );
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn idle_guard_leaves_the_trace_byte_identical() {
-        // Healthy scenario (no skew): every canary commits, so the
-        // governed run must behave — and serialize — exactly like the
-        // unguarded one.
-        let run = |guard: bool| {
-            let query = q1_sliding().with_parallelism(&[1, 1, 1, 1]).unwrap();
-            let cluster = small_cluster();
-            let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-            let strategy = CapsStrategy::default();
-            let mut loop_ = ClosedLoop::new(
-                &query,
-                &cluster,
-                &strategy,
-                fast_ds2(),
-                SimConfig {
-                    duration: 1.0,
-                    warmup: 0.0,
-                    ..SimConfig::default()
-                },
-                RateSchedule::Constant(target),
-                7,
-            )
-            .unwrap();
-            if guard {
-                loop_ = loop_.with_guard(GuardConfig::default()).unwrap();
-            }
-            loop_.run(200.0).unwrap()
-        };
-        let off = run(false);
-        let on = run(true);
-        assert!(on.num_scalings() >= 1, "scenario must actually reconfigure");
-        assert!(
-            on.rollback_events.is_empty(),
-            "healthy canaries must commit"
-        );
-        assert_eq!(off.to_json().to_string(), on.to_json().to_string());
-    }
-
-    #[test]
-    fn governed_crash_recovery_is_byte_identical() {
-        // Kill the governed scenario right after its first Rollback
-        // record: recovery must re-derive the same verdict, finish the
-        // interrupted rollback, and reproduce the golden trace and
-        // journal byte-for-byte.
-        let (golden_trace, golden_journal) = guard_run(7, true);
-        assert!(!golden_trace.rollback_events.is_empty());
-        let golden = golden_trace.to_json().to_string();
-        let parsed = crate::journal::parse_journal(&golden_journal).unwrap();
-        let rollback_at = parsed
-            .records
-            .iter()
-            .position(|r| matches!(r, DecisionRecord::Rollback { .. }))
-            .expect("governed journal holds a rollback") as u64;
-
-        let rerun = |kill: Option<KillPoint>,
-                     journal_text: Option<&str>|
-         -> (Result<ClosedLoopTrace, ControllerError>, String) {
-            let query = q1_sliding();
-            let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-            let base = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-            let strategy = CapsStrategy::default();
-            let schedule = RateSchedule::Steps(vec![(0.0, base), (80.0, 1.8 * base)]);
-            let ds2 = Ds2Config {
-                activation_period: 60.0,
-                ..fast_ds2()
-            };
-            let sim_cfg = SimConfig {
-                duration: 1.0,
-                warmup: 0.0,
-                ..SimConfig::default()
-            };
-            let loop_ = match journal_text {
-                None => {
-                    ClosedLoop::new(&query, &cluster, &strategy, ds2, sim_cfg, schedule, 7).unwrap()
-                }
-                Some(t) => ClosedLoop::recover_from_journal(
-                    &query, &cluster, &strategy, ds2, sim_cfg, schedule, t,
-                )
-                .unwrap(),
-            };
-            let mut plan = FaultPlan::new(vec![])
-                .unwrap()
-                .with_model_skew(ModelSkew {
-                    time: 70.0,
-                    factor: 3.5,
-                })
-                .unwrap();
-            if let Some(k) = kill {
-                plan = plan.with_controller_kill(k).unwrap();
-            }
-            let (journal, buf) = DecisionJournal::in_memory();
-            let result = loop_
-                .with_fault_plan(plan)
-                .unwrap()
-                .with_guard(GuardConfig::default())
-                .unwrap()
-                .with_journal(journal)
-                .unwrap()
-                .run(200.0);
-            (result, buf.text())
-        };
-
-        // Die with the Rollback at the journal tail (in doubt).
-        let (result, partial) = rerun(Some(KillPoint::AfterRecord(rollback_at)), None);
-        assert!(
-            matches!(result, Err(ControllerError::ControllerKilled { .. })),
-            "kill after the rollback record did not fire"
-        );
-        let tail = crate::journal::parse_journal(&partial).unwrap();
-        assert!(
-            matches!(tail.records.last(), Some(DecisionRecord::Rollback { .. })),
-            "partial journal does not end at the in-doubt rollback"
-        );
-        let (recovered, rewritten) = rerun(None, Some(&partial));
-        assert_eq!(recovered.unwrap().to_json().to_string(), golden);
-        assert_eq!(rewritten, golden_journal);
-    }
-
-    /// A flash crowd far beyond any deployable capacity: base rate at
-    /// half capacity, one trapezoid episode multiplying it by 8 for a
-    /// minute. DS2 is pinned (huge activation period) so overload
-    /// protection is the only control that can act. Returns the run
-    /// outcome and the journal text.
-    fn shed_run(
-        kill: Option<KillPoint>,
-        journal_text: Option<&str>,
-    ) -> (Result<ClosedLoopTrace, ControllerError>, String) {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let base = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let strategy = CapsStrategy::default();
-        let schedule = RateSchedule::Program(RateProgram {
-            base,
-            origin: 0.0,
-            growth_per_sec: 0.0,
-            diurnal_amplitude: 0.0,
-            diurnal_period: 0.0,
-            diurnal_phase: 0.0,
-            flashes: vec![capsys_model::FlashCrowd {
-                start: 60.0,
-                ramp: 5.0,
-                hold: 60.0,
-                decay: 5.0,
-                magnitude: 7.0,
-            }],
-            horizon: 240.0,
-        });
-        let ds2 = Ds2Config {
-            activation_period: 1e6,
-            ..fast_ds2()
-        };
-        let sim_cfg = SimConfig {
-            duration: 1.0,
-            warmup: 0.0,
-            ..SimConfig::default()
-        };
-        let loop_ = match journal_text {
-            None => {
-                ClosedLoop::new(&query, &cluster, &strategy, ds2, sim_cfg, schedule, 7).unwrap()
-            }
-            Some(t) => ClosedLoop::recover_from_journal(
-                &query, &cluster, &strategy, ds2, sim_cfg, schedule, t,
-            )
-            .unwrap(),
-        };
-        let mut plan = FaultPlan::new(vec![]).unwrap();
-        if let Some(k) = kill {
-            plan = plan.with_controller_kill(k).unwrap();
-        }
-        let (journal, buf) = DecisionJournal::in_memory();
-        let result = loop_
-            .with_fault_plan(plan)
-            .unwrap()
-            .with_shedding(ShedConfig::default())
-            .unwrap()
-            .with_journal(journal)
-            .unwrap()
-            .run(200.0);
-        (result, buf.text())
-    }
-
-    #[test]
-    fn shedding_engages_and_releases_under_a_flash_crowd() {
-        let (result, journal) = shed_run(None, None);
-        let trace = result.unwrap();
-        assert!(
-            !trace.shed_events.is_empty(),
-            "an 8x flash crowd must engage overload protection"
-        );
-        let first = &trace.shed_events[0];
-        assert!(
-            first.to_fraction > 0.0 && first.to_fraction < 1.0,
-            "engage fraction {} out of range",
-            first.to_fraction
-        );
-        assert!(
-            first.offered > first.capacity,
-            "shedding engaged while offered {} fit capacity {}",
-            first.offered,
-            first.capacity
-        );
-        let last = trace.shed_events.last().unwrap();
-        assert_eq!(
-            last.to_fraction, 0.0,
-            "full admission must be restored once the crowd decays"
-        );
-        assert!(
-            trace.time_shedding(200.0) > 0.0,
-            "the trace must account the shedding span"
-        );
-        // While shedding, admitted pressure is relieved: after the first
-        // engage, backpressure returns below the engage threshold well
-        // before the crowd decays (an unshedded run pins it near 1).
-        let engaged_at = first.time;
-        assert!(
-            trace.points.iter().any(|p| p.time > engaged_at
-                && p.time < 120.0
-                && p.backpressure < crate::shed::ENGAGE_THRESHOLD),
-            "shedding never relieved backpressure during the crowd"
-        );
-        // Every shed decision is journaled and committed.
-        let parsed = crate::journal::parse_journal(&journal).unwrap();
-        let sheds: Vec<u64> = parsed
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                DecisionRecord::Shed { epoch, .. } => Some(*epoch),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sheds.len(), trace.shed_events.len());
-        for e in sheds {
-            assert!(
-                parsed
-                    .records
-                    .iter()
-                    .any(|r| matches!(r, DecisionRecord::Commit { epoch, .. } if *epoch == e)),
-                "shed epoch {e} has no commit"
-            );
-        }
-    }
-
-    #[test]
-    fn idle_shedder_leaves_the_trace_byte_identical() {
-        // Healthy scenario: offered load always fits, so the armed
-        // admission controller must never act — and the trace must
-        // serialize exactly like the unprotected run's.
-        let run = |shed: bool| {
-            let query = q1_sliding().with_parallelism(&[1, 1, 1, 1]).unwrap();
-            let cluster = small_cluster();
-            let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-            let strategy = CapsStrategy::default();
-            let mut loop_ = ClosedLoop::new(
-                &query,
-                &cluster,
-                &strategy,
-                fast_ds2(),
-                SimConfig {
-                    duration: 1.0,
-                    warmup: 0.0,
-                    ..SimConfig::default()
-                },
-                RateSchedule::Constant(target),
-                7,
-            )
-            .unwrap();
-            if shed {
-                loop_ = loop_.with_shedding(ShedConfig::default()).unwrap();
-            }
-            loop_.run(200.0).unwrap()
-        };
-        let off = run(false);
-        let on = run(true);
-        assert!(on.num_scalings() >= 1, "scenario must actually reconfigure");
-        assert!(on.shed_events.is_empty(), "healthy load must not be shed");
-        assert_eq!(off.to_json().to_string(), on.to_json().to_string());
-    }
-
-    #[test]
-    fn shed_crash_recovery_is_byte_identical() {
-        // Kill the run right after its first Shed record — the change is
-        // in doubt. Recovery must re-derive the same admission verdict,
-        // roll the shed forward, and reproduce the golden trace and
-        // journal byte-for-byte.
-        let (golden_result, golden_journal) = shed_run(None, None);
-        let golden_trace = golden_result.unwrap();
-        assert!(!golden_trace.shed_events.is_empty());
-        let golden = golden_trace.to_json().to_string();
-        let shed_at = crate::journal::parse_journal(&golden_journal)
-            .unwrap()
-            .records
-            .iter()
-            .position(|r| matches!(r, DecisionRecord::Shed { .. }))
-            .expect("journal holds a shed record") as u64;
-
-        let (result, partial) = shed_run(Some(KillPoint::AfterRecord(shed_at)), None);
-        assert!(
-            matches!(result, Err(ControllerError::ControllerKilled { .. })),
-            "kill after the shed record did not fire"
-        );
-        let tail = crate::journal::parse_journal(&partial).unwrap();
-        assert!(
-            matches!(tail.records.last(), Some(DecisionRecord::Shed { .. })),
-            "partial journal does not end at the in-doubt shed"
-        );
-        let (recovered, rewritten) = shed_run(None, Some(&partial));
-        assert_eq!(recovered.unwrap().to_json().to_string(), golden);
-        assert_eq!(rewritten, golden_journal);
-    }
-
-    /// An adversarial end-to-end scenario: a [`capsys_sim::WorkloadEngine`]
-    /// program (diurnal swing, a flash crowd, organic growth) drives a
-    /// loop with scaling, the drift-aware governor, and overload
-    /// protection all armed.
-    fn hostile_run(
-        seed: u64,
-        kill: Option<KillPoint>,
-        journal_text: Option<&str>,
-    ) -> (Result<ClosedLoopTrace, ControllerError>, String) {
-        use capsys_sim::{WorkloadConfig, WorkloadEngine};
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-        let base = q1_sliding().capacity_rate(&cluster, 0.4).unwrap();
-        let strategy = CapsStrategy::default();
-        let engine = WorkloadEngine::new(WorkloadConfig {
-            seed,
-            horizon: 200.0,
-            base_rate: base,
-            diurnal_amplitude: (0.1, 0.3),
-            flashes: 1,
-            flash_magnitude: (2.0, 5.0),
-            growth_per_sec: (0.0, base * 0.002),
-            ..WorkloadConfig::default()
-        })
-        .unwrap();
-        let schedule = engine.generate(&[OperatorId(0)]).unwrap().pop().unwrap().1;
-        let ds2 = Ds2Config {
-            activation_period: 40.0,
-            ..fast_ds2()
-        };
-        let sim_cfg = SimConfig {
-            duration: 1.0,
-            warmup: 0.0,
-            ..SimConfig::default()
-        };
-        let loop_ = match journal_text {
-            None => {
-                ClosedLoop::new(&query, &cluster, &strategy, ds2, sim_cfg, schedule, seed).unwrap()
-            }
-            Some(t) => ClosedLoop::recover_from_journal(
-                &query, &cluster, &strategy, ds2, sim_cfg, schedule, t,
-            )
-            .unwrap(),
-        };
-        let mut plan = FaultPlan::new(vec![]).unwrap();
-        if let Some(k) = kill {
-            plan = plan.with_controller_kill(k).unwrap();
-        }
-        let (journal, buf) = DecisionJournal::in_memory();
-        let result = loop_
-            .with_fault_plan(plan)
-            .unwrap()
-            .with_guard(GuardConfig::default())
-            .unwrap()
-            .with_shedding(ShedConfig::default())
-            .unwrap()
-            .with_journal(journal)
-            .unwrap()
-            .run(200.0);
-        (result, buf.text())
-    }
-
-    #[test]
-    fn prop_hostile_runs_are_sane_and_replay_byte_identically() {
-        forall!(Config::default().cases(3), (
-            seed in ints(0u64..500),
-        ) => {
-            let (result, journal_a) = hostile_run(*seed, None, None);
-            let trace = result.unwrap();
-            // Sanity: hostile traffic never poisons the metric stream.
-            for p in &trace.points {
-                assert!(p.source_throughput.is_finite() && p.source_throughput >= 0.0);
-                assert!(p.target_rate.is_finite() && p.target_rate >= 0.0);
-                assert!((0.0..=1.0).contains(&p.backpressure));
-                assert!(p.latency.is_finite() && p.latency >= 0.0);
-            }
-            // (No blanket "no rollbacks" assert here: under diurnal
-            // swings DS2 can scale in at a trough, and a plan that then
-            // saturates as the cycle swings back up is a *genuine*
-            // regression. The flash-crowd/growth false-positive
-            // discrimination is pinned by the guard unit tests and the
-            // controlled A/B scenarios of `exp_hostile`.)
-            let golden = trace.to_json().to_string();
-            // Same seed, same world: byte-identical trace and journal.
-            let (again, journal_b) = hostile_run(*seed, None, None);
-            assert_eq!(again.unwrap().to_json().to_string(), golden);
-            assert_eq!(journal_b, journal_a);
-            // Crash mid-trace and recover: still byte-identical.
-            let records = journal_a.lines().count() as u64;
-            if records >= 2 {
-                let (dead, partial) =
-                    hostile_run(*seed, Some(KillPoint::AfterRecord(records / 2)), None);
-                assert!(
-                    matches!(dead, Err(ControllerError::ControllerKilled { .. })),
-                    "mid-journal kill did not fire (seed {seed})"
-                );
-                let (recovered, rewritten) = hostile_run(*seed, None, Some(&partial));
-                assert_eq!(
-                    recovered.unwrap().to_json().to_string(),
-                    golden,
-                    "crash recovery diverged from the golden hostile run (seed {seed})"
-                );
-                assert_eq!(rewritten, journal_a);
-            }
-        });
     }
 }

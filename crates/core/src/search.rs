@@ -282,8 +282,8 @@ pub enum Probe {
 }
 
 impl SearchOutcome {
-    /// The recommended plan: the pareto-optimal plan with the smallest
-    /// maximum cost component (ties broken lexicographically).
+    /// The recommended plan: the plan of
+    /// [`best_scored`](SearchOutcome::best_scored).
     pub fn best_plan(&self) -> Option<&Placement> {
         self.best_scored().map(|s| &s.plan)
     }
@@ -294,6 +294,14 @@ impl SearchOutcome {
     /// demand over cluster capacity): imbalance along a dimension with
     /// ample headroom cannot hurt performance, so it should not veto a
     /// plan that balances the dimensions that do matter.
+    ///
+    /// The winner is the pareto plan with the smallest weighted maximum
+    /// component, then the smallest maximum component, then the smallest
+    /// CPU, I/O and network costs in that order. Plans equal on all five
+    /// are not told apart by their assignments: the first in `pareto`
+    /// order wins, which is discovery order after a one-thread search and
+    /// `cmp_scored` order after a multi-thread merge, so such a tie can
+    /// pick a different plan at one thread than at several.
     pub fn best_scored(&self) -> Option<&ScoredPlan> {
         let max_p = self
             .pressure

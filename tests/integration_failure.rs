@@ -3,15 +3,19 @@
 //! Not an experiment from the paper, but the scenario an *adaptive*
 //! resource controller exists for: a worker dies, throughput collapses,
 //! and the controller re-places the job on the surviving workers using
-//! the `free_slots` search extension.
+//! the `free_slots` search extension. The closed-loop crash scenario is
+//! the recovery claim's (`capsys_bench::claims::recovery::crash`); its
+//! same-seed replay is checked byte for byte by `tests/claims.rs`.
+
+use std::time::Duration;
 
 use capsys::caps::{CapsSearch, SearchConfig};
-use capsys::controller::{ClosedLoop, ClosedLoopTrace, LadderRung, RecoveryConfig};
-use capsys::ds2::Ds2Config;
-use capsys::model::{Cluster, RateSchedule, WorkerId, WorkerSpec};
+use capsys::controller::{LadderRung, RecoveryConfig};
+use capsys::model::{Cluster, WorkerId, WorkerSpec};
 use capsys::placement::{CapsStrategy, PlacementContext, PlacementStrategy};
 use capsys::queries::q1_sliding;
-use capsys::sim::{FaultEvent, FaultKind, FaultPlan, SimConfig, Simulation};
+use capsys::sim::{SimConfig, Simulation};
+use capsys_bench::claims::{recovery, Scenario};
 use capsys_util::rng::SeedableRng;
 use capsys_util::rng::SmallRng;
 
@@ -106,59 +110,16 @@ fn caps_replacement_recovers_from_worker_failure() {
     );
 }
 
-/// Runs the self-healing closed loop against a scripted crash of the
-/// worker hosting task 0 and returns (victim, target rate, trace).
-fn chaos_loop_run(seed: u64) -> (WorkerId, f64, ClosedLoopTrace) {
-    let query = q1_sliding();
-    let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).unwrap();
-    let target = query.capacity_rate(&cluster, 0.5).unwrap();
-    let strategy = CapsStrategy::default();
-    let loop_ = ClosedLoop::new(
-        &query,
-        &cluster,
-        &strategy,
-        Ds2Config {
-            activation_period: 60.0,
-            policy_interval: 5.0,
-            max_parallelism: 8,
-            headroom: 1.0,
-        },
-        SimConfig {
-            duration: 1.0,
-            warmup: 0.0,
-            ..SimConfig::default()
-        },
-        RateSchedule::Constant(target),
-        seed,
-    )
-    .unwrap();
-    // Crash a worker the initial placement actually uses, 60s in.
-    let victim = loop_.placement().worker_of(capsys::model::TaskId(0));
-    let plan = FaultPlan {
-        events: vec![FaultEvent {
-            time: 60.0,
-            kind: FaultKind::Crash(victim),
-        }],
-        metric_noise: 0.0,
-        controller_kill: None,
-        model_skew: None,
-        decider_faults: vec![],
-    };
-    let trace = loop_
-        .with_fault_plan(plan)
-        .unwrap()
-        .with_recovery(RecoveryConfig::default())
-        .run(300.0)
-        .expect("closed loop survives a worker crash");
-    (victim, target, trace)
-}
-
 #[test]
 fn closed_loop_detects_crash_and_recovers_throughput() {
-    let (victim, target, trace) = chaos_loop_run(7);
+    // The worker hosting task 0 crashes at t=60s; recovery is armed.
+    let scenario = recovery::crash(7, 300.0).unwrap();
+    let victim = scenario.task0_worker().unwrap();
+    let trace = scenario.run().expect("closed loop survives a worker crash");
 
     // The detector declared exactly the crashed worker down and the
-    // ladder's first rung (full CAPS) re-placed the job.
+    // ladder's first rung (full CAPS) re-placed the job on its first
+    // plan.
     assert_eq!(trace.recovery_events.len(), 1, "expected one recovery");
     let ev = &trace.recovery_events[0];
     assert_eq!(ev.worker, victim);
@@ -167,27 +128,52 @@ fn closed_loop_detects_crash_and_recovers_throughput() {
         "detection at {} outside (60, 90]",
         ev.detected_at
     );
+    assert_eq!(ev.plans_tried, 1);
     assert_eq!(ev.rung, LadderRung::Caps);
+    // With miss_threshold 2 and 5s windows, declaration trails the
+    // first silent heartbeat by one window.
+    assert!(ev.detection_lag > 0.0, "no detection lag recorded");
     assert!(ev.time_to_recover >= ev.detection_lag);
+    assert_eq!(trace.mttr(), Some(ev.time_to_recover));
 
-    // After recovery settles the job tracks >= 95% of its target.
+    // After recovery settles the job tracks >= 95% of its target on
+    // the surviving workers.
     let from = ev.recovered_at + 60.0;
     let tp = trace.avg_throughput(from, 300.0);
+    let tgt = trace.avg_target(from, 300.0);
     assert!(
-        tp >= 0.95 * target,
-        "post-recovery throughput {tp} below 95% of {target}"
+        tp >= 0.95 * tgt,
+        "post-recovery throughput {tp} below 95% of target {tgt}"
     );
     // The outage itself was visible: some throughput was lost.
-    assert!(trace.throughput_loss_area(0.0, 300.0) > 0.0);
+    assert!(trace.throughput_loss_area(60.0, ev.recovered_at + 30.0) > 0.0);
+    // Without state-transfer charging, recovery moves no state.
+    assert!(trace.migration_waves.is_empty());
+    assert_eq!(trace.downtime(), 0.0);
+    assert_eq!(trace.bytes_moved(), 0);
 }
 
 #[test]
-fn closed_loop_chaos_runs_replay_identically() {
-    let (_, _, a) = chaos_loop_run(7);
-    let (_, _, b) = chaos_loop_run(7);
-    assert_eq!(a.recovery_events, b.recovery_events);
-    assert_eq!(a.events, b.events);
-    assert_eq!(a.points, b.points);
+fn zero_search_budget_degrades_to_round_robin() {
+    // A recovery policy whose CAPS rungs get no time at all must fall
+    // through to the round-robin rung, never error.
+    let scenario = Scenario {
+        recovery: Some(RecoveryConfig {
+            search: SearchConfig {
+                time_budget: Some(Duration::ZERO),
+                ..SearchConfig::auto_tuned()
+            },
+        }),
+        ..recovery::crash(7, 300.0).unwrap()
+    };
+    let trace = scenario.run().unwrap();
+    assert_eq!(trace.recovery_events.len(), 1);
+    let ev = &trace.recovery_events[0];
+    assert_eq!(ev.worker, scenario.task0_worker().unwrap());
+    assert_eq!(ev.rung, LadderRung::RoundRobin);
+    // Even the degraded plan keeps the job alive.
+    let tp = trace.avg_throughput(ev.recovered_at + 60.0, 300.0);
+    assert!(tp > 0.0, "round-robin recovery produced no throughput");
 }
 
 #[test]

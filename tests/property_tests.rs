@@ -270,19 +270,16 @@ fn fault_plans_are_pure_functions_of_their_seed() {
 
 #[test]
 fn chaos_recovery_replays_identically_per_seed() {
-    use capsys::controller::{ClosedLoop, RecoveryConfig};
-    use capsys::ds2::Ds2Config;
-    use capsys::queries::q1_sliding;
+    use capsys::controller::RecoveryConfig;
     use capsys::sim::{ChaosConfig, FaultPlan};
+    use capsys_bench::claims::Scenario;
 
     // Full closed-loop runs are comparatively expensive; a few seeds
     // suffice to catch nondeterminism in the detect/re-place path.
     forall!(Config::default().cases(3), (
         seed in ints(0u64..1_000),
     ) => {
-        let query = q1_sliding();
-        let cluster = Cluster::homogeneous(6, WorkerSpec::r5d_xlarge(4)).expect("cluster");
-        let target = query.capacity_rate(&cluster, 0.5).expect("rate");
+        let mut scenario = Scenario::q1(*seed, 200.0).expect("scenario");
         let chaos = ChaosConfig {
             seed: *seed,
             horizon: 200.0,
@@ -290,32 +287,11 @@ fn chaos_recovery_replays_identically_per_seed() {
             metric_noise: 0.02,
             ..ChaosConfig::default()
         };
-        let strategy = capsys::placement::CapsStrategy::default();
-        let run = || {
-            let plan = FaultPlan::generate(&chaos, cluster.num_workers()).expect("fault plan");
-            ClosedLoop::new(
-                &query,
-                &cluster,
-                &strategy,
-                Ds2Config {
-                    activation_period: 60.0,
-                    policy_interval: 5.0,
-                    max_parallelism: 8,
-                    headroom: 1.0,
-                },
-                SimConfig { duration: 1.0, warmup: 0.0, ..SimConfig::default() },
-                RateSchedule::Constant(target),
-                *seed,
-            )
-            .expect("closed loop")
-            .with_fault_plan(plan)
-            .expect("fault plan installs")
-            .with_recovery(RecoveryConfig::default())
-            .run(200.0)
-            .expect("loop survives chaos")
-        };
-        let t1 = run();
-        let t2 = run();
+        let plan = FaultPlan::generate(&chaos, scenario.cluster.num_workers()).expect("fault plan");
+        scenario.faults = Some(plan);
+        scenario.recovery = Some(RecoveryConfig::default());
+        let t1 = scenario.run().expect("loop survives chaos");
+        let t2 = scenario.run().expect("loop survives chaos");
         assert_eq!(t1.recovery_events, t2.recovery_events, "recovery events diverged");
         assert_eq!(t1.events, t2.events, "scaling events diverged");
         assert_eq!(t1.points, t2.points, "metric traces diverged");
