@@ -532,28 +532,21 @@ fn restore_rng(state: [u64; 4]) -> Result<SmallRng, ControllerError> {
     })
 }
 
-/// Moves `sim` to `epoch`. A live decision must win the shared fence —
-/// a stale epoch means this controller was superseded and surfaces as
-/// [`ControllerError::FencedEpoch`]. A replayed one stamps the epoch
-/// unfenced: the journal, not the fence, is the authority on what was
-/// deployed.
-fn fence_epoch(
-    fence: &EpochFence,
-    sim: &mut Simulation,
-    epoch: u64,
-    origin: Origin,
-) -> Result<(), ControllerError> {
+/// Claims `epoch` for a decision. A live decision must win the shared
+/// fence before it touches any state: a stale epoch means this
+/// controller was superseded and surfaces as
+/// [`ControllerError::FencedEpoch`].
+fn fence_epoch(fence: &EpochFence, epoch: u64, origin: Origin) -> Result<(), ControllerError> {
     match origin {
-        Origin::Live => sim.bind_epoch(fence, epoch).map_err(|e| match e {
+        Origin::Live => fence.advance_to(epoch).map_err(|e| match e {
             SimError::StaleEpoch { attempted, current } => {
                 ControllerError::FencedEpoch { attempted, current }
             }
             other => ControllerError::Sim(other),
         }),
-        Origin::Journal => {
-            sim.stamp_epoch(epoch);
-            Ok(())
-        }
+        // A replayed decision is not fenced: the journal, not the fence,
+        // is the authority on what was deployed.
+        Origin::Journal => Ok(()),
     }
 }
 
@@ -1754,13 +1747,13 @@ impl<'a> ClosedLoop<'a> {
                 self.epoch = epoch;
                 self.journal(rec, origin)?;
                 let fate = self.fate(epoch, origin, false)?;
-                // No plan change and no sim swap: the fence binds on the
-                // running simulation, exactly like a migration.
+                // No plan change and no sim swap, but the shed must win
+                // the fence, exactly like a migration.
                 let sim = self
                     .sim
                     .as_mut()
                     .ok_or(ControllerError::SimulationPanicked)?;
-                fence_epoch(&self.fence, sim, epoch, origin)?;
+                fence_epoch(&self.fence, epoch, origin)?;
                 let from_fraction = sim.shed_fraction();
                 sim.set_shed_fraction(fraction);
                 self.commit(epoch, fate)?;
@@ -1817,11 +1810,8 @@ impl<'a> ClosedLoop<'a> {
                 // The live simulation keeps running across the migration,
                 // but the migration itself must win the fence: a
                 // superseded zombie must not move tasks around.
-                let sim = self
-                    .sim
-                    .as_mut()
-                    .ok_or(ControllerError::SimulationPanicked)?;
-                fence_epoch(&self.fence, sim, epoch, origin)?;
+                self.sim()?;
+                fence_epoch(&self.fence, epoch, origin)?;
                 self.migration = Some(MigrationState {
                     epoch,
                     rung,
@@ -2026,15 +2016,17 @@ impl<'a> ClosedLoop<'a> {
 
     /// Swaps in a new deployment: a fresh simulation (the
     /// restart-from-savepoint analogue) with the chaos state accumulated
-    /// so far and the unfired fault-schedule suffix carried over. The new
-    /// simulation takes `epoch` through [`fence_epoch`]: a live deploy
-    /// that loses the fence leaves the current deployment untouched.
+    /// so far and the unfired fault-schedule suffix carried over. A live
+    /// deploy claims `epoch` through [`fence_epoch`] first, so one that
+    /// loses the fence builds nothing and leaves the current deployment
+    /// untouched.
     fn deploy(
         &mut self,
         (query, physical, placement): (Query, PhysicalGraph, Placement),
         epoch: u64,
         origin: Origin,
     ) -> Result<(), ControllerError> {
+        fence_epoch(&self.fence, epoch, origin)?;
         // Shift the schedule so the new simulation continues at the
         // current wall-clock position.
         let offset = self.time;
@@ -2121,7 +2113,6 @@ impl<'a> ClosedLoop<'a> {
                 });
             }
         }
-        fence_epoch(&self.fence, &mut sim, epoch, origin)?;
         // A still-draining wave of the outgoing deployment ends here:
         // close it against the old simulation before it is dropped.
         self.close_open_wave()?;

@@ -1,5 +1,4 @@
-//! The CAPS DFS runner (§5.1): one work-stealing kernel for every
-//! thread count.
+//! The CAPS DFS runner (§5.1): one loop for every thread count.
 //!
 //! The paper parallelizes the search with a thread pool: "Each thread is
 //! initially assigned to a random partition of the search space and can
@@ -9,32 +8,31 @@
 //! results and return the pareto-optimal solution."
 //!
 //! The unit of work is a prefix: the rows of the first few outer layers,
-//! fixed, explored with [`PlanEnumerator::explore_with_prefix`].
+//! fixed, explored with [`PlanEnumerator::explore_with_prefix`]. Before
+//! any thread starts, the caller splits the tree into units, one layer
+//! at a time and in DFS order, until there are at least
+//! `threads * UNITS_PER_THREAD` units or the units fix
+//! `MAX_SPLIT_DEPTH` layers. Threads then claim units in that order from
+//! one shared cursor, so work is shared dynamically (a thread that
+//! finishes early claims the next unit) and the first units claimed are
+//! the ones a one-thread run explores first, whose plans prune best.
 //!
-//! * With one thread, the whole tree is one unit, the root (the empty
-//!   prefix), explored on the caller's thread. There is no sibling to
-//!   steal, so it is never split; there is one plan cache, so nothing is
+//! * With one thread, the split stops at the root (the empty prefix),
+//!   which is explored on the caller's thread: nothing is spawned or
 //!   merged. The store keeps discovery order and the anytime curve is
 //!   reported, both deterministic.
-//! * With more threads, each owns a [`capsys_util::deque::Worker`] deque
-//!   (LIFO for the owner, FIFO for thieves), seeded round-robin with the
-//!   depth-1 prefixes. A thread that picks up a unit while the global
-//!   unit supply is low — or while a sibling has signalled starvation —
-//!   expands it into its children (one more fixed layer) instead of
-//!   exploring it, pushing them onto its own deque where thieves can
-//!   take the oldest, coarsest ones. Splitting is capped at
-//!   `MAX_SPLIT_DEPTH` (3) layers, so prefix-replay overhead stays bounded
-//!   and units finer than depth 1 are only made when someone needs the
-//!   parallelism.
+//! * With more threads, each explores its claimed units with its own
+//!   visitor and plan cache, and the caches are merged under a total
+//!   order (`finalize_merge`).
 //!
-//! Every split, the root's included, runs through a visitor
-//! ([`PlanEnumerator::expand_prefix`]): the split layer's
-//! placements are offered to it exactly as an unsplit traversal offers
-//! them, and only the children it admits become units. Those children
-//! cover every leaf of the parent's subtree, so without the store bound
-//! the set of feasible plans found — and the `plans_found` statistic —
-//! are independent of the steal schedule. Without the store bound, so is
-//! the set of branches the threshold bound cuts, and with it the run's
+//! The split runs through one visitor ([`PlanEnumerator::expand_prefix`]):
+//! each split layer's placements are offered to it exactly as an
+//! unsplit traversal offers them, and only the children it admits become
+//! units. Those children cover every leaf of the parent's subtree, so
+//! without the store bound the set of feasible plans found — and the
+//! `plans_found` statistic — are independent of the thread count and of
+//! which thread claims which unit. Without the store bound, so is the
+//! set of branches the threshold bound cuts, and with it the run's
 //! overflow (`BackendResult::overflow`), which equals the one-thread
 //! value.
 //!
@@ -56,43 +54,34 @@
 //! With one thread the panic unwinds to the caller.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
 
-use capsys_model::PlanEnumerator;
-use capsys_util::deque::{Steal, Stealer, Worker};
+use capsys_model::{PlanEnumerator, SearchStats};
+use capsys_util::fixed::Fixed64;
 
 use crate::error::CapsError;
 use crate::search::{cmp_scored, CapsVisitor, RunStats, ScoredPlan, SearchConfig};
 use crate::strategy::{BackendResult, Problem};
 
-/// Maximum prefix depth for adaptive re-splitting. Deeper splits would
-/// pay more prefix-replay overhead than the parallelism they buy.
+/// Deepest prefix the split makes. Deeper units would pay more
+/// prefix-replay overhead than the parallelism they buy.
 const MAX_SPLIT_DEPTH: usize = 3;
 
-/// A thread splits (rather than explores) a picked-up unit whenever the
-/// global unit supply is below `threads * LOW_WATER`.
-const LOW_WATER: usize = 4;
-
-/// While a sibling is starving, splitting stays on until the supply
-/// reaches `threads * HIGH_WATER`.
-const HIGH_WATER: usize = 32;
-
-/// How many failed steal sweeps a starving thread spin-yields before it
-/// starts sleeping between sweeps.
-const SPIN_SWEEPS: usize = 64;
+/// The split stops once it has this many units per thread, so a thread
+/// that finishes early has units left to claim. More per thread make
+/// the caller expand deeper layers serially before any thread starts. On
+/// two threads of a 2-vCPU VM, Fig. 10a's 128-task α⃗₂/α⃗₃ first-feasible
+/// cells take under 1 ms at 2 per thread and 21–38 ms at 4; at 32 per
+/// thread its 256-task cells take 0.1–4 s instead of about 3 ms.
+const UNITS_PER_THREAD: usize = 2;
 
 /// A work unit: the rows of the first `len` outer layers, fixed.
 type Unit = Vec<Vec<usize>>;
 
 /// State shared by all workers of one run.
+#[derive(Default)]
 struct Shared {
-    stealers: Vec<Stealer<Unit>>,
-    /// Units created but not yet fully explored. Splitting a unit into
-    /// `k` children adds `k - 1` *before* the children are published, so
-    /// `in_flight == 0` proves the space is exhausted.
-    in_flight: AtomicUsize,
-    /// Number of threads currently failing to find work.
-    starving: AtomicUsize,
+    /// Index of the next unclaimed unit.
+    cursor: AtomicUsize,
     /// Cooperative stop: first-feasible hit, budget abort, or worker
     /// panic.
     stop: AtomicBool,
@@ -100,185 +89,123 @@ struct Shared {
     nodes: AtomicUsize,
 }
 
-impl Shared {
-    fn new(stealers: Vec<Stealer<Unit>>) -> Shared {
-        Shared {
-            stealers,
-            in_flight: AtomicUsize::new(0),
-            starving: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            nodes: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// Runs the DFS on `config.threads` threads: one explores on the
-/// caller's thread; more form a work-stealing pool whose per-thread plan
-/// caches are merged.
+/// Runs the DFS on `config.threads` threads: the caller splits the tree
+/// into units, which one thread explores on the caller's thread and
+/// more threads claim from a shared cursor, merging their plan caches.
 pub(crate) fn run(ctx: &Problem<'_>) -> Result<BackendResult, CapsError> {
     let threads = ctx.config.threads;
-    if threads == 1 {
-        return Ok(run_on_caller(ctx));
-    }
-
-    let deques: Vec<Worker<Unit>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let shared = Shared::new(deques.iter().map(|d| d.stealer()).collect());
-    // The seed units are the root's children that the bound admits,
-    // offered to a visitor exactly as the one-thread traversal offers
-    // them, so its cut branches count toward the overflow.
-    let mut root = new_visitor(ctx, &shared);
-    let units = ctx.enumerator.expand_prefix(&[], &mut root);
-    let mut overflow = root.overflow();
-    let mut stats = RunStats {
-        threads,
-        aborted: root.was_aborted(),
-        ..RunStats::default()
-    };
-    if stats.aborted {
+    let shared = Shared::default();
+    let mut root = CapsVisitor::new(ctx, &shared.stop, &shared.nodes);
+    let units = split(ctx.enumerator, threads, &mut root);
+    if root.was_aborted() {
         shared.stop.store(true, Ordering::Relaxed);
     }
-    shared.in_flight.store(units.len(), Ordering::Release);
-    for (i, u) in units.into_iter().enumerate() {
-        deques[i % threads].push(u);
-    }
 
-    let mut merged: Vec<ScoredPlan> = Vec::new();
-    let mut panicked = false;
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (idx, my) in deques.into_iter().enumerate() {
-            let shared = &shared;
-            handles.push(scope.spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut visitor = new_visitor(ctx, shared);
-                    let mut local = RunStats::default();
-                    worker_loop(idx, &my, ctx.enumerator, shared, &mut visitor, &mut local);
-                    let overflow = visitor.overflow();
-                    let found = harvest(visitor, &mut local);
-                    (found, local, overflow)
-                }));
-                // A panicking thread's subtree is incomplete, so the run
-                // must fail; stop the siblings.
-                if result.is_err() {
-                    shared.stop.store(true, Ordering::Relaxed);
-                }
-                result.ok()
-            }));
-        }
-
-        for h in handles {
-            match h.join() {
-                Ok(Some((found, local, theirs))) => {
-                    merged.extend(found);
-                    overflow = overflow
-                        .zip(theirs)
-                        .map(|(mine, theirs)| [0, 1, 2].map(|d| mine[d].min(theirs[d])));
-                    stats.nodes += local.nodes;
-                    stats.pruned += local.pruned;
-                    stats.plans_found += local.plans_found;
-                    stats.aborted |= local.aborted;
-                }
-                Ok(None) | Err(_) => {
-                    shared.stop.store(true, Ordering::Relaxed);
-                    panicked = true;
+    let explored = if threads == 1 {
+        // The split visitor explores the root unit on the caller's
+        // thread: its store keeps discovery order, which `best_scored`
+        // relies on to break exact cost ties.
+        let counts = work(0, ctx.enumerator, &units, &shared, &mut root);
+        vec![(root, counts)]
+    } else {
+        // The split visitor's cut branches count toward the overflow.
+        let mut explored = vec![(root, SearchStats::default())];
+        let mut panicked = false;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|idx| {
+                    let (shared, units) = (&shared, &units);
+                    scope.spawn(move || {
+                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let mut visitor = CapsVisitor::new(ctx, &shared.stop, &shared.nodes);
+                            let counts = work(idx, ctx.enumerator, units, shared, &mut visitor);
+                            (visitor, counts)
+                        }));
+                        // A panicking thread's units are incomplete, so
+                        // the run must fail; stop the siblings.
+                        if result.is_err() {
+                            shared.stop.store(true, Ordering::Relaxed);
+                        }
+                        result.ok()
+                    })
+                })
+                .collect();
+            for h in handles {
+                match h.join() {
+                    Ok(Some(done)) => explored.push(done),
+                    Ok(None) | Err(_) => panicked = true,
                 }
             }
+        });
+        if panicked {
+            return Err(CapsError::SearchPanicked);
         }
-    });
+        explored
+    };
 
-    if panicked {
-        return Err(CapsError::SearchPanicked);
-    }
-
-    stats.elapsed = ctx.start.elapsed();
-    Ok(BackendResult {
-        plans: finalize_merge(merged, ctx.config),
-        stats,
-        // Improvement times depend on the steal schedule; reporting them
-        // would leak nondeterminism into the outcome.
-        anytime: Vec::new(),
-        mcts: None,
-        overflow: overflow.filter(|_| complete(&shared, &stats)),
-    })
-}
-
-/// The one-thread run: the root unit on the caller's thread, with no
-/// deque, no spawned thread and no merge. The store keeps discovery
-/// order, which `best_scored` relies on to break exact cost ties.
-fn run_on_caller(ctx: &Problem<'_>) -> BackendResult {
-    let shared = Shared::new(Vec::new());
-    let mut visitor = new_visitor(ctx, &shared);
     let mut stats = RunStats {
-        threads: 1,
+        threads,
         ..RunStats::default()
     };
-    explore_unit(ctx.enumerator, &[], &mut visitor, &mut stats);
-    let anytime = visitor.take_anytime();
-    let overflow = visitor.overflow();
-    let plans = harvest(visitor, &mut stats);
+    let mut overflow = Some([Fixed64::MAX; 3]);
+    let mut plans = Vec::new();
+    let mut anytime = Vec::new();
+    for (mut visitor, counts) in explored {
+        stats.nodes += counts.nodes;
+        stats.pruned += counts.pruned;
+        stats.plans_found += counts.plans;
+        stats.aborted |= visitor.was_aborted();
+        overflow = overflow
+            .zip(visitor.overflow())
+            .map(|(mine, theirs)| [0, 1, 2].map(|d| mine[d].min(theirs[d])));
+        anytime.extend(visitor.take_anytime());
+        plans.extend(visitor.into_found());
+    }
+    if threads > 1 {
+        // Discovery order and improvement times depend on which thread
+        // claimed which unit, so neither is reported.
+        plans = finalize_merge(plans, ctx.config);
+        anytime.clear();
+    }
+    // Only a run that explored its whole tree (no abort and no stop
+    // raised) has an overflow that bounds every plan.
+    let complete = !stats.aborted && !shared.stop.load(Ordering::Relaxed);
     stats.elapsed = ctx.start.elapsed();
-    BackendResult {
+    Ok(BackendResult {
         plans,
         stats,
         anytime,
         mcts: None,
-        overflow: overflow.filter(|_| complete(&shared, &stats)),
+        overflow: overflow.filter(|_| complete),
+    })
+}
+
+/// Splits the tree into units for `threads` threads, one layer at a time
+/// in DFS order, through `visitor`. One thread gets the root unit.
+fn split(enumerator: &PlanEnumerator, threads: usize, visitor: &mut CapsVisitor<'_>) -> Vec<Unit> {
+    let depth = MAX_SPLIT_DEPTH.min(enumerator.order().len());
+    let mut units: Vec<Unit> = vec![Vec::new()];
+    for _ in 0..depth {
+        if threads == 1 || units.len() >= threads * UNITS_PER_THREAD || visitor.was_aborted() {
+            break;
+        }
+        units = units
+            .iter()
+            .flat_map(|u| enumerator.expand_prefix(u, visitor))
+            .collect();
     }
+    units
 }
 
-/// Whether the run explored its whole tree: no budget abort and no stop
-/// (first-feasible hit, abort or panic) raised. Only then is the minimum
-/// overflow over the pruned branches a bound on every plan (a visitor
-/// whose store bound cut a branch reports none of its own).
-fn complete(shared: &Shared, stats: &RunStats) -> bool {
-    !stats.aborted && !shared.stop.load(Ordering::Relaxed)
-}
-
-/// A visitor wired to the run's problem, deadline and shared cells.
-fn new_visitor<'a>(ctx: &Problem<'a>, shared: &'a Shared) -> CapsVisitor<'a> {
-    CapsVisitor::new(
-        ctx.physical,
-        ctx.model,
-        ctx.topo,
-        ctx.bound,
-        ctx.config,
-        ctx.deadline,
-        &shared.stop,
-        &shared.nodes,
-    )
-}
-
-/// Explores one unit's subtree and adds its counts to `local`.
-fn explore_unit(
-    enumerator: &PlanEnumerator,
-    unit: &[Vec<usize>],
-    visitor: &mut CapsVisitor<'_>,
-    local: &mut RunStats,
-) {
-    let s = enumerator.explore_with_prefix(unit, visitor);
-    local.nodes += s.nodes;
-    local.pruned += s.pruned;
-    local.plans_found += s.plans;
-}
-
-/// Folds the visitor's abort flag into `local` and returns its plan
-/// cache in discovery order.
-fn harvest(visitor: CapsVisitor<'_>, local: &mut RunStats) -> Vec<ScoredPlan> {
-    local.aborted |= visitor.was_aborted();
-    visitor.into_found()
-}
-
-/// The per-thread scheduling loop: pop own work, steal when empty, split
-/// units while siblings starve, explore otherwise.
-fn worker_loop(
+/// One thread's loop: claim the next unit, explore it, repeat until the
+/// units run out or the run stops. Returns the explored units' counts.
+fn work(
     idx: usize,
-    my: &Worker<Unit>,
     enumerator: &PlanEnumerator,
+    units: &[Unit],
     shared: &Shared,
     visitor: &mut CapsVisitor<'_>,
-    local: &mut RunStats,
-) {
+) -> SearchStats {
     // Test-only fault hook: lets an integration test (running in its own
     // process) prove that a worker panic surfaces as `SearchPanicked`
     // instead of hanging the remaining workers. Checked once per thread
@@ -287,74 +214,15 @@ fn worker_loop(
         panic!("induced worker panic (CAPSYS_TEST_PANIC_SEARCH)");
     }
 
-    let threads = shared.stealers.len();
-    let split_cap = MAX_SPLIT_DEPTH.min(enumerator.order().len());
-    let mut starving = false;
-    let mut idle_sweeps = 0usize;
+    let mut counts = SearchStats::default();
     while !shared.stop.load(Ordering::Relaxed) {
-        // Acquire: own deque first (LIFO), then sweep the siblings'
-        // stealers starting after our own slot (FIFO — coarsest unit).
-        let mut saw_retry = false;
-        let unit = my.pop().or_else(|| {
-            for k in 1..threads {
-                match shared.stealers[(idx + k) % threads].steal() {
-                    Steal::Success(u) => return Some(u),
-                    Steal::Retry => saw_retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            None
-        });
-
-        let Some(unit) = unit else {
-            if !saw_retry && shared.in_flight.load(Ordering::Acquire) == 0 {
-                break; // Space exhausted.
-            }
-            if !starving {
-                starving = true;
-                shared.starving.fetch_add(1, Ordering::Relaxed);
-            }
-            idle_sweeps += 1;
-            if idle_sweeps < SPIN_SWEEPS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            continue;
+        let Some(unit) = units.get(shared.cursor.fetch_add(1, Ordering::Relaxed)) else {
+            break;
         };
-        if starving {
-            starving = false;
-            shared.starving.fetch_sub(1, Ordering::Relaxed);
-        }
-        idle_sweeps = 0;
-
-        // Adaptive re-split: while units are scarce (or a sibling is
-        // starving), publish this unit's children instead of exploring
-        // it, so thieves can lift whole subtrees off our deque. The
-        // visitor sees the split layer's placements as the one-thread
-        // traversal would, and children it cuts are dropped; a unit
-        // with no admitted child is finished.
-        let supply = shared.in_flight.load(Ordering::Relaxed);
-        let hungry = shared.starving.load(Ordering::Relaxed) > 0;
-        if unit.len() < split_cap
-            && (supply < threads * LOW_WATER || (hungry && supply < threads * HIGH_WATER))
-        {
-            let children = enumerator.expand_prefix(&unit, visitor);
-            match children.len() {
-                0 => {
-                    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
-                n => {
-                    shared.in_flight.fetch_add(n - 1, Ordering::AcqRel);
-                    for child in children {
-                        my.push(child);
-                    }
-                }
-            }
-        } else {
-            explore_unit(enumerator, &unit, visitor, local);
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
+        let s = enumerator.explore_with_prefix(unit, visitor);
+        counts.nodes += s.nodes;
+        counts.pruned += s.pruned;
+        counts.plans += s.plans;
         if visitor.was_aborted() {
             // A budget ran out (or a sibling's stop landed): make sure
             // every sibling stops too.
@@ -362,10 +230,7 @@ fn worker_loop(
             break;
         }
     }
-
-    if starving {
-        shared.starving.fetch_sub(1, Ordering::Relaxed);
-    }
+    counts
 }
 
 /// Applies the storage cap and first-feasible truncation to the merged
@@ -373,7 +238,7 @@ fn worker_loop(
 ///
 /// Plans are ranked by the total order [`cmp_scored`], so the retained
 /// set — and its order — is a deterministic function of the *set* of
-/// plans the threads found, not of the steal schedule that found them.
+/// plans the threads found, not of which thread found which plan.
 pub(crate) fn finalize_merge(
     mut merged: Vec<ScoredPlan>,
     config: &SearchConfig,

@@ -60,9 +60,10 @@ pub struct SearchConfig {
     /// each operator after its upstream operators. The order never
     /// changes whether a plan exists.
     pub reorder: bool,
-    /// Threads of the work-stealing DFS (§5.1). `1` explores on the
-    /// caller's thread and spawns none; its stored plans keep discovery
-    /// order and its anytime curve is reported.
+    /// Threads of the DFS (§5.1), which claim DFS-ordered subtrees from
+    /// one shared cursor. `1` explores on the caller's thread and spawns
+    /// none; its stored plans keep discovery order and its anytime curve
+    /// is reported.
     pub threads: usize,
     /// Stop at the first feasible plan instead of exploring exhaustively.
     pub first_feasible: bool,
@@ -173,9 +174,10 @@ impl SearchConfig {
 /// Total order on scored plans: `max_component` cost first, then the
 /// plan's assignment vector as a deterministic tie-break. Using this
 /// everywhere plans are ranked or truncated makes the stored plan set
-/// independent of thread count and steal schedule. Costs are pure
-/// functions of exact fixed-point load mantissas, so equal plans
-/// compare equal bit-for-bit no matter which schedule scored them.
+/// independent of thread count and of which thread explored which
+/// subtree. Costs are pure functions of exact fixed-point load
+/// mantissas, so equal plans compare equal bit-for-bit no matter which
+/// schedule scored them.
 pub(crate) fn cmp_scored(a: &ScoredPlan, b: &ScoredPlan) -> std::cmp::Ordering {
     a.cost
         .max_component()
@@ -444,23 +446,20 @@ pub(crate) struct CapsVisitor<'a> {
 }
 
 impl<'a> CapsVisitor<'a> {
+    /// A visitor for `ctx` that polls the run's shared stop flag and
+    /// node count.
     pub(crate) fn new(
-        physical: &'a PhysicalGraph,
-        model: &'a CostModel,
-        topo: &'a OpTopology,
-        bound: [Fixed64; 3],
-        config: &SearchConfig,
-        deadline: Option<Instant>,
+        ctx: &Problem<'a>,
         stop_flag: &'a AtomicBool,
         shared_nodes: &'a AtomicUsize,
     ) -> CapsVisitor<'a> {
-        let n_ops = physical.num_operators();
-        let num_workers = model.num_workers();
+        let (config, num_workers) = (ctx.config, ctx.model.num_workers());
+        let n_ops = ctx.physical.num_operators();
         CapsVisitor {
-            physical,
-            model,
-            topo,
-            bound,
+            physical: ctx.physical,
+            model: ctx.model,
+            topo: ctx.topo,
+            bound: ctx.bound,
             num_workers,
             cnt: vec![vec![0; num_workers]; n_ops],
             subtask_worker: vec![Vec::new(); n_ops],
@@ -476,7 +475,7 @@ impl<'a> CapsVisitor<'a> {
             first_feasible: config.first_feasible,
             nodes: 0,
             node_budget: config.node_budget.unwrap_or(usize::MAX),
-            deadline,
+            deadline: ctx.deadline,
             stop_flag,
             shared_nodes,
             overflow: [Fixed64::MAX; 3],

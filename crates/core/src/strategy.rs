@@ -7,10 +7,10 @@
 //! [`SearchConfig::backend`] selects:
 //!
 //! * [`SearchBackend::Dfs`] — the threshold-pruned exhaustive DFS of
-//!   §4.3-4.4 under the work-stealing runner of §5.1
-//!   (`crate::parallel`). One kernel serves every thread count: one
-//!   thread explores the whole tree as a single unit on the caller's
-//!   thread, more threads split it and steal;
+//!   §4.3-4.4 under the runner of §5.1 (`crate::parallel`). One loop
+//!   serves every thread count: one thread explores the whole tree as a
+//!   single unit on the caller's thread, more threads claim the caller's
+//!   DFS-ordered split of it from one shared cursor;
 //! * [`SearchBackend::Mcts`] — a seeded, deterministic Monte Carlo Tree
 //!   Search (`crate::mcts`) for plan spaces too large to exhaust.
 //!
@@ -33,9 +33,9 @@ use crate::search::{AnytimePoint, OpTopology, RunStats, ScoredPlan, SearchConfig
 /// Which search algorithm a [`SearchConfig`] selects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchBackend {
-    /// Threshold-pruned exhaustive DFS under the work-stealing runner,
-    /// on `threads` threads (one runs on the caller's thread). Exhaustive
-    /// within its budget: an un-aborted run proves (in)feasibility.
+    /// Threshold-pruned exhaustive DFS on `threads` threads (one runs
+    /// on the caller's thread). Exhaustive within its budget: an
+    /// un-aborted run proves (in)feasibility.
     Dfs,
     /// Seeded Monte Carlo Tree Search (UCT) over placement prefixes. An
     /// anytime search: it returns its best feasible plans within the

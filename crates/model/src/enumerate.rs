@@ -200,9 +200,8 @@ impl PlanEnumerator {
     /// offers them (the prefix's own rows first).
     ///
     /// The admitted children partition the leaves under `prefix` that the
-    /// visitor would accept, so a work-stealing search can split one
-    /// coarse work unit into finer stealable units mid-run without
-    /// visiting any leaf twice or skipping one; and the visitor sees the
+    /// visitor would accept, so a parallel search can split the tree
+    /// into work units without visiting any leaf twice or skipping one; and the visitor sees the
     /// same `place` calls for the layer as a traversal that never split
     /// there. A prefix that already fixes every layer is returned
     /// unchanged as its own single child. An admit-everything visitor

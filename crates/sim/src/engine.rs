@@ -310,8 +310,6 @@ pub struct Simulation {
     injector: Option<FaultInjector>,
     /// Whether a metric blackout is currently active.
     blackout: bool,
-    /// Reconfiguration epoch this deployment was accepted under.
-    epoch: u64,
     // Cumulative conservation counters.
     total_admitted: f64,
     total_sunk: f64,
@@ -549,7 +547,6 @@ impl Simulation {
             model_skew: 1.0,
             injector: None,
             blackout: false,
-            epoch: 0,
             workers,
             task_schedule,
             schedules: sched_list,
@@ -724,28 +721,6 @@ impl Simulation {
     /// resume mid-blackout when the old one was in one).
     pub fn set_blackout(&mut self, on: bool) {
         self.blackout = on;
-    }
-
-    /// Deploys this simulation under `epoch`, checked against the
-    /// cluster-resident `fence`. A stale epoch is rejected *before* any
-    /// state is touched: on error the simulation keeps its previous
-    /// epoch and the fence does not move, so a zombie controller's
-    /// half-built replacement deployment cannot disturb anything.
-    pub fn bind_epoch(
-        &mut self,
-        fence: &crate::epoch::EpochFence,
-        epoch: u64,
-    ) -> Result<(), SimError> {
-        fence.advance_to(epoch)?;
-        self.epoch = epoch;
-        Ok(())
-    }
-
-    /// Stamps the deployment epoch without consulting any fence. Used
-    /// by journal replay, where the write-ahead log — not the fence —
-    /// is the authority on which reconfigurations were applied.
-    pub fn stamp_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
     }
 
     /// Starts a state transfer: each listed task pauses and its state
@@ -2233,37 +2208,6 @@ mod tests {
             "recovered {}",
             after.avg_throughput
         );
-    }
-
-    #[test]
-    fn stale_epoch_bind_leaves_simulation_untouched() {
-        let c = Cluster::homogeneous(1, worker(4.0)).unwrap();
-        let (g, p, plan, sch) = build(
-            &[
-                (OperatorKind::Source, 1, ResourceProfile::zero()),
-                (OperatorKind::Sink, 1, ResourceProfile::zero()),
-            ],
-            &c,
-            &[0, 0],
-            100.0,
-        );
-        let mut sim = Simulation::new(&g, &p, &c, &plan, &sch, SimConfig::short()).unwrap();
-        let fence = crate::epoch::EpochFence::new();
-        fence.advance_to(5).unwrap();
-        let err = sim.bind_epoch(&fence, 3).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::StaleEpoch {
-                attempted: 3,
-                current: 5
-            }
-        );
-        // The rejected bind moved nothing: not the deployment epoch,
-        // not the fence.
-        assert_eq!(sim.epoch, 0);
-        assert_eq!(fence.current(), 5);
-        sim.bind_epoch(&fence, 6).unwrap();
-        assert_eq!(sim.epoch, 6);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Fencing tokens are the standard defense against zombie controllers:
 //! every reconfiguration carries a monotonically increasing *epoch*, and
-//! the cluster (here, the simulation it deploys onto) refuses any epoch
-//! at or below the one it has already accepted. A controller that
+//! the cluster-resident fence refuses any epoch at or below the one it
+//! has already accepted. The controller claims each live decision's
+//! epoch here before that decision touches any state. A controller that
 //! crashed, was replaced by a recovered instance, and then wakes up and
 //! tries to keep driving the job gets a deterministic
 //! [`SimError::StaleEpoch`] instead of silently clobbering the

@@ -13,11 +13,8 @@
 //! * [`fixed`] — exact Q31.32 fixed-point arithmetic for the search
 //!   cost core (replaces ad-hoc `f64` accumulation and the fixed-point
 //!   crates the ecosystem would normally supply).
-//! * [`deque`] — per-thread LIFO worker deques with FIFO stealers for
-//!   the work-stealing parallel search (replaces `crossbeam-deque`'s
-//!   `Worker`/`Stealer`).
-//! * [`sync`] — poison-free `Mutex` / `RwLock` wrappers over
-//!   `std::sync` (replaces `parking_lot`).
+//! * [`sync`] — a poison-free `Mutex` wrapper over `std::sync`
+//!   (replaces `parking_lot`).
 //! * [`journal`] — append-only, checksummed JSON-lines journal framing
 //!   (CRC-32 frames, torn-tail-tolerant reads) for write-ahead logs.
 //! * [`prop`] — a mini property-testing harness with seeded case
@@ -31,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod deque;
 pub mod fixed;
 pub mod journal;
 pub mod json;

@@ -1,12 +1,12 @@
-//! Poison-free lock wrappers over `std::sync` (std-only `parking_lot`
+//! A poison-free lock wrapper over `std::sync` (std-only `parking_lot`
 //! replacement).
 //!
 //! `parking_lot`'s ergonomic win is that `lock()` returns the guard
 //! directly instead of a `Result` that is `unwrap()`ed at every call
-//! site. These wrappers keep that surface: a poisoned lock (a thread
-//! panicked while holding it) panics here too, which is the only sane
-//! behavior for this workspace — all shared state is search caches and
-//! metrics, worthless after a panic.
+//! site. This wrapper keeps that surface: a poisoned lock (a thread
+//! panicked while holding it) hands back its value as it was, which
+//! suits this workspace's shared state (the epoch fence and the fleet's
+//! tick pool).
 
 use std::sync::{self, LockResult, PoisonError};
 
@@ -27,51 +27,6 @@ impl<T> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> sync::MutexGuard<'_, T> {
         ignore_poison(self.0.lock())
-    }
-
-    /// Tries to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<sync::MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        ignore_poison(self.0.into_inner())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        ignore_poison(self.0.get_mut())
-    }
-}
-
-/// A reader-writer lock whose guards are returned directly.
-#[derive(Debug, Default)]
-pub struct RwLock<T>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        ignore_poison(self.0.read())
-    }
-
-    /// Acquires an exclusive write guard.
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        ignore_poison(self.0.write())
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        ignore_poison(self.0.into_inner())
     }
 }
 
@@ -94,26 +49,6 @@ mod tests {
             }
         });
         assert_eq!(*m.lock(), 8000);
-    }
-
-    #[test]
-    fn try_lock_reports_contention() {
-        let m = Mutex::new(5);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert_eq!(*m.try_lock().unwrap(), 5);
-    }
-
-    #[test]
-    fn rwlock_allows_parallel_reads() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        let r1 = l.read();
-        let r2 = l.read();
-        assert_eq!(r1.len() + r2.len(), 6);
-        drop((r1, r2));
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 
     #[test]

@@ -29,7 +29,10 @@
 #      release (debug/release parity; the simulator goldens include a
 #      fan-out run whose partitions heal, tests/sim_heal_golden.rs),
 #      with the store-bound exactness test (tests/store_bound.rs), the
-#      auto-tuner's plain-scan equivalence
+#      multi-thread DFS's schedule-independence and worker-panic tests
+#      (tests/parallel_schedule.rs, tests/parallel_panic.rs: real thread
+#      interleavings in an optimised build), the auto-tuner's plain-scan
+#      equivalence
 #      (tests/autotune_equivalence.rs), the simulator's allocation
 #      counts (crates/sim/tests/alloc_free_tick.rs: a warm tick phase
 #      allocates nothing) and the fleet tick phase's tests (the same
@@ -180,8 +183,9 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/10" "determinism + search and sim goldens + store-bound + auto-tuner equivalence + tick-phase tests (release)"
+step "7/10" "determinism + search and sim goldens + store-bound + parallel DFS + auto-tuner equivalence + tick-phase tests (release)"
 cargo test -q --release --test golden_determinism --test search_golden --test store_bound \
+    --test parallel_schedule --test parallel_panic \
     --test autotune_equivalence --test sim_golden --test sim_heal_golden
 cargo test -q --release -p capsys-sim --test alloc_free_tick
 cargo test -q --release -p capsys-controller --lib -- fleet::tests::tick_phase

@@ -190,8 +190,8 @@ fn incremental_search_costs_are_bit_identical_to_recost() {
         let loads = loads_for(&g, &physical, 1000.0);
         let search = CapsSearch::new(&g, &physical, &cluster, &loads).expect("search");
         // Exhaustive exercises pure accumulate/undo; the thresholded
-        // run exercises it under bound pruning; multi-threaded under
-        // work stealing. All must store bit-exact costs.
+        // run exercises it under bound pruning; multi-threaded across
+        // shared work units. All must store bit-exact costs.
         assert_bit_exact(&search, &physical, &SearchConfig {
             max_plans: 128,
             ..SearchConfig::exhaustive()

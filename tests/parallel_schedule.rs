@@ -1,11 +1,12 @@
-//! Schedule-independence properties of the work-stealing parallel search.
+//! Schedule-independence properties of the multi-thread DFS.
 //!
-//! The parallel runtime (crates/core/src/parallel.rs) splits subtrees
-//! adaptively and merges per-thread results under a total order, so the
-//! *set* of feasible plans and every search statistic that is a function
-//! of the explored space must be identical across thread counts and
-//! steal schedules. These tests drive that invariant over random
-//! problems on the in-repo property harness (replay failures with
+//! The parallel runtime (crates/core/src/parallel.rs) splits the tree
+//! into DFS-ordered units that threads claim from one shared cursor, and
+//! merges the per-thread results under a total order, so the *set* of
+//! feasible plans and every search statistic that is a function of the
+//! explored space must be identical across thread counts and across
+//! which thread claims which unit. These tests drive that invariant over
+//! random problems on the in-repo property harness (replay failures with
 //! `CAPSYS_PROP_SEED=<seed> cargo test <name>`).
 
 use std::collections::HashMap;

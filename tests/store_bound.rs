@@ -26,7 +26,7 @@ use capsys::model::{
     Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind, PhysicalGraph,
     ResourceProfile, WorkerSpec,
 };
-use capsys::queries::all_queries;
+use capsys::queries::{all_queries, q5_aggregate};
 use capsys_util::forall;
 use capsys_util::prop::{floats, ints, vec_of, Config};
 
@@ -211,4 +211,56 @@ fn random_problems_keep_every_stored_plan() {
         cut.set(tuned | random | cut.get());
     });
     assert!(cut.get(), "no store cut fired on any random problem");
+}
+
+/// The plan set of `out`, sorted: the multi-thread merge orders plans by
+/// cost, the one-thread store by discovery.
+fn plan_set(out: &capsys::caps::SearchOutcome) -> Vec<Vec<usize>> {
+    let mut set: Vec<Vec<usize>> = out
+        .feasible
+        .iter()
+        .map(|s| s.plan.assignment().iter().map(|w| w.0).collect())
+        .collect();
+    set.sort();
+    set
+}
+
+#[test]
+fn parallel_tuned_search_stays_within_ten_times_the_one_thread_nodes() {
+    // Each thread prunes against its own store, so a thread that starts
+    // in a poor subtree fills its store with costly plans that barely
+    // prune. Q5-aggregate on 8 × r5d.xlarge at its tuned thresholds is
+    // a search where that blew up: 120,005 nodes at one thread, the
+    // 20 M-node budget exhausted at two.
+    let query = q5_aggregate();
+    let cluster = Cluster::homogeneous(8, WorkerSpec::r5d_xlarge(4)).expect("valid cluster");
+    let physical = query.physical();
+    let loads = query.load_model(&physical).expect("load model");
+    let search = CapsSearch::new(query.logical(), &physical, &cluster, &loads).expect("search");
+    let thresholds = search
+        .run(&SearchConfig::auto_tuned())
+        .expect("auto-tuned search runs")
+        .thresholds;
+    let config = SearchConfig::with_thresholds(thresholds).incumbent_pruned();
+    let base = search.run(&config).expect("one-thread search runs");
+    assert!(!base.stats.aborted);
+    let budget = 10 * base.stats.nodes;
+    for threads in [2, 4] {
+        let out = search
+            .run(&SearchConfig {
+                threads,
+                node_budget: Some(budget),
+                ..config.clone()
+            })
+            .expect("search runs");
+        assert!(
+            !out.stats.aborted,
+            "{threads} threads ran out of {budget} nodes"
+        );
+        assert_eq!(
+            plan_set(&out),
+            plan_set(&base),
+            "plan set diverged at {threads} threads"
+        );
+    }
 }
