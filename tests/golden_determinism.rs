@@ -14,7 +14,21 @@
 //! cargo run --bin capsys-cli -- plan tests/golden/q1_spec.json \
 //!     > tests/golden/q1_caps_plan.json
 //! ```
+//!
+//! The seeded generators get the same cross-commit check: the `{:?}` of
+//! [`FaultPlan::generate`] and [`WorkloadEngine::generate`] at a few
+//! seeds is pinned in `tests/golden/generated_faults_and_programs.txt`.
+//! If a change intentionally alters a generated schedule, regenerate
+//! with:
+//!
+//! ```text
+//! CAPSYS_BLESS=1 cargo test --test golden_determinism
+//! ```
 
+use std::fmt::Write as _;
+
+use capsys::model::OperatorId;
+use capsys::sim::{ChaosConfig, FaultPlan, WorkloadConfig, WorkloadEngine};
 use capsys::spec::DeploymentSpec;
 use capsys_util::json::{Json, ToJson};
 
@@ -73,4 +87,77 @@ fn simulation_is_deterministic_for_fixed_seed() {
         outcome.to_json().to_string()
     };
     assert_eq!(simulate(30.0), simulate(30.0), "seeded simulation diverged");
+}
+
+const GENERATED_PATH: &str = "tests/golden/generated_faults_and_programs.txt";
+const GENERATED: &str = include_str!("golden/generated_faults_and_programs.txt");
+
+/// Every generated fault plan and rate program of the golden, one line
+/// each: the default configs and configs with every class turned on, at
+/// three seeds.
+fn generated_schedules() -> String {
+    let chaos = [
+        ("default", ChaosConfig::default()),
+        (
+            "every-class",
+            ChaosConfig {
+                crashes: 2,
+                stragglers: 2,
+                blackouts: 2,
+                metric_noise: 0.1,
+                controller_kills: 1,
+                model_skews: 1,
+                ..ChaosConfig::default()
+            },
+        ),
+    ];
+    let workload = [
+        ("default", WorkloadConfig::default()),
+        (
+            "every-class",
+            WorkloadConfig {
+                diurnal_amplitude: (0.2, 0.4),
+                flashes: 2,
+                growth_per_sec: (0.5, 2.0),
+                ..WorkloadConfig::default()
+            },
+        ),
+    ];
+    let sources: Vec<OperatorId> = (0..3).map(OperatorId).collect();
+    let mut out = String::new();
+    for seed in [7, 11, 23] {
+        for (name, config) in &chaos {
+            let config = ChaosConfig {
+                seed,
+                ..config.clone()
+            };
+            let plan = FaultPlan::generate(&config, 6).expect("chaos config generates");
+            writeln!(out, "faults {name} seed {seed}: {plan:?}").unwrap();
+        }
+        for (name, config) in &workload {
+            let config = WorkloadConfig {
+                seed,
+                ..config.clone()
+            };
+            let programs = WorkloadEngine::new(config)
+                .and_then(|e| e.generate(&sources))
+                .expect("workload config generates");
+            writeln!(out, "programs {name} seed {seed}: {programs:?}").unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn generated_schedules_match_committed_golden() {
+    let got = generated_schedules();
+    if std::env::var_os("CAPSYS_BLESS").is_some() {
+        std::fs::write(GENERATED_PATH, &got).expect("golden file is writable");
+        return;
+    }
+    assert!(
+        got == GENERATED,
+        "a generated fault plan or rate program changed; if intentional, \
+         regenerate {GENERATED_PATH} (see module docs)"
+    );
 }
