@@ -6,13 +6,12 @@
 //! ⑤⑥ the plan is deployed. This module glues those stages together
 //! against the simulator.
 
-use std::collections::HashMap;
-
-use capsys_core::{AutoTuneReport, SearchConfig};
+use capsys_core::SearchConfig;
 use capsys_ds2::{Ds2Config, Ds2Controller};
 use capsys_model::{Cluster, LoadModel, LogicalGraph, PhysicalGraph, Placement, ResourceProfile};
 use capsys_placement::{CapsStrategy, PlacementContext, PlacementStrategy};
 use capsys_queries::Query;
+use capsys_sim::config::BURST_DUTY;
 use capsys_util::rng::SeedableRng;
 use capsys_util::rng::SmallRng;
 
@@ -53,8 +52,6 @@ pub struct Deployment {
     pub loads: LoadModel,
     /// Profiling output.
     pub profile: ProfileReport,
-    /// Auto-tuning report from the CAPS search, if tuning ran.
-    pub autotune: Option<AutoTuneReport>,
     /// Slots used.
     pub slots_used: usize,
 }
@@ -148,7 +145,6 @@ impl CapsysController {
             placement,
             loads,
             profile,
-            autotune: None,
             slots_used,
         })
     }
@@ -159,19 +155,11 @@ impl CapsysController {
 pub fn true_rate_from_profile(profile: &ResourceProfile) -> f64 {
     if profile.cpu_per_record > 0.0 {
         // Average over burst cycles: bursts inflate the effective
-        // per-record cost.
-        1.0 / (profile.cpu_per_record * (1.0 + 0.2 * profile.cpu_burst_amplitude))
+        // per-record cost for the simulator's burst duty.
+        1.0 / (profile.cpu_per_record * (1.0 + BURST_DUTY * profile.cpu_burst_amplitude))
     } else {
         f64::INFINITY
     }
-}
-
-/// Convenience: per-source constant-rate schedules for a deployment.
-pub fn deployment_schedules(
-    query: &Query,
-    target_rate: f64,
-) -> HashMap<capsys_model::OperatorId, capsys_model::RateSchedule> {
-    query.schedules(target_rate)
 }
 
 #[cfg(test)]

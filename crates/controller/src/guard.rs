@@ -485,12 +485,6 @@ impl SafetyGovernor {
     pub fn cooldown_until(&self) -> f64 {
         self.cooldown_until
     }
-
-    /// Live (unexpired) quarantine entries as of the last observed
-    /// window.
-    pub fn quarantine_len(&self) -> usize {
-        self.quarantine.len()
-    }
 }
 
 #[cfg(test)]

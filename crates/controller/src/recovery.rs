@@ -87,18 +87,10 @@ impl FailureDetector {
         }
     }
 
-    /// Feeds one reporting window observed at simulated time `now`.
-    /// `metrics_ok == false` marks the window unobserved (metric
-    /// blackout): no staleness clock moves.
-    ///
-    /// Without out-of-band evidence every missing heartbeat is presumed
-    /// a crash — this is [`FailureDetector::observe_with_evidence`]
-    /// with no activity bits.
-    pub fn observe(&mut self, worker_alive: &[bool], metrics_ok: bool, now: f64) -> Detection {
-        self.observe_with_evidence(worker_alive, &[], metrics_ok, now)
-    }
-
-    /// Feeds one reporting window with out-of-band activity evidence.
+    /// Feeds one reporting window observed at simulated time `now`,
+    /// with out-of-band activity evidence. `metrics_ok == false` marks
+    /// the window unobserved (metric blackout): no staleness clock
+    /// moves.
     ///
     /// `worker_activity[w] == true` means worker `w` demonstrably did
     /// work this window even if its heartbeat is missing — its fenced
@@ -450,25 +442,25 @@ mod tests {
     fn detector_requires_consecutive_misses() {
         let mut d = FailureDetector::new(2);
         // One miss: not yet down.
-        let det = d.observe(&[true, false], true, 5.0);
+        let det = d.observe_with_evidence(&[true, false], &[], true, 5.0);
         assert!(det.newly_down.is_empty());
         assert_eq!(d.staleness(WorkerId(1)), 1);
         assert_eq!(d.stale_since(WorkerId(1)), Some(5.0));
         // Heartbeat returns: clock resets.
-        let det = d.observe(&[true, true], true, 10.0);
+        let det = d.observe_with_evidence(&[true, true], &[], true, 10.0);
         assert!(det.newly_down.is_empty() && det.newly_up.is_empty());
         assert_eq!(d.staleness(WorkerId(1)), 0);
         assert_eq!(d.stale_since(WorkerId(1)), None);
         // Two consecutive misses: declared down, exactly once.
-        d.observe(&[true, false], true, 15.0);
-        let det = d.observe(&[true, false], true, 20.0);
+        d.observe_with_evidence(&[true, false], &[], true, 15.0);
+        let det = d.observe_with_evidence(&[true, false], &[], true, 20.0);
         assert_eq!(det.newly_down, vec![WorkerId(1)]);
         assert_eq!(d.stale_since(WorkerId(1)), Some(15.0));
-        let det = d.observe(&[true, false], true, 25.0);
+        let det = d.observe_with_evidence(&[true, false], &[], true, 25.0);
         assert!(det.newly_down.is_empty());
         assert!(d.is_down(WorkerId(1)));
         // Recovery is reported.
-        let det = d.observe(&[true, true], true, 30.0);
+        let det = d.observe_with_evidence(&[true, true], &[], true, 30.0);
         assert_eq!(det.newly_up, vec![WorkerId(1)]);
         assert!(!d.is_down(WorkerId(1)));
     }
@@ -476,15 +468,15 @@ mod tests {
     #[test]
     fn blackout_windows_freeze_staleness() {
         let mut d = FailureDetector::new(1);
-        d.observe(&[false], true, 5.0);
+        d.observe_with_evidence(&[false], &[], true, 5.0);
         // Blackout windows must not advance (nor reset) the clock.
         for i in 0..5 {
-            let det = d.observe(&[false], false, 10.0 + i as f64);
+            let det = d.observe_with_evidence(&[false], &[], false, 10.0 + i as f64);
             assert!(det.newly_down.is_empty());
         }
         assert_eq!(d.staleness(WorkerId(0)), 1);
         assert_eq!(d.stale_since(WorkerId(0)), Some(5.0));
-        let det = d.observe(&[false], true, 20.0);
+        let det = d.observe_with_evidence(&[false], &[], true, 20.0);
         assert_eq!(det.newly_down, vec![WorkerId(0)]);
     }
 
@@ -496,17 +488,17 @@ mod tests {
         // staleness clock must still point at the first missed
         // heartbeat, not at the blackout or the declaration window.
         let mut d = FailureDetector::new(1);
-        let det = d.observe(&[false], true, 5.0);
+        let det = d.observe_with_evidence(&[false], &[], true, 5.0);
         assert!(det.newly_down.is_empty());
         assert_eq!(d.staleness(WorkerId(0)), 1);
         // This window would have been miss #2 == threshold, but it is
         // unobserved.
-        let det = d.observe(&[false], false, 10.0);
+        let det = d.observe_with_evidence(&[false], &[], false, 10.0);
         assert!(det.newly_down.is_empty());
         assert!(!d.is_down(WorkerId(0)));
         assert_eq!(d.staleness(WorkerId(0)), 1);
         // The first observed window after the blackout declares it.
-        let det = d.observe(&[false], true, 15.0);
+        let det = d.observe_with_evidence(&[false], &[], true, 15.0);
         assert_eq!(det.newly_down, vec![WorkerId(0)]);
         assert_eq!(d.stale_since(WorkerId(0)), Some(5.0));
     }
@@ -518,21 +510,21 @@ mod tests {
         // declaration's stale_since belongs to the second outage, and
         // the full threshold must elapse again.
         let mut d = FailureDetector::new(1);
-        d.observe(&[false], true, 5.0);
-        let det = d.observe(&[false], true, 10.0);
+        d.observe_with_evidence(&[false], &[], true, 5.0);
+        let det = d.observe_with_evidence(&[false], &[], true, 10.0);
         assert_eq!(det.newly_down, vec![WorkerId(0)]);
         assert_eq!(d.stale_since(WorkerId(0)), Some(5.0));
         // Heartbeat returns: fully healthy again.
-        let det = d.observe(&[true], true, 15.0);
+        let det = d.observe_with_evidence(&[true], &[], true, 15.0);
         assert_eq!(det.newly_up, vec![WorkerId(0)]);
         assert_eq!(d.staleness(WorkerId(0)), 0);
         assert_eq!(d.stale_since(WorkerId(0)), None);
         // Second outage: one miss is again not enough...
-        let det = d.observe(&[false], true, 20.0);
+        let det = d.observe_with_evidence(&[false], &[], true, 20.0);
         assert!(det.newly_down.is_empty());
         assert!(!d.is_down(WorkerId(0)));
         // ...and the new streak's clock starts at the new first miss.
-        let det = d.observe(&[false], true, 25.0);
+        let det = d.observe_with_evidence(&[false], &[], true, 25.0);
         assert_eq!(det.newly_down, vec![WorkerId(0)]);
         assert_eq!(d.stale_since(WorkerId(0)), Some(20.0));
     }
@@ -582,18 +574,14 @@ mod tests {
 
     #[test]
     fn observe_without_evidence_keeps_legacy_crash_presumption() {
-        // The legacy entry point must behave exactly as before: a
-        // missing heartbeat with no evidence channel is a crash.
+        // A missing heartbeat with no evidence channel is a crash.
         let mut a = FailureDetector::new(2);
-        let mut b = FailureDetector::new(2);
         for (t, alive) in [
             (5.0, [true, false]),
             (10.0, [false, false]),
             (15.0, [false, false]),
         ] {
-            let da = a.observe(&alive, true, t);
-            let db = b.observe_with_evidence(&alive, &[], true, t);
-            assert_eq!(da, db);
+            let da = a.observe_with_evidence(&alive, &[], true, t);
             assert!(da.newly_isolated.is_empty());
         }
         assert!(a.is_down(WorkerId(0)) && a.is_down(WorkerId(1)));

@@ -63,6 +63,21 @@ impl OdrpWeights {
     }
 }
 
+/// One-way network latency between any two workers, seconds (the paper
+/// uses the same latency for all links).
+pub(crate) const LINK_LATENCY: f64 = 0.5e-3;
+
+/// Node budget for each parallelism vector's placement search; once
+/// exceeded the solver keeps its best placement so far and moves on
+/// (optimality is then reported as unproven).
+pub(crate) const INNER_NODE_BUDGET: usize = 200_000;
+
+/// Queueing-utilization cap: utilizations above this are clamped so that
+/// the M/M/1 response-time term stays finite. This reproduces ODRP's
+/// documented flaw of admitting under-provisioned plans (the model has
+/// no objective that *sustains* the input rate).
+pub(crate) const UTILIZATION_CAP: f64 = 0.95;
+
 /// Configuration of the ODRP branch-and-bound solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OdrpConfig {
@@ -73,20 +88,8 @@ pub struct OdrpConfig {
     /// Wall-clock budget; the solver returns its incumbent when the
     /// budget expires (and reports that optimality was not proven).
     pub time_budget: Duration,
-    /// One-way network latency between any two workers, seconds (the
-    /// paper uses the same latency for all links).
-    pub link_latency: f64,
     /// Per-node availability (the paper assumes perfect availability).
     pub availability: f64,
-    /// Node budget for each parallelism vector's placement search; once
-    /// exceeded the solver keeps its best placement so far and moves on
-    /// (optimality is then reported as unproven).
-    pub inner_node_budget: usize,
-    /// Queueing-utilization cap: utilizations above this are clamped so
-    /// that the M/M/1 response-time term stays finite. This reproduces
-    /// ODRP's documented flaw of admitting under-provisioned plans (the
-    /// model has no objective that *sustains* the input rate).
-    pub utilization_cap: f64,
 }
 
 impl Default for OdrpConfig {
@@ -95,10 +98,7 @@ impl Default for OdrpConfig {
             weights: OdrpWeights::default_config(),
             max_parallelism: 16,
             time_budget: Duration::from_secs(60),
-            link_latency: 0.5e-3,
             availability: 1.0,
-            inner_node_budget: 200_000,
-            utilization_cap: 0.95,
         }
     }
 }
@@ -147,6 +147,8 @@ mod tests {
     fn config_builder() {
         let c = OdrpConfig::with_weights(OdrpWeights::latency());
         assert_eq!(c.weights, OdrpWeights::latency());
-        assert!(c.utilization_cap < 1.0);
     }
+
+    // The cap must leave the M/M/1 sojourn time finite.
+    const _: () = assert!(UTILIZATION_CAP < 1.0);
 }

@@ -18,7 +18,7 @@ use capsys_model::{
     Cluster, LoadModel, LogicalGraph, OperatorId, PhysicalGraph, Placement, TaskId,
 };
 
-use crate::config::OdrpConfig;
+use crate::config::{OdrpConfig, LINK_LATENCY, UTILIZATION_CAP};
 use crate::OdrpError;
 
 /// The individual objective values of a candidate solution.
@@ -117,9 +117,7 @@ impl ObjectiveModel {
         // with every edge remote; the worst traffic sends every byte over
         // the network.
         let ones = vec![1usize; n];
-        model.response_max = model
-            .response_time(&ones, Some(model.config.link_latency))
-            .max(1e-9);
+        model.response_max = model.response_time(&ones, Some(LINK_LATENCY)).max(1e-9);
         model.traffic_max = model.op_out_bytes.iter().sum::<f64>().max(1e-9);
         Ok(model)
     }
@@ -138,7 +136,7 @@ impl ObjectiveModel {
         if !mu.is_finite() {
             return 0.0;
         }
-        let cap = self.config.utilization_cap;
+        let cap = UTILIZATION_CAP;
         let rho = self.op_input[op] / (p as f64 * mu);
         if rho < cap {
             (1.0 / mu) / (1.0 - rho)
@@ -165,7 +163,7 @@ impl ObjectiveModel {
         physical: &PhysicalGraph,
         placement: &Placement,
     ) -> f64 {
-        let latency = self.config.link_latency;
+        let latency = LINK_LATENCY;
         self.response_time_with(parallelism, |from, to| {
             latency * edge_remote_fraction(physical, placement, from, to)
         })

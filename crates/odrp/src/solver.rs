@@ -27,7 +27,7 @@ use capsys_model::{
     Cluster, LogicalGraph, OperatorId, PhysicalGraph, Placement, PlanEnumerator, PlanVisitor,
 };
 
-use crate::config::OdrpConfig;
+use crate::config::{OdrpConfig, INNER_NODE_BUDGET};
 use crate::objective::{ObjectiveBreakdown, ObjectiveModel};
 use crate::OdrpError;
 
@@ -125,7 +125,7 @@ impl OdrpSolver {
                 deadline,
                 aborted: false,
                 nodes: 0,
-                node_budget: self.config.inner_node_budget,
+                node_budget: INNER_NODE_BUDGET,
                 link_bytes: (0..n_ops)
                     .map(|op| {
                         let range = physical.operator_tasks(OperatorId(op));

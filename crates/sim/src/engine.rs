@@ -31,7 +31,9 @@ use capsys_model::{
 use capsys_util::rng::SmallRng;
 use capsys_util::rng::{Rng, SeedableRng};
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, BUFFER_SECS, BURST_DUTY, BURST_PERIOD, METRICS_INTERVAL, QUEUE_CAPACITY,
+};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::metrics::{MetricPoint, SimulationReport, SourceStats, TaskRateStats};
@@ -422,7 +424,7 @@ impl Simulation {
 
         // Size each channel queue by the time it should buffer (the
         // buffer-debloating analogue): capacity = peak channel rate x
-        // buffer_secs, floored at `queue_capacity` records.
+        // BUFFER_SECS, floored at QUEUE_CAPACITY records.
         let peak_rates: HashMap<OperatorId, f64> = schedules
             .iter()
             .map(|(&op, s)| (op, s.peak_rate()))
@@ -436,7 +438,7 @@ impl Simulation {
                 ConnectionPattern::Broadcast => 1.0,
                 _ => 1.0 / group_len[ci] as f64,
             };
-            let cap = (out_rate * share * config.buffer_secs).max(config.queue_capacity);
+            let cap = (out_rate * share * BUFFER_SECS).max(QUEUE_CAPACITY);
             channels.push(ChannelState { q: 0.0, cap });
         }
 
@@ -1107,7 +1109,7 @@ impl Simulation {
     fn window_steps(&self, duration: f64) -> (usize, usize) {
         let tick = self.config.tick;
         let steps = (duration / tick).round().max(1.0) as usize;
-        let interval_steps = (self.config.metrics_interval / tick).round().max(1.0) as usize;
+        let interval_steps = (METRICS_INTERVAL / tick).round().max(1.0) as usize;
         (steps, interval_steps)
     }
 
@@ -1194,8 +1196,7 @@ impl Simulation {
 
         // Effective per-record CPU cost: bursts, straggler slowdown,
         // plus optional jitter.
-        let burst_on =
-            (t % self.config.burst_period) < self.config.burst_duty * self.config.burst_period;
+        let burst_on = (t % BURST_PERIOD) < BURST_DUTY * BURST_PERIOD;
         for (i, task) in self.tasks.iter().enumerate() {
             let mut u = task.cpu_unit
                 * self.slowdown[task.worker]

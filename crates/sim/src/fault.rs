@@ -334,6 +334,12 @@ impl FaultPlan {
 
     /// Generates a plan from a seeded RNG: same config and worker count,
     /// same schedule, always.
+    ///
+    /// Classes are drawn in a fixed order: crashes, stragglers,
+    /// blackouts, then the controller kill and the model skew. Link
+    /// degrades, partitions and decider faults are not generated; write
+    /// them as explicit events ([`FaultPlan::new`],
+    /// [`FaultPlan::with_decider_fault`]).
     pub fn generate(config: &ChaosConfig, num_workers: usize) -> Result<FaultPlan, SimError> {
         config.validate()?;
         if num_workers == 0 {
@@ -345,12 +351,10 @@ impl FaultPlan {
         // than workers) so concurrent crashes cannot stack on one victim.
         let mut victims: Vec<usize> = (0..num_workers).collect();
         victims.shuffle(&mut rng);
-        let mut crash_windows: Vec<(usize, f64, f64)> = Vec::new();
         for k in 0..config.crashes {
             let w = WorkerId(victims[k % num_workers]);
             let at = rng.gen_range(0.0..config.horizon * 0.7);
             let downtime = rng.gen_range(config.crash_downtime.0..=config.crash_downtime.1);
-            crash_windows.push((w.0, at, at + downtime));
             events.push(FaultEvent {
                 time: at,
                 kind: FaultKind::Crash(w),
@@ -402,137 +406,6 @@ impl FaultPlan {
             let at = rng.gen_range(0.0..config.horizon * 0.7);
             let factor = rng.gen_range(config.skew_factor.0..=config.skew_factor.1);
             plan = plan.with_model_skew(ModelSkew { time: at, factor })?;
-        }
-        // Link degrades and partitions are the newest classes, drawn
-        // after everything else for the same seed-stability reason.
-        // Windows are rejection-sampled so the generated plan always
-        // passes `validate`: same-kind windows never overlap on one
-        // worker, and partitions avoid crash windows entirely.
-        let overlaps = |windows: &[(usize, f64, f64)], w: usize, s: f64, e: f64| {
-            windows
-                .iter()
-                .any(|&(ww, ws, we)| ww == w && s < we && ws < e)
-        };
-        let mut extra: Vec<FaultEvent> = Vec::new();
-        let mut degrade_windows: Vec<(usize, f64, f64)> = Vec::new();
-        for _ in 0..config.link_degrades {
-            let mut placed = false;
-            for _attempt in 0..64 {
-                let w = rng.gen_range(0..num_workers);
-                let at = rng.gen_range(0.0..config.horizon * 0.7);
-                let dur = rng.gen_range(config.degrade_duration.0..=config.degrade_duration.1);
-                let factor = rng.gen_range(config.degrade_factor.0..=config.degrade_factor.1);
-                if overlaps(&degrade_windows, w, at, at + dur) {
-                    continue;
-                }
-                degrade_windows.push((w, at, at + dur));
-                extra.push(FaultEvent {
-                    time: at,
-                    kind: FaultKind::LinkDegradeStart {
-                        worker: WorkerId(w),
-                        factor,
-                    },
-                });
-                extra.push(FaultEvent {
-                    time: at + dur,
-                    kind: FaultKind::LinkDegradeEnd(WorkerId(w)),
-                });
-                placed = true;
-                break;
-            }
-            if !placed {
-                return Err(SimError::InvalidFaultPlan(
-                    "could not place a non-overlapping link-degrade window; \
-                     lower link_degrades or widen the horizon"
-                        .into(),
-                ));
-            }
-        }
-        let mut partition_windows: Vec<(usize, f64, f64)> = Vec::new();
-        for _ in 0..config.partitions {
-            let mut placed = false;
-            for _attempt in 0..64 {
-                let w = rng.gen_range(0..num_workers);
-                let at = rng.gen_range(0.0..config.horizon * 0.7);
-                let dur = rng.gen_range(config.partition_duration.0..=config.partition_duration.1);
-                if overlaps(&partition_windows, w, at, at + dur)
-                    || overlaps(&crash_windows, w, at, at + dur)
-                {
-                    continue;
-                }
-                partition_windows.push((w, at, at + dur));
-                extra.push(FaultEvent {
-                    time: at,
-                    kind: FaultKind::PartitionStart(WorkerId(w)),
-                });
-                extra.push(FaultEvent {
-                    time: at + dur,
-                    kind: FaultKind::PartitionEnd(WorkerId(w)),
-                });
-                placed = true;
-                break;
-            }
-            if !placed {
-                return Err(SimError::InvalidFaultPlan(
-                    "could not place a partition window clear of crashes and other \
-                     partitions; lower partitions or widen the horizon"
-                        .into(),
-                ));
-            }
-        }
-        if !extra.is_empty() {
-            plan.events.extend(extra);
-            plan.events.sort_by(|a, b| a.time.total_cmp(&b.time));
-        }
-        // Decider faults are the newest class of all, drawn dead last so
-        // enabling a control-plane fault never perturbs the worker-level
-        // schedule of the same seed. Kills pick a distinct shard each
-        // (a process dies once per run); partitions rejection-sample
-        // non-overlapping windows per shard.
-        if config.decider_kills > 0 || config.decider_partitions > 0 {
-            if config.shards == 0 {
-                return Err(SimError::InvalidFaultPlan(
-                    "decider faults need shards > 0 in the chaos config".into(),
-                ));
-            }
-            let mut shard_order: Vec<usize> = (0..config.shards).collect();
-            shard_order.shuffle(&mut rng);
-            for k in 0..config.decider_kills {
-                let at = rng.gen_range(0.0..config.horizon * 0.7);
-                plan = plan.with_decider_fault(DeciderFault {
-                    target: DeciderTarget::Shard(shard_order[k % config.shards]),
-                    kind: DeciderFaultKind::Kill(KillPoint::AtTime(at)),
-                })?;
-            }
-            for _ in 0..config.decider_partitions {
-                let mut placed = false;
-                for _attempt in 0..64 {
-                    let s = rng.gen_range(0..config.shards);
-                    let at = rng.gen_range(0.0..config.horizon * 0.7);
-                    let dur = rng.gen_range(
-                        config.decider_partition_duration.0..=config.decider_partition_duration.1,
-                    );
-                    let candidate = plan.clone().with_decider_fault(DeciderFault {
-                        target: DeciderTarget::Shard(s),
-                        kind: DeciderFaultKind::Partition {
-                            from: at,
-                            until: at + dur,
-                        },
-                    });
-                    if let Ok(p) = candidate {
-                        plan = p;
-                        placed = true;
-                        break;
-                    }
-                }
-                if !placed {
-                    return Err(SimError::InvalidFaultPlan(
-                        "could not place a non-overlapping decider-partition window; \
-                         lower decider_partitions or widen the horizon"
-                            .into(),
-                    ));
-                }
-            }
         }
         Ok(plan)
     }
@@ -711,27 +584,6 @@ pub struct ChaosConfig {
     /// Model-skew CPU-cost multiplier range, each `>= 1`. Only used
     /// when `model_skews > 0`.
     pub skew_factor: (f64, f64),
-    /// Number of per-worker link-degrade episodes.
-    pub link_degrades: usize,
-    /// Link-degrade NIC-bandwidth multiplier range, each in `(0, 1]`.
-    pub degrade_factor: (f64, f64),
-    /// Link-degrade episode duration range, seconds.
-    pub degrade_duration: (f64, f64),
-    /// Number of per-worker network partitions.
-    pub partitions: usize,
-    /// Partition duration range, seconds.
-    pub partition_duration: (f64, f64),
-    /// Number of shard controllers in the control plane that decider
-    /// faults may target. Zero (the default) means a single-controller
-    /// run with no decider fault classes.
-    pub shards: usize,
-    /// Number of shard-controller kills (each aimed at a distinct
-    /// shard; must not exceed `shards`).
-    pub decider_kills: usize,
-    /// Number of shard-controller partition episodes.
-    pub decider_partitions: usize,
-    /// Decider-partition duration range, seconds.
-    pub decider_partition_duration: (f64, f64),
 }
 
 impl Default for ChaosConfig {
@@ -750,15 +602,6 @@ impl Default for ChaosConfig {
             controller_kills: 0,
             model_skews: 0,
             skew_factor: (2.0, 4.0),
-            link_degrades: 0,
-            degrade_factor: (0.1, 0.5),
-            degrade_duration: (20.0, 60.0),
-            partitions: 0,
-            partition_duration: (20.0, 60.0),
-            shards: 0,
-            decider_kills: 0,
-            decider_partitions: 0,
-            decider_partition_duration: (20.0, 60.0),
         }
     }
 }
@@ -820,35 +663,6 @@ impl ChaosConfig {
                 return Err(SimError::InvalidFaultPlan(format!(
                     "skew_factor range ({lo}, {hi}) must satisfy 1 <= min <= max"
                 )));
-            }
-        }
-        if self.link_degrades > 0 {
-            range_ok(self.degrade_duration, "degrade_duration")?;
-            let (lo, hi) = self.degrade_factor;
-            if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi && hi <= 1.0) {
-                return Err(SimError::InvalidFaultPlan(format!(
-                    "degrade_factor range ({lo}, {hi}) must satisfy 0 < min <= max <= 1"
-                )));
-            }
-        }
-        if self.partitions > 0 {
-            range_ok(self.partition_duration, "partition_duration")?;
-        }
-        if self.decider_kills > self.shards {
-            return Err(SimError::InvalidFaultPlan(format!(
-                "decider_kills {} exceeds shards {} (each kill needs a distinct shard)",
-                self.decider_kills, self.shards
-            )));
-        }
-        if self.decider_partitions > 0 {
-            range_ok(
-                self.decider_partition_duration,
-                "decider_partition_duration",
-            )?;
-            if self.shards == 0 {
-                return Err(SimError::InvalidFaultPlan(
-                    "decider_partitions need shards > 0".into(),
-                ));
             }
         }
         Ok(())
@@ -1184,62 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn link_degrade_and_partition_generation_is_deterministic_and_additive() {
-        let cfg = ChaosConfig {
-            crashes: 2,
-            link_degrades: 2,
-            partitions: 1,
-            ..ChaosConfig::default()
-        };
-        let plan = FaultPlan::generate(&cfg, 5).unwrap();
-        assert_eq!(plan, FaultPlan::generate(&cfg, 5).unwrap());
-        plan.validate(5).unwrap();
-        // Filtering out the new kinds recovers the base schedule
-        // exactly: the new classes are drawn after every older one, so
-        // enabling them never perturbs an existing seed.
-        let base = FaultPlan::generate(
-            &ChaosConfig {
-                crashes: 2,
-                ..ChaosConfig::default()
-            },
-            5,
-        )
-        .unwrap();
-        let filtered: Vec<FaultEvent> = plan
-            .events
-            .iter()
-            .copied()
-            .filter(|e| {
-                !matches!(
-                    e.kind,
-                    FaultKind::LinkDegradeStart { .. }
-                        | FaultKind::LinkDegradeEnd(_)
-                        | FaultKind::PartitionStart(_)
-                        | FaultKind::PartitionEnd(_)
-                )
-            })
-            .collect();
-        assert_eq!(filtered, base.events);
-        for e in &plan.events {
-            if let FaultKind::LinkDegradeStart { factor, .. } = e.kind {
-                assert!((cfg.degrade_factor.0..=cfg.degrade_factor.1).contains(&factor));
-            }
-        }
-        let starts = |p: &FaultPlan| {
-            p.events
-                .iter()
-                .filter(|e| matches!(e.kind, FaultKind::PartitionStart(_)))
-                .count()
-        };
-        assert_eq!(starts(&plan), 1);
-        // Shifted views stay valid even when a Start falls off the
-        // front and leaves its End orphaned.
-        for offset in [0.0, 50.0, 150.0, 400.0] {
-            plan.shifted(offset).validate(5).unwrap();
-        }
-    }
-
-    #[test]
     fn overlapping_windows_on_one_worker_are_rejected() {
         let w = WorkerId(0);
         let ev = |time, kind| FaultEvent { time, kind };
@@ -1388,28 +1146,10 @@ mod tests {
             }])
             .is_err());
         }
-        assert!(FaultPlan::generate(
-            &ChaosConfig {
-                link_degrades: 1,
-                degrade_factor: (0.5, 1.5),
-                ..ChaosConfig::default()
-            },
-            4
-        )
-        .is_err());
-        assert!(FaultPlan::generate(
-            &ChaosConfig {
-                partitions: 1,
-                partition_duration: (-1.0, 5.0),
-                ..ChaosConfig::default()
-            },
-            4
-        )
-        .is_err());
     }
 
     #[test]
-    fn decider_faults_are_validated_and_drawn_last() {
+    fn decider_faults_are_validated() {
         // Manual plans: duplicate kills and overlapping partitions on
         // one target are rejected; distinct targets are independent.
         let kill = |t| DeciderFault {
@@ -1465,65 +1205,6 @@ mod tests {
         // Decider faults ride `shifted` unchanged: they live on the
         // global fleet clock.
         assert_eq!(plan.shifted(40.0).decider_faults, plan.decider_faults);
-
-        // Generation: decider faults are drawn after every other class,
-        // so enabling them never perturbs an existing seed's schedule.
-        let cfg = ChaosConfig {
-            crashes: 2,
-            stragglers: 1,
-            shards: 3,
-            decider_kills: 2,
-            decider_partitions: 1,
-            ..ChaosConfig::default()
-        };
-        let gen = FaultPlan::generate(&cfg, 5).unwrap();
-        assert_eq!(gen, FaultPlan::generate(&cfg, 5).unwrap());
-        let base = FaultPlan::generate(
-            &ChaosConfig {
-                crashes: 2,
-                stragglers: 1,
-                ..ChaosConfig::default()
-            },
-            5,
-        )
-        .unwrap();
-        assert_eq!(gen.events, base.events);
-        let kills: Vec<DeciderTarget> = gen
-            .decider_faults
-            .iter()
-            .filter_map(|f| match f.kind {
-                DeciderFaultKind::Kill(_) => Some(f.target),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(kills.len(), 2);
-        assert_ne!(kills[0], kills[1], "kills target distinct shards");
-        assert_eq!(
-            gen.decider_faults
-                .iter()
-                .filter(|f| matches!(f.kind, DeciderFaultKind::Partition { .. }))
-                .count(),
-            1
-        );
-        // Config-level rejection: kills need distinct shards, faults
-        // need shards at all.
-        assert!(FaultPlan::generate(
-            &ChaosConfig {
-                shards: 1,
-                decider_kills: 2,
-                ..ChaosConfig::default()
-            },
-            5
-        )
-        .is_err());
-        assert!(FaultPlan::generate(
-            &ChaosConfig {
-                decider_partitions: 1,
-                ..ChaosConfig::default()
-            },
-            5
-        )
-        .is_err());
     }
 
     #[test]

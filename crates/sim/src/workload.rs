@@ -2,24 +2,24 @@
 //!
 //! A [`WorkloadEngine`] is to *source rates* what
 //! [`crate::ChaosConfig`] is to faults: a seeded, deterministic
-//! generator of hostile traffic shapes. It composes four ingredients
+//! generator of hostile traffic shapes. It composes three ingredients
 //! into one [`RateProgram`] per source operator:
 //!
 //! * a **diurnal cycle** — a triangle-wave swing around the base rate,
 //!   the daily load curve every long-running stream job sees;
 //! * **flash crowds** — sudden ramp/hold/decay spikes multiplying the
 //!   rate for a bounded episode;
-//! * **key-skew hot spots** — flash-like episodes concentrated on a
-//!   *single* source operator, modeling a hot key range that overloads
-//!   one partition while the others idle;
 //! * **slow drift** — a linear records/s-per-second growth term,
 //!   modeling organic adoption that should *never* be mistaken for a
 //!   plan regression.
 //!
-//! Like `ChaosConfig::generate`, draws happen in a fixed class order
-//! (diurnal → flashes → hot spots → drift), so the same
-//! [`WorkloadConfig`] always yields byte-identical programs, and
-//! enabling a later class never perturbs the draws of an earlier one.
+//! Like `FaultPlan::generate`, draws happen in a fixed class order
+//! (diurnal → flashes → drift), so the same [`WorkloadConfig`] always
+//! yields byte-identical programs, and enabling a later class never
+//! perturbs the draws of an earlier one. A key-skew hot spot (a
+//! flash-like episode on a *single* source, a hot key range that
+//! overloads one partition while the others idle) is not generated:
+//! write it as an explicit [`FlashCrowd`] in that source's program.
 
 use capsys_model::{FlashCrowd, OperatorId, RateProgram, RateSchedule};
 use capsys_util::rng::{Rng, SeedableRng, SmallRng};
@@ -31,8 +31,8 @@ use crate::error::SimError;
 pub struct WorkloadConfig {
     /// RNG seed; generated programs are a pure function of this config.
     pub seed: u64,
-    /// Time window the programs cover, seconds. Flash and hot-spot
-    /// *starts* are drawn from the first 70% of the horizon so their
+    /// Time window the programs cover, seconds. Flash *starts* are
+    /// drawn from the first 70% of the horizon so their
     /// effects are observable, mirroring `ChaosConfig`.
     pub horizon: f64,
     /// Base offered rate per source operator, records/s.
@@ -52,13 +52,6 @@ pub struct WorkloadConfig {
     pub flash_ramp: (f64, f64),
     /// Flash hold duration range, seconds.
     pub flash_hold: (f64, f64),
-    /// Number of key-skew hot spots, each landing on one seeded source
-    /// operator only.
-    pub hot_spots: usize,
-    /// Hot-spot magnitude range, each `>= 0`.
-    pub hot_magnitude: (f64, f64),
-    /// Hot-spot duration range (used for both ramp and hold), seconds.
-    pub hot_duration: (f64, f64),
     /// Linear growth range in records/s per second, each finite. Pure
     /// organic growth a governor must not mistake for regression.
     pub growth_per_sec: (f64, f64),
@@ -76,9 +69,6 @@ impl Default for WorkloadConfig {
             flash_magnitude: (1.0, 3.0),
             flash_ramp: (5.0, 15.0),
             flash_hold: (10.0, 30.0),
-            hot_spots: 0,
-            hot_magnitude: (1.0, 3.0),
-            hot_duration: (10.0, 30.0),
             growth_per_sec: (0.0, 0.0),
         }
     }
@@ -128,15 +118,6 @@ impl WorkloadConfig {
             span_ok(self.flash_ramp, "flash_ramp", 0.0)?;
             span_ok(self.flash_hold, "flash_hold", 0.0)?;
         }
-        if self.hot_spots > 0 {
-            span_ok(self.hot_magnitude, "hot_magnitude", 0.0)?;
-            let (lo, hi) = self.hot_duration;
-            if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi) {
-                return Err(SimError::InvalidFaultPlan(format!(
-                    "hot_duration range ({lo}, {hi}) must satisfy 0 < min <= max"
-                )));
-            }
-        }
         let (glo, ghi) = self.growth_per_sec;
         if !(glo.is_finite() && ghi.is_finite() && glo <= ghi) {
             return Err(SimError::InvalidFaultPlan(format!(
@@ -163,8 +144,8 @@ impl WorkloadEngine {
     /// Generates one [`RateProgram`] per source operator, in the given
     /// order. Deterministic: the same config and source list always
     /// yield byte-identical programs. Draw order is fixed per class —
-    /// diurnal, then flashes, then hot spots, then drift — so enabling
-    /// a later class never perturbs an earlier one's draws.
+    /// diurnal, then flashes, then drift — so enabling a later class
+    /// never perturbs an earlier one's draws.
     pub fn generate(
         &self,
         sources: &[OperatorId],
@@ -212,21 +193,6 @@ impl WorkloadEngine {
             }
         }
 
-        // Key-skew hot spots land on one seeded source each.
-        for _ in 0..cfg.hot_spots {
-            let victim = rng.gen_range(0..sources.len());
-            let start = rng.gen_range(0.0..cfg.horizon * 0.7);
-            let dur = rng.gen_range(cfg.hot_duration.0..=cfg.hot_duration.1);
-            let magnitude = rng.gen_range(cfg.hot_magnitude.0..=cfg.hot_magnitude.1);
-            programs[victim].flashes.push(FlashCrowd {
-                start,
-                ramp: dur,
-                hold: dur,
-                decay: dur,
-                magnitude,
-            });
-        }
-
         // Slow drift, shared: organic growth lifts the whole ingest
         // tier together.
         if cfg.growth_per_sec != (0.0, 0.0) {
@@ -254,7 +220,6 @@ mod tests {
         WorkloadConfig {
             diurnal_amplitude: (0.2, 0.4),
             flashes: 2,
-            hot_spots: 2,
             growth_per_sec: (0.5, 2.0),
             ..WorkloadConfig::default()
         }
@@ -280,14 +245,13 @@ mod tests {
 
     #[test]
     fn later_classes_never_perturb_earlier_draws() {
-        // Enabling hot spots and drift must not change the diurnal or
-        // flash draws of the same seed.
+        // Enabling drift must not change the diurnal or flash draws of
+        // the same seed.
         let full = WorkloadEngine::new(hostile_config())
             .unwrap()
             .generate(&sources(2))
             .unwrap();
         let partial = WorkloadEngine::new(WorkloadConfig {
-            hot_spots: 0,
             growth_per_sec: (0.0, 0.0),
             ..hostile_config()
         })
@@ -304,24 +268,6 @@ mod tests {
             // The first `flashes` entries are the shared flash crowds.
             assert_eq!(&fp.flashes[..2], &pp.flashes[..]);
         }
-    }
-
-    #[test]
-    fn hot_spots_land_on_single_sources() {
-        let engine = WorkloadEngine::new(WorkloadConfig {
-            hot_spots: 3,
-            ..WorkloadConfig::default()
-        })
-        .unwrap();
-        let programs = engine.generate(&sources(4)).unwrap();
-        let total_flashes: usize = programs
-            .iter()
-            .map(|(_, s)| match s {
-                RateSchedule::Program(p) => p.flashes.len(),
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(total_flashes, 3, "each hot spot hits exactly one source");
     }
 
     #[test]
@@ -356,12 +302,6 @@ mod tests {
         assert!(WorkloadEngine::new(WorkloadConfig {
             flashes: 1,
             flash_magnitude: (-1.0, 2.0),
-            ..WorkloadConfig::default()
-        })
-        .is_err());
-        assert!(WorkloadEngine::new(WorkloadConfig {
-            hot_spots: 1,
-            hot_duration: (0.0, 5.0),
             ..WorkloadConfig::default()
         })
         .is_err());

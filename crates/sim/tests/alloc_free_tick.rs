@@ -200,7 +200,7 @@ fn a_reserved_first_window_ticks_without_allocating() {
     let before = ALLOCS.with(Cell::get);
     sim.advance_ticks(WINDOW, 0.0);
     assert_eq!(ALLOCS.with(Cell::get) - before, 0);
-    let interval = SimConfig::short().metrics_interval;
+    let interval = capsys_sim::config::METRICS_INTERVAL;
     let points = (WINDOW / interval).ceil() as usize;
     assert!(points > 1, "the window must span several metrics intervals");
     assert_eq!(sim.take_report().points.len(), points);

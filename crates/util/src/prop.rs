@@ -37,9 +37,10 @@ pub struct Config {
     pub cases: usize,
     /// Base seed for case-seed derivation.
     pub seed: u64,
-    /// Maximum number of shrink candidates to evaluate after a failure.
-    pub max_shrink_steps: usize,
 }
+
+/// Maximum number of shrink candidates to evaluate after a failure.
+const MAX_SHRINK_STEPS: usize = 512;
 
 impl Default for Config {
     fn default() -> Config {
@@ -50,7 +51,6 @@ impl Default for Config {
         Config {
             cases,
             seed: 0xCA95_0001,
-            max_shrink_steps: 512,
         }
     }
 }
@@ -380,7 +380,7 @@ pub fn forall<S: Strategy>(name: &str, config: Config, strategy: S, test: impl F
         // candidate scan from the smaller value.
         let mut minimal = value;
         let mut failure = original_failure;
-        let mut budget = config.max_shrink_steps;
+        let mut budget = MAX_SHRINK_STEPS;
         'shrinking: while budget > 0 {
             for candidate in strategy.shrink(&minimal) {
                 budget -= 1;

@@ -16,7 +16,9 @@
 #      denied, so intra-doc links to renamed or deleted items fail;
 #   4. non-test line-count ledger (scripts/loc.sh) — prints the lines
 #      before each file's first top-level #[cfg(test)] per file and per
-#      crate; informational only, it never fails the build;
+#      crate, then the pub fields of each pub struct *Config (settable
+#      values) per struct and per crate; informational only, it never
+#      fails the build;
 #   5. release build of every target;
 #   6. full test suite (debug), including the determinism golden test
 #      and the robustness claims (tests/claims.rs: chaos, guard,
@@ -161,7 +163,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "    ok: the workspace documents without warnings"
 step_done
 
-step "4/10" "non-test line-count ledger (informational)"
+step "4/10" "non-test line-count and settable-value ledgers (informational)"
 scripts/loc.sh
 step_done
 
