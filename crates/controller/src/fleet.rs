@@ -48,10 +48,9 @@
 //! exact trajectory the uninterrupted controller would have produced.
 
 use std::collections::VecDeque;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 
 use capsys_model::{Cluster, RateSchedule, WorkerId};
@@ -60,7 +59,7 @@ use capsys_queries::Query;
 use capsys_sim::{DeciderFaultKind, DeciderTarget, FaultPlan, KillPoint, SimConfig, Simulation};
 use capsys_util::journal::SharedBuf;
 use capsys_util::json::{obj, Json, ToJson};
-use capsys_util::sync::Mutex;
+use capsys_util::sync::{hardware_threads, Mutex};
 
 use capsys_ds2::Ds2Config;
 
@@ -395,13 +394,6 @@ pub struct FleetController<'a> {
     threads: usize,
     /// Ticks the stepping shards' simulators each window.
     ticks: TickPool<Simulation>,
-}
-
-/// The machine's available parallelism, read once per process: the
-/// query reads cgroup files, which would cost every fleet's set-up.
-fn hardware_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 fn holder_name(job: &str, generation: u64) -> String {

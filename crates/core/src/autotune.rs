@@ -72,11 +72,11 @@ pub const PRESSURE_FLOOR: f64 = 0.05;
 /// Configuration of the threshold auto-tuner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoTuneConfig {
-    /// Node budget per feasibility probe, counted over all of the
-    /// probe's threads. A probe that exhausts the budget without finding
-    /// a plan is treated as infeasible and the
-    /// threshold is relaxed further — a conservative early exit that
-    /// keeps tuning fast on very large plan spaces.
+    /// Node budget per feasibility probe (probes run on one thread). A
+    /// probe that exhausts the budget without finding a plan is treated
+    /// as infeasible and the threshold is relaxed further — a
+    /// conservative early exit that keeps tuning fast on very large plan
+    /// spaces.
     pub probe_node_budget: usize,
 }
 
@@ -139,12 +139,11 @@ fn still_fails(bound: [Fixed64; 3], overflow: [Fixed64; 3]) -> bool {
 /// [`RELAX_FACTOR`]^k for k = 0..=48 (0.0100 up to 0.9702), then 1, where
 /// a failed step proves that no plan exists. Phase 1 scans at most the
 /// three dimensions and phase 2 scans once, so a tuning run takes at most
-/// 204 grid steps. Each step runs at most one first-feasible search,
-/// which aborts once its threads together have visited more than
-/// [`AutoTuneConfig::probe_node_budget`] nodes (or
-/// [`SearchConfig::node_budget`], if smaller), give or take 1,024 nodes
-/// per thread: a tuning run visits at most 204 × (budget + 1,024 ×
-/// threads) nodes.
+/// 204 grid steps. Each step runs at most one first-feasible search
+/// ([`CapsSearch::find_witness`], on one thread), which aborts once it
+/// has visited [`AutoTuneConfig::probe_node_budget`] nodes (or
+/// [`SearchConfig::node_budget`], if smaller): a tuning run visits at
+/// most 204 × budget nodes.
 pub struct AutoTuner {
     probe_node_budget: usize,
 }
@@ -159,8 +158,9 @@ impl AutoTuner {
 
     /// Runs both tuning phases for the given search instance.
     ///
-    /// `base` supplies the search settings (thread count, reordering,
-    /// budgets) used for the feasibility probes. Its `time_budget`, if
+    /// `base` supplies the search settings (reordering, budgets) used
+    /// for the feasibility probes, which run on one thread whatever its
+    /// thread count. Its `time_budget`, if
     /// set, bounds the whole tuning run.
     pub fn tune(
         &self,

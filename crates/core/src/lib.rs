@@ -61,6 +61,7 @@ pub use cost::{CostModel, CostVector, Dimension, LoadBounds, Thresholds};
 pub use error::CapsError;
 pub use mcts::{MctsConfig, MctsReport};
 pub use movemin::{min_movement_plan, MoveMinOutcome};
+pub use parallel::SPLIT_AFTER;
 pub use pareto::pareto_front;
 pub use search::{
     AnytimePoint, CapsSearch, Probe, RunStats, ScoredPlan, SearchConfig, SearchOutcome,

@@ -643,7 +643,7 @@ pub(crate) fn run(config: &MctsConfig, ctx: &Problem<'_>) -> Result<BackendResul
         }
     }
 
-    let mut found = run.store.into_plans();
+    let mut found = run.store.take_plans();
     found.sort_by(cmp_scored);
     // An empty MCTS outcome never proves infeasibility: the backend
     // samples, so "found nothing" always means "budget too small".

@@ -7,23 +7,44 @@
 //! When the search space has been fully explored, threads merge their
 //! results and return the pareto-optimal solution."
 //!
-//! The unit of work is a prefix: the rows of the first few outer layers,
-//! fixed, explored with [`PlanEnumerator::explore_with_prefix`]. Before
-//! any thread starts, the caller splits the tree into units, one layer
-//! at a time and in DFS order, until there are at least
-//! `threads * UNITS_PER_THREAD` units or the units fix
-//! `MAX_SPLIT_DEPTH` layers. Threads then claim units in that order from
-//! one shared cursor, so work is shared dynamically (a thread that
-//! finishes early claims the next unit) and the first units claimed are
-//! the ones a one-thread run explores first, whose plans prune best.
+//! Most searches are small: spawning threads would cost more than it
+//! saves. So every search starts on the caller's thread, with one
+//! visitor over the whole tree. A search that may use more threads
+//! ([`SearchConfig::threads`]) and is still running after
+//! [`SPLIT_AFTER`] nodes starts over as a split search; a small search
+//! spawns nothing and reads no clock or environment beyond the
+//! one-thread path's. The restart's nodes add to the first attempt's in
+//! the node budget and in `RunStats::nodes`; `pruned`, `plans_found`,
+//! the overflow and the stored plans come from the restart alone, which
+//! explores the whole tree again.
 //!
-//! * With one thread, the split stops at the root (the empty prefix),
-//!   which is explored on the caller's thread: nothing is spawned or
-//!   merged. The store keeps discovery order and the anytime curve is
-//!   reported, both deterministic.
-//! * With more threads, each explores its claimed units with its own
-//!   visitor and plan cache, and the caches are merged under a total
-//!   order (`finalize_merge`).
+//! The unit of work of a split search is a prefix: the rows of the first
+//! few outer layers, fixed, explored with
+//! [`PlanEnumerator::explore_with_prefix`]. The caller splits the tree
+//! into units, one layer at a time and in DFS order, until there are at
+//! least `threads * UNITS_PER_THREAD` units or the units fix
+//! `MAX_SPLIT_DEPTH` layers. The caller and `threads - 1` spawned threads
+//! then claim units in that order from one shared cursor, so work is
+//! shared dynamically (a thread that finishes early claims the next unit)
+//! and the first units claimed are the ones a one-thread run explores
+//! first, whose plans prune best.
+//!
+//! Unlike the paper's per-thread caches, all visitors of a run offer
+//! their plans to one store of the `max_plans` best plans under the
+//! total order `cmp_scored`, behind a lock. A store that keeps the
+//! `max_plans` best plans offered is a function of the set offered, so
+//! the stored plans do not depend on which thread found which plan; they
+//! are returned in `cmp_scored` order (`finalize_merge`), so the result
+//! does not show whether the search split either. One store also keeps a
+//! split search's memory at one store's: per-thread caches of 1,024
+//! plans each raised perfbench `place`'s peak RSS by 13–16% on two
+//! threads, since each thread allocates from its own malloc arena. For
+//! the same reason a full store writes a new plan into the buffer of the
+//! plan it evicts, and a restart recycles the first attempt's plan
+//! buffers, so the spawned threads allocate almost no plan memory. A
+//! visitor screens a leaf against the last worst stored plan it saw
+//! before it takes the lock: the worst plan only improves, so a leaf that
+//! fails that screen would be rejected.
 //!
 //! The split runs through one visitor ([`PlanEnumerator::expand_prefix`]):
 //! each split layer's placements are offered to it exactly as an
@@ -36,31 +57,42 @@
 //! overflow (`BackendResult::overflow`), which equals the one-thread
 //! value.
 //!
-//! Threads additionally share a stop flag (first-feasible and abort
-//! propagation) and a node count. Every visitor polls once per 1,024
-//! nodes: it adds its nodes to the shared count and checks that count
-//! against the node budget and the clock against its deadline; the
-//! thread that sees either run out raises the stop flag for the rest.
+//! Visitors also share a stop flag (first-feasible and abort
+//! propagation), a node count and, under store-bound pruning
+//! ([`SearchConfig::incumbent_prune`]), the store bound. Every visitor
+//! polls once per 1,024 nodes: it adds its nodes to the shared count and
+//! checks that count against the node budget and the clock against its
+//! deadline, and the thread that sees either run out raises the stop flag
+//! for the rest. A visitor that finds the store full publishes the worst
+//! stored cost through `fetch_min` on one atomic, and every visitor reads
+//! it at its poll (and when it starts) and prunes against it, admitting
+//! ties like its own cut. A restart keeps the first attempt's bound:
+//! those plans are in the tree, so a plan that costs more than the worst
+//! of them ranks below `max_plans` plans of the result.
 //!
-//! Under store-bound pruning ([`SearchConfig::incumbent_prune`]) each
-//! visitor prunes against its own full local store and nothing else is
-//! shared. The merged top-`max_plans` is still exact: a plan a thread
-//! cuts costs more than every plan that thread holds, so it ranks below
-//! `max_plans` merged plans.
-//!
-//! With more than one thread, a worker that panics is caught, the
-//! remaining workers are stopped and joined cleanly, and the run returns
-//! [`CapsError::SearchPanicked`] instead of poisoning the whole process.
-//! With one thread the panic unwinds to the caller.
+//! A split search catches a panic on any of its threads, stops and joins
+//! the others cleanly, and returns [`CapsError::SearchPanicked`] instead
+//! of poisoning the whole process. A search that never split lets the
+//! panic unwind to the caller.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use capsys_model::{PlanEnumerator, SearchStats};
 use capsys_util::fixed::Fixed64;
+use capsys_util::sync::Mutex;
 
 use crate::error::CapsError;
 use crate::search::{cmp_scored, CapsVisitor, RunStats, ScoredPlan, SearchConfig};
+use crate::store::PlanStore;
 use crate::strategy::{BackendResult, Problem};
+
+/// Nodes a multi-thread search explores on the caller's thread before it
+/// restarts as a split search. Below it, thread start-up and the split's
+/// prefix replays cost more than the threads save. On perfbench `place`
+/// (2-vCPU VM), nearly every final search ends within a few hundred
+/// nodes, while the few that dominate its latency take 10^5 nodes or
+/// more, so the constant only needs to sit between the two.
+pub const SPLIT_AFTER: usize = 5_000;
 
 /// Deepest prefix the split makes. Deeper units would pay more
 /// prefix-replay overhead than the parallelism they buy.
@@ -77,78 +109,120 @@ const UNITS_PER_THREAD: usize = 2;
 /// A work unit: the rows of the first `len` outer layers, fixed.
 type Unit = Vec<Vec<usize>>;
 
-/// State shared by all workers of one run.
-#[derive(Default)]
-struct Shared {
+/// State shared by all visitors of one run.
+pub(crate) struct Shared {
+    /// The `max_plans` best plans found so far under [`cmp_scored`].
+    pub(crate) store: Mutex<PlanStore>,
     /// Index of the next unclaimed unit.
     cursor: AtomicUsize,
     /// Cooperative stop: first-feasible hit, budget abort, or worker
     /// panic.
-    stop: AtomicBool,
+    pub(crate) stop: AtomicBool,
     /// Nodes of all visitors, added at their polls (the node budget).
-    nodes: AtomicUsize,
+    pub(crate) nodes: AtomicUsize,
+    /// Under store-bound pruning, the bits of the full store's worst
+    /// `max_component` cost (`f64::INFINITY` before it fills), lowered
+    /// with `fetch_min`; non-negative `f64`s order like their bits.
+    pub(crate) store_bound: AtomicU64,
 }
 
-/// Runs the DFS on `config.threads` threads: the caller splits the tree
-/// into units, which one thread explores on the caller's thread and
-/// more threads claim from a shared cursor, merging their plan caches.
+impl Shared {
+    fn new(max_plans: usize) -> Shared {
+        Shared {
+            store: Mutex::new(PlanStore::new(max_plans)),
+            cursor: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            nodes: AtomicUsize::new(0),
+            store_bound: AtomicU64::new(f64::INFINITY.to_bits()),
+        }
+    }
+}
+
+/// Runs the DFS: on the caller's thread, and split over
+/// `config.threads` threads if it outgrows [`SPLIT_AFTER`] nodes.
 pub(crate) fn run(ctx: &Problem<'_>) -> Result<BackendResult, CapsError> {
-    let threads = ctx.config.threads;
-    let shared = Shared::default();
-    let mut root = CapsVisitor::new(ctx, &shared.stop, &shared.nodes);
+    let (threads, budget) = (
+        ctx.config.threads,
+        ctx.config.node_budget.unwrap_or(usize::MAX),
+    );
+    let shared = Shared::new(ctx.config.max_plans);
+    let may_split = threads > 1 && budget > SPLIT_AFTER;
+    let mut first = CapsVisitor::new(ctx, &shared, if may_split { SPLIT_AFTER } else { budget });
+    let counts = ctx.enumerator.explore(&mut first);
+    if !(may_split && first.ran_out_of_nodes()) {
+        return Ok(merge(ctx, &shared, 1, 0, vec![(first, counts)]));
+    }
+
+    // Start over split, keeping only the first attempt's node count and
+    // store bound: its plans are found again.
+    drop(first);
+    shared.store.lock().recycle();
+    shared.nodes.store(0, Ordering::Relaxed);
+    let mut root = CapsVisitor::new(ctx, &shared, budget - SPLIT_AFTER);
     let units = split(ctx.enumerator, threads, &mut root);
     if root.was_aborted() {
         shared.stop.store(true, Ordering::Relaxed);
     }
-
-    let explored = if threads == 1 {
-        // The split visitor explores the root unit on the caller's
-        // thread: its store keeps discovery order, which `best_scored`
-        // relies on to break exact cost ties.
-        let counts = work(0, ctx.enumerator, &units, &shared, &mut root);
-        vec![(root, counts)]
-    } else {
-        // The split visitor's cut branches count toward the overflow.
-        let mut explored = vec![(root, SearchStats::default())];
-        let mut panicked = false;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|idx| {
-                    let (shared, units) = (&shared, &units);
-                    scope.spawn(move || {
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut visitor = CapsVisitor::new(ctx, &shared.stop, &shared.nodes);
-                            let counts = work(idx, ctx.enumerator, units, shared, &mut visitor);
-                            (visitor, counts)
-                        }));
-                        // A panicking thread's units are incomplete, so
-                        // the run must fail; stop the siblings.
-                        if result.is_err() {
-                            shared.stop.store(true, Ordering::Relaxed);
-                        }
-                        result.ok()
+    let mut explored = Vec::with_capacity(threads);
+    let mut panicked = false;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|idx| {
+                let (shared, units) = (&shared, &units);
+                scope.spawn(move || {
+                    guarded(shared, || {
+                        let mut visitor = CapsVisitor::new(ctx, shared, budget - SPLIT_AFTER);
+                        let counts = work(idx, ctx.enumerator, units, shared, &mut visitor);
+                        (visitor, counts)
                     })
                 })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Some(done)) => explored.push(done),
-                    Ok(None) | Err(_) => panicked = true,
-                }
-            }
-        });
-        if panicked {
-            return Err(CapsError::SearchPanicked);
+            })
+            .collect();
+        match guarded(&shared, || {
+            work(0, ctx.enumerator, &units, &shared, &mut root)
+        }) {
+            Some(counts) => explored.push((root, counts)),
+            None => panicked = true,
         }
-        explored
-    };
+        for h in helpers {
+            match h.join() {
+                Ok(Some(done)) => explored.push(done),
+                Ok(None) | Err(_) => panicked = true,
+            }
+        }
+    });
+    if panicked {
+        return Err(CapsError::SearchPanicked);
+    }
+    Ok(merge(ctx, &shared, threads, counts.nodes, explored))
+}
 
+/// Runs `f`, turning a panic into `None` and a stop for the other
+/// threads: a panicking thread's units are incomplete, so the run must
+/// fail.
+fn guarded<T>(shared: &Shared, f: impl FnOnce() -> T) -> Option<T> {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    if result.is_err() {
+        shared.stop.store(true, Ordering::Relaxed);
+    }
+    result.ok()
+}
+
+/// Merges the visitors of a run on `threads` threads, whose first
+/// attempt, if it was restarted, took `restarted_nodes` nodes.
+fn merge(
+    ctx: &Problem<'_>,
+    shared: &Shared,
+    threads: usize,
+    restarted_nodes: usize,
+    explored: Vec<(CapsVisitor<'_>, SearchStats)>,
+) -> BackendResult {
     let mut stats = RunStats {
         threads,
+        nodes: restarted_nodes,
         ..RunStats::default()
     };
     let mut overflow = Some([Fixed64::MAX; 3]);
-    let mut plans = Vec::new();
     let mut anytime = Vec::new();
     for (mut visitor, counts) in explored {
         stats.nodes += counts.nodes;
@@ -159,34 +233,32 @@ pub(crate) fn run(ctx: &Problem<'_>) -> Result<BackendResult, CapsError> {
             .zip(visitor.overflow())
             .map(|(mine, theirs)| [0, 1, 2].map(|d| mine[d].min(theirs[d])));
         anytime.extend(visitor.take_anytime());
-        plans.extend(visitor.into_found());
     }
     if threads > 1 {
-        // Discovery order and improvement times depend on which thread
-        // claimed which unit, so neither is reported.
-        plans = finalize_merge(plans, ctx.config);
+        // Improvement times depend on which thread claimed which unit.
         anytime.clear();
     }
     // Only a run that explored its whole tree (no abort and no stop
     // raised) has an overflow that bounds every plan.
     let complete = !stats.aborted && !shared.stop.load(Ordering::Relaxed);
     stats.elapsed = ctx.start.elapsed();
-    Ok(BackendResult {
-        plans,
+    let plans = shared.store.lock().take_plans();
+    BackendResult {
+        plans: finalize_merge(plans, ctx.config),
         stats,
         anytime,
         mcts: None,
         overflow: overflow.filter(|_| complete),
-    })
+    }
 }
 
 /// Splits the tree into units for `threads` threads, one layer at a time
-/// in DFS order, through `visitor`. One thread gets the root unit.
+/// in DFS order, through `visitor`.
 fn split(enumerator: &PlanEnumerator, threads: usize, visitor: &mut CapsVisitor<'_>) -> Vec<Unit> {
     let depth = MAX_SPLIT_DEPTH.min(enumerator.order().len());
     let mut units: Vec<Unit> = vec![Vec::new()];
     for _ in 0..depth {
-        if threads == 1 || units.len() >= threads * UNITS_PER_THREAD || visitor.was_aborted() {
+        if units.len() >= threads * UNITS_PER_THREAD || visitor.was_aborted() {
             break;
         }
         units = units
@@ -209,7 +281,8 @@ fn work(
     // Test-only fault hook: lets an integration test (running in its own
     // process) prove that a worker panic surfaces as `SearchPanicked`
     // instead of hanging the remaining workers. Checked once per thread
-    // per search, so the env lookup costs nothing on the hot path.
+    // of a split search, so the env lookup costs nothing on the hot path
+    // and small searches never make it.
     if idx == 1 && std::env::var_os("CAPSYS_TEST_PANIC_SEARCH").is_some() {
         panic!("induced worker panic (CAPSYS_TEST_PANIC_SEARCH)");
     }
@@ -233,31 +306,24 @@ fn work(
     counts
 }
 
-/// Applies the storage cap and first-feasible truncation to the merged
-/// per-thread caches, without touching the run statistics.
+/// Applies the first-feasible truncation to the stored plans, without
+/// touching the run statistics, and returns the kept plans in
+/// [`cmp_scored`] order.
 ///
-/// Plans are ranked by the total order [`cmp_scored`], so the retained
+/// The store keeps the `max_plans` best plans offered, so the returned
 /// set — and its order — is a deterministic function of the *set* of
 /// plans the threads found, not of which thread found which plan.
 pub(crate) fn finalize_merge(
-    mut merged: Vec<ScoredPlan>,
+    mut stored: Vec<ScoredPlan>,
     config: &SearchConfig,
 ) -> Vec<ScoredPlan> {
-    if config.first_feasible && merged.len() > 1 {
+    stored.sort_unstable_by(cmp_scored);
+    if config.first_feasible {
         // Keep one witness. The stats still report every plan the race
         // found before the stop flag landed.
-        if let Some(best) = merged.into_iter().min_by(cmp_scored) {
-            return vec![best];
-        }
-        return Vec::new();
+        stored.truncate(1);
     }
-    if merged.len() > config.max_plans {
-        // Partition around the cap instead of sorting the full set.
-        merged.select_nth_unstable_by(config.max_plans, cmp_scored);
-        merged.truncate(config.max_plans);
-    }
-    merged.sort_by(cmp_scored);
-    merged
+    stored
 }
 
 #[cfg(test)]
@@ -427,19 +493,24 @@ mod tests {
     }
 
     #[test]
-    fn finalize_merge_caps_and_orders_deterministically() {
-        let config = crate::search::SearchConfig {
-            max_plans: 2,
-            ..crate::search::SearchConfig::exhaustive()
-        };
-        // Two arrival orders of the same set give the same result.
-        let a = vec![scored(0.5, 0), scored(0.1, 1), scored(0.3, 2)];
-        let b = vec![scored(0.3, 2), scored(0.5, 0), scored(0.1, 1)];
+    fn finalize_merge_orders_deterministically() {
+        let config = crate::search::SearchConfig::exhaustive();
+        // Two slot orders of the same set give the same result.
+        let a = vec![
+            scored(0.5, 0),
+            scored(0.1, 1),
+            scored(0.3, 2),
+            scored(0.1, 0),
+        ];
+        let b = vec![
+            scored(0.3, 2),
+            scored(0.1, 0),
+            scored(0.5, 0),
+            scored(0.1, 1),
+        ];
         let fa = finalize_merge(a, &config);
-        let fb = finalize_merge(b, &config);
-        assert_eq!(fa, fb);
-        assert_eq!(fa.len(), 2);
-        assert!(fa[0].cost.max_component() <= fa[1].cost.max_component());
+        assert_eq!(fa, finalize_merge(b, &config));
+        assert!(fa.windows(2).all(|w| cmp_scored(&w[0], &w[1]).is_lt()));
     }
 
     #[test]

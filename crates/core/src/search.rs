@@ -16,21 +16,23 @@
 //!   bounded on the network alone explores upstream-first instead
 //!   ([`CapsSearch::exploration_order`]).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use capsys_model::{
     Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, PhysicalGraph, Placement,
-    PlanEnumerator, PlanVisitor, TaskId, WorkerId,
+    PlanEnumerator, PlanVisitor, TaskId,
 };
 use capsys_util::fixed::Fixed64;
+use capsys_util::sync::hardware_threads;
 
 use crate::autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner};
 use crate::cost::{CostModel, CostVector, Thresholds};
 use crate::error::CapsError;
 use crate::mcts::MctsReport;
+use crate::parallel::Shared;
 use crate::pareto::pareto_front;
-use crate::store::PlanStore;
+use crate::store::precedes;
 use crate::strategy::{BackendResult, Problem, SearchBackend};
 
 /// Slack when treating tiny `f64` denominators as degenerate in the
@@ -38,10 +40,10 @@ use crate::strategy::{BackendResult, Problem, SearchBackend};
 /// search itself prunes on exact fixed-point mantissas).
 const BOUND_EPS: f64 = 1e-9;
 
-/// How often the DFS polls its shared stop conditions, the deadline, the
-/// stop flag and the search-wide node count: once every
-/// `TIME_CHECK_MASK + 1` `place` calls (nodes). A raised flag, from a
-/// first-feasible leaf or a thread that saw a budget run out, is thus
+/// How often the DFS polls its shared state, the deadline, the stop
+/// flag, the search-wide node count and the shared store bound: once
+/// every `TIME_CHECK_MASK + 1` `place` calls (nodes). A raised flag, from
+/// a first-feasible leaf or a thread that saw a budget run out, is thus
 /// seen within that many nodes, and a run of `t` threads visits at most
 /// `node_budget + t · (TIME_CHECK_MASK + 1)` nodes.
 const TIME_CHECK_MASK: usize = 0x3FF;
@@ -60,10 +62,16 @@ pub struct SearchConfig {
     /// each operator after its upstream operators. The order never
     /// changes whether a plan exists.
     pub reorder: bool,
-    /// Threads of the DFS (§5.1), which claim DFS-ordered subtrees from
-    /// one shared cursor. `1` explores on the caller's thread and spawns
-    /// none; its stored plans keep discovery order and its anytime curve
-    /// is reported.
+    /// Most threads the DFS (§5.1) may use. Every search starts on the
+    /// caller's thread; one still running after
+    /// [`SPLIT_AFTER`](crate::SPLIT_AFTER) nodes, at more than one
+    /// thread, restarts split into DFS-ordered subtrees that the caller
+    /// and `threads - 1` spawned threads claim from one shared cursor.
+    /// The stored plans, the pareto front and the recommended plan do
+    /// not depend on it (unless a budget cuts the run short); node
+    /// counts and the anytime curve do, and a split run reports no
+    /// anytime curve. First-feasible probes through
+    /// [`CapsSearch::find_witness`] always run on one thread.
     pub threads: usize,
     /// Stop at the first feasible plan instead of exploring exhaustively.
     pub first_feasible: bool,
@@ -93,8 +101,8 @@ pub struct SearchConfig {
     /// costs more than the worst stored plan's `max_component` in some
     /// dimension. No leaf below such a branch can enter the store, so
     /// `feasible`, `pareto` and `best_scored` are exactly those of the
-    /// unpruned run at the same `max_plans` (in the same store order at
-    /// one thread); only `nodes`, `pruned` and `plans_found` shrink, and
+    /// unpruned run at the same `max_plans`, at every thread count; only
+    /// `nodes`, `pruned` and `plans_found` shrink, and
     /// `plans_found` then counts the plans explored rather than every
     /// plan within the thresholds. A run in which a store cut fired
     /// reports no [`SearchOutcome::overflow`]. The MCTS backend ignores
@@ -108,13 +116,15 @@ pub struct SearchConfig {
 
 impl SearchConfig {
     /// A search with explicit thresholds and otherwise default settings,
-    /// except that store-bound pruning is off: every plan within the
-    /// thresholds is explored and counted in `plans_found`, which the
-    /// plan-space experiments (paper Table 2) rely on.
+    /// except that store-bound pruning is off and it runs on one thread:
+    /// every plan within the thresholds is explored and counted in
+    /// `plans_found`, and `nodes` counts one traversal of the tree, which
+    /// the plan-space experiments (paper Table 2) rely on.
     pub fn with_thresholds(thresholds: Thresholds) -> Self {
         SearchConfig {
             thresholds: Some(thresholds),
             incumbent_prune: false,
+            threads: 1,
             ..SearchConfig::auto_tuned()
         }
     }
@@ -122,12 +132,14 @@ impl SearchConfig {
     /// A search that auto-tunes its thresholds first (the CAPSys
     /// default), then searches with store-bound pruning
     /// ([`SearchConfig::incumbent_prune`]): it keeps the same plans as
-    /// the unpruned search and visits fewer nodes.
+    /// the unpruned search and visits fewer nodes. A final search that
+    /// outgrows [`SPLIT_AFTER`](crate::SPLIT_AFTER) nodes uses the
+    /// machine's hardware threads; the tuner's probes stay on one.
     pub fn auto_tuned() -> Self {
         SearchConfig {
             thresholds: None,
             reorder: true,
-            threads: 1,
+            threads: hardware_threads(),
             first_feasible: false,
             max_plans: 1024,
             node_budget: None,
@@ -173,11 +185,12 @@ impl SearchConfig {
 
 /// Total order on scored plans: `max_component` cost first, then the
 /// plan's assignment vector as a deterministic tie-break. Using this
-/// everywhere plans are ranked or truncated makes the stored plan set
-/// independent of thread count and of which thread explored which
-/// subtree. Costs are pure functions of exact fixed-point load
-/// mantissas, so equal plans compare equal bit-for-bit no matter which
-/// schedule scored them.
+/// everywhere plans are ranked, truncated or returned makes the stored
+/// plans, their order in [`SearchOutcome::feasible`] and
+/// [`SearchOutcome::pareto`], and the recommended plan independent of
+/// thread count and of which thread explored which subtree. Costs are
+/// pure functions of exact fixed-point load mantissas, so equal plans
+/// compare equal bit-for-bit no matter which schedule scored them.
 pub(crate) fn cmp_scored(a: &ScoredPlan, b: &ScoredPlan) -> std::cmp::Ordering {
     a.cost
         .max_component()
@@ -209,7 +222,8 @@ pub struct RunStats {
     pub plans_found: usize,
     /// Wall-clock duration of the search phase.
     pub elapsed: Duration,
-    /// Worker threads used.
+    /// Threads the search ran on: 1 unless a multi-thread DFS outgrew
+    /// [`SPLIT_AFTER`](crate::SPLIT_AFTER) nodes and split.
     pub threads: usize,
     /// Whether the search stopped before fully exploring the tree — a
     /// node/time budget ran out or a cooperative stop fired. An aborted
@@ -233,9 +247,11 @@ pub struct AnytimePoint {
 /// The result of a CAPS search.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// Stored feasible plans (up to `max_plans`).
+    /// Stored feasible plans (up to `max_plans`), in `cmp_scored`
+    /// order: cheapest `max_component` first, ties by assignment.
     pub feasible: Vec<ScoredPlan>,
-    /// The pareto front of the stored plans (§4.2 objective).
+    /// The pareto front of the stored plans (§4.2 objective), in the
+    /// same order.
     pub pareto: Vec<ScoredPlan>,
     /// Search statistics.
     pub stats: RunStats,
@@ -248,9 +264,10 @@ pub struct SearchOutcome {
     /// Per-dimension pressure weights used for plan selection.
     pub pressure: [f64; 3],
     /// Best-cost-vs-nodes improvement points, monotonically decreasing in
-    /// cost. Populated where exploration order is deterministic — the
-    /// DFS at `threads == 1`, and MCTS; the DFS on more threads leaves it
-    /// empty because improvement times are schedule-dependent.
+    /// cost. Populated where exploration order is deterministic — a DFS
+    /// that ran on one thread ([`RunStats::threads`]), and MCTS; a split
+    /// DFS leaves it empty because improvement times are
+    /// schedule-dependent.
     pub anytime: Vec<AnytimePoint>,
     /// MCTS tree diagnostics, when the MCTS backend ran.
     pub mcts: Option<MctsReport>,
@@ -299,11 +316,10 @@ impl SearchOutcome {
     ///
     /// The winner is the pareto plan with the smallest weighted maximum
     /// component, then the smallest maximum component, then the smallest
-    /// CPU, I/O and network costs in that order. Plans equal on all five
-    /// are not told apart by their assignments: the first in `pareto`
-    /// order wins, which is discovery order after a one-thread search and
-    /// `cmp_scored` order after a multi-thread merge, so such a tie can
-    /// pick a different plan at one thread than at several.
+    /// CPU, I/O and network costs in that order, then the first under
+    /// `cmp_scored` (the smallest assignment vector). The key is total,
+    /// so the winner is a function of the stored plans alone, the same at
+    /// every thread count.
     pub fn best_scored(&self) -> Option<&ScoredPlan> {
         let max_p = self
             .pressure
@@ -324,6 +340,7 @@ impl SearchOutcome {
             key(&a.cost)
                 .partial_cmp(&key(&b.cost))
                 .expect("costs are finite")
+                .then_with(|| cmp_scored(a, b))
         })
     }
 }
@@ -413,19 +430,24 @@ pub(crate) struct CapsVisitor<'a> {
     delta_arena: Vec<(usize, [Fixed64; 3])>,
     undo_marks: Vec<usize>,
     // Results.
-    /// The `max_plans` best plans under [`cmp_scored`]; a full store
-    /// finds its worst plan in O(1) and replaces it in O(log max_plans).
-    store: PlanStore,
+    /// The run's store's worst plan when this visitor last held the
+    /// store's lock, once the store was full. The worst plan only
+    /// improves, so a leaf that does not precede this one is rejected
+    /// without taking the lock.
+    worst: Option<ScoredPlan>,
     /// Improvement points of the best stored `max_component` cost;
     /// meaningful only for single-threaded runs (deterministic order).
     anytime: Vec<AnytimePoint>,
     best_cost: f64,
     /// Store-bound pruning ([`SearchConfig::incumbent_prune`]).
     store_prune: bool,
-    /// Per-dimension exact load limits implied by the worst stored
-    /// plan's `max_component` cost while the store is full and
-    /// `store_prune` is set; `Fixed64::MAX` otherwise.
+    /// Per-dimension exact load limits implied by `worst_cost` when
+    /// `store_prune` is set; `Fixed64::MAX` while it is infinite.
     store_limit: [Fixed64; 3],
+    /// The smallest worst stored cost of a full store that this visitor
+    /// has seen, in the store or in the run's published bound
+    /// (`f64::INFINITY` before).
+    worst_cost: f64,
     /// Whether a store-bound cut fired, which voids the overflow.
     store_cut: bool,
     first_feasible: bool,
@@ -434,11 +456,10 @@ pub(crate) struct CapsVisitor<'a> {
     node_budget: usize,
     /// Polled once every `TIME_CHECK_MASK + 1` nodes.
     deadline: Option<Instant>,
-    /// Shared cooperative stop, polled with the deadline and raised by a
-    /// first-feasible leaf.
-    stop_flag: &'a AtomicBool,
-    /// Nodes of all the run's visitors, added at each poll.
-    shared_nodes: &'a AtomicUsize,
+    /// The run's plan store, stop flag, node count and store bound; all
+    /// but the store are polled with the deadline, and a first-feasible
+    /// leaf raises the flag.
+    shared: &'a Shared,
     /// Per dimension, the smallest load that crossed `bound` on a pruned
     /// branch (`Fixed64::MAX` while none has).
     overflow: [Fixed64; 3],
@@ -446,16 +467,16 @@ pub(crate) struct CapsVisitor<'a> {
 }
 
 impl<'a> CapsVisitor<'a> {
-    /// A visitor for `ctx` that polls the run's shared stop flag and
-    /// node count.
+    /// A visitor for `ctx` that polls the run's `shared` state and stops
+    /// after `node_budget` nodes of its own or of the run.
     pub(crate) fn new(
         ctx: &Problem<'a>,
-        stop_flag: &'a AtomicBool,
-        shared_nodes: &'a AtomicUsize,
+        shared: &'a Shared,
+        node_budget: usize,
     ) -> CapsVisitor<'a> {
         let (config, num_workers) = (ctx.config, ctx.model.num_workers());
         let n_ops = ctx.physical.num_operators();
-        CapsVisitor {
+        let mut visitor = CapsVisitor {
             physical: ctx.physical,
             model: ctx.model,
             topo: ctx.topo,
@@ -466,26 +487,23 @@ impl<'a> CapsVisitor<'a> {
             load: vec![[Fixed64::ZERO; 3]; num_workers],
             delta_arena: Vec::with_capacity(256),
             undo_marks: Vec::with_capacity(64),
-            store: PlanStore::new(config.max_plans),
+            worst: None,
             anytime: Vec::new(),
             best_cost: f64::INFINITY,
             store_prune: config.incumbent_prune,
             store_limit: [Fixed64::MAX; 3],
+            worst_cost: f64::INFINITY,
             store_cut: false,
             first_feasible: config.first_feasible,
             nodes: 0,
-            node_budget: config.node_budget.unwrap_or(usize::MAX),
+            node_budget,
             deadline: ctx.deadline,
-            stop_flag,
-            shared_nodes,
+            shared,
             overflow: [Fixed64::MAX; 3],
             aborted: false,
-        }
-    }
-
-    /// Consumes the visitor and returns its local plan cache.
-    pub(crate) fn into_found(self) -> Vec<ScoredPlan> {
-        self.store.into_plans()
+        };
+        visitor.read_store_bound();
+        visitor
     }
 
     /// Takes the recorded best-cost improvement points.
@@ -496,6 +514,12 @@ impl<'a> CapsVisitor<'a> {
     /// Whether this visitor stopped early on a budget or stop flag.
     pub(crate) fn was_aborted(&self) -> bool {
         self.aborted
+    }
+
+    /// Whether this visitor stopped because it used up its own node
+    /// budget.
+    pub(crate) fn ran_out_of_nodes(&self) -> bool {
+        self.nodes > self.node_budget
     }
 
     /// Per dimension, the smallest load that crossed the threshold bound
@@ -531,11 +555,24 @@ impl<'a> CapsVisitor<'a> {
             // budget before its own does, so one thread stops exactly.
             let step = TIME_CHECK_MASK + 1;
             self.aborted = self.nodes > self.node_budget
-                || self.shared_nodes.fetch_add(step, Ordering::Relaxed) + step > self.node_budget
+                || self.shared.nodes.fetch_add(step, Ordering::Relaxed) + step > self.node_budget
                 || self.deadline.is_some_and(|d| Instant::now() >= d)
-                || self.stop_flag.load(Ordering::Relaxed);
+                || self.shared.stop.load(Ordering::Relaxed);
+            if !self.aborted {
+                self.read_store_bound();
+            }
         }
         self.aborted
+    }
+
+    /// Under store-bound pruning, prunes against the run's published
+    /// store bound (`Shared::store_bound`) if it is tighter than what
+    /// this visitor has seen.
+    fn read_store_bound(&mut self) {
+        if self.store_prune {
+            let bound = f64::from_bits(self.shared.store_bound.load(Ordering::Relaxed));
+            self.tighten_store_limit(bound);
+        }
     }
 
     /// Is operator `op` fully placed?
@@ -632,8 +669,9 @@ impl<'a> CapsVisitor<'a> {
     /// Records a feasible plan, respecting the storage cap.
     fn record(&mut self, counts: &[Vec<usize>]) {
         let cost = self.current_cost();
-        if cost.max_component() < self.best_cost {
-            self.best_cost = cost.max_component();
+        let mc = cost.max_component();
+        if mc < self.best_cost {
+            self.best_cost = mc;
             self.anytime.push(AnytimePoint {
                 nodes: self.nodes,
                 cost: self.best_cost,
@@ -643,37 +681,57 @@ impl<'a> CapsVisitor<'a> {
         // loads reach a leaf with the same mantissas on every schedule,
         // so `cmp_scored` is a schedule-independent total order with no
         // from-scratch recosting. The subtask rows, in operator-id order,
-        // are the plan's per-task assignment, so a full store screens the
-        // candidate against its worst plan before a `Placement` is built.
+        // are the plan's per-task assignment, so the candidate is screened
+        // against this visitor's copy of the worst stored plan, then under
+        // the lock against the store's own, before any plan is written.
         // Under store-bound pruning no leaf costs more than the worst
-        // stored plan, so the screen mostly rejects ties on cost.
+        // stored plan, so the screens mostly reject ties on cost.
         let assignment = || self.subtask_worker.iter().flatten().copied();
-        if !self.store.admits(cost.max_component(), assignment()) {
+        if self
+            .worst
+            .as_ref()
+            .is_some_and(|worst| !precedes(mc, assignment(), worst))
+        {
             return;
         }
-        let mut tasks = Vec::with_capacity(self.physical.num_tasks());
-        tasks.extend(assignment().map(WorkerId));
-        let plan = Placement::new(tasks);
-        debug_assert_eq!(
-            Placement::from_op_counts(self.physical, counts)
-                .ok()
-                .as_ref(),
-            Some(&plan)
-        );
-        self.store.insert(ScoredPlan { plan, cost });
-        self.refresh_store_limit();
+        let mut store = self.shared.store.lock();
+        if store.admits(mc, assignment()) {
+            debug_assert!(
+                Placement::from_op_counts(self.physical, counts).is_ok_and(|p| p
+                    .assignment()
+                    .iter()
+                    .map(|w| w.0)
+                    .eq(assignment()))
+            );
+            store.insert_assignment(cost, self.physical.num_tasks(), assignment());
+        }
+        let Some(worst) = store.worst() else {
+            return;
+        };
+        match &mut self.worst {
+            Some(seen) => seen.clone_from(worst),
+            None => self.worst = Some(worst.clone()),
+        }
+        let bound = worst.cost.max_component();
+        drop(store);
+        if self.store_prune {
+            // Costs are non-negative, and `+ 0.0` turns a -0.0 into 0.0,
+            // so the bits order like the values.
+            self.shared
+                .store_bound
+                .fetch_min((bound + 0.0).to_bits(), Ordering::Relaxed);
+            self.tighten_store_limit(bound);
+        }
     }
 
-    /// Under store-bound pruning, turns the worst stored plan's
-    /// `max_component` cost into per-dimension load limits once the
-    /// store is full. The inversion is exact and admits ties, so a
-    /// branch over a limit holds only leaves whose cost exceeds the
-    /// worst stored cost in that dimension — leaves `record` would
-    /// reject — and the worst cost only falls while the store stays
-    /// full.
-    fn refresh_store_limit(&mut self) {
-        if let Some(worst) = self.store.worst().filter(|_| self.store_prune) {
-            let worst = worst.cost.max_component();
+    /// Turns a full store's worst `max_component` cost, if below the one
+    /// this visitor prunes against, into per-dimension load limits. The
+    /// inversion is exact and admits ties, so a branch over a limit holds
+    /// only leaves whose cost exceeds that cost in that dimension —
+    /// leaves the store would reject — and the cost only falls.
+    fn tighten_store_limit(&mut self, worst: f64) {
+        if worst < self.worst_cost {
+            self.worst_cost = worst;
             for dim in 0..3 {
                 self.store_limit[dim] = self.model.cost_to_load(dim, worst);
             }
@@ -748,7 +806,7 @@ impl PlanVisitor for CapsVisitor<'_> {
         }
         self.record(counts);
         if self.first_feasible {
-            self.stop_flag.store(true, Ordering::Relaxed);
+            self.shared.stop.store(true, Ordering::Relaxed);
             return false;
         }
         true
@@ -934,7 +992,7 @@ impl<'a> CapsSearch<'a> {
                 pareto: Vec::new(),
                 stats: RunStats {
                     elapsed: start.elapsed(),
-                    threads: config.threads,
+                    threads: 1,
                     aborted: true,
                     ..RunStats::default()
                 },
@@ -993,6 +1051,10 @@ impl<'a> CapsSearch<'a> {
     /// Runs a first-feasible probe under `config`'s budgets: a witness
     /// plan, or the failed run's minimum overflow.
     ///
+    /// The probe runs on the caller's thread whatever `config.threads`
+    /// says: on several threads, the witness would be whichever plan a
+    /// thread found first.
+    ///
     /// Used by the auto-tuner (§5.2): the witness's cost vector lets
     /// later probes re-validate it against relaxed thresholds in
     /// O(plan-size), and the overflow lets it skip every relaxed
@@ -1007,6 +1069,7 @@ impl<'a> CapsSearch<'a> {
             first_feasible: true,
             max_plans: 1,
             incumbent_prune: false,
+            threads: 1,
             ..config.clone()
         };
         let outcome = self.run_with_thresholds(thresholds, &probe)?;

@@ -14,6 +14,9 @@
 
 use std::cmp::Ordering;
 
+use capsys_model::{Placement, WorkerId};
+
+use crate::cost::CostVector;
 use crate::search::{cmp_scored, ScoredPlan};
 
 /// The `cap` best plans offered so far, in slot order.
@@ -24,6 +27,8 @@ pub(crate) struct PlanStore {
     /// so `heap[0]` is the worst stored plan. Empty until the store
     /// first fills; built once then and kept full afterwards.
     heap: Vec<usize>,
+    /// Assignment buffers of recycled plans, for the plans stored next.
+    spare: Vec<Vec<WorkerId>>,
 }
 
 impl PlanStore {
@@ -34,6 +39,7 @@ impl PlanStore {
             cap,
             slots: Vec::new(),
             heap: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -53,16 +59,8 @@ impl PlanStore {
         max_component: f64,
         assignment: impl Iterator<Item = usize>,
     ) -> bool {
-        let Some(worst) = self.worst() else {
-            return true;
-        };
-        match max_component.partial_cmp(&worst.cost.max_component()) {
-            Some(Ordering::Less) => true,
-            Some(Ordering::Equal) => assignment
-                .cmp(worst.plan.assignment().iter().map(|w| w.0))
-                .is_lt(),
-            _ => false,
-        }
+        self.worst()
+            .is_none_or(|worst| precedes(max_component, assignment, worst))
     }
 
     /// Stores a plan the store [`admits`](PlanStore::admits). A full
@@ -89,9 +87,53 @@ impl PlanStore {
         }
     }
 
-    /// The stored plans in slot order.
-    pub(crate) fn into_plans(self) -> Vec<ScoredPlan> {
-        self.slots
+    /// Stores a plan the store [`admits`](PlanStore::admits), given as
+    /// its cost and the worker of each of its `tasks` tasks, exactly as
+    /// [`insert`](PlanStore::insert) would. The plan is written into the
+    /// buffer of the plan it evicts, or of a recycled one, so a full
+    /// store allocates nothing: the memory a search needs stays that of
+    /// `cap` plans, whichever thread finds them.
+    pub(crate) fn insert_assignment(
+        &mut self,
+        cost: CostVector,
+        tasks: usize,
+        assignment: impl Iterator<Item = usize>,
+    ) {
+        let fill = |mut buffer: Vec<WorkerId>| {
+            buffer.clear();
+            buffer.reserve_exact(tasks);
+            buffer.extend(assignment.map(WorkerId));
+            ScoredPlan {
+                plan: Placement::new(buffer),
+                cost,
+            }
+        };
+        match self.heap.first() {
+            Some(&slot) => {
+                let worst = &mut self.slots[slot];
+                let tasks = std::mem::replace(&mut worst.plan, Placement::new(Vec::new()));
+                *worst = fill(tasks.into_assignment());
+                self.sift_down(0);
+            }
+            None => {
+                let plan = fill(self.spare.pop().unwrap_or_default());
+                self.insert(plan);
+            }
+        }
+    }
+
+    /// Empties the store, keeping its plans' buffers for the plans
+    /// stored next.
+    pub(crate) fn recycle(&mut self) {
+        self.heap.clear();
+        let plans = self.slots.drain(..).map(|s| s.plan.into_assignment());
+        self.spare.extend(plans);
+    }
+
+    /// Takes the stored plans in slot order, leaving the store empty.
+    pub(crate) fn take_plans(&mut self) -> Vec<ScoredPlan> {
+        self.heap.clear();
+        std::mem::take(&mut self.slots)
     }
 
     /// Restores the heap order below position `pos`, whose plan may now
@@ -117,6 +159,22 @@ impl PlanStore {
             self.heap.swap(pos, child);
             pos = child;
         }
+    }
+}
+
+/// Whether a plan of cost `max_component` and per-task worker
+/// `assignment` precedes `worst` under [`cmp_scored`].
+pub(crate) fn precedes(
+    max_component: f64,
+    assignment: impl Iterator<Item = usize>,
+    worst: &ScoredPlan,
+) -> bool {
+    match max_component.partial_cmp(&worst.cost.max_component()) {
+        Some(Ordering::Less) => true,
+        Some(Ordering::Equal) => assignment
+            .cmp(worst.plan.assignment().iter().map(|w| w.0))
+            .is_lt(),
+        _ => false,
     }
 }
 
@@ -191,13 +249,24 @@ mod tests {
             let offers: Vec<_> = offers.iter().filter(|(_, _, a)| seen.insert(a.clone())).collect();
             for cap in [1, 2, 3, 64, 1024] {
                 let mut store = PlanStore::new(cap);
+                // Starts with recycled buffers, as a restarted search does.
+                let mut recycling = PlanStore::new(cap);
+                for a in offers.iter().take(cap) {
+                    recycling.insert_assignment(plan(0, 0, &a.2).cost, 6, a.2.iter().copied());
+                }
+                recycling.recycle();
                 let mut reference = RescanStore { cap, slots: Vec::new() };
                 for (i, (level, dim, assignment)) in offers.iter().enumerate() {
                     let p = plan(*level, *dim, assignment);
                     let admitted = store.admits(p.cost.max_component(), assignment.iter().copied());
                     let evicted = admitted.then(|| store.insert(p.clone()));
+                    // The buffer-reusing insert keeps the same slots.
+                    if admitted {
+                        recycling.insert_assignment(p.cost, 6, assignment.iter().copied());
+                    }
                     assert_eq!(evicted, reference.offer(p), "cap {cap}, offer {i}");
                     assert_eq!(store.slots, reference.slots, "cap {cap}, offer {i}");
+                    assert_eq!(recycling.slots, store.slots, "cap {cap}, offer {i}");
                     // The worst plan, and with it the store limit its
                     // `max_component` sets under store-bound pruning.
                     assert_eq!(

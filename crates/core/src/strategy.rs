@@ -7,10 +7,11 @@
 //! [`SearchConfig::backend`] selects:
 //!
 //! * [`SearchBackend::Dfs`] — the threshold-pruned exhaustive DFS of
-//!   §4.3-4.4 under the runner of §5.1 (`crate::parallel`). One loop
-//!   serves every thread count: one thread explores the whole tree as a
-//!   single unit on the caller's thread, more threads claim the caller's
-//!   DFS-ordered split of it from one shared cursor;
+//!   §4.3-4.4 under the runner of §5.1 (`crate::parallel`). Every
+//!   search starts on the caller's thread; a multi-thread one that
+//!   outgrows [`SPLIT_AFTER`](crate::SPLIT_AFTER) nodes restarts, and
+//!   the caller and the spawned threads claim the caller's DFS-ordered
+//!   split of the tree from one shared cursor;
 //! * [`SearchBackend::Mcts`] — a seeded, deterministic Monte Carlo Tree
 //!   Search (`crate::mcts`) for plan spaces too large to exhaust.
 //!
@@ -33,8 +34,9 @@ use crate::search::{AnytimePoint, OpTopology, RunStats, ScoredPlan, SearchConfig
 /// Which search algorithm a [`SearchConfig`] selects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchBackend {
-    /// Threshold-pruned exhaustive DFS on `threads` threads (one runs
-    /// on the caller's thread). Exhaustive within its budget: an
+    /// Threshold-pruned exhaustive DFS on up to `threads` threads (a
+    /// search that ends within [`SPLIT_AFTER`](crate::SPLIT_AFTER)
+    /// nodes runs on the caller's thread alone). Exhaustive within its budget: an
     /// un-aborted run proves (in)feasibility.
     Dfs,
     /// Seeded Monte Carlo Tree Search (UCT) over placement prefixes. An

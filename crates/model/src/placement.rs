@@ -23,6 +23,12 @@ impl Placement {
         Placement { assignment }
     }
 
+    /// The per-task worker assignment, by value, so its buffer can hold
+    /// another plan.
+    pub fn into_assignment(self) -> Vec<WorkerId> {
+        self.assignment
+    }
+
     /// Builds a placement from per-worker, per-operator task counts.
     ///
     /// `counts[w][o]` is the number of tasks of operator `o` placed on

@@ -340,53 +340,73 @@ impl FaultPlan {
     /// degrades, partitions and decider faults are not generated; write
     /// them as explicit events ([`FaultPlan::new`],
     /// [`FaultPlan::with_decider_fault`]).
+    ///
+    /// Drawn windows of one class that overlap on one worker (crashes
+    /// cycle their victims when there are more crashes than workers,
+    /// and stragglers pick theirs freely), or overlapping blackouts, are
+    /// merged into one window from the earliest start to the latest end
+    /// that keeps the earliest window's factor, so every generated plan
+    /// passes [`FaultPlan::validate`].
     pub fn generate(config: &ChaosConfig, num_workers: usize) -> Result<FaultPlan, SimError> {
         config.validate()?;
         if num_workers == 0 {
             return Err(SimError::InvalidFaultPlan("no workers to fault".into()));
         }
         let mut rng = SmallRng::seed_from_u64(config.seed);
-        let mut events = Vec::new();
         // Crash distinct workers (cycling when there are more crashes
         // than workers) so concurrent crashes cannot stack on one victim.
         let mut victims: Vec<usize> = (0..num_workers).collect();
         victims.shuffle(&mut rng);
+        let mut crashes = Vec::with_capacity(config.crashes);
         for k in 0..config.crashes {
-            let w = WorkerId(victims[k % num_workers]);
+            let w = victims[k % num_workers];
             let at = rng.gen_range(0.0..config.horizon * 0.7);
             let downtime = rng.gen_range(config.crash_downtime.0..=config.crash_downtime.1);
-            events.push(FaultEvent {
-                time: at,
-                kind: FaultKind::Crash(w),
-            });
-            events.push(FaultEvent {
-                time: at + downtime,
-                kind: FaultKind::Restore(w),
-            });
+            crashes.push((w, at, at + downtime, ()));
         }
+        let mut stragglers = Vec::with_capacity(config.stragglers);
         for _ in 0..config.stragglers {
-            let w = WorkerId(rng.gen_range(0..num_workers));
+            let w = rng.gen_range(0..num_workers);
             let at = rng.gen_range(0.0..config.horizon * 0.7);
             let dur = rng.gen_range(config.straggler_duration.0..=config.straggler_duration.1);
             let factor = rng.gen_range(config.slowdown.0..=config.slowdown.1);
-            events.push(FaultEvent {
-                time: at,
-                kind: FaultKind::StragglerStart { worker: w, factor },
-            });
-            events.push(FaultEvent {
-                time: at + dur,
-                kind: FaultKind::StragglerEnd(w),
-            });
+            stragglers.push((w, at, at + dur, factor));
         }
+        let mut blackouts = Vec::with_capacity(config.blackouts);
         for _ in 0..config.blackouts {
             let at = rng.gen_range(0.0..config.horizon * 0.7);
             let dur = rng.gen_range(config.blackout_duration.0..=config.blackout_duration.1);
+            blackouts.push((0, at, at + dur, ()));
+        }
+        let mut events = Vec::new();
+        for (w, start, end, ()) in merge_windows(crashes) {
             events.push(FaultEvent {
-                time: at,
+                time: start,
+                kind: FaultKind::Crash(WorkerId(w)),
+            });
+            events.push(FaultEvent {
+                time: end,
+                kind: FaultKind::Restore(WorkerId(w)),
+            });
+        }
+        for (w, start, end, factor) in merge_windows(stragglers) {
+            let worker = WorkerId(w);
+            events.push(FaultEvent {
+                time: start,
+                kind: FaultKind::StragglerStart { worker, factor },
+            });
+            events.push(FaultEvent {
+                time: end,
+                kind: FaultKind::StragglerEnd(worker),
+            });
+        }
+        for (_, start, end, ()) in merge_windows(blackouts) {
+            events.push(FaultEvent {
+                time: start,
                 kind: FaultKind::BlackoutStart,
             });
             events.push(FaultEvent {
-                time: at + dur,
+                time: end,
                 kind: FaultKind::BlackoutEnd,
             });
         }
@@ -458,9 +478,10 @@ impl FaultPlan {
     /// drops past `Start`s whose state the restarting controller
     /// re-applies — and a straggler or link degrade may overlap a crash
     /// (a slow worker can still die). What is rejected is any pair of
-    /// same-kind windows on one worker (the engine keeps one flag per
-    /// worker per kind, so the inner window's end would silently cancel
-    /// the outer one) and a crash overlapping a partition on the same
+    /// same-kind windows on one worker, or two overlapping blackouts
+    /// (the engine keeps one flag per worker per kind, and one for
+    /// blackouts, so the inner window's end would silently cancel the
+    /// outer one) and a crash overlapping a partition on the same
     /// worker (a dead worker cannot also be "running but unreachable";
     /// the two disagree about what the restore path must re-establish).
     pub fn validate(&self, num_workers: usize) -> Result<(), SimError> {
@@ -468,6 +489,7 @@ impl FaultPlan {
         let mut straggling = vec![false; num_workers];
         let mut degraded = vec![false; num_workers];
         let mut partitioned = vec![false; num_workers];
+        let mut blackout = false;
         let check = |w: WorkerId| {
             if w.0 >= num_workers {
                 Err(SimError::InvalidFaultPlan(format!(
@@ -542,11 +564,39 @@ impl FaultPlan {
                     partitioned[w] = true;
                 }
                 FaultKind::PartitionEnd(w) => partitioned[check(w)?] = false,
-                FaultKind::BlackoutStart | FaultKind::BlackoutEnd => {}
+                FaultKind::BlackoutStart => {
+                    if blackout {
+                        return Err(SimError::InvalidFaultPlan(format!(
+                            "a blackout starts at t={} while one is already open \
+                             (overlapping blackout windows)",
+                            e.time
+                        )));
+                    }
+                    blackout = true;
+                }
+                FaultKind::BlackoutEnd => blackout = false,
             }
         }
         Ok(())
     }
+}
+
+/// Merges the `(key, start, end, payload)` windows that overlap (or
+/// touch) another window of the same key into one window from the
+/// earliest start to the latest end, keeping the earliest window's
+/// payload. Returns the windows sorted by key, then start.
+fn merge_windows<P>(mut windows: Vec<(usize, f64, f64, P)>) -> Vec<(usize, f64, f64, P)> {
+    windows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let mut merged: Vec<(usize, f64, f64, P)> = Vec::with_capacity(windows.len());
+    for window in windows {
+        match merged.last_mut() {
+            Some(last) if last.0 == window.0 && window.1 <= last.2 => {
+                last.2 = last.2.max(window.2);
+            }
+            _ => merged.push(window),
+        }
+    }
+    merged
 }
 
 /// Parameters for deterministic random fault-schedule generation.
@@ -722,6 +772,60 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a, c, "different seeds should differ");
+    }
+
+    #[test]
+    fn every_generated_plan_validates() {
+        // Shapes whose drawn windows overlap often: more crashes than
+        // workers, several stragglers on few workers, several blackouts.
+        let shapes = [(2, 2, 2, 6), (0, 2, 0, 2), (3, 0, 0, 2), (4, 4, 4, 3)];
+        let mut merged = 0;
+        for (crashes, stragglers, blackouts, workers) in shapes {
+            for seed in 0..1000 {
+                let cfg = ChaosConfig {
+                    seed,
+                    crashes,
+                    stragglers,
+                    blackouts,
+                    ..ChaosConfig::default()
+                };
+                let plan = FaultPlan::generate(&cfg, workers).unwrap();
+                if let Err(e) = plan.validate(workers) {
+                    panic!(
+                        "seed {seed}, shape {crashes}/{stragglers}/{blackouts} on {workers}: {e}"
+                    );
+                }
+                if plan.events.len() < 2 * (crashes + stragglers + blackouts) {
+                    merged += 1;
+                }
+            }
+        }
+        assert!(merged > 0, "no drawn windows overlapped");
+    }
+
+    #[test]
+    fn overlapping_blackouts_are_rejected() {
+        let at = |time, kind| FaultEvent { time, kind };
+        let plan = FaultPlan::new(vec![
+            at(10.0, FaultKind::BlackoutStart),
+            at(12.0, FaultKind::BlackoutStart),
+            at(15.0, FaultKind::BlackoutEnd),
+            at(20.0, FaultKind::BlackoutEnd),
+        ])
+        .unwrap();
+        let err = plan.validate(1).unwrap_err().to_string();
+        assert!(err.contains("overlapping blackout windows"), "{err}");
+        // Back-to-back blackouts and an orphan end (a shifted plan) stay
+        // legal.
+        let plan = FaultPlan::new(vec![
+            at(5.0, FaultKind::BlackoutEnd),
+            at(10.0, FaultKind::BlackoutStart),
+            at(12.0, FaultKind::BlackoutEnd),
+            at(12.5, FaultKind::BlackoutStart),
+            at(20.0, FaultKind::BlackoutEnd),
+        ])
+        .unwrap();
+        plan.validate(1).unwrap();
     }
 
     #[test]

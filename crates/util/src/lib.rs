@@ -14,7 +14,8 @@
 //!   cost core (replaces ad-hoc `f64` accumulation and the fixed-point
 //!   crates the ecosystem would normally supply).
 //! * [`sync`] — a poison-free `Mutex` wrapper over `std::sync`
-//!   (replaces `parking_lot`).
+//!   (replaces `parking_lot`), and the process-wide hardware thread
+//!   count.
 //! * [`journal`] — append-only, checksummed JSON-lines journal framing
 //!   (CRC-32 frames, torn-tail-tolerant reads) for write-ahead logs.
 //! * [`prop`] — a mini property-testing harness with seeded case

@@ -1,5 +1,5 @@
 //! A poison-free lock wrapper over `std::sync` (std-only `parking_lot`
-//! replacement).
+//! replacement), and the process-wide hardware thread count.
 //!
 //! `parking_lot`'s ergonomic win is that `lock()` returns the guard
 //! directly instead of a `Result` that is `unwrap()`ed at every call
@@ -8,7 +8,16 @@
 //! suits this workspace's shared state (the epoch fence and the fleet's
 //! tick pool).
 
-use std::sync::{self, LockResult, PoisonError};
+use std::num::NonZeroUsize;
+use std::sync::{self, LockResult, OnceLock, PoisonError};
+
+/// The machine's available parallelism, read once per process: the
+/// query reads cgroup files, which would cost every caller that sizes a
+/// thread pool (the fleet's tick pool, the default search threads).
+pub fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 fn ignore_poison<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)

@@ -33,7 +33,9 @@
 #      with the store-bound exactness test (tests/store_bound.rs), the
 #      multi-thread DFS's schedule-independence and worker-panic tests
 #      (tests/parallel_schedule.rs, tests/parallel_panic.rs: real thread
-#      interleavings in an optimised build), the auto-tuner's plain-scan
+#      interleavings in an optimised build), the thread-count
+#      independence of the stored and recommended plans on the paper
+#      queries (tests/thread_count_outcomes.rs), the auto-tuner's plain-scan
 #      equivalence
 #      (tests/autotune_equivalence.rs), the simulator's allocation
 #      counts (crates/sim/tests/alloc_free_tick.rs: a warm tick phase
@@ -185,9 +187,9 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/10" "determinism + search and sim goldens + store-bound + parallel DFS + auto-tuner equivalence + tick-phase tests (release)"
+step "7/10" "determinism + search and sim goldens + store-bound + parallel DFS + thread-count outcomes + auto-tuner equivalence + tick-phase tests (release)"
 cargo test -q --release --test golden_determinism --test search_golden --test store_bound \
-    --test parallel_schedule --test parallel_panic \
+    --test parallel_schedule --test parallel_panic --test thread_count_outcomes \
     --test autotune_equivalence --test sim_golden --test sim_heal_golden
 cargo test -q --release -p capsys-sim --test alloc_free_tick
 cargo test -q --release -p capsys-controller --lib -- fleet::tests::tick_phase
@@ -231,9 +233,9 @@ step "10/10" "perfbench gate (self-tests + 1 s of each workload, seeds 1/2)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 for workload in place fleet recover; do
     case "$workload" in
-        place) pinned=c69d025c9b7c7fab ;;
+        place) pinned=f8aa8497ddac85a9 ;;
         fleet) pinned=525f9cb48eb89072 ;;
-        recover) pinned=0c185ebb2e5b985e ;;
+        recover) pinned=b1fa76239ffa0399 ;;
     esac
     for seed in 1 2; do
         out=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \

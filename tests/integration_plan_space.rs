@@ -136,8 +136,7 @@ fn parallel_search_is_deterministic_in_results() {
     assert!((best_seq.max_component() - best_par.max_component()).abs() < 1e-9);
 
     // Q3-inf on 5 workers with a 64-plan store: the capped store keeps
-    // the same plan set at every thread count (one thread keeps store
-    // order, more threads sort), and every stored cost is the
+    // the same plan set at every thread count, and every stored cost is the
     // from-scratch recost bit for bit.
     let c = Cluster::homogeneous(5, WorkerSpec::r5d_xlarge(4)).unwrap();
     let q = q3_inf();

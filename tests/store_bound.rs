@@ -4,9 +4,9 @@
 //! partial load already costs more than the worst stored plan. Such a
 //! branch holds only leaves the store would reject, so the pruned run
 //! must keep exactly the plans the unpruned run keeps at the same
-//! `max_plans`: the same stored plans (in discovery order at one
-//! thread, in the merge's total order above one), the same pareto
-//! front and the same recommended plan, while exploring no more plans.
+//! `max_plans`: the same stored plans (in `cmp_scored` order), the same
+//! pareto front and the same recommended plan, while exploring no more
+//! plans.
 //!
 //! At one thread the pruned run walks a subset of the unpruned
 //! baseline's tree and visits no more nodes. Above one
