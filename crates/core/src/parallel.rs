@@ -42,9 +42,9 @@
 //! the same reason a full store writes a new plan into the buffer of the
 //! plan it evicts, and a restart recycles the first attempt's plan
 //! buffers, so the spawned threads allocate almost no plan memory. A
-//! visitor screens a leaf against the last worst stored plan it saw
-//! before it takes the lock: the worst plan only improves, so a leaf that
-//! fails that screen would be rejected.
+//! visitor rejects a leaf that costs more than the smallest worst stored
+//! cost it has seen (the store bound below) before it takes the lock: the
+//! worst stored cost only falls, so the store would reject that leaf too.
 //!
 //! The split runs through one visitor ([`PlanEnumerator::expand_prefix`]):
 //! each split layer's placements are offered to it exactly as an
@@ -58,17 +58,19 @@
 //! value.
 //!
 //! Visitors also share a stop flag (first-feasible and abort
-//! propagation), a node count and, under store-bound pruning
-//! ([`SearchConfig::incumbent_prune`]), the store bound. Every visitor
-//! polls once per 1,024 nodes: it adds its nodes to the shared count and
-//! checks that count against the node budget and the clock against its
+//! propagation), a node count and the store bound. Every visitor polls
+//! once per 1,024 nodes: it adds its nodes to the shared count and checks
+//! that count against the node budget and the clock against its
 //! deadline, and the thread that sees either run out raises the stop flag
 //! for the rest. A visitor that finds the store full publishes the worst
 //! stored cost through `fetch_min` on one atomic, and every visitor reads
-//! it at its poll (and when it starts) and prunes against it, admitting
-//! ties like its own cut. A restart keeps the first attempt's bound:
-//! those plans are in the tree, so a plan that costs more than the worst
-//! of them ranks below `max_plans` plans of the result.
+//! it at its poll (and when it starts) and screens leaves against it;
+//! under store-bound pruning ([`SearchConfig::incumbent_prune`]) it also
+//! prunes branches against it, admitting ties like its own cut. A restart
+//! keeps the first attempt's bound: those plans are in the tree, so a
+//! plan that costs more than the worst of them ranks below `max_plans`
+//! plans of the result (of a restart that runs to the end; one that
+//! aborts may keep fewer plans than a search that never split).
 //!
 //! A split search catches a panic on any of its threads, stops and joins
 //! the others cleanly, and returns [`CapsError::SearchPanicked`] instead
@@ -120,9 +122,9 @@ pub(crate) struct Shared {
     pub(crate) stop: AtomicBool,
     /// Nodes of all visitors, added at their polls (the node budget).
     pub(crate) nodes: AtomicUsize,
-    /// Under store-bound pruning, the bits of the full store's worst
-    /// `max_component` cost (`f64::INFINITY` before it fills), lowered
-    /// with `fetch_min`; non-negative `f64`s order like their bits.
+    /// The bits of the full store's worst `max_component` cost
+    /// (`f64::INFINITY` before it fills), lowered with `fetch_min`;
+    /// non-negative `f64`s order like their bits.
     pub(crate) store_bound: AtomicU64,
 }
 
@@ -139,15 +141,16 @@ impl Shared {
 }
 
 /// Runs the DFS: on the caller's thread, and split over
-/// `config.threads` threads if it outgrows [`SPLIT_AFTER`] nodes.
-pub(crate) fn run(ctx: &Problem<'_>) -> Result<BackendResult, CapsError> {
+/// `config.threads` threads if it outgrows `split_after` nodes. Searches
+/// pass [`SPLIT_AFTER`]; tests pass 0 to split every multi-thread run.
+pub(crate) fn run(ctx: &Problem<'_>, split_after: usize) -> Result<BackendResult, CapsError> {
     let (threads, budget) = (
         ctx.config.threads,
         ctx.config.node_budget.unwrap_or(usize::MAX),
     );
     let shared = Shared::new(ctx.config.max_plans);
-    let may_split = threads > 1 && budget > SPLIT_AFTER;
-    let mut first = CapsVisitor::new(ctx, &shared, if may_split { SPLIT_AFTER } else { budget });
+    let may_split = threads > 1 && budget > split_after;
+    let mut first = CapsVisitor::new(ctx, &shared, if may_split { split_after } else { budget });
     let counts = ctx.enumerator.explore(&mut first);
     if !(may_split && first.ran_out_of_nodes()) {
         return Ok(merge(ctx, &shared, 1, 0, vec![(first, counts)]));
@@ -158,7 +161,7 @@ pub(crate) fn run(ctx: &Problem<'_>) -> Result<BackendResult, CapsError> {
     drop(first);
     shared.store.lock().recycle();
     shared.nodes.store(0, Ordering::Relaxed);
-    let mut root = CapsVisitor::new(ctx, &shared, budget - SPLIT_AFTER);
+    let mut root = CapsVisitor::new(ctx, &shared, budget - split_after);
     let units = split(ctx.enumerator, threads, &mut root);
     if root.was_aborted() {
         shared.stop.store(true, Ordering::Relaxed);
@@ -171,7 +174,7 @@ pub(crate) fn run(ctx: &Problem<'_>) -> Result<BackendResult, CapsError> {
                 let (shared, units) = (&shared, &units);
                 scope.spawn(move || {
                     guarded(shared, || {
-                        let mut visitor = CapsVisitor::new(ctx, shared, budget - SPLIT_AFTER);
+                        let mut visitor = CapsVisitor::new(ctx, shared, budget - split_after);
                         let counts = work(idx, ctx.enumerator, units, shared, &mut visitor);
                         (visitor, counts)
                     })
@@ -330,11 +333,13 @@ pub(crate) fn finalize_merge(
 mod tests {
     use super::*;
     use crate::cost::{CostVector, Thresholds};
-    use crate::search::CapsSearch;
+    use crate::search::{CapsSearch, SearchOutcome};
     use capsys_model::{
-        Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind,
+        count_plans, Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind,
         PhysicalGraph, Placement, ResourceProfile, WorkerSpec,
     };
+    use capsys_util::forall;
+    use capsys_util::prop::{floats, ints, vec_of, Config};
     use std::collections::HashMap;
 
     fn fixture() -> (LogicalGraph, PhysicalGraph, Cluster, LoadModel) {
@@ -375,49 +380,43 @@ mod tests {
         (g, p, c, lm)
     }
 
+    /// Runs `config` at `thresholds`, splitting a multi-thread run at its
+    /// first node, and asserts that it ran on `config.threads` threads.
+    /// The fixtures here are far smaller than [`SPLIT_AFTER`] nodes, so
+    /// without the forced split every run would stay on one thread.
+    fn run_split(
+        search: &CapsSearch<'_>,
+        thresholds: Thresholds,
+        config: &SearchConfig,
+    ) -> SearchOutcome {
+        let out = search.run_split_after(&thresholds, config, 0).unwrap();
+        assert_eq!(out.stats.threads, config.threads, "the run did not split");
+        out
+    }
+
     #[test]
     fn parallel_matches_sequential_plan_count() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
         let th = Thresholds::new(0.6, 0.6, 0.9);
-        let seq = search
-            .run(&crate::search::SearchConfig {
-                max_plans: usize::MAX / 2,
-                ..crate::search::SearchConfig::with_thresholds(th)
-            })
-            .unwrap();
-        let par = search
-            .run(&crate::search::SearchConfig {
-                max_plans: usize::MAX / 2,
-                threads: 4,
-                ..crate::search::SearchConfig::with_thresholds(th)
-            })
-            .unwrap();
-        assert_eq!(seq.stats.plans_found, par.stats.plans_found);
-        assert_eq!(seq.feasible.len(), par.feasible.len());
-        // Same canonical plan sets regardless of thread interleaving.
-        let key = |plans: &[ScoredPlan]| {
-            let mut ks: Vec<_> = plans
-                .iter()
-                .map(|s| s.plan.canonical_key(&p, c.num_workers()))
-                .collect();
-            ks.sort();
-            ks
+        let config = |threads| SearchConfig {
+            max_plans: usize::MAX / 2,
+            threads,
+            ..SearchConfig::with_thresholds(th)
         };
-        assert_eq!(key(&seq.feasible), key(&par.feasible));
+        let seq = search.run(&config(1)).unwrap();
+        let par = run_split(&search, th, &config(4));
+        assert_eq!(seq.stats.plans_found, par.stats.plans_found);
+        // The same plans in the same `cmp_scored` order.
+        assert_eq!(seq.feasible, par.feasible);
     }
 
     #[test]
     fn parallel_first_feasible_returns_one_plan() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let out = search
-            .run(
-                &crate::search::SearchConfig::exhaustive()
-                    .with_threads(4)
-                    .first_feasible(),
-            )
-            .unwrap();
+        let config = SearchConfig::exhaustive().with_threads(4).first_feasible();
+        let out = run_split(&search, Thresholds::unbounded(), &config);
         assert_eq!(out.feasible.len(), 1);
         out.feasible[0].plan.validate(&p, &c).unwrap();
         // Regression: truncating storage to one witness must not rewrite
@@ -429,13 +428,12 @@ mod tests {
     fn parallel_costs_match_cost_model() {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
-        let out = search
-            .run(&crate::search::SearchConfig {
-                threads: 3,
-                max_plans: usize::MAX / 2,
-                ..crate::search::SearchConfig::exhaustive()
-            })
-            .unwrap();
+        let config = SearchConfig {
+            threads: 3,
+            max_plans: usize::MAX / 2,
+            ..SearchConfig::exhaustive()
+        };
+        let out = run_split(&search, Thresholds::unbounded(), &config);
         let model = search.cost_model();
         for s in out.feasible.iter().take(50) {
             let exact = model.cost(&p, &s.plan);
@@ -450,9 +448,9 @@ mod tests {
         let (g, p, c, lm) = fixture();
         let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
         let full = search
-            .run(&crate::search::SearchConfig {
+            .run(&SearchConfig {
                 max_plans: usize::MAX / 2,
-                ..crate::search::SearchConfig::exhaustive()
+                ..SearchConfig::exhaustive()
             })
             .unwrap();
         let best_cost = full
@@ -460,14 +458,15 @@ mod tests {
             .iter()
             .map(|s| s.cost.max_component())
             .fold(f64::INFINITY, f64::min);
-        let single = |threads: usize| crate::search::SearchConfig {
+        let single = |threads: usize| SearchConfig {
             threads,
             max_plans: 1,
-            ..crate::search::SearchConfig::exhaustive()
+            ..SearchConfig::exhaustive()
         };
         let unpruned = search.run(&single(1)).unwrap();
         for threads in [1, 4] {
-            let pruned = search.run(&single(threads).incumbent_pruned()).unwrap();
+            let config = single(threads).incumbent_pruned();
+            let pruned = run_split(&search, Thresholds::unbounded(), &config);
             assert!(!pruned.feasible.is_empty());
             // A one-plan store bounds the search by the best plan so far,
             // so every survivor ties the optimum...
@@ -477,11 +476,121 @@ mod tests {
             // ...and it is the plan the unpruned one-plan store keeps.
             assert_eq!(pruned.feasible, unpruned.feasible);
         }
-        // At one thread the store bound only ever removes nodes. Above
-        // one, each thread's store starts empty and node counts include
-        // prefix replays, so they can exceed the unpruned run's.
+        // At one thread the store bound only ever removes nodes. A split
+        // run also counts its first attempt's nodes and its prefix
+        // replays, so its count can exceed the unpruned run's.
         let pruned = search.run(&single(1).incumbent_pruned()).unwrap();
         assert!(pruned.stats.nodes < full.stats.nodes);
+    }
+
+    /// A linear job of one operator per `(parallelism, cpu/rec, state
+    /// B/rec, out B/rec)` draw, hash-partitioned, at 1,000 rec/s on
+    /// `workers` workers with `extra_slots` slots beyond the fewest that
+    /// fit it.
+    fn linear_job(
+        ops: &[(usize, f64, f64, f64)],
+        workers: usize,
+        extra_slots: usize,
+    ) -> (LogicalGraph, PhysicalGraph, Cluster, LoadModel) {
+        let mut b = LogicalGraph::builder("linear");
+        let mut prev = None;
+        for (i, &(par, cpu, io, out)) in ops.iter().enumerate() {
+            let kind = match i {
+                0 => OperatorKind::Source,
+                _ if i + 1 == ops.len() => OperatorKind::Sink,
+                _ => OperatorKind::Stateless,
+            };
+            let profile = ResourceProfile::new(cpu, io, out, 1.0);
+            let id = b.operator(format!("op{i}"), kind, par, profile);
+            if let Some(p) = prev {
+                b.edge(p, id, ConnectionPattern::Hash);
+            }
+            prev = Some(id);
+        }
+        let g = b.build().unwrap();
+        let p = PhysicalGraph::expand(&g);
+        let slots = g.total_tasks().div_ceil(workers) + extra_slots;
+        let c = Cluster::homogeneous(workers, WorkerSpec::new(slots, 2.0, 1e8, 1e9)).unwrap();
+        let rates = HashMap::from([(OperatorId(0), 1000.0)]);
+        let lm = LoadModel::derive(&g, &p, &rates).unwrap();
+        (g, p, c, lm)
+    }
+
+    #[test]
+    fn split_runs_keep_the_one_thread_outcome_on_random_problems() {
+        // Every run at 2, 4 and 8 threads splits at its first node, so the
+        // shared store, its lock-free screen and the published store bound
+        // all run. Against the one-thread run without the store bound, the
+        // stored plans (in order), the pareto front and the recommended
+        // plan must agree, with and without the store bound and with
+        // stores small enough to fill; without the store bound so must
+        // `plans_found` and the overflow.
+        forall!(Config::default().cases(12), (
+            ops in vec_of(
+                (ints(1usize..=4), floats(1e-5..2e-3), floats(0.0..5000.0), floats(1.0..1000.0)),
+                2..=4,
+            ),
+            workers in ints(2usize..=4),
+            extra_slots in ints(1usize..=4),
+            alpha in vec_of(floats(0.3..1.0), 3..=3),
+        ) => {
+            let (g, p, c, lm) = linear_job(ops, *workers, *extra_slots);
+            let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+            let random = Thresholds::new(alpha[0], alpha[1], alpha[2]);
+            for th in [Thresholds::unbounded(), random] {
+                for max_plans in [1usize, 2, 12, 1 << 20] {
+                    let config = |threads, incumbent_prune| SearchConfig {
+                        threads,
+                        max_plans,
+                        incumbent_prune,
+                        ..SearchConfig::with_thresholds(th)
+                    };
+                    let base = search.run(&config(1, false)).unwrap();
+                    for (threads, prune) in [2, 4, 8].into_iter().flat_map(|t| [(t, false), (t, true)]) {
+                        let out = run_split(&search, th, &config(threads, prune));
+                        let at = format!("{threads} threads, cap {max_plans}, store bound {prune}");
+                        assert_eq!(out.feasible, base.feasible, "stored plans: {at}");
+                        assert_eq!(out.pareto, base.pareto, "pareto front: {at}");
+                        assert_eq!(out.best_scored(), base.best_scored(), "recommended: {at}");
+                        if !prune {
+                            assert_eq!(out.stats.plans_found, base.stats.plans_found, "{at}");
+                            assert_eq!(out.overflow, base.overflow, "overflow: {at}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn split_of_a_single_prefix_still_covers_the_tree() {
+        // A source with parallelism 1, kept outermost, yields exactly one
+        // depth-1 prefix: the split must go deeper so the other threads
+        // get units, and still visit every plan.
+        let (g, p, c, lm) = linear_job(
+            &[
+                (1, 1e-4, 0.0, 100.0),
+                (6, 5e-4, 1000.0, 100.0),
+                (2, 1e-4, 0.0, 10.0),
+            ],
+            4,
+            2,
+        );
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let config = |threads| SearchConfig {
+            threads,
+            max_plans: 1 << 20,
+            reorder: false,
+            ..SearchConfig::exhaustive()
+        };
+        let seq = search.run(&config(1)).unwrap();
+        let total = count_plans(&p, &c).unwrap();
+        assert_eq!(seq.stats.plans_found, total);
+        for threads in [4, 8] {
+            let par = run_split(&search, Thresholds::unbounded(), &config(threads));
+            assert_eq!(par.stats.plans_found, total, "{threads} threads");
+            assert_eq!(par.feasible, seq.feasible, "{threads} threads");
+        }
     }
 
     fn scored(max: f64, tag: usize) -> ScoredPlan {
@@ -494,7 +603,7 @@ mod tests {
 
     #[test]
     fn finalize_merge_orders_deterministically() {
-        let config = crate::search::SearchConfig::exhaustive();
+        let config = SearchConfig::exhaustive();
         // Two slot orders of the same set give the same result.
         let a = vec![
             scored(0.5, 0),
@@ -518,7 +627,7 @@ mod tests {
         // The first-feasible truncation must not pretend only one plan
         // was found: finalize_merge never touches stats at all, it only
         // picks the deterministic best witness.
-        let config = crate::search::SearchConfig::exhaustive().first_feasible();
+        let config = SearchConfig::exhaustive().first_feasible();
         let merged = vec![scored(0.5, 0), scored(0.1, 1)];
         let out = finalize_merge(merged, &config);
         assert_eq!(out.len(), 1);

@@ -30,9 +30,8 @@ use crate::autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner};
 use crate::cost::{CostModel, CostVector, Thresholds};
 use crate::error::CapsError;
 use crate::mcts::MctsReport;
-use crate::parallel::Shared;
+use crate::parallel::{Shared, SPLIT_AFTER};
 use crate::pareto::pareto_front;
-use crate::store::precedes;
 use crate::strategy::{BackendResult, Problem, SearchBackend};
 
 /// Slack when treating tiny `f64` denominators as degenerate in the
@@ -47,6 +46,14 @@ const BOUND_EPS: f64 = 1e-9;
 /// seen within that many nodes, and a run of `t` threads visits at most
 /// `node_budget + t · (TIME_CHECK_MASK + 1)` nodes.
 const TIME_CHECK_MASK: usize = 0x3FF;
+
+/// Most threads [`SearchConfig::auto_tuned`] gives a search: the count
+/// at which the split search's gain and the lock traffic on its one
+/// shared plan store were measured (perfbench `place`, 2-vCPU VM). It
+/// also bounds the threads that concurrent searches spawn, such as a
+/// test harness running one search per core. Raise it only after paired
+/// runs on a machine with more hardware threads.
+const MAX_DEFAULT_THREADS: usize = 2;
 
 /// Configuration of one CAPS search run.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +71,7 @@ pub struct SearchConfig {
     pub reorder: bool,
     /// Most threads the DFS (§5.1) may use. Every search starts on the
     /// caller's thread; one still running after
-    /// [`SPLIT_AFTER`](crate::SPLIT_AFTER) nodes, at more than one
+    /// [`SPLIT_AFTER`] nodes, at more than one
     /// thread, restarts split into DFS-ordered subtrees that the caller
     /// and `threads - 1` spawned threads claim from one shared cursor.
     /// The stored plans, the pareto front and the recommended plan do
@@ -133,13 +140,13 @@ impl SearchConfig {
     /// default), then searches with store-bound pruning
     /// ([`SearchConfig::incumbent_prune`]): it keeps the same plans as
     /// the unpruned search and visits fewer nodes. A final search that
-    /// outgrows [`SPLIT_AFTER`](crate::SPLIT_AFTER) nodes uses the
-    /// machine's hardware threads; the tuner's probes stay on one.
+    /// outgrows [`SPLIT_AFTER`] nodes uses up to two
+    /// of the machine's hardware threads; the tuner's probes stay on one.
     pub fn auto_tuned() -> Self {
         SearchConfig {
             thresholds: None,
             reorder: true,
-            threads: hardware_threads(),
+            threads: hardware_threads().min(MAX_DEFAULT_THREADS),
             first_feasible: false,
             max_plans: 1024,
             node_budget: None,
@@ -223,7 +230,7 @@ pub struct RunStats {
     /// Wall-clock duration of the search phase.
     pub elapsed: Duration,
     /// Threads the search ran on: 1 unless a multi-thread DFS outgrew
-    /// [`SPLIT_AFTER`](crate::SPLIT_AFTER) nodes and split.
+    /// [`SPLIT_AFTER`] nodes and split.
     pub threads: usize,
     /// Whether the search stopped before fully exploring the tree — a
     /// node/time budget ran out or a cooperative stop fired. An aborted
@@ -430,11 +437,6 @@ pub(crate) struct CapsVisitor<'a> {
     delta_arena: Vec<(usize, [Fixed64; 3])>,
     undo_marks: Vec<usize>,
     // Results.
-    /// The run's store's worst plan when this visitor last held the
-    /// store's lock, once the store was full. The worst plan only
-    /// improves, so a leaf that does not precede this one is rejected
-    /// without taking the lock.
-    worst: Option<ScoredPlan>,
     /// Improvement points of the best stored `max_component` cost;
     /// meaningful only for single-threaded runs (deterministic order).
     anytime: Vec<AnytimePoint>,
@@ -446,7 +448,8 @@ pub(crate) struct CapsVisitor<'a> {
     store_limit: [Fixed64; 3],
     /// The smallest worst stored cost of a full store that this visitor
     /// has seen, in the store or in the run's published bound
-    /// (`f64::INFINITY` before).
+    /// (`f64::INFINITY` before). The worst cost only falls, so a leaf
+    /// that costs more is rejected without taking the store's lock.
     worst_cost: f64,
     /// Whether a store-bound cut fired, which voids the overflow.
     store_cut: bool,
@@ -487,7 +490,6 @@ impl<'a> CapsVisitor<'a> {
             load: vec![[Fixed64::ZERO; 3]; num_workers],
             delta_arena: Vec::with_capacity(256),
             undo_marks: Vec::with_capacity(64),
-            worst: None,
             anytime: Vec::new(),
             best_cost: f64::INFINITY,
             store_prune: config.incumbent_prune,
@@ -565,14 +567,12 @@ impl<'a> CapsVisitor<'a> {
         self.aborted
     }
 
-    /// Under store-bound pruning, prunes against the run's published
-    /// store bound (`Shared::store_bound`) if it is tighter than what
-    /// this visitor has seen.
+    /// Screens (and, under store-bound pruning, prunes) against the
+    /// run's published store bound (`Shared::store_bound`) if it is
+    /// tighter than what this visitor has seen.
     fn read_store_bound(&mut self) {
-        if self.store_prune {
-            let bound = f64::from_bits(self.shared.store_bound.load(Ordering::Relaxed));
-            self.tighten_store_limit(bound);
-        }
+        let bound = f64::from_bits(self.shared.store_bound.load(Ordering::Relaxed));
+        self.lower_worst_cost(bound);
     }
 
     /// Is operator `op` fully placed?
@@ -680,20 +680,15 @@ impl<'a> CapsVisitor<'a> {
         // The incremental accumulator IS the stored cost: fixed-point
         // loads reach a leaf with the same mantissas on every schedule,
         // so `cmp_scored` is a schedule-independent total order with no
-        // from-scratch recosting. The subtask rows, in operator-id order,
-        // are the plan's per-task assignment, so the candidate is screened
-        // against this visitor's copy of the worst stored plan, then under
-        // the lock against the store's own, before any plan is written.
-        // Under store-bound pruning no leaf costs more than the worst
-        // stored plan, so the screens mostly reject ties on cost.
-        let assignment = || self.subtask_worker.iter().flatten().copied();
-        if self
-            .worst
-            .as_ref()
-            .is_some_and(|worst| !precedes(mc, assignment(), worst))
-        {
+        // from-scratch recosting. A leaf that costs more than the worst
+        // stored cost this visitor has seen is rejected without the lock;
+        // the rest, ties among them, are screened under the lock by
+        // cost and then by the subtask rows, which in operator-id order
+        // are the plan's per-task assignment, before any plan is written.
+        if mc > self.worst_cost {
             return;
         }
+        let assignment = || self.subtask_worker.iter().flatten().copied();
         let mut store = self.shared.store.lock();
         if store.admits(mc, assignment()) {
             debug_assert!(
@@ -708,32 +703,29 @@ impl<'a> CapsVisitor<'a> {
         let Some(worst) = store.worst() else {
             return;
         };
-        match &mut self.worst {
-            Some(seen) => seen.clone_from(worst),
-            None => self.worst = Some(worst.clone()),
-        }
         let bound = worst.cost.max_component();
         drop(store);
-        if self.store_prune {
-            // Costs are non-negative, and `+ 0.0` turns a -0.0 into 0.0,
-            // so the bits order like the values.
-            self.shared
-                .store_bound
-                .fetch_min((bound + 0.0).to_bits(), Ordering::Relaxed);
-            self.tighten_store_limit(bound);
-        }
+        // Costs are non-negative, and `+ 0.0` turns a -0.0 into 0.0, so
+        // the bits order like the values.
+        self.shared
+            .store_bound
+            .fetch_min((bound + 0.0).to_bits(), Ordering::Relaxed);
+        self.lower_worst_cost(bound);
     }
 
-    /// Turns a full store's worst `max_component` cost, if below the one
-    /// this visitor prunes against, into per-dimension load limits. The
-    /// inversion is exact and admits ties, so a branch over a limit holds
-    /// only leaves whose cost exceeds that cost in that dimension —
-    /// leaves the store would reject — and the cost only falls.
-    fn tighten_store_limit(&mut self, worst: f64) {
+    /// Lowers the worst stored cost this visitor screens leaves against
+    /// to a full store's worst `max_component` cost, if below it. Under
+    /// store-bound pruning it also turns that cost into per-dimension
+    /// load limits. The inversion is exact and admits ties, so a branch
+    /// over a limit holds only leaves whose cost exceeds that cost in
+    /// that dimension — leaves the store would reject.
+    fn lower_worst_cost(&mut self, worst: f64) {
         if worst < self.worst_cost {
             self.worst_cost = worst;
-            for dim in 0..3 {
-                self.store_limit[dim] = self.model.cost_to_load(dim, worst);
+            if self.store_prune {
+                for dim in 0..3 {
+                    self.store_limit[dim] = self.model.cost_to_load(dim, worst);
+                }
             }
         }
     }
@@ -949,7 +941,7 @@ impl<'a> CapsSearch<'a> {
                 (report.thresholds, Some(report))
             }
         };
-        let mut outcome = self.run_until(&thresholds, config, deadline)?;
+        let mut outcome = self.run_until(&thresholds, config, deadline, SPLIT_AFTER)?;
         outcome.autotune = report;
         Ok(outcome)
     }
@@ -961,16 +953,32 @@ impl<'a> CapsSearch<'a> {
         config: &SearchConfig,
     ) -> Result<SearchOutcome, CapsError> {
         let deadline = config.time_budget.map(|b| Instant::now() + b);
-        self.run_until(thresholds, config, deadline)
+        self.run_until(thresholds, config, deadline, SPLIT_AFTER)
+    }
+
+    /// [`CapsSearch::run_with_thresholds`], splitting a multi-thread DFS
+    /// once it outgrows `split_after` nodes instead of [`SPLIT_AFTER`]:
+    /// at 0, every multi-thread run splits, whatever its tree's size.
+    #[cfg(test)]
+    pub(crate) fn run_split_after(
+        &self,
+        thresholds: &Thresholds,
+        config: &SearchConfig,
+        split_after: usize,
+    ) -> Result<SearchOutcome, CapsError> {
+        let deadline = config.time_budget.map(|b| Instant::now() + b);
+        self.run_until(thresholds, config, deadline, split_after)
     }
 
     /// [`CapsSearch::run_with_thresholds`] against a deadline fixed by
-    /// the caller.
+    /// the caller, splitting a multi-thread DFS after `split_after`
+    /// nodes.
     fn run_until(
         &self,
         thresholds: &Thresholds,
         config: &SearchConfig,
         deadline: Option<Instant>,
+        split_after: usize,
     ) -> Result<SearchOutcome, CapsError> {
         if config.threads == 0 {
             return Err(CapsError::InvalidConfig("threads must be >= 1".into()));
@@ -1029,7 +1037,7 @@ impl<'a> CapsSearch<'a> {
             mcts,
             overflow,
         } = match &config.backend {
-            SearchBackend::Dfs => crate::parallel::run(&problem)?,
+            SearchBackend::Dfs => crate::parallel::run(&problem, split_after)?,
             SearchBackend::Mcts(mcts) => crate::mcts::run(mcts, &problem)?,
         };
 

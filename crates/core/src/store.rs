@@ -164,7 +164,7 @@ impl PlanStore {
 
 /// Whether a plan of cost `max_component` and per-task worker
 /// `assignment` precedes `worst` under [`cmp_scored`].
-pub(crate) fn precedes(
+fn precedes(
     max_component: f64,
     assignment: impl Iterator<Item = usize>,
     worst: &ScoredPlan,

@@ -153,6 +153,7 @@ fn parallel_search_is_deterministic_in_results() {
                 ..SearchConfig::with_thresholds(th)
             })
             .unwrap();
+        assert_eq!(out.stats.threads, threads, "the search did not split");
         assert_eq!(out.stats.plans_found, 26_217, "{threads} threads");
         for s in &out.feasible {
             let recost = search.cost_model().cost(&physical, &s.plan);

@@ -1,13 +1,18 @@
 //! Schedule-independence properties of the multi-thread DFS.
 //!
-//! The parallel runtime (crates/core/src/parallel.rs) splits the tree
-//! into DFS-ordered units that threads claim from one shared cursor, and
-//! merges the per-thread results under a total order, so the *set* of
-//! feasible plans and every search statistic that is a function of the
-//! explored space must be identical across thread counts and across
-//! which thread claims which unit. These tests drive that invariant over
-//! random problems on the in-repo property harness (replay failures with
-//! `CAPSYS_PROP_SEED=<seed> cargo test <name>`).
+//! A multi-thread search (crates/core/src/parallel.rs) that outgrows
+//! `SPLIT_AFTER` nodes restarts split into DFS-ordered units that
+//! threads claim from one shared cursor, and every thread offers its
+//! plans to one store ranked by the total order `cmp_scored`, so the
+//! *set* of feasible plans and every search statistic that is a function
+//! of the explored space must be identical across thread counts and
+//! across which thread claims which unit. These tests drive that
+//! invariant through the public API over random problems on the in-repo
+//! property harness (replay failures with
+//! `CAPSYS_PROP_SEED=<seed> cargo test <name>`). Most of these problems
+//! end within `SPLIT_AFTER` nodes and so stay on one thread; the
+//! `parallel` unit tests of `capsys-core` force the split on random
+//! problems and check it against one thread.
 
 use std::collections::HashMap;
 
@@ -80,8 +85,8 @@ fn loads_for(g: &LogicalGraph, physical: &PhysicalGraph, rate: f64) -> LoadModel
 }
 
 /// Canonical fingerprint of an outcome: the sorted multiset of plan
-/// assignments. Sequential search reports plans in DFS order while the
-/// parallel merge orders them by cost; the *set* is the invariant.
+/// assignments. Every run reports its plans in `cmp_scored` order, so
+/// this only drops the order from the comparison.
 fn plan_set(out: &capsys::caps::SearchOutcome) -> Vec<Vec<usize>> {
     let mut set: Vec<Vec<usize>> = out
         .feasible
@@ -194,7 +199,8 @@ fn symmetric_chain() -> (LogicalGraph, Cluster) {
 fn capped_store_identical_across_thread_counts() {
     // With a small `max_plans` cap the store truncates under the
     // cost-then-assignment total order; the surviving set must still be
-    // a pure function of the explored space, not of the merge order.
+    // a pure function of the explored space, not of the order plans were
+    // offered in.
     forall!(cases(), (
         ops in arb_ops(),
         workers in ints(2usize..=4),
