@@ -129,7 +129,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(max_plans: usize) -> Shared {
+    pub(crate) fn new(max_plans: usize) -> Shared {
         Shared {
             store: Mutex::new(PlanStore::new(max_plans)),
             cursor: AtomicUsize::new(0),
@@ -556,6 +556,51 @@ mod tests {
                             assert_eq!(out.stats.plans_found, base.stats.plans_found, "{at}");
                             assert_eq!(out.overflow, base.overflow, "overflow: {at}");
                         }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn split_runs_keep_the_unpruned_outcome_on_tie_heavy_problems() {
+        // Every task of these jobs loads its worker alike, so many plans
+        // tie the full store's worst cost and the store bound cuts mostly
+        // ties; a hash edge into a one-task sink, explored last, brings
+        // the one-operator-left network bound into the tie cut. Against
+        // the one-thread unpruned run, the pruned runs must keep the same
+        // stored plans (in order), pareto front and recommended plan.
+        forall!(Config::default().cases(24), (
+            pars in vec_of(ints(1usize..=4), 1..=3),
+            workers in ints(2usize..=4),
+            extra_slots in ints(0usize..=2),
+        ) => {
+            // Equal per-task CPU and link rates: every operator handles
+            // 1,000 rec/s, split over its tasks.
+            let ops: Vec<_> = pars
+                .iter()
+                .chain([&1])
+                .map(|&par| (par, 1e-4 * par as f64, 0.0, 100.0 * par as f64))
+                .collect();
+            let (g, p, c, lm) = linear_job(&ops, *workers, *extra_slots);
+            let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+            let th = Thresholds::unbounded();
+            for max_plans in [1usize, 2, 12, 64] {
+                let config = |threads, incumbent_prune| SearchConfig {
+                    threads,
+                    max_plans,
+                    incumbent_prune,
+                    ..SearchConfig::with_thresholds(th)
+                };
+                let base = search.run(&config(1, false)).unwrap();
+                for threads in [1, 2, 4] {
+                    let out = run_split(&search, th, &config(threads, true));
+                    let at = format!("{threads} threads, cap {max_plans}");
+                    assert_eq!(out.feasible, base.feasible, "stored plans: {at}");
+                    assert_eq!(out.pareto, base.pareto, "pareto front: {at}");
+                    assert_eq!(out.best_scored(), base.best_scored(), "recommended: {at}");
+                    if threads == 1 {
+                        assert!(out.stats.nodes <= base.stats.nodes, "nodes: {at}");
                     }
                 }
             }

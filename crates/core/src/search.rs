@@ -106,12 +106,16 @@ pub struct SearchConfig {
     /// Store-bound pruning: once the plan store holds `max_plans`
     /// plans, cut every branch whose partial per-worker load already
     /// costs more than the worst stored plan's `max_component` in some
-    /// dimension. No leaf below such a branch can enter the store, so
-    /// `feasible`, `pareto` and `best_scored` are exactly those of the
-    /// unpruned run at the same `max_plans`, at every thread count; only
-    /// `nodes`, `pruned` and `plans_found` shrink, and
-    /// `plans_found` then counts the plans explored rather than every
-    /// plan within the thresholds. A run in which a store cut fired
+    /// dimension. It also cuts ties: a branch whose leading fully placed
+    /// operators (in operator-id order) already rank after the worst
+    /// stored plan's assignment, and whose partial cost already reaches
+    /// that plan's (with the one operator left, if it is narrower than
+    /// the cluster, charged the traffic it must receive). No leaf below
+    /// such a branch can enter the store, so `feasible`, `pareto` and
+    /// `best_scored` are exactly those of the unpruned run at the same
+    /// `max_plans`, at every thread count; only `nodes`, `pruned` and
+    /// `plans_found` shrink, and `plans_found` then counts the plans
+    /// explored rather than every plan within the thresholds. A run in which a store cut fired
     /// reports no [`SearchOutcome::overflow`]. The MCTS backend ignores
     /// it.
     pub incumbent_prune: bool,
@@ -220,12 +224,13 @@ pub struct ScoredPlan {
 pub struct RunStats {
     /// Search tree nodes visited.
     pub nodes: usize,
-    /// Branches pruned (threshold violations, store-bound cuts and
-    /// budget aborts).
+    /// Branches pruned (threshold violations, store-bound cuts, tie
+    /// cuts among them, and budget aborts).
     pub pruned: usize,
     /// Feasible plans discovered (including ones not stored). Under
     /// store-bound pruning, only the plans explored before their branch
-    /// was cut.
+    /// was cut: a plan that ties the full store's worst cost and ranks
+    /// after it is mostly cut before it is reached, so it rarely counts.
     pub plans_found: usize,
     /// Wall-clock duration of the search phase.
     pub elapsed: Duration,
@@ -451,6 +456,17 @@ pub(crate) struct CapsVisitor<'a> {
     /// (`f64::INFINITY` before). The worst cost only falls, so a leaf
     /// that costs more is rejected without taking the store's lock.
     worst_cost: f64,
+    /// The full store's worst plan as this visitor last saw it under the
+    /// store's lock, under store-bound pruning: its `max_component` cost
+    /// (`f64::INFINITY` before the store fills, and always without
+    /// store-bound pruning) and its per-task assignment, read together.
+    /// The worst plan only falls under `cmp_scored`, so a leaf that loses
+    /// to a stale pair loses to the current worst plan too
+    /// ([`CapsVisitor::tie_cut`]).
+    tie_cost: f64,
+    tie_assignment: Vec<usize>,
+    /// Per-worker scratch of the one-operator-left network bound.
+    net_scratch: Vec<Fixed64>,
     /// Whether a store-bound cut fired, which voids the overflow.
     store_cut: bool,
     first_feasible: bool,
@@ -495,6 +511,9 @@ impl<'a> CapsVisitor<'a> {
             store_prune: config.incumbent_prune,
             store_limit: [Fixed64::MAX; 3],
             worst_cost: f64::INFINITY,
+            tie_cost: f64::INFINITY,
+            tie_assignment: Vec::new(),
+            net_scratch: Vec::with_capacity(num_workers),
             store_cut: false,
             first_feasible: config.first_feasible,
             nodes: 0,
@@ -704,6 +723,12 @@ impl<'a> CapsVisitor<'a> {
             return;
         };
         let bound = worst.cost.max_component();
+        if self.store_prune {
+            self.tie_cost = bound;
+            self.tie_assignment.clear();
+            let worst = worst.plan.assignment().iter().map(|w| w.0);
+            self.tie_assignment.extend(worst);
+        }
         drop(store);
         // Costs are non-negative, and `+ 0.0` turns a -0.0 into 0.0, so
         // the bits order like the values.
@@ -729,6 +754,76 @@ impl<'a> CapsVisitor<'a> {
             }
         }
     }
+
+    /// The tie cut, after a `place` of operator `op`: whether it
+    /// completed `op` and the full store would reject every leaf below.
+    /// The store limit admits ties, and most leaves of a long search tie
+    /// the worst stored cost exactly, so `cmp_scored` rejects them on
+    /// their assignment only at the leaf. The assignment lists tasks in
+    /// operator-id order, so once the leading run of fully placed
+    /// operators (ids `0..run`) compares greater than the worst plan's
+    /// assignment on that prefix, every leaf below does too. If the
+    /// partial bottleneck cost, which loads only raise, already reaches
+    /// the worst plan's, every leaf below costs more or ties and loses on
+    /// its assignment. The prefix only changes when `op` extends the run,
+    /// so only then is it checked; the enumerator's skip of larger counts
+    /// after a cut stays sound because a completing count is the largest
+    /// one.
+    fn tie_cut(&mut self, op: usize) -> bool {
+        if !self.tie_cost.is_finite() || !self.is_placed(op) || !(0..op).all(|o| self.is_placed(o))
+        {
+            return false;
+        }
+        let n_ops = self.topo.parallelism.len();
+        let run = (op + 1..n_ops)
+            .find(|&o| !self.is_placed(o))
+            .unwrap_or(n_ops);
+        let tasks = self.topo.parallelism[..run].iter().sum();
+        let prefix = self.subtask_worker[..run].iter().flatten();
+        if !prefix.cmp(&self.tie_assignment[..tasks]).is_gt() {
+            return false;
+        }
+        let mut loads = self.bottleneck_loads();
+        if let Some(net) = self.last_operator_net_bound() {
+            loads[2] = loads[2].max(net);
+        }
+        self.model.cost_from_loads(loads).max_component() >= self.tie_cost
+    }
+
+    /// A lower bound on the network bottleneck of every leaf below, when
+    /// exactly one operator `d` is unplaced and it has fewer tasks than
+    /// there are workers; `None` otherwise. At least `workers − par_d`
+    /// workers then host none of `d`'s tasks, and each of them sends `d`
+    /// all of its upstream tasks' traffic: `par_d` channels per task on a
+    /// mesh edge, one on a one-to-one edge. Nothing else adds network load
+    /// on such a worker, so its final load is exactly its load now plus
+    /// that traffic, and the (`par_d` + 1)-th largest such sum bounds the
+    /// bottleneck from below. The sums are the exact multiples the leaf's
+    /// deltas add up to.
+    fn last_operator_net_bound(&mut self) -> Option<Fixed64> {
+        let mut unplaced = (0..self.topo.parallelism.len()).filter(|&o| !self.is_placed(o));
+        let d = unplaced.next()?;
+        if unplaced.next().is_some() || self.topo.parallelism[d] >= self.num_workers {
+            return None;
+        }
+        let par = self.topo.parallelism[d];
+        self.net_scratch.clear();
+        for w in 0..self.num_workers {
+            let mut net = self.load[w][2];
+            for &(up, shape) in &self.topo.in_edges[d] {
+                let channels = match shape {
+                    EdgeShape::Mesh => par,
+                    EdgeShape::OneToOne => 1,
+                };
+                net += self.topo.link_rate[up].mul_int((self.cnt[up][w] * channels) as i64);
+            }
+            self.net_scratch.push(net);
+        }
+        let (_, kth, _) = self
+            .net_scratch
+            .select_nth_unstable_by(par, |a, b| b.cmp(a));
+        Some(*kth)
+    }
 }
 
 impl PlanVisitor for CapsVisitor<'_> {
@@ -736,6 +831,11 @@ impl PlanVisitor for CapsVisitor<'_> {
         self.nodes += 1;
         if self.should_stop() {
             return false;
+        }
+        if count == 0 {
+            // Places nothing: every delta would be zero, so no load,
+            // count or undo mark changes (`unplace` skips it too).
+            return true;
         }
         let start = self.append_deltas(worker, op.0, count);
         // Check Eq. 10 — and, when the store is full under store-bound
@@ -772,10 +872,18 @@ impl PlanVisitor for CapsVisitor<'_> {
         self.cnt[op.0][worker] += count;
         self.subtask_worker[op.0].extend(std::iter::repeat_n(worker, count));
         self.undo_marks.push(start);
+        if self.tie_cut(op.0) {
+            self.store_cut = true;
+            self.unplace(worker, op, count);
+            return false;
+        }
         true
     }
 
     fn unplace(&mut self, worker: usize, op: OperatorId, count: usize) {
+        if count == 0 {
+            return;
+        }
         let start = self
             .undo_marks
             .pop()
@@ -1509,5 +1617,70 @@ mod tests {
         let best_full = full.best_scored().unwrap().cost.max_component();
         let best_capped = capped.best_scored().unwrap().cost.max_component();
         assert!((best_full - best_capped).abs() < 1e-9);
+    }
+
+    #[test]
+    fn last_operator_net_bound_is_the_true_minimum() {
+        // A six-task source placed 3/1/1/1 on four workers feeds a
+        // two-task sink over a mesh edge. A worker without a sink task
+        // sends two channels per source task, so the loads it would
+        // reach are [6r, 2r, 2r, 2r], and the third largest, 2r, is the
+        // bound. Both sink tasks on worker 0 reach exactly it.
+        let mut b = LogicalGraph::builder("fan-in");
+        let s = b.operator(
+            "src",
+            OperatorKind::Source,
+            6,
+            ResourceProfile::new(1e-4, 0.0, 100.0, 1.0),
+        );
+        let k = b.operator(
+            "sink",
+            OperatorKind::Sink,
+            2,
+            ResourceProfile::new(1e-4, 0.0, 0.0, 1.0),
+        );
+        b.edge(s, k, ConnectionPattern::Hash);
+        let g = b.build().unwrap();
+        let p = PhysicalGraph::expand(&g);
+        let c = Cluster::homogeneous(4, WorkerSpec::new(5, 4.0, 1e8, 1e9)).unwrap();
+        let lm = LoadModel::derive(&g, &p, &HashMap::from([(OperatorId(0), 1000.0)])).unwrap();
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let config = SearchConfig::exhaustive();
+        let enumerator = PlanEnumerator::new(&p, &c).unwrap();
+        let problem = Problem {
+            physical: &p,
+            model: &search.model,
+            topo: &search.topo,
+            enumerator: &enumerator,
+            bound: search.model.load_bound(&Thresholds::unbounded()),
+            config: &config,
+            deadline: None,
+            start: Instant::now(),
+        };
+        let shared = Shared::new(1);
+        let mut v = CapsVisitor::new(&problem, &shared, usize::MAX);
+        for (w, count) in [3, 1, 1, 1].into_iter().enumerate() {
+            assert!(v.place(w, OperatorId(0), count));
+        }
+        let bound = v.last_operator_net_bound().expect("one operator left");
+        let sink = OperatorId(1);
+        let mut minimum = Fixed64::MAX;
+        for a in 0..4 {
+            for b in a..4 {
+                let placed: &[(usize, usize)] = if a == b { &[(a, 2)] } else { &[(a, 1), (b, 1)] };
+                for &(w, count) in placed {
+                    assert!(v.place(w, sink, count));
+                }
+                minimum = minimum.min(v.bottleneck_loads()[2]);
+                for &(w, count) in placed.iter().rev() {
+                    v.unplace(w, sink, count);
+                }
+            }
+        }
+        let rate = search.topo.link_rate[0];
+        assert_eq!(bound, rate.mul_int(2));
+        assert_eq!(bound, minimum);
+        // Nothing has been sent yet: the bound is all lookahead.
+        assert_eq!(v.bottleneck_loads()[2], Fixed64::ZERO);
     }
 }

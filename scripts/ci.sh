@@ -20,18 +20,20 @@
 #      values) per struct and per crate; informational only, it never
 #      fails the build;
 #   5. release build of every target;
-#   6. full test suite (debug), including the determinism golden test
-#      and the robustness claims (tests/claims.rs: chaos, guard,
-#      recovery, migrate, hostile and fleet on their smoke shapes at
-#      seeds 7/11/23, guard and hostile at seed 7 — the scenarios the
+#   6. full test suite (debug): the tier-1 `cargo test -q`, which covers
+#      every workspace crate (the root manifest's `default-members`),
+#      including the determinism golden test and the robustness claims
+#      (tests/claims.rs: chaos, guard, recovery, migrate, hostile and
+#      fleet on their smoke shapes at seeds 7/11/23, guard and hostile at seed 7 — the scenarios the
 #      exp_* binaries of the same names print on their full shapes);
 #      then the capsys-util suite again in release with
 #      -C overflow-checks=yes (the Fixed64 core must never wrap);
 #   7. determinism, search-outcome and simulator golden tests again in
 #      release (debug/release parity; the simulator goldens include a
 #      fan-out run whose partitions heal, tests/sim_heal_golden.rs),
-#      with the store-bound exactness test (tests/store_bound.rs), the
-#      multi-thread DFS's schedule-independence and worker-panic tests
+#      with the store-bound exactness test (tests/store_bound.rs) and
+#      its tie cut (tests/tie_cut.rs: a roomy-cluster search that must
+#      finish within 20 M nodes), the multi-thread DFS's schedule-independence and worker-panic tests
 #      (tests/parallel_schedule.rs, tests/parallel_panic.rs: real thread
 #      interleavings in an optimised build), the thread-count
 #      independence of the stored and recommended plans on the paper
@@ -173,8 +175,8 @@ step "5/10" "cargo build --release (all targets)"
 cargo build --release --workspace --all-targets
 step_done
 
-step "6/10" "cargo test (debug, full workspace)"
-cargo test -q --workspace
+step "6/10" "cargo test (debug, full workspace: the tier-1 suite)"
+cargo test -q
 step_done
 
 step "6b/10" "fixed-point overflow checks (capsys-util, release + overflow-checks)"
@@ -189,7 +191,7 @@ step_done
 
 step "7/10" "determinism + search and sim goldens + store-bound + parallel DFS + thread-count outcomes + auto-tuner equivalence + tick-phase tests (release)"
 cargo test -q --release --test golden_determinism --test search_golden --test store_bound \
-    --test parallel_schedule --test parallel_panic --test thread_count_outcomes \
+    --test tie_cut --test parallel_schedule --test parallel_panic --test thread_count_outcomes \
     --test autotune_equivalence --test sim_golden --test sim_heal_golden
 cargo test -q --release -p capsys-sim --test alloc_free_tick
 cargo test -q --release -p capsys-controller --lib -- fleet::tests::tick_phase
