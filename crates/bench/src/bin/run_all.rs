@@ -2,8 +2,8 @@
 //!
 //! Equivalent to executing `exp_fig2`, `exp_fig3`, `exp_fig5`,
 //! `exp_table2`, `exp_fig7`, `exp_fig8`, `exp_table3`, `exp_table4`,
-//! `exp_fig9`, `exp_fig10a`, `exp_fig10b`, and `exp_search` in
-//! sequence. Set `CAPSYS_FAST=1` for a reduced smoke run.
+//! `exp_fig9`, `exp_fig10a` and `exp_fig10b` in sequence. Set
+//! `CAPSYS_FAST=1` for a reduced smoke run.
 
 use std::process::Command;
 
@@ -19,7 +19,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp_fig9",
     "exp_fig10a",
     "exp_fig10b",
-    "exp_search",
 ];
 
 fn main() {

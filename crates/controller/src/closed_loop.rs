@@ -2387,22 +2387,20 @@ mod tests {
     }
 
     #[test]
-    fn journaled_mcts_decision_rederives_byte_identically() {
-        // ISSUE acceptance: a Prepare journaled by an MCTS-backed
-        // strategy records backend + seed + budget, and re-running the
-        // search they describe re-derives the journaled assignment
-        // byte-for-byte.
-        use capsys_core::{CapsSearch, MctsConfig, SearchBackend};
+    fn journaled_budgeted_decision_rederives_byte_identically() {
+        // A Prepare journaled by a node-budgeted CAPS strategy records
+        // the budget, and re-running the search it describes re-derives
+        // the journaled assignment byte-for-byte.
+        use capsys_core::CapsSearch;
 
         let query = q1_sliding().with_parallelism(&[1, 1, 1, 1]).unwrap();
         let cluster = small_cluster();
         let target = q1_sliding().capacity_rate(&cluster, 0.5).unwrap();
-        let mcts_search = SearchConfig {
+        let budgeted = SearchConfig {
             node_budget: Some(20_000),
-            backend: SearchBackend::Mcts(MctsConfig::seeded(0xFEED)),
             ..SearchConfig::auto_tuned()
         };
-        let strategy = CapsStrategy::new(mcts_search.clone());
+        let strategy = CapsStrategy::new(budgeted.clone());
         let loop_ = ClosedLoop::new(
             &query,
             &cluster,
@@ -2426,6 +2424,7 @@ mod tests {
             let DecisionRecord::Prepare {
                 parallelism,
                 assignment,
+                rung,
                 rate,
                 search,
                 ..
@@ -2433,22 +2432,20 @@ mod tests {
             else {
                 continue;
             };
+            assert_eq!(*rung, LadderRung::Caps, "the budgeted search placed it");
             let desc = search
                 .as_ref()
                 .expect("the CAPS strategy must journal its search descriptor");
-            assert_eq!(desc.backend, "mcts");
-            assert_eq!(desc.seed, Some(0xFEED));
             assert_eq!(desc.node_budget, Some(20_000));
-            // Re-run the journaled search: the descriptor pins backend,
-            // seed, and budget; the rest of the configuration comes from
-            // the strategy, exactly as recovery reconstructs the loop.
+            // Re-run the journaled search: the descriptor pins the
+            // budget; the rest of the configuration comes from the
+            // strategy, exactly as recovery reconstructs the loop.
             let q = q1_sliding().with_parallelism(parallelism).unwrap();
             let p = q.physical();
             let loads = q.load_model_at(&p, *rate).unwrap();
             let config = SearchConfig {
                 node_budget: desc.node_budget,
-                backend: SearchBackend::Mcts(MctsConfig::seeded(desc.seed.unwrap())),
-                ..mcts_search.clone()
+                ..budgeted.clone()
             };
             let outcome = CapsSearch::new(q.logical(), &p, &cluster, &loads)
                 .unwrap()
@@ -2463,7 +2460,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 &rederived, assignment,
-                "journaled MCTS plan must re-derive byte-identically"
+                "journaled plan must re-derive byte-identically"
             );
             checked += 1;
         }

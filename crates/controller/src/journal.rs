@@ -262,14 +262,13 @@ fn rng_from_json(v: Option<&Json>) -> Result<[u64; 4], ControllerError> {
     Ok(out)
 }
 
-/// Encodes a search descriptor. Seeds use the hex framing (they are
-/// full-width u64s); the node budget fits a JSON number (budgets beyond
-/// 2^53 nodes are not representable and not meaningful).
+/// Encodes a search descriptor. The `backend` tag is always `"dfs"`,
+/// the one search there is; it keeps journals byte-identical to those
+/// written when a search could also name a seeded backend. The node
+/// budget fits a JSON number (budgets beyond 2^53 nodes are not
+/// representable and not meaningful).
 fn search_to_json(s: &SearchDescriptor) -> Json {
-    let mut fields = vec![("backend".to_string(), Json::Str(s.backend.clone()))];
-    if let Some(seed) = s.seed {
-        fields.push(("seed".into(), hex_u64(seed)));
-    }
+    let mut fields = vec![("backend".to_string(), Json::Str("dfs".into()))];
     if let Some(budget) = s.node_budget {
         fields.push(("node_budget".into(), Json::Num(budget as f64)));
     }
@@ -278,7 +277,8 @@ fn search_to_json(s: &SearchDescriptor) -> Json {
 
 /// Decodes the optional `search` field. Absent (including journals
 /// written before the field existed) is `None`; present-but-malformed
-/// is an error, not a silent skip.
+/// is an error, not a silent skip, and so is a search this build cannot
+/// re-run: a backend other than `"dfs"`, or a `seed`.
 fn search_from_json(v: Option<&Json>) -> Result<Option<SearchDescriptor>, ControllerError> {
     let Some(obj) = v else {
         return Ok(None);
@@ -286,20 +286,18 @@ fn search_from_json(v: Option<&Json>) -> Result<Option<SearchDescriptor>, Contro
     if matches!(obj, Json::Null) {
         return Ok(None);
     }
-    let backend = text(obj.get("backend"), "search.backend")?.to_string();
-    let seed = match obj.get("seed") {
-        Some(Json::Null) | None => None,
-        some => Some(u64_from_hex(some, "search.seed")?),
-    };
+    let backend = text(obj.get("backend"), "search.backend")?;
+    if backend != "dfs" {
+        return Err(bad(format!("unknown search backend `{backend}`")));
+    }
+    if obj.get("seed").is_some() {
+        return Err(bad("field `search.seed` names no search of this build"));
+    }
     let node_budget = match obj.get("node_budget") {
         Some(Json::Null) | None => None,
         some => Some(integer(some, "search.node_budget")? as usize),
     };
-    Ok(Some(SearchDescriptor {
-        backend,
-        seed,
-        node_budget,
-    }))
+    Ok(Some(SearchDescriptor { node_budget }))
 }
 
 fn usizes_to_json(v: &[usize]) -> Json {
@@ -701,8 +699,6 @@ mod tests {
                 rate: 1234.56,
                 rng: [9, 8, 7, 6],
                 search: Some(SearchDescriptor {
-                    backend: "mcts".into(),
-                    seed: Some(u64::MAX - 17),
                     node_budget: Some(50_000),
                 }),
             },
@@ -729,11 +725,7 @@ mod tests {
                 wave_len: 2,
                 rate: 987.0,
                 rng: [21, 22, 23, 24],
-                search: Some(SearchDescriptor {
-                    backend: "dfs".into(),
-                    seed: None,
-                    node_budget: None,
-                }),
+                search: Some(SearchDescriptor { node_budget: None }),
             },
             DecisionRecord::MigrateStep {
                 epoch: 3,
@@ -829,13 +821,22 @@ mod tests {
         for body in [
             // backend missing
             r#"{"type":"prepare","epoch":1,"time":5.0,"reason":"scaling","parallelism":[1],"assignment":[0],"rung":"caps","rate":10,"rng":["0","1","2","3"],"search":{"seed":"07"}}"#,
-            // non-hex seed
+            // an MCTS search with a non-hex seed
             r#"{"type":"prepare","epoch":1,"time":5.0,"reason":"scaling","parallelism":[1],"assignment":[0],"rung":"caps","rate":10,"rng":["0","1","2","3"],"search":{"backend":"mcts","seed":"zz"}}"#,
             // negative budget
-            r#"{"type":"prepare","epoch":1,"time":5.0,"reason":"scaling","parallelism":[1],"assignment":[0],"rung":"caps","rate":10,"rng":["0","1","2","3"],"search":{"backend":"mcts","node_budget":-3}}"#,
+            r#"{"type":"prepare","epoch":1,"time":5.0,"reason":"scaling","parallelism":[1],"assignment":[0],"rung":"caps","rate":10,"rng":["0","1","2","3"],"search":{"backend":"dfs","node_budget":-3}}"#,
+            // a seeded MCTS search, which this build cannot re-run
+            r#"{"type":"prepare","epoch":1,"time":5.0,"reason":"scaling","parallelism":[1],"assignment":[0],"rung":"caps","rate":10,"rng":["0","1","2","3"],"search":{"backend":"mcts","seed":"feed","node_budget":20000}}"#,
+            // an MCTS search without a seed
+            r#"{"type":"prepare","epoch":1,"time":5.0,"reason":"scaling","parallelism":[1],"assignment":[0],"rung":"caps","rate":10,"rng":["0","1","2","3"],"search":{"backend":"mcts"}}"#,
+            // a seed on the DFS
+            r#"{"type":"prepare","epoch":1,"time":5.0,"reason":"scaling","parallelism":[1],"assignment":[0],"rung":"caps","rate":10,"rng":["0","1","2","3"],"search":{"backend":"dfs","seed":"07"}}"#,
         ] {
             assert!(
-                DecisionRecord::from_json(&Json::parse(body).unwrap()).is_err(),
+                matches!(
+                    DecisionRecord::from_json(&Json::parse(body).unwrap()),
+                    Err(ControllerError::Journal(_))
+                ),
                 "payload {body} was not rejected"
             );
         }

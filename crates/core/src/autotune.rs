@@ -260,9 +260,14 @@ fn scan(
             }
         }
         if alpha.iter().all(|a| !a.is_finite() || *a >= 1.0) {
-            // C_i <= 1 holds for every plan, so failing with every
-            // active threshold at 1 means no plan exists at all.
-            return Err(CapsError::NoFeasiblePlan);
+            // C_i <= 1 holds for every plan, so a search that exhausts
+            // its tree with every active threshold at 1 proves that no
+            // plan exists at all. One that aborted on its node budget
+            // (no overflow) proves nothing.
+            return Err(match overflow {
+                Some(_) => CapsError::NoFeasiblePlan,
+                None => CapsError::BudgetExhausted,
+            });
         }
         alpha = alpha.map(|a| if a.is_finite() { relax(a) } else { a });
     }
@@ -288,6 +293,11 @@ mod tests {
     use std::collections::HashMap;
 
     fn fixture() -> (LogicalGraph, PhysicalGraph, Cluster, LoadModel) {
+        fixture_on(2)
+    }
+
+    /// The 8-task pipeline of [`fixture`] on `workers` workers of 4 slots.
+    fn fixture_on(workers: usize) -> (LogicalGraph, PhysicalGraph, Cluster, LoadModel) {
         let mut b = LogicalGraph::builder("q");
         let s = b.operator(
             "src",
@@ -311,7 +321,7 @@ mod tests {
         b.edge(h, k, ConnectionPattern::Hash);
         let g = b.build().unwrap();
         let p = PhysicalGraph::expand(&g);
-        let c = Cluster::homogeneous(2, WorkerSpec::new(4, 4.0, 1e8, 1e9)).unwrap();
+        let c = Cluster::homogeneous(workers, WorkerSpec::new(4, 4.0, 1e8, 1e9)).unwrap();
         let mut rates = HashMap::new();
         rates.insert(OperatorId(0), 1000.0);
         let lm = LoadModel::derive(&g, &p, &rates).unwrap();
@@ -426,6 +436,28 @@ mod tests {
         }
         assert_eq!(alpha, 1.0);
         assert_eq!(steps, 51);
+    }
+
+    #[test]
+    fn a_node_budget_that_cuts_every_probe_is_not_infeasibility() {
+        // On 3 workers, tuning needs 14 nodes per probe. Below that, the
+        // last probe of a scan aborts with plans still in its tree: the
+        // run must report the budget, not a proof that no plan exists.
+        let (g, p, c, lm) = fixture_on(3);
+        let search = CapsSearch::new(&g, &p, &c, &lm).unwrap();
+        let budgeted = |budget| SearchConfig {
+            node_budget: Some(budget),
+            ..SearchConfig::auto_tuned()
+        };
+        for budget in 0..=13 {
+            assert_eq!(
+                search.run(&budgeted(budget)).unwrap_err(),
+                CapsError::BudgetExhausted,
+                "budget {budget}"
+            );
+        }
+        let out = search.run(&budgeted(14)).unwrap();
+        assert!(!out.feasible.is_empty());
     }
 
     #[test]

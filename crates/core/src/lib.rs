@@ -46,24 +46,18 @@
 pub mod autotune;
 pub mod cost;
 pub mod error;
-pub mod mcts;
 pub mod movemin;
 pub mod parallel;
 pub mod pareto;
 pub mod search;
 mod store;
-pub mod strategy;
 
 pub use autotune::{
     AutoTuneConfig, AutoTuneReport, AutoTuner, PRESSURE_FLOOR, RELAX_FACTOR, RELAX_SEED,
 };
 pub use cost::{CostModel, CostVector, Dimension, LoadBounds, Thresholds};
 pub use error::CapsError;
-pub use mcts::{MctsConfig, MctsReport};
 pub use movemin::{min_movement_plan, MoveMinOutcome};
 pub use parallel::SPLIT_AFTER;
 pub use pareto::pareto_front;
-pub use search::{
-    AnytimePoint, CapsSearch, Probe, RunStats, ScoredPlan, SearchConfig, SearchOutcome,
-};
-pub use strategy::SearchBackend;
+pub use search::{CapsSearch, Probe, RunStats, ScoredPlan, SearchConfig, SearchOutcome};

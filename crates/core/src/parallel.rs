@@ -54,7 +54,7 @@
 //! `plans_found` statistic — are independent of the thread count and of
 //! which thread claims which unit. Without the store bound, so is the
 //! set of branches the threshold bound cuts, and with it the run's
-//! overflow (`BackendResult::overflow`), which equals the one-thread
+//! overflow (`DfsResult::overflow`), which equals the one-thread
 //! value.
 //!
 //! Visitors also share a stop flag (first-feasible and abort
@@ -84,9 +84,8 @@ use capsys_util::fixed::Fixed64;
 use capsys_util::sync::Mutex;
 
 use crate::error::CapsError;
-use crate::search::{cmp_scored, CapsVisitor, RunStats, ScoredPlan, SearchConfig};
+use crate::search::{cmp_scored, CapsVisitor, Problem, RunStats, ScoredPlan, SearchConfig};
 use crate::store::PlanStore;
-use crate::strategy::{BackendResult, Problem};
 
 /// Nodes a multi-thread search explores on the caller's thread before it
 /// restarts as a split search. Below it, thread start-up and the split's
@@ -110,6 +109,21 @@ const UNITS_PER_THREAD: usize = 2;
 
 /// A work unit: the rows of the first `len` outer layers, fixed.
 type Unit = Vec<Vec<usize>>;
+
+/// What a DFS run hands back to `CapsSearch::run_with_thresholds`.
+pub(crate) struct DfsResult {
+    /// The stored feasible plans, in [`cmp_scored`] order.
+    pub(crate) plans: Vec<ScoredPlan>,
+    /// Run statistics.
+    pub(crate) stats: RunStats,
+    /// Per dimension, the smallest load that crossed the threshold bound
+    /// on any pruned branch (`Fixed64::MAX` where no branch crossed it).
+    /// Set only when the tree was explored completely; `None` when the
+    /// run aborted, a first-feasible stop fired or a store-bound cut
+    /// fired. See
+    /// [`SearchOutcome::overflow`](crate::search::SearchOutcome::overflow).
+    pub(crate) overflow: Option<[Fixed64; 3]>,
+}
 
 /// State shared by all visitors of one run.
 pub(crate) struct Shared {
@@ -143,7 +157,7 @@ impl Shared {
 /// Runs the DFS: on the caller's thread, and split over
 /// `config.threads` threads if it outgrows `split_after` nodes. Searches
 /// pass [`SPLIT_AFTER`]; tests pass 0 to split every multi-thread run.
-pub(crate) fn run(ctx: &Problem<'_>, split_after: usize) -> Result<BackendResult, CapsError> {
+pub(crate) fn run(ctx: &Problem<'_>, split_after: usize) -> Result<DfsResult, CapsError> {
     let (threads, budget) = (
         ctx.config.threads,
         ctx.config.node_budget.unwrap_or(usize::MAX),
@@ -219,15 +233,14 @@ fn merge(
     threads: usize,
     restarted_nodes: usize,
     explored: Vec<(CapsVisitor<'_>, SearchStats)>,
-) -> BackendResult {
+) -> DfsResult {
     let mut stats = RunStats {
         threads,
         nodes: restarted_nodes,
         ..RunStats::default()
     };
     let mut overflow = Some([Fixed64::MAX; 3]);
-    let mut anytime = Vec::new();
-    for (mut visitor, counts) in explored {
+    for (visitor, counts) in explored {
         stats.nodes += counts.nodes;
         stats.pruned += counts.pruned;
         stats.plans_found += counts.plans;
@@ -235,22 +248,15 @@ fn merge(
         overflow = overflow
             .zip(visitor.overflow())
             .map(|(mine, theirs)| [0, 1, 2].map(|d| mine[d].min(theirs[d])));
-        anytime.extend(visitor.take_anytime());
-    }
-    if threads > 1 {
-        // Improvement times depend on which thread claimed which unit.
-        anytime.clear();
     }
     // Only a run that explored its whole tree (no abort and no stop
     // raised) has an overflow that bounds every plan.
     let complete = !stats.aborted && !shared.stop.load(Ordering::Relaxed);
     stats.elapsed = ctx.start.elapsed();
     let plans = shared.store.lock().take_plans();
-    BackendResult {
+    DfsResult {
         plans: finalize_merge(plans, ctx.config),
         stats,
-        anytime,
-        mcts: None,
         overflow: overflow.filter(|_| complete),
     }
 }

@@ -29,10 +29,8 @@ use capsys_util::sync::hardware_threads;
 use crate::autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner};
 use crate::cost::{CostModel, CostVector, Thresholds};
 use crate::error::CapsError;
-use crate::mcts::MctsReport;
-use crate::parallel::{Shared, SPLIT_AFTER};
+use crate::parallel::{DfsResult, Shared, SPLIT_AFTER};
 use crate::pareto::pareto_front;
-use crate::strategy::{BackendResult, Problem, SearchBackend};
 
 /// Slack when treating tiny `f64` denominators as degenerate in the
 /// operator-reordering heuristic (reporting-side arithmetic only; the
@@ -76,8 +74,7 @@ pub struct SearchConfig {
     /// and `threads - 1` spawned threads claim from one shared cursor.
     /// The stored plans, the pareto front and the recommended plan do
     /// not depend on it (unless a budget cuts the run short); node
-    /// counts and the anytime curve do, and a split run reports no
-    /// anytime curve. First-feasible probes through
+    /// counts do. First-feasible probes through
     /// [`CapsSearch::find_witness`] always run on one thread.
     pub threads: usize,
     /// Stop at the first feasible plan instead of exploring exhaustively.
@@ -116,13 +113,8 @@ pub struct SearchConfig {
     /// `max_plans`, at every thread count; only `nodes`, `pruned` and
     /// `plans_found` shrink, and `plans_found` then counts the plans
     /// explored rather than every plan within the thresholds. A run in which a store cut fired
-    /// reports no [`SearchOutcome::overflow`]. The MCTS backend ignores
-    /// it.
+    /// reports no [`SearchOutcome::overflow`].
     pub incumbent_prune: bool,
-    /// Which backend explores the plan space. The default DFS backend is
-    /// exhaustive within its budget; the MCTS backend is an anytime
-    /// search for plan spaces too large to exhaust.
-    pub backend: SearchBackend,
 }
 
 impl SearchConfig {
@@ -158,7 +150,6 @@ impl SearchConfig {
             free_slots: None,
             auto_tune: AutoTuneConfig::default(),
             incumbent_prune: true,
-            backend: SearchBackend::Dfs,
         }
     }
 
@@ -184,12 +175,6 @@ impl SearchConfig {
     /// returning the modified config.
     pub fn incumbent_pruned(mut self) -> Self {
         self.incumbent_prune = true;
-        self
-    }
-
-    /// Selects a search backend, returning the modified config.
-    pub fn with_backend(mut self, backend: SearchBackend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -244,18 +229,6 @@ pub struct RunStats {
     pub aborted: bool,
 }
 
-/// One point of an anytime-quality curve: the best feasible cost known
-/// after `nodes` assignment steps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnytimePoint {
-    /// Assignment steps ((worker, operator, count) placements) spent when
-    /// the improvement was found — the same unit as [`RunStats::nodes`],
-    /// so DFS and MCTS curves are directly comparable.
-    pub nodes: usize,
-    /// The new best `max_component` cost.
-    pub cost: f64,
-}
-
 /// The result of a CAPS search.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -275,21 +248,13 @@ pub struct SearchOutcome {
     pub order: Vec<OperatorId>,
     /// Per-dimension pressure weights used for plan selection.
     pub pressure: [f64; 3],
-    /// Best-cost-vs-nodes improvement points, monotonically decreasing in
-    /// cost. Populated where exploration order is deterministic — a DFS
-    /// that ran on one thread ([`RunStats::threads`]), and MCTS; a split
-    /// DFS leaves it empty because improvement times are
-    /// schedule-dependent.
-    pub anytime: Vec<AnytimePoint>,
-    /// MCTS tree diagnostics, when the MCTS backend ran.
-    pub mcts: Option<MctsReport>,
     /// Per dimension, the smallest exact load that crossed the threshold
     /// bound on any pruned branch (`Fixed64::MAX` where none crossed).
-    /// `None` unless the DFS explored its whole tree: an aborted run, a
-    /// first-feasible stop and the MCTS backend all leave it unset. So
-    /// does a run in which a store-bound cut fired
-    /// ([`SearchConfig::incumbent_prune`]): such a cut may hide a deeper
-    /// threshold crossing, so the overflow describes threshold cuts only.
+    /// `None` unless the DFS explored its whole tree: an aborted run and
+    /// a first-feasible stop leave it unset. So does a run in which a
+    /// store-bound cut fired ([`SearchConfig::incumbent_prune`]): such a
+    /// cut may hide a deeper threshold crossing, so the overflow
+    /// describes threshold cuts only.
     ///
     /// Every plan this run's bound cut carries a load at or above the
     /// overflow in some dimension that recorded one, so a bound at least
@@ -305,7 +270,7 @@ pub enum Probe {
     Feasible(ScoredPlan),
     /// No plan was found. `overflow` is the exhausted run's
     /// [`SearchOutcome::overflow`]; `None` means the probe aborted on its
-    /// node budget or deadline, or the backend cannot prove absence.
+    /// node budget or deadline.
     Infeasible {
         /// Per-dimension minimum overflow load of the failed run.
         overflow: Option<[Fixed64; 3]>,
@@ -423,6 +388,22 @@ impl OpTopology {
     }
 }
 
+/// One prepared search problem: the exploration order (inside
+/// `enumerator`), the exact per-dimension load bound and the
+/// symmetry-deduplicated [`PlanEnumerator`], built by
+/// [`CapsSearch::run_with_thresholds`] and explored by the DFS runner
+/// (`crate::parallel`).
+pub(crate) struct Problem<'a> {
+    pub(crate) physical: &'a PhysicalGraph,
+    pub(crate) model: &'a CostModel,
+    pub(crate) topo: &'a OpTopology,
+    pub(crate) enumerator: &'a PlanEnumerator,
+    pub(crate) bound: [Fixed64; 3],
+    pub(crate) config: &'a SearchConfig,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) start: Instant,
+}
+
 /// The pruning and plan-collection visitor driving the DFS.
 pub(crate) struct CapsVisitor<'a> {
     physical: &'a PhysicalGraph,
@@ -442,10 +423,6 @@ pub(crate) struct CapsVisitor<'a> {
     delta_arena: Vec<(usize, [Fixed64; 3])>,
     undo_marks: Vec<usize>,
     // Results.
-    /// Improvement points of the best stored `max_component` cost;
-    /// meaningful only for single-threaded runs (deterministic order).
-    anytime: Vec<AnytimePoint>,
-    best_cost: f64,
     /// Store-bound pruning ([`SearchConfig::incumbent_prune`]).
     store_prune: bool,
     /// Per-dimension exact load limits implied by `worst_cost` when
@@ -506,8 +483,6 @@ impl<'a> CapsVisitor<'a> {
             load: vec![[Fixed64::ZERO; 3]; num_workers],
             delta_arena: Vec::with_capacity(256),
             undo_marks: Vec::with_capacity(64),
-            anytime: Vec::new(),
-            best_cost: f64::INFINITY,
             store_prune: config.incumbent_prune,
             store_limit: [Fixed64::MAX; 3],
             worst_cost: f64::INFINITY,
@@ -525,11 +500,6 @@ impl<'a> CapsVisitor<'a> {
         };
         visitor.read_store_bound();
         visitor
-    }
-
-    /// Takes the recorded best-cost improvement points.
-    pub(crate) fn take_anytime(&mut self) -> Vec<AnytimePoint> {
-        std::mem::take(&mut self.anytime)
     }
 
     /// Whether this visitor stopped early on a budget or stop flag.
@@ -689,13 +659,6 @@ impl<'a> CapsVisitor<'a> {
     fn record(&mut self, counts: &[Vec<usize>]) {
         let cost = self.current_cost();
         let mc = cost.max_component();
-        if mc < self.best_cost {
-            self.best_cost = mc;
-            self.anytime.push(AnytimePoint {
-                nodes: self.nodes,
-                cost: self.best_cost,
-            });
-        }
         // The incremental accumulator IS the stored cost: fixed-point
         // loads reach a leaf with the same mantissas on every schedule,
         // so `cmp_scored` is a schedule-independent total order with no
@@ -1116,8 +1079,6 @@ impl<'a> CapsSearch<'a> {
                 autotune: None,
                 order,
                 pressure: self.model.pressure(),
-                anytime: Vec::new(),
-                mcts: None,
                 overflow: None,
             });
         }
@@ -1138,16 +1099,11 @@ impl<'a> CapsSearch<'a> {
             deadline,
             start,
         };
-        let BackendResult {
+        let DfsResult {
             plans: found,
             stats,
-            anytime,
-            mcts,
             overflow,
-        } = match &config.backend {
-            SearchBackend::Dfs => crate::parallel::run(&problem, split_after)?,
-            SearchBackend::Mcts(mcts) => crate::mcts::run(mcts, &problem)?,
-        };
+        } = crate::parallel::run(&problem, split_after)?;
 
         let pareto = pareto_front(&found);
         Ok(SearchOutcome {
@@ -1158,8 +1114,6 @@ impl<'a> CapsSearch<'a> {
             autotune: None,
             order,
             pressure: self.model.pressure(),
-            anytime,
-            mcts,
             overflow,
         })
     }

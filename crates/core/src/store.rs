@@ -1,4 +1,4 @@
-//! The capped plan store shared by the DFS and MCTS backends.
+//! The capped plan store of the DFS (`crate::parallel`).
 //!
 //! A store keeps the `cap` smallest plans it was offered under the total
 //! order [`cmp_scored`], so a capped store is a function of the set of
@@ -9,8 +9,8 @@
 //! binary max-heap of slot indices, so a replacement costs `O(log cap)`
 //! comparisons instead of a rescan of every slot.
 //!
-//! Both backends store each assignment at most once, so no two stored
-//! plans compare equal and the worst plan is unique.
+//! The DFS stores each assignment at most once, so no two stored plans
+//! compare equal and the worst plan is unique.
 
 use std::cmp::Ordering;
 
@@ -64,9 +64,8 @@ impl PlanStore {
     }
 
     /// Stores a plan the store [`admits`](PlanStore::admits). A full
-    /// store gives the worst plan's slot to `plan` and returns the
-    /// evicted plan.
-    pub(crate) fn insert(&mut self, plan: ScoredPlan) -> Option<ScoredPlan> {
+    /// store gives the worst plan's slot to `plan`.
+    pub(crate) fn insert(&mut self, plan: ScoredPlan) {
         match self.heap.first() {
             None => {
                 self.slots.push(plan);
@@ -76,13 +75,11 @@ impl PlanStore {
                         self.sift_down(i);
                     }
                 }
-                None
             }
             Some(&slot) => {
                 debug_assert!(cmp_scored(&plan, &self.slots[slot]).is_lt());
-                let evicted = std::mem::replace(&mut self.slots[slot], plan);
+                self.slots[slot] = plan;
                 self.sift_down(0);
-                Some(evicted)
             }
         }
     }
@@ -205,18 +202,14 @@ mod tests {
             (0..self.slots.len()).max_by(|&i, &j| cmp_scored(&self.slots[i], &self.slots[j]))
         }
 
-        /// `None` when the plan was rejected, `Some(evicted)` otherwise.
-        fn offer(&mut self, plan: ScoredPlan) -> Option<Option<ScoredPlan>> {
+        /// Whether the plan was stored.
+        fn offer(&mut self, plan: ScoredPlan) -> bool {
             match self.worst() {
-                None => {
-                    self.slots.push(plan);
-                    Some(None)
-                }
-                Some(w) if cmp_scored(&plan, &self.slots[w]).is_lt() => {
-                    Some(Some(std::mem::replace(&mut self.slots[w], plan)))
-                }
-                Some(_) => None,
+                None => self.slots.push(plan),
+                Some(w) if cmp_scored(&plan, &self.slots[w]).is_lt() => self.slots[w] = plan,
+                Some(_) => return false,
             }
+            true
         }
     }
 
@@ -241,7 +234,7 @@ mod tests {
         // Six tasks on four workers: 4,096 assignments, so long offer
         // sequences share prefixes often and still overflow a 1,024-plan
         // store. Repeated assignments are dropped: the DFS emits each
-        // assignment once, and MCTS skips one it already stores.
+        // assignment once.
         forall!(Config::default().cases(16), (
             offers in vec_of((ints(0usize..=3), ints(0usize..=2), vec_of(ints(0usize..=3), 6..=6)), 0..=2500),
         ) => {
@@ -259,12 +252,12 @@ mod tests {
                 for (i, (level, dim, assignment)) in offers.iter().enumerate() {
                     let p = plan(*level, *dim, assignment);
                     let admitted = store.admits(p.cost.max_component(), assignment.iter().copied());
-                    let evicted = admitted.then(|| store.insert(p.clone()));
-                    // The buffer-reusing insert keeps the same slots.
                     if admitted {
+                        store.insert(p.clone());
+                        // The buffer-reusing insert keeps the same slots.
                         recycling.insert_assignment(p.cost, 6, assignment.iter().copied());
                     }
-                    assert_eq!(evicted, reference.offer(p), "cap {cap}, offer {i}");
+                    assert_eq!(admitted, reference.offer(p), "cap {cap}, offer {i}");
                     assert_eq!(store.slots, reference.slots, "cap {cap}, offer {i}");
                     assert_eq!(recycling.slots, store.slots, "cap {cap}, offer {i}");
                     // The worst plan, and with it the store limit its

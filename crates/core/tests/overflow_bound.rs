@@ -13,9 +13,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::Duration;
 
-use capsys_core::{
-    CapsSearch, CostModel, MctsConfig, Probe, SearchBackend, SearchConfig, Thresholds,
-};
+use capsys_core::{CapsSearch, CostModel, Probe, SearchConfig, Thresholds};
 use capsys_model::{
     enumerate_plans, Cluster, ConnectionPattern, LoadModel, LogicalGraph, OperatorId, OperatorKind,
     PhysicalGraph, Placement, ResourceProfile, WorkerSpec,
@@ -232,20 +230,6 @@ fn runs_that_do_not_exhaust_their_tree_report_no_overflow() {
             "{threads} threads"
         );
     }
-
-    // MCTS samples; it never proves that a plan is absent.
-    let mcts = SearchConfig::exhaustive().with_backend(SearchBackend::Mcts(MctsConfig {
-        iterations: Some(50),
-        ..MctsConfig::default()
-    }));
-    assert_eq!(
-        search.find_witness(&th, &mcts).unwrap(),
-        Probe::Infeasible { overflow: None }
-    );
-    let sampled = search
-        .run_with_thresholds(&Thresholds::unbounded(), &mcts)
-        .unwrap();
-    assert!(sampled.overflow.is_none());
 
     // A first-feasible stop cuts the tree short.
     let loose = Thresholds::new(1.0, 1.0, 1.0);

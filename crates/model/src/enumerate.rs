@@ -101,10 +101,8 @@ impl PlanEnumerator {
     ///
     /// `free[w]` is the number of slots still available on worker `w`.
     /// Workers with different free-slot counts stop being interchangeable;
-    /// by default *every* worker becomes its own symmetry group (the
-    /// occupying tasks may load workers differently in ways the
-    /// enumerator cannot see). Use [`PlanEnumerator::with_worker_groups`]
-    /// afterwards if some workers are genuinely identical.
+    /// *every* worker becomes its own symmetry group (the occupying tasks
+    /// may load workers differently in ways the enumerator cannot see).
     pub fn with_free_slots(mut self, free: Vec<usize>) -> Result<PlanEnumerator, ModelError> {
         if free.len() != self.num_workers {
             return Err(ModelError::InvalidParameter(format!(
@@ -124,74 +122,6 @@ impl PlanEnumerator {
         self.initial_groups = (0..self.num_workers).collect();
         self.free_slots = free;
         Ok(self)
-    }
-
-    /// Overrides the initial symmetry groups.
-    ///
-    /// Workers sharing a group id (which must form contiguous runs) are
-    /// treated as interchangeable at the start of the search.
-    pub fn with_worker_groups(mut self, groups: Vec<usize>) -> Result<PlanEnumerator, ModelError> {
-        if groups.len() != self.num_workers {
-            return Err(ModelError::InvalidParameter(format!(
-                "groups for {} workers, cluster has {}",
-                groups.len(),
-                self.num_workers
-            )));
-        }
-        for w in 1..groups.len() {
-            if groups[w] != groups[w - 1] && groups[..w].contains(&groups[w]) {
-                return Err(ModelError::InvalidParameter(
-                    "worker groups must form contiguous runs".into(),
-                ));
-            }
-        }
-        self.initial_groups = groups;
-        self.initial_groups_normalize();
-        Ok(self)
-    }
-
-    fn initial_groups_normalize(&mut self) {
-        // Re-key groups to the index of their first member, the format
-        // `refine_groups` maintains.
-        let old = self.initial_groups.clone();
-        let mut first: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for (w, &g) in old.iter().enumerate() {
-            let id = *first.entry(g).or_insert(w);
-            self.initial_groups[w] = id;
-        }
-    }
-
-    /// A canonical hash of the state a prefix leads to, invariant under
-    /// permutation of workers.
-    ///
-    /// Two prefixes with the same hash *candidate* as transpositions: the
-    /// per-worker columns (free slots after the prefix, then the task
-    /// count each fixed layer put on the worker) are sorted, so prefixes
-    /// that assign the same multiset of worker states — merely labelling
-    /// the workers differently — collapse to one value. A caller keying
-    /// a table on this hash must still verify exact state equality
-    /// (64-bit hashes collide), as the MCTS transposition table in
-    /// `capsys-core` does with its exact verify key.
-    pub fn prefix_hash(&self, prefix: &[Vec<usize>]) -> u64 {
-        let mut columns: Vec<Vec<u64>> = (0..self.num_workers)
-            .map(|w| {
-                let placed: usize = prefix.iter().map(|row| row[w]).sum();
-                let mut col = Vec::with_capacity(prefix.len() + 1);
-                col.push((self.free_slots[w] - placed) as u64);
-                col.extend(prefix.iter().map(|row| row[w] as u64));
-                col
-            })
-            .collect();
-        columns.sort_unstable();
-        let mut h = fnv1a64_seed(prefix.len() as u64);
-        for col in &columns {
-            for &word in col {
-                h = fnv1a64_word(h, word);
-            }
-            // Column separator so (a,b)(c) and (a)(b,c) differ.
-            h = fnv1a64_word(h, u64::MAX);
-        }
-        h
     }
 
     /// Enumerates the child prefixes of `prefix` that `visitor` admits:
@@ -304,22 +234,6 @@ impl PlanEnumerator {
     /// The operator exploration order in use.
     pub fn order(&self) -> &[OperatorId] {
         &self.op_order
-    }
-
-    /// Free slots per worker at the root of the search.
-    pub fn free_slots(&self) -> &[usize] {
-        &self.free_slots
-    }
-
-    /// Initial interchangeability groups (group id = index of the
-    /// group's first worker), as refined by [`refine_groups`].
-    pub fn initial_groups(&self) -> &[usize] {
-        &self.initial_groups
-    }
-
-    /// Parallelism per operator, indexed by operator id.
-    pub fn parallelism(&self) -> &[usize] {
-        &self.parallelism
     }
 
     /// Runs the traversal, reporting every node and leaf to `visitor`.
@@ -494,21 +408,6 @@ impl PlanEnumerator {
     }
 }
 
-/// FNV-1a offset basis folded with a seed word, for canonical state
-/// hashing. FNV is not collision-resistant — consumers must verify keys.
-fn fnv1a64_seed(seed: u64) -> u64 {
-    fnv1a64_word(0xcbf2_9ce4_8422_2325, seed)
-}
-
-/// One FNV-1a step over the eight little-endian bytes of `word`.
-fn fnv1a64_word(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The counts at distance `delta` from `ideal` inside `[floor, cap]`,
 /// below first.
 fn candidate_pair(
@@ -528,11 +427,7 @@ fn candidate_pair(
 
 /// Splits groups so workers remain grouped only if they received the same
 /// count for the operator just placed.
-///
-/// Public so search backends that walk the prefix tree out of band (the
-/// MCTS backend in `capsys-core`) can maintain the exact symmetry state
-/// the enumerator would, keeping their sampled rows canonical.
-pub fn refine_groups(group: &mut [usize], row: &[usize]) {
+fn refine_groups(group: &mut [usize], row: &[usize]) {
     // In-place: `group[w]` is read before being overwritten and later
     // positions are untouched, so no scratch copy is needed.
     let mut next = 0usize;
@@ -999,18 +894,13 @@ mod tests {
             .unwrap();
         let stats = e.explore(&mut AcceptAll);
         assert_eq!(stats.plans, 3, "distinct groups disable dedup");
-        // Re-merging the groups restores symmetric counting.
-        let e = PlanEnumerator::new(&p, &c)
-            .unwrap()
-            .with_free_slots(vec![2, 2])
-            .unwrap()
-            .with_worker_groups(vec![0, 0])
-            .unwrap();
+        // Without free slots the two workers stay interchangeable.
+        let e = PlanEnumerator::new(&p, &c).unwrap();
         assert_eq!(e.explore(&mut AcceptAll).plans, 2);
     }
 
     #[test]
-    fn invalid_free_slots_and_groups_rejected() {
+    fn invalid_free_slots_rejected() {
         let p = chain(&[2, 2]);
         let c = cluster(2, 2);
         assert!(PlanEnumerator::new(&p, &c)
@@ -1021,31 +911,6 @@ mod tests {
             .unwrap()
             .with_free_slots(vec![3, 1])
             .is_err());
-        assert!(PlanEnumerator::new(&p, &c)
-            .unwrap()
-            .with_worker_groups(vec![0])
-            .is_err());
-        assert!(PlanEnumerator::new(&p, &c)
-            .unwrap()
-            .with_worker_groups(vec![0, 1, 0])
-            .is_err());
-    }
-
-    #[test]
-    fn prefix_hash_is_worker_permutation_invariant() {
-        let p = chain(&[2, 3, 1]);
-        let c = cluster(3, 3);
-        let e = PlanEnumerator::new(&p, &c).unwrap();
-        // Same multiset of worker columns, different labels.
-        let a = vec![vec![2, 1, 0], vec![0, 1, 2]];
-        let b = vec![vec![0, 1, 2], vec![2, 1, 0]];
-        assert_eq!(e.prefix_hash(&a), e.prefix_hash(&b));
-        // Different multisets hash apart (with overwhelming likelihood).
-        let d = vec![vec![2, 1, 0], vec![1, 1, 1]];
-        assert_ne!(e.prefix_hash(&a), e.prefix_hash(&d));
-        // Depth participates: a one-layer prefix differs from the same
-        // rows read as layer one of a two-layer prefix.
-        assert_ne!(e.prefix_hash(&a[..1]), e.prefix_hash(&a));
     }
 
     #[test]

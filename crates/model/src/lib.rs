@@ -34,9 +34,7 @@ pub mod rates;
 pub mod skew;
 
 pub use cluster::{Cluster, HardwareProfile, Worker, WorkerId, WorkerSpec};
-pub use enumerate::{
-    count_plans, enumerate_plans, refine_groups, PlanEnumerator, PlanVisitor, SearchStats,
-};
+pub use enumerate::{count_plans, enumerate_plans, PlanEnumerator, PlanVisitor, SearchStats};
 pub use error::ModelError;
 pub use load::{LoadModel, TaskLoad};
 pub use logical::{ConnectionPattern, LogicalEdge, LogicalGraph, LogicalGraphBuilder};

@@ -75,10 +75,6 @@ impl From<CapsError> for PlacementError {
 /// plan by re-running the identical search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchDescriptor {
-    /// Stable backend id (`"dfs"` or `"mcts"`).
-    pub backend: String,
-    /// The backend's RNG seed, for seeded backends (MCTS).
-    pub seed: Option<u64>,
     /// The node budget in effect, if any.
     pub node_budget: Option<usize>,
 }
@@ -87,8 +83,6 @@ impl SearchDescriptor {
     /// The descriptor of a CAPS [`SearchConfig`].
     pub fn of(config: &SearchConfig) -> SearchDescriptor {
         SearchDescriptor {
-            backend: config.backend.id().to_string(),
-            seed: config.backend.seed(),
             node_budget: config.node_budget,
         }
     }

@@ -50,18 +50,11 @@
 #      every cell finds a plan (timings are printed, not gated); Table 2's
 #      plan and node counts; and Figure 10b's auto-tuned thresholds and
 #      probe counts (CAPSYS_FAST=1: 4-16 slots per worker), both against
-#      the exact values EXPERIMENTS.md records;
-#   9. anytime search smoke — DFS vs MCTS backends under a shared node
-#      budget (seeds 7/11/23), writing target/BENCH_anytime.json and
-#      self-asserting that MCTS matches the DFS optimum bit-for-bit at
-#      16 tasks, returns feasible plans at 256/1024 tasks where the
-#      budgeted DFS exhausts with none, keeps every anytime curve
-#      monotone non-increasing, and replays byte-identically under the
-#      same seed; the step then checks that the committed
-#      BENCH_anytime.json, BENCH_hostile.json and BENCH_fleet.json at
-#      the root are unmodified (the claim tests of step 6 validate
-#      their records in memory and write nothing);
-#  10. perfbench gate — the benchmark package's own tests, then each
+#      the exact values EXPERIMENTS.md records; the step then checks that
+#      the committed BENCH_hostile.json and BENCH_fleet.json at the root
+#      are unmodified (the claim tests of step 6 validate their records
+#      in memory and write nothing);
+#   9. perfbench gate — the benchmark package's own tests, then each
 #      workload (place / fleet / recover) for one second at seeds 1 and
 #      2: every run must end with `"correct":true` and `"failed":0`, and
 #      print the workload's pinned decision digest at both seeds.
@@ -83,7 +76,7 @@ step_done() {
     echo "    [done in $(($(date +%s) - STEP_T0))s]"
 }
 
-step "1/10" "tree guard: no tracked build artifacts"
+step "1/9" "tree guard: no tracked build artifacts"
 if git ls-files | grep -q '^target/'; then
     echo "FORBIDDEN: build artifacts under target/ are tracked" >&2
     echo "(run: git rm -r --cached target)" >&2
@@ -92,7 +85,7 @@ fi
 echo "    ok: target/ is untracked"
 step_done
 
-step "2/10" "dependency guard: workspace-internal crates only"
+step "2/9" "dependency guard: workspace-internal crates only"
 # Collect every dependency key from every manifest. Dependency lines are
 # `name = ...` or `name.workspace = true` inside a [*dependencies*]
 # section; only capsys-* names are allowed.
@@ -122,7 +115,7 @@ fi
 echo "    ok: all dependencies are capsys-* path crates"
 step_done
 
-step "3/10" "panic lint: no unwrap/expect/panic! in non-test code"
+step "3/9" "panic lint: no unwrap/expect/panic! in non-test code"
 # Library code must surface failures as Results — a panicking controller
 # is the exact failure mode the robustness work guards against. Unit-test
 # modules (everything from the first #[cfg(test)] down) and the justified
@@ -157,29 +150,29 @@ fi
 echo "    ok: non-test library code is panic-free"
 step_done
 
-step "3b/10" "format check: cargo fmt --all -- --check"
+step "3b/9" "format check: cargo fmt --all -- --check"
 cargo fmt --all -- --check
 echo "    ok: the workspace is rustfmt-clean"
 step_done
 
-step "3c/10" "rustdoc check: cargo doc with warnings denied"
+step "3c/9" "rustdoc check: cargo doc with warnings denied"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "    ok: the workspace documents without warnings"
 step_done
 
-step "4/10" "non-test line-count and settable-value ledgers (informational)"
+step "4/9" "non-test line-count and settable-value ledgers (informational)"
 scripts/loc.sh
 step_done
 
-step "5/10" "cargo build --release (all targets)"
+step "5/9" "cargo build --release (all targets)"
 cargo build --release --workspace --all-targets
 step_done
 
-step "6/10" "cargo test (debug, full workspace: the tier-1 suite)"
+step "6/9" "cargo test (debug, full workspace: the tier-1 suite)"
 cargo test -q
 step_done
 
-step "6b/10" "fixed-point overflow checks (capsys-util, release + overflow-checks)"
+step "6b/9" "fixed-point overflow checks (capsys-util, release + overflow-checks)"
 # The Fixed64 core promises saturating/checked arithmetic, never a
 # silent two's-complement wrap. Release builds normally disable
 # overflow checks, so any unchecked `+`/`-`/`*` on a raw mantissa would
@@ -189,7 +182,7 @@ RUSTFLAGS="${RUSTFLAGS:-} -C overflow-checks=yes" \
     cargo test -q --release -p capsys-util --target-dir target/overflow-checks
 step_done
 
-step "7/10" "determinism + search and sim goldens + store-bound + parallel DFS + thread-count outcomes + auto-tuner equivalence + tick-phase tests (release)"
+step "7/9" "determinism + search and sim goldens + store-bound + parallel DFS + thread-count outcomes + auto-tuner equivalence + tick-phase tests (release)"
 cargo test -q --release --test golden_determinism --test search_golden --test store_bound \
     --test tie_cut --test parallel_schedule --test parallel_panic --test thread_count_outcomes \
     --test autotune_equivalence --test sim_golden --test sim_heal_golden
@@ -197,7 +190,7 @@ cargo test -q --release -p capsys-sim --test alloc_free_tick
 cargo test -q --release -p capsys-controller --lib -- fleet::tests::tick_phase
 step_done
 
-step "8/10" "search smoke (Figure 10a first-feasible searches, 16-256 tasks; Table 2 counts; Figure 10b tuning)"
+step "8/9" "search smoke (Figure 10a first-feasible searches, 16-256 tasks; Table 2 counts; Figure 10b tuning; committed records unmodified)"
 # exp_fig10a self-asserts that every (scale, alpha) cell finds a plan.
 # exp_table2 asserts the plans, nodes and reordered nodes of all seven
 # alpha_cpu rows against the exact counts EXPERIMENTS.md records.
@@ -207,26 +200,17 @@ step "8/10" "search smoke (Figure 10a first-feasible searches, 16-256 tasks; Tab
 cargo run --release -p capsys-bench --bin exp_fig10a
 cargo run --release -p capsys-bench --bin exp_table2
 CAPSYS_FAST=1 cargo run --release -p capsys-bench --bin exp_fig10b
-step_done
-
-step "9/10" "anytime search smoke (DFS vs MCTS, BENCH_anytime.json, seeds 7/11/23)"
-# exp_search self-asserts: MCTS == DFS optimum at 16 tasks (Fixed64 bit
-# equality, every seed), MCTS feasible within the budget at 256/1024
-# tasks where the DFS reports budget exhaustion with zero plans,
-# monotone anytime curves, and a byte-identical same-seed replay; it
-# also validates the target/BENCH_anytime.json it wrote.
-cargo run --release -p capsys-bench --bin exp_search -- --smoke
-# Only a full run of exp_search, exp_hostile or exp_fleet rewrites a
-# committed record; nothing in this script may.
-if ! git diff --quiet -- BENCH_anytime.json BENCH_hostile.json BENCH_fleet.json; then
+# Only a full run of exp_hostile or exp_fleet rewrites a committed
+# record; nothing in this script may.
+if ! git diff --quiet -- BENCH_hostile.json BENCH_fleet.json; then
     echo "a CI step modified a committed BENCH_*.json record:" >&2
-    git diff --stat -- BENCH_anytime.json BENCH_hostile.json BENCH_fleet.json >&2
+    git diff --stat -- BENCH_hostile.json BENCH_fleet.json >&2
     exit 1
 fi
 echo "    ok: the committed BENCH_*.json records are unmodified"
 step_done
 
-step "10/10" "perfbench gate (self-tests + 1 s of each workload, seeds 1/2)"
+step "9/9" "perfbench gate (self-tests + 1 s of each workload, seeds 1/2)"
 # Each run checks its own outputs and prints a digest of every decision
 # of a pass. The seed only reorders order-independent work, so both
 # seeds must print the workload's pinned digest; a change that re-plans

@@ -48,6 +48,8 @@ struct Reference {
     searches: usize,
     /// Probes that ran out of node budget; they count as infeasible.
     aborted: usize,
+    /// Whether the last step's search ran out of node budget.
+    last_aborted: bool,
 }
 
 /// How the plain scan answers a grid step.
@@ -104,6 +106,7 @@ fn plain_scan(
     let mut witnesses: Vec<CostVector> = Vec::new();
     let mut feasible = |th: &Thresholds, r: &mut Reference| -> Result<bool, CapsError> {
         r.iterations += 1;
+        r.last_aborted = false;
         if reuse_witnesses && witnesses.iter().any(|w| w.within(th)) {
             return Ok(true);
         }
@@ -119,6 +122,7 @@ fn plain_scan(
             Probe::Infeasible { overflow } => {
                 if overflow.is_none() {
                     r.aborted += 1;
+                    r.last_aborted = true;
                 }
                 false
             }
@@ -158,7 +162,7 @@ fn plain_scan(
                 break;
             }
             if alpha >= 1.0 {
-                return Err(CapsError::NoFeasiblePlan);
+                return Err(exhausted_grid(r));
             }
             alpha = relax(alpha);
         }
@@ -182,9 +186,20 @@ fn plain_scan(
             .iter()
             .all(|v| !v.is_finite() || *v >= 1.0)
         {
-            return Err(CapsError::NoFeasiblePlan);
+            return Err(exhausted_grid(r));
         }
         th = Thresholds::new(step(th.cpu), step(th.io), step(th.net));
+    }
+}
+
+/// How a scan whose last grid step failed with every active threshold
+/// at 1 ends: a search that exhausted its tree proves that no plan
+/// exists, one cut short by its node budget proves nothing.
+fn exhausted_grid(r: &Reference) -> CapsError {
+    if r.last_aborted {
+        CapsError::BudgetExhausted
+    } else {
+        CapsError::NoFeasiblePlan
     }
 }
 

@@ -2,11 +2,10 @@
 //! six queries, and on one network-pressed instance, must produce a
 //! byte-identical outcome — thresholds, the stored plans in their
 //! returned (`cmp_scored`) order, the pareto front, the recommended
-//! plan, the anytime curve and the traversal statistics — checked
-//! against the golden file under `tests/golden/`. The stored plans and
-//! the recommended plan are the same at every thread count
-//! (`tests/thread_count_outcomes.rs`); the anytime curve and statistics
-//! are pinned at one thread.
+//! plan and the traversal statistics — checked against the golden file
+//! under `tests/golden/`. The stored plans and the recommended plan are
+//! the same at every thread count (`tests/thread_count_outcomes.rs`);
+//! the statistics are pinned at one thread.
 //!
 //! Every float is written with `{:?}`, which prints the shortest string
 //! that parses back to the same bits. Wall-clock fields (`elapsed`) are
@@ -73,12 +72,6 @@ fn write_outcome(out: &mut String, tag: &str, o: &SearchOutcome) {
         Some(best) => writeln!(out, "{tag} best {}", plan_line(best)).unwrap(),
         None => writeln!(out, "{tag} best none").unwrap(),
     }
-    let curve: Vec<String> = o
-        .anytime
-        .iter()
-        .map(|p| format!("{}:{:?}", p.nodes, p.cost))
-        .collect();
-    writeln!(out, "{tag} anytime {}", curve.join(" ")).unwrap();
     write_stats(out, tag, &o.stats);
 }
 
